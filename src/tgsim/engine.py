@@ -342,6 +342,9 @@ class SimulationRun:
                     sched = self._schedule_for_day(day)
                     entry = sched.entry_for(hour_of_day)
                     if t % 86400 == 0:
+                        # forecasts read only the previous day's curves
+                        for key in [key for key in self.curve_history if key[0] < day - 1]:
+                            del self.curve_history[key]
                         emit({"t": t, "type": "schedule", "day": day,
                               "prices": [e.price for e in sched.entries]})
                     for fid, fs in self.feeders.items():

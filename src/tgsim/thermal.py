@@ -13,9 +13,10 @@ constant the update has the exact closed form
     T_in' = T_eq + (T_in - T_eq) * exp(-h / (R * C))
 
 so the integration is step-size independent: two half ticks compose to
-one full tick exactly. All population-level stepping funnels through
-:mod:`tgsim.backend` so the compiled kernel and the pure-Python fallback
-stay interchangeable.
+one full tick exactly. The scalar functions below (``decide``,
+``step_house``, ``aggregate_power``) state the model one house at a
+time and are the oracles for the array tick in :class:`Population`,
+which must reproduce them bit for bit.
 
 Two thermostat kinds are modelled. The conventional hysteresis
 thermostat switches whenever temperature leaves its deadband. The
@@ -33,8 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from . import backend
 
 MODE_COOLING = "cooling"
 MODE_HEATING = "heating"
@@ -172,9 +171,9 @@ def decide(
 class Population:
     """Struct-of-arrays container for a fleet of houses.
 
-    Per-house scalars live in aligned numpy arrays so the tick kernel
-    can run over them without boxing. The scalar functions above remain
-    the reference semantics; tests pin the kernel to them bit for bit.
+    Per-house scalars live in aligned numpy arrays and ``tick`` steps
+    the whole fleet at once. The scalar functions above are the oracles
+    for that array tick; tests pin it to them bit for bit.
     """
 
     def __init__(
@@ -205,6 +204,10 @@ class Population:
         self.hvac_on = np.array([1 if s.hvac_on else 0 for s in states], dtype=np.uint8)
         # forced-off latch used by underfrequency shedding
         self.latched = np.zeros(n, dtype=np.uint8)
+        # per-house exp(-h / (R * C)) for the tick length _decay_h;
+        # valid because r_thermal and c_thermal never change
+        self._decay_h: float | None = None
+        self._decay = np.empty(0)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -241,30 +244,41 @@ class Population:
             raise ValueError("tick length must be positive")
         if not math.isfinite(t_out):
             raise ValueError("non-finite outdoor temperature")
-        return backend.population_tick(
-            self.t_in,
-            self.hvac_on,
-            self.latched,
-            self.kind,
-            self.mode_sign,
-            self.setpoint,
-            self.deadband,
-            self.r_thermal,
-            self.c_thermal,
-            self.q_hvac,
-            self.p_rated,
-            float(t_out),
-            float(h),
-            bool(at_market_boundary),
-        )
+        h = float(h)
+        t_out = float(t_out)
+        t = self.t_in
+        prior = self.hvac_on != 0
+        cooling = self.mode_sign > 0
+        # hysteresis: the edge that switches on is tested first
+        half = self.deadband / 2.0
+        upper = t >= self.setpoint + half
+        lower = t <= self.setpoint - half
+        hysteresis = np.where(cooling, upper | (prior & ~lower), lower | (prior & ~upper))
+        # zero deadband: strict side of the setpoint, at boundaries only
+        if at_market_boundary:
+            zero_deadband = np.where(cooling, t > self.setpoint, t < self.setpoint)
+        else:
+            zero_deadband = prior
+        on = (self.latched == 0) & np.where(self.kind == 0, hysteresis, zero_deadband)
+
+        if self._decay_h != h:
+            # libm exp, as in step_house: np.exp can differ in the last bit
+            rate = -h / (self.r_thermal * self.c_thermal)
+            self._decay = np.array([math.exp(x) for x in rate.tolist()], dtype=np.float64)
+            self._decay_h = h
+        t_eq = t_out + np.where(on, self.q_hvac, 0.0) * self.r_thermal
+        t[:] = t_eq + (t - t_eq) * self._decay
+        self.hvac_on[:] = on
+        return _sequential_sum(self.p_rated[on])
 
     def aggregate_power(self) -> float:
         """Current electrical draw of the fleet in kW (sequential sum)."""
-        total = 0.0
-        for i in range(len(self.ids)):
-            if self.hvac_on[i]:
-                total += float(self.p_rated[i])
-        return total
+        return _sequential_sum(self.p_rated[self.hvac_on != 0])
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, as a Python loop computes it (np.sum is pairwise)."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def aggregate_power(states: Iterable[HouseState], params: Iterable[ThermalParams]) -> float:

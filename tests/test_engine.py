@@ -9,7 +9,7 @@ import pytest
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config
-from tgsim.engine import run_scenario
+from tgsim.engine import SimulationRun, run_scenario
 from tgsim.thermal import (
     Population,
     ThermalParams,
@@ -101,6 +101,25 @@ def test_double_runs_are_byte_identical(scenario_runs):
         assert set(a) == set(b), stem
         for name in a:
             assert a[name] == b[name], f"{stem}/{name} differs between runs"
+
+
+def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path):
+    # days 1 and 2 are scheduled from the previous day's availability
+    # feedback; once day 2 begins, day 0's demand curves are never read
+    cfg = load_config(SCENARIO_DIR / "single_house.yaml")
+    cfg = dataclasses.replace(
+        cfg,
+        simulation=dataclasses.replace(cfg.simulation, span_s=3 * 86400),
+        house_trace=False,
+    )
+    files = []
+    for name in ("a", "b"):
+        sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+        run = sim.run(tmp_path / name)
+        assert {day for day, _ in sim.curve_history} == {1, 2}
+        assert sorted(sim.schedule_by_day) == [0, 1, 2]
+        files.append(artifact_files(run))
+    assert files[0] == files[1]
 
 
 def test_seed_only_enters_through_the_random_streams(tmp_path, scenario_runs):

@@ -201,13 +201,25 @@ def _random_population(rng, n=40):
 
 
 def test_population_tick_matches_scalar_reference_bitwise():
-    """The array kernel must reproduce decide() + step_house() exactly."""
+    """The array kernel must reproduce decide() + step_house() exactly.
+
+    Sequential ticks let any divergence compound; market boundaries come
+    every 5th tick, the tick length changes midway (the cached per-house
+    decay must follow it), and some houses start exactly on a switching
+    edge, where >= and > differ.
+    """
     rng = np.random.default_rng(7)
     pop = _random_population(rng)
     pop.latched[3] = 1
     pop.latched[11] = 1
-    t_out, h = 18.0, 1.0 / 30.0
-    for at_boundary in (True, False):
+    for i in range(0, 12, 4):
+        pop.t_in[i] = pop.setpoint[i] + pop.deadband[i] / 2.0
+        pop.t_in[i + 1] = pop.setpoint[i + 1]
+        pop.t_in[i + 2] = pop.setpoint[i + 2] - pop.deadband[i + 2] / 2.0
+    t_out = 18.0
+    for k in range(60):
+        at_boundary = k % 5 == 0
+        h = 1.0 / 30.0 if k < 30 else 1.0 / 60.0
         expect_t = np.empty(len(pop))
         expect_on = np.empty(len(pop), dtype=np.uint8)
         expect_power = 0.0
@@ -226,6 +238,9 @@ def test_population_tick_matches_scalar_reference_bitwise():
         assert got_power == expect_power
         assert np.array_equal(pop.t_in, expect_t)
         assert np.array_equal(pop.hvac_on, expect_on)
+        assert pop.aggregate_power() == expect_power
+    empty = Population([], [], [], [], [])
+    assert empty.tick(t_out, 0.1, at_market_boundary=True) == 0.0
 
 
 def test_population_validation_and_guards():
