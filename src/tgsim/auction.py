@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+from .fold import left_sum
+
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
 
@@ -77,7 +79,7 @@ class StepCurve:
         return len(self.segments)
 
     def total_quantity(self) -> float:
-        return sum(s.quantity for s in self.segments)
+        return left_sum(s.quantity for s in self.segments)
 
     def best_price(self) -> float | None:
         return self.segments[0].price if self.segments else None
@@ -85,8 +87,8 @@ class StepCurve:
     def quantity_at(self, price: float) -> float:
         """Quantity willing to trade at the given price (weak inequality)."""
         if self.side == SIDE_BUY:
-            return sum(s.quantity for s in self.segments if s.price >= price)
-        return sum(s.quantity for s in self.segments if s.price <= price)
+            return left_sum(s.quantity for s in self.segments if s.price >= price)
+        return left_sum(s.quantity for s in self.segments if s.price <= price)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .auction import Order, SIDE_BUY, SIDE_SELL
+from .fold import left_sum
 from .thermal import MODE_COOLING, ThermostatConfig
 
 
@@ -58,14 +59,14 @@ class PriceStats:
     def mean(self) -> float:
         if len(self.history) < self.window:
             return self.prior_mean
-        return sum(self.history) / len(self.history)
+        return left_sum(self.history) / len(self.history)
 
     @property
     def sigma(self) -> float:
         if len(self.history) < self.window:
             return self.prior_sigma
         m = self.mean
-        var = sum((p - m) ** 2 for p in self.history) / len(self.history)
+        var = left_sum((p - m) ** 2 for p in self.history) / len(self.history)
         return math.sqrt(var)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .auction import (
     Order,
     Segment,
     StepCurve,
+    aggregate_demand,
     build_demand_curve,
     build_feeder_supply,
     clear_and_allocate,
@@ -46,6 +48,7 @@ from .bidding import (
     thermostat_bid,
 )
 from .config import ScenarioConfig
+from .fold import left_sum
 from .frequency import (
     nerc_ace,
     regulation_command,
@@ -67,12 +70,12 @@ from .hierarchy import (
 )
 from .spectral import ingest_series
 from .thermal import (
-    MODE_COOLING,
     Population,
     ThermalParams,
     ThermostatConfig,
     diversity_metric,
     state_from_phase,
+    steady_duty,
 )
 
 
@@ -110,23 +113,6 @@ class _FeederState:
     id_to_idx: dict = field(default_factory=dict)
 
 
-def _steady_duty(t_out: float, r: float, c: float, q: float, lo: float, hi: float, mode: str) -> float:
-    """Fraction of time the equipment runs in steady cycling, clamped."""
-    if mode == MODE_COOLING:
-        t_eq_on = t_out + q * r
-        if not (t_eq_on < lo and t_out > hi):
-            return 0.0 if t_out <= hi else 1.0
-        tau_on = math.log((hi - t_eq_on) / (lo - t_eq_on))
-        tau_off = math.log((t_out - lo) / (t_out - hi))
-    else:
-        t_eq_on = t_out + q * r
-        if not (t_eq_on > hi and t_out < lo):
-            return 0.0 if t_out >= lo else 1.0
-        tau_on = math.log((t_eq_on - lo) / (t_eq_on - hi))
-        tau_off = math.log((hi - t_out) / (lo - t_out))
-    return tau_on / (tau_on + tau_off)
-
-
 class SimulationRun:
     """One scenario execution; call run() once."""
 
@@ -137,6 +123,17 @@ class SimulationRun:
         pop_seq, ufls_seq = ss.spawn(2)
         self.rng_pop = np.random.default_rng(pop_seq)
         self.rng_ufls = np.random.default_rng(ufls_seq)
+        # every house shares these settings; its setpoint lives in the fleet arrays
+        pop = cfg.population
+        self.thermostat = ThermostatConfig(
+            kind=pop.thermostat,
+            mode=pop.mode,
+            setpoint=pop.t_desired,
+            deadband=pop.deadband,
+            t_min=pop.t_min,
+            t_max=pop.t_max,
+            t_desired=pop.t_desired,
+        )
         self._build_outdoor()
         self._build_feeders()
         self._build_storage()
@@ -183,18 +180,6 @@ class SimulationRun:
         da = self.cfg.da_price
         return da[hour_abs % len(da)]
 
-    def _house_cfg(self, i_setpoint: float) -> ThermostatConfig:
-        pop = self.cfg.population
-        return ThermostatConfig(
-            kind=pop.thermostat,
-            mode=pop.mode,
-            setpoint=i_setpoint,
-            deadband=pop.deadband,
-            t_min=pop.t_min,
-            t_max=pop.t_max,
-            t_desired=pop.t_desired,
-        )
-
     def _build_feeders(self) -> None:
         cfgp = self.cfg.population
         sigma_rc = math.log1p(cfgp.spread)
@@ -202,7 +187,7 @@ class SimulationRun:
         t0 = self.t_out(0.0)
         self.feeders: dict[str, _FeederState] = {}
         for fspec in self.cfg.feeders:
-            ids, params, configs, states, ks = [], [], [], [], []
+            ids, params, states, ks = [], [], [], []
             for j in range(fspec.houses):
                 z = self.rng_pop.standard_normal(3)
                 u = self.rng_pop.random()
@@ -210,15 +195,13 @@ class SimulationRun:
                 c = cfgp.c_median * math.exp(sigma_rc * z[1])
                 k = cfgp.comfort_k * math.exp(sigma_k * z[2]) if cfgp.comfort_k > 0 else 0.0
                 par = ThermalParams(r_thermal=r, c_thermal=c, q_hvac=cfgp.q_hvac, p_rated=cfgp.p_rated)
-                tcfg = self._house_cfg(cfgp.t_desired)
                 phase = u if cfgp.initial == "steady" else 0.0
-                st = state_from_phase(phase, par, tcfg, t0)
+                st = state_from_phase(phase, par, self.thermostat, t0)
                 ids.append(f"{fspec.feeder_id}_h{j:04d}")
                 params.append(par)
-                configs.append(tcfg)
                 states.append(st)
                 ks.append(k)
-            pop = Population(ids, params, configs, states, ks)
+            pop = Population(ids, params, [self.thermostat] * len(ids), states, ks)
             n_armed = math.ceil(self.cfg.area.ufls.armed_fraction * fspec.houses)
             fs = _FeederState(
                 spec=fspec,
@@ -250,13 +233,8 @@ class SimulationRun:
     def _bootstrap_forecast(self, hour_abs: int) -> dict[str, StepCurve]:
         cfgp = self.cfg.population
         mkt = self.cfg.market
-        t_out = self.t_out(hour_abs * 3600.0)
-        if cfgp.thermostat == "hysteresis":
-            lo = cfgp.t_desired - cfgp.deadband / 2.0
-            hi = cfgp.t_desired + cfgp.deadband / 2.0
-        else:
-            lo, hi = cfgp.t_desired - 0.5, cfgp.t_desired + 0.5
-        duty = _steady_duty(t_out, cfgp.r_median, cfgp.c_median, cfgp.q_hvac, lo, hi, cfgp.mode)
+        median = ThermalParams(cfgp.r_median, cfgp.c_median, cfgp.q_hvac, cfgp.p_rated)
+        duty = steady_duty(median, self.thermostat, self.t_out(hour_abs * 3600.0))
         curves = {}
         for fspec in self.cfg.feeders:
             segs = []
@@ -314,11 +292,6 @@ class SimulationRun:
 
         h_agc = sim.agc_tick_s
         n_ticks = sim.span_s // h_agc
-        agc_rows: list[str] = []
-        market_rows: list[str] = []
-        load_rows: list[str] = []
-        settle_rows: list[str] = []
-        house_rows: list[str] = []
         prices_seen: list[float] = []
         peak_load = 0.0
         energy_kwh = 0.0
@@ -326,8 +299,24 @@ class SimulationRun:
         ufls_total_kw = 0.0
         feeder_prices: dict[str, list[float]] = {fid: [] for fid in self.feeders}
 
-        events_path = out_dir / "events.jsonl"
-        with open(events_path, "w") as events:
+        with ExitStack() as files:
+
+            def table(name: str, header: str):
+                fh = files.enter_context(open(out_dir / name, "w"))
+                fh.write(header + "\n")
+                return fh
+
+            events = files.enter_context(open(out_dir / "events.jsonl", "w"))
+            frequency = table("frequency.csv", "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
+                              "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s")
+            markets = table("markets.csv", "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,"
+                            "mode,reference_kw,scarcity_rent")
+            load = table("load.csv", "t_s,load_kw,responsive_kw,base_kw,storage_kw,diversity,mean_t_in_c")
+            settlement = table("settlement.csv", "interval,t_s,participant,role,da_energy_kwh,da_price,"
+                               "rt_deviation_kwh,rt_price,payment,scarcity_rent")
+            houses = None
+            if cfg.house_trace:
+                houses = table("houses.csv", "t_s,house_id,t_in_c,hvac_on,setpoint_c")
 
             def emit(record: dict) -> None:
                 events.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -354,16 +343,16 @@ class SimulationRun:
                 if t % sim.market_interval_s == 0:
                     self._market_phase(
                         t, interval_index, day, hour_of_day, emit,
-                        market_rows, settle_rows, prices_seen, feeder_prices,
+                        markets, settlement, prices_seen, feeder_prices,
                     )
 
                 if t % sim.device_tick_s == 0:
                     at_boundary = t % sim.market_interval_s == 0
-                    total_kw = self._device_phase(t, at_boundary, load_rows, house_rows)
+                    total_kw = self._device_phase(t, at_boundary, load, houses)
                     peak_load = max(peak_load, total_kw)
                     energy_kwh += total_kw * (sim.device_tick_s / 3600.0)
 
-                self._agc_phase(t, agc_rows, emit)
+                self._agc_phase(t, frequency, emit)
                 shed_now = self._last_shed_kw
                 if shed_now > 0:
                     ufls_events += 1
@@ -374,10 +363,10 @@ class SimulationRun:
             fid: (diversity_metric(fs.pop, self.t_out(sim.span_s)) if len(fs.pop) else None)
             for fid, fs in self.feeders.items()
         }
-        price_mean = (sum(prices_seen) / len(prices_seen)) if prices_seen else None
+        price_mean = (left_sum(prices_seen) / len(prices_seen)) if prices_seen else None
         price_sigma = None
         if prices_seen:
-            var = sum((p - price_mean) ** 2 for p in prices_seen) / len(prices_seen)
+            var = left_sum((p - price_mean) ** 2 for p in prices_seen) / len(prices_seen)
             price_sigma = math.sqrt(var)
         summary = {
             "span_s": sim.span_s,
@@ -405,24 +394,6 @@ class SimulationRun:
             },
         }
 
-        self._write(out_dir / "frequency.csv",
-                    "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
-                    "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s",
-                    agc_rows)
-        self._write(out_dir / "markets.csv",
-                    "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,"
-                    "mode,reference_kw,scarcity_rent",
-                    market_rows)
-        self._write(out_dir / "load.csv",
-                    "t_s,load_kw,responsive_kw,base_kw,storage_kw,diversity,mean_t_in_c",
-                    load_rows)
-        self._write(out_dir / "settlement.csv",
-                    "interval,t_s,participant,role,da_energy_kwh,da_price,"
-                    "rt_deviation_kwh,rt_price,payment,scarcity_rent",
-                    settle_rows)
-        if cfg.house_trace:
-            self._write(out_dir / "houses.csv", "t_s,house_id,t_in_c,hvac_on,setpoint_c", house_rows)
-
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         manifest = {
             "config_sha256": cfg.config_hash(),
@@ -437,13 +408,6 @@ class SimulationRun:
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return RunArtifacts(out_dir=out_dir, manifest=manifest, summary=summary)
 
-    @staticmethod
-    def _write(path: Path, header: str, rows: list[str]) -> None:
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
-
     def _alternations(self, prices: list[float]) -> int:
         from .report import price_alternations
 
@@ -456,7 +420,7 @@ class SimulationRun:
 
     def _market_phase(
         self, t, interval_index, day, hour_of_day, emit,
-        market_rows, settle_rows, prices_seen, feeder_prices,
+        markets, settlement, prices_seen, feeder_prices,
     ) -> None:
         cfg = self.cfg
         mkt = cfg.market
@@ -471,19 +435,16 @@ class SimulationRun:
 
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
+            pop = fs.pop
             bids: list[Order] = []
-            for i, hid in enumerate(fs.pop.ids):
-                if fs.pop.latched[i]:
+            for hid, latched, t_in, k, p_rated in zip(
+                pop.ids, pop.latched.tolist(), pop.t_in.tolist(),
+                pop.comfort_k.tolist(), pop.p_rated.tolist(),
+            ):
+                if latched:
                     continue
                 order = thermostat_bid(
-                    hid,
-                    float(fs.pop.t_in[i]),
-                    fs.pop.config_of(i),
-                    float(fs.pop.comfort_k[i]),
-                    fs.stats,
-                    float(fs.pop.p_rated[i]),
-                    mkt.price_floor,
-                    mkt.price_cap,
+                    hid, t_in, self.thermostat, k, fs.stats, p_rated, mkt.price_floor, mkt.price_cap
                 )
                 if order is not None:
                     bids.append(order)
@@ -515,7 +476,7 @@ class SimulationRun:
             self.curve_history.setdefault((day, hour_of_day), {}).setdefault(fid, []).append(demand)
 
             fs.cleared_kw = result.quantity
-            fs.import_kw = sum(
+            fs.import_kw = left_sum(
                 fill for oid, fill in result.accepted_sells.items() if oid.startswith("__import")
             )
             emit({"t": t, "type": "clearing", "market": fid, "price": result.price,
@@ -526,10 +487,10 @@ class SimulationRun:
             feeder_prices[fid].append(result.price)
 
             # price response: setpoints move along the inverted bid line
-            for i in range(len(fs.pop)):
-                fs.market_setpoint[i] = setpoint_from_price(
-                    result.price, fs.pop.config_of(i), float(fs.pop.comfort_k[i]), fs.stats
-                )
+            fs.market_setpoint[:] = [
+                setpoint_from_price(result.price, self.thermostat, k, fs.stats)
+                for k in pop.comfort_k.tolist()
+            ]
 
             # storage dispatch from fills
             fs.storage_net_kw = 0.0
@@ -547,20 +508,20 @@ class SimulationRun:
                 if discharge > 0:
                     rec = settle(sid, interval_index, 0.0, entry.price, -discharge * interval_h, result.price)
                     self._seller_received += -rec.payment
-                    settle_rows.append(
+                    settlement.write(
                         f"{interval_index},{t},{sid},seller,{_fmt(rec.da_energy_kwh)},"
                         f"{_fmt(rec.da_price)},{_fmt(rec.rt_deviation_kwh)},{_fmt(rec.rt_price)},"
-                        f"{_fmt(rec.payment)},{_fmt(0.0)}"
+                        f"{_fmt(rec.payment)},{_fmt(0.0)}\n"
                     )
 
             # two-settlement rows: feeder buys, market maker sells
             pos_kwh = fs.sched_kw * interval_h
             actual_kwh = result.quantity * interval_h
             buyer = settle(fid, interval_index, pos_kwh, entry.price, actual_kwh, result.price)
-            settle_rows.append(
+            settlement.write(
                 f"{interval_index},{t},{fid},buyer,{_fmt(buyer.da_energy_kwh)},"
                 f"{_fmt(buyer.da_price)},{_fmt(buyer.rt_deviation_kwh)},{_fmt(buyer.rt_price)},"
-                f"{_fmt(buyer.payment)},{_fmt(0.0)}"
+                f"{_fmt(buyer.payment)},{_fmt(0.0)}\n"
             )
             self._buyer_paid += buyer.payment
             mm_kwh = fs.import_kw * interval_h
@@ -568,10 +529,10 @@ class SimulationRun:
                         mm_kwh, result.price)
             rent_kwh = rent * interval_h
             mm_payment = -(mm.payment - rent_kwh)
-            settle_rows.append(
+            settlement.write(
                 f"{interval_index},{t},{fid}__import,seller,{_fmt(-mm.da_energy_kwh)},"
                 f"{_fmt(mm.da_price)},{_fmt(-(mm_kwh - pos_kwh))},{_fmt(mm.rt_price)},"
-                f"{_fmt(mm_payment)},{_fmt(rent_kwh)}"
+                f"{_fmt(mm_payment)},{_fmt(rent_kwh)}\n"
             )
             self._seller_received += -mm_payment
             self._rent_total += rent_kwh
@@ -582,15 +543,15 @@ class SimulationRun:
             balance_kw = fs.sched_kw + self._feeder_share(fid) * self.reg_agg_mw * 1000.0
             ref = feeder_reference(result.quantity, balance_kw, fspec.weight_normal,
                                    fspec.weight_contingency, mode)
-            market_rows.append(
+            markets.write(
                 f"{t},{fid},{_fmt(result.price)},{_fmt(result.quantity)},"
                 f"{len(result.accepted_buys)},{len(result.accepted_sells)},"
-                f"{mode},{_fmt(ref)},{_fmt(rent)}"
+                f"{mode},{_fmt(ref)},{_fmt(rent)}\n"
             )
             fs.stats.observe(result.price)
 
         # area-level aggregation, recorded for reporting
-        merged = StepCurve(SIDE_BUY, [s for c in demand_curves.values() for s in c.segments])
+        merged = aggregate_demand(demand_curves.values())
         bulk_price = self.da_price_for_hour(day * self.hours_per_day + hour_of_day)
         area_result = clear_area(
             merged,
@@ -603,20 +564,20 @@ class SimulationRun:
         )
         emit({"t": t, "type": "area_clearing", "price": area_result.price,
               "quantity": area_result.quantity})
-        market_rows.append(
+        markets.write(
             f"{t},__area,{_fmt(area_result.price)},{_fmt(area_result.quantity)},"
-            f"{len(merged.segments)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)}"
+            f"{len(merged.segments)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)}\n"
         )
 
     def _feeder_share(self, fid: str) -> float:
-        total = sum(
+        total = left_sum(
             float(np.sum(fs.pop.p_rated)) for fs in self.feeders.values() if len(fs.pop)
         )
         if total <= 0:
             return 0.0
         return float(np.sum(self.feeders[fid].pop.p_rated)) / total
 
-    def _device_phase(self, t, at_boundary: bool, load_rows, house_rows) -> float:
+    def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
         sim = self.cfg.simulation
         h_hours = sim.device_tick_s / 3600.0
         t_out_now = self.t_out(t)
@@ -633,26 +594,26 @@ class SimulationRun:
             resp += fs.house_power_kw
             base += fs.spec.base_load_kw
             storage_net += fs.storage_net_kw
-            if self.cfg.house_trace and len(fs.pop):
+            if houses is not None and len(fs.pop):
                 for i, hid in enumerate(fs.pop.ids):
-                    house_rows.append(
+                    houses.write(
                         f"{t},{hid},{_fmt(fs.pop.t_in[i])},{int(fs.pop.hvac_on[i])},"
-                        f"{_fmt(fs.pop.setpoint[i])}"
+                        f"{_fmt(fs.pop.setpoint[i])}\n"
                     )
         total = resp + base + storage_net
         divs = [
             diversity_metric(fs.pop, t_out_now) for fs in self.feeders.values() if len(fs.pop)
         ]
-        div = sum(divs) / len(divs) if divs else 0.0
+        div = left_sum(divs) / len(divs) if divs else 0.0
         temps = np.concatenate([fs.pop.t_in for fs in self.feeders.values() if len(fs.pop)]) if divs else None
         mean_t = float(temps.mean()) if temps is not None else 0.0
-        load_rows.append(
+        load.write(
             f"{t},{_fmt(total)},{_fmt(resp)},{_fmt(base)},{_fmt(storage_net)},"
-            f"{_fmt(div)},{_fmt(mean_t)}"
+            f"{_fmt(div)},{_fmt(mean_t)}\n"
         )
         return total
 
-    def _agc_phase(self, t, agc_rows, emit) -> None:
+    def _agc_phase(self, t, frequency, emit) -> None:
         cfg = self.cfg
         area = cfg.area
         h = cfg.simulation.agc_tick_s
@@ -721,9 +682,9 @@ class SimulationRun:
                     fs.pop.latched[:] = 0
                 emit({"t": t, "type": "ufls_release"})
 
-        agc_rows.append(
+        frequency.write(
             f"{t},{_fmt(freq)},{_fmt(self.delta_f)},{_fmt(ace_raw)},{_fmt(self.ace_filtered)},"
-            f"{_fmt(to_agg)},{_fmt(to_gen)},{_fmt(shed_kw)},{_fmt(self.time_error_s)}"
+            f"{_fmt(to_agg)},{_fmt(to_gen)},{_fmt(shed_kw)},{_fmt(self.time_error_s)}\n"
         )
 
     def _apply_aggregator_command(self, to_agg_mw: float) -> None:

@@ -27,9 +27,11 @@ from .auction import (
     Segment,
     SIDE_BUY,
     StepCurve,
+    aggregate_demand,
     clear_area,
     participation,
 )
+from .fold import left_sum
 
 MODE_NORMAL = "normal"
 MODE_CONTINGENCY = "contingency"
@@ -74,9 +76,8 @@ def schedule_hourly(
         raise ValueError("need one day-ahead price per forecast hour")
     entries = []
     for hour, (curves, bulk_price) in enumerate(zip(forecasts, da_prices)):
-        merged = StepCurve(SIDE_BUY, [s for c in curves.values() for s in c.segments])
         result = clear_area(
-            merged,
+            aggregate_demand(curves.values()),
             renewables_price,
             renewables_capacity_kw,
             bulk_price,
@@ -117,7 +118,7 @@ def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
     segs = []
     prev_q = 0.0
     for k, p in enumerate(prices):
-        q_here = sum(c.quantity_at(p) for c in curves) / n
+        q_here = left_sum(c.quantity_at(p) for c in curves) / n
         if q_here > prev_q:
             segs.append(Segment(p, q_here - prev_q, f"__forecast{k}"))
             prev_q = q_here
@@ -219,8 +220,8 @@ def scarcity_rent(result: ClearingResult, supply: StepCurve) -> float:
     the scarcity rent. Zero whenever the wholesale block is marginal.
     """
     price_of = {s.order_id: s.price for s in supply.segments}
-    rent = 0.0
-    for oid, fill in sorted(result.accepted_sells.items()):
-        if oid.startswith(MARKET_MAKER_PREFIX):
-            rent += (result.price - price_of[oid]) * fill
-    return rent
+    return left_sum(
+        (result.price - price_of[oid]) * fill
+        for oid, fill in sorted(result.accepted_sells.items())
+        if oid.startswith(MARKET_MAKER_PREFIX)
+    )

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fold import left_sum
+
 
 def load_table(path) -> dict[str, list]:
     """Read a CSV into {column: list}, floats where they parse."""
@@ -95,8 +97,8 @@ def summarize_run(run_dir) -> dict:
         dt_h = (load["t_s"][1] - load["t_s"][0]) / 3600.0
     return {
         "peak_load_kw": max(load["load_kw"]) if load["load_kw"] else 0.0,
-        "energy_kwh": sum(v * dt_h for v in load["load_kw"]),
-        "mean_price": (sum(feeder_prices) / len(feeder_prices)) if feeder_prices else None,
+        "energy_kwh": left_sum(v * dt_h for v in load["load_kw"]),
+        "mean_price": (left_sum(feeder_prices) / len(feeder_prices)) if feeder_prices else None,
         "max_price": max(feeder_prices) if feeder_prices else None,
         "min_freq_hz": min(freq["freq_hz"]) if freq["freq_hz"] else None,
         "max_abs_delta_f_hz": max(abs(v) for v in freq["delta_f_hz"]) if freq["delta_f_hz"] else None,
@@ -140,9 +142,9 @@ def settlement_check(run_dir) -> dict:
     reported scarcity rent. Returns the three sums and the residual.
     """
     rows = load_table(Path(run_dir) / "settlement.csv")
-    buyers = sum(p for p, role in zip(rows["payment"], rows["role"]) if role == "buyer")
-    sellers = -sum(p for p, role in zip(rows["payment"], rows["role"]) if role == "seller")
-    rent = sum(rows["scarcity_rent"])
+    buyers = left_sum(p for p, role in zip(rows["payment"], rows["role"]) if role == "buyer")
+    sellers = -left_sum(p for p, role in zip(rows["payment"], rows["role"]) if role == "seller")
+    rent = left_sum(rows["scarcity_rent"])
     return {
         "buyer_payments": buyers,
         "seller_receipts": sellers,

@@ -25,15 +25,23 @@ relay state between market boundaries, so an entire population of them
 changes state only when a clearing price arrives. That synchronisation
 is deliberate: it is the failure mode some of the scarcity scenarios
 exist to reproduce.
+
+The steady on/off cycle between two band edges (the population-state
+view of load diversity) is stated once, in ``_cycle``, for both modes.
+``cycle_phase``, ``state_from_phase``, ``steady_duty`` and the fleet's
+``diversity_metric`` all read their geometry from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .fold import left_sum
 
 MODE_COOLING = "cooling"
 MODE_HEATING = "heating"
@@ -212,28 +220,6 @@ class Population:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def config_of(self, i: int) -> ThermostatConfig:
-        return ThermostatConfig(
-            kind=KIND_HYSTERESIS if self.kind[i] == 0 else KIND_ZERO_DEADBAND,
-            mode=MODE_COOLING if self.mode_sign[i] > 0 else MODE_HEATING,
-            setpoint=float(self.setpoint[i]),
-            deadband=float(self.deadband[i]),
-            t_min=float(self.t_min[i]),
-            t_max=float(self.t_max[i]),
-            t_desired=float(self.t_desired[i]),
-        )
-
-    def params_of(self, i: int) -> ThermalParams:
-        return ThermalParams(
-            r_thermal=float(self.r_thermal[i]),
-            c_thermal=float(self.c_thermal[i]),
-            q_hvac=float(self.q_hvac[i]),
-            p_rated=float(self.p_rated[i]),
-        )
-
-    def state_of(self, i: int) -> HouseState:
-        return HouseState(t_in=float(self.t_in[i]), hvac_on=bool(self.hvac_on[i]))
-
     def tick(self, t_out: float, h: float, at_market_boundary: bool) -> float:
         """Decide every relay, then advance physics h hours.
 
@@ -283,11 +269,7 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 def aggregate_power(states: Iterable[HouseState], params: Iterable[ThermalParams]) -> float:
     """Electrical draw of a fleet given parallel state/param sequences."""
-    total = 0.0
-    for s, p in zip(states, params):
-        if s.hvac_on:
-            total += p.p_rated
-    return total
+    return left_sum(p.p_rated for s, p in zip(states, params) if s.hvac_on)
 
 
 # ----------------------------------------------------------------------
@@ -301,13 +283,64 @@ def aggregate_power(states: Iterable[HouseState], params: Iterable[ThermalParams
 # of the band), increasing through the on run then the off run.
 
 
-def _cycle_band(cfg: ThermostatConfig) -> tuple[float, float]:
+def _cycle_band(cfg: ThermostatConfig) -> tuple[bool, float, float]:
+    """Whether the unit cools, and the band (lo, hi) it cycles in."""
+    cooling = cfg.mode == MODE_COOLING
     if cfg.kind == KIND_HYSTERESIS:
         half = cfg.deadband / 2.0
-        return cfg.setpoint - half, cfg.setpoint + half
+        return cooling, cfg.setpoint - half, cfg.setpoint + half
     # the zero-deadband kind has no fixed band; use the comfort range
     # around the desired temperature as the nominal excursion
-    return cfg.t_desired - 0.5, cfg.t_desired + 0.5
+    return cooling, cfg.t_desired - 0.5, cfg.t_desired + 0.5
+
+
+def _cycle(
+    r: float, q: float, cooling: bool, lo: float, hi: float, t_out: float
+) -> tuple[float, float, float, float, float] | None:
+    """Geometry of steady cycling between lo and hi, or None if impossible.
+
+    Returns (t_eq_on, on_from, off_from, log_on, log_off). The on run
+    starts at on_from and relaxes toward t_eq_on until it reaches
+    off_from; the off run relaxes from there back toward t_out. Each run
+    lasts R*C times its log. Heating is cooling with both operands of
+    every ratio negated, which IEEE arithmetic does exactly, so one set
+    of formulas gives both modes bit for bit.
+    """
+    t_eq_on = t_out + q * r
+    if cooling:
+        if not (t_eq_on < lo and t_out > hi):
+            return None
+        on_from, off_from = hi, lo
+    else:
+        if not (t_eq_on > hi and t_out < lo):
+            return None
+        on_from, off_from = lo, hi
+    log_on = math.log((on_from - t_eq_on) / (off_from - t_eq_on))
+    log_off = math.log((off_from - t_out) / (on_from - t_out))
+    return t_eq_on, on_from, off_from, log_on, log_off
+
+
+def _phase(
+    t_in: float, on: bool, r: float, c: float, q: float,
+    cooling: bool, lo: float, hi: float, t_out: float,
+) -> float:
+    """cycle_phase on plain floats, so whole fleets can map over columns."""
+    cycle = _cycle(r, q, cooling, lo, hi, t_out)
+    if cycle is None:
+        return 0.0
+    t_eq_on, on_from, off_from, log_on, log_off = cycle
+    rc = r * c
+    tau_on = rc * log_on
+    tau_off = rc * log_off
+    t = min(max(t_in, lo), hi)
+    if on:
+        prog = rc * math.log((on_from - t_eq_on) / (t - t_eq_on)) / tau_on
+    else:
+        prog = rc * math.log((off_from - t_out) / (t - t_out)) / tau_off
+    prog = min(max(prog, 0.0), 1.0)
+    duty = tau_on / (tau_on + tau_off)
+    phase = prog * duty if on else duty + prog * (1.0 - duty)
+    return phase % 1.0
 
 
 def cycle_phase(
@@ -320,36 +353,11 @@ def cycle_phase(
     Returns 0.0 when the operating point cannot cycle at all, e.g. the
     equipment cannot reach the band at this ambient temperature.
     """
-    lo, hi = _cycle_band(cfg)
-    rc = params.r_thermal * params.c_thermal
-    if cfg.mode == MODE_COOLING:
-        t_eq_on = t_out + params.q_hvac * params.r_thermal
-        t_eq_off = t_out
-        if not (t_eq_on < lo and t_eq_off > hi):
-            return 0.0
-        tau_on = rc * math.log((hi - t_eq_on) / (lo - t_eq_on))
-        tau_off = rc * math.log((t_eq_off - lo) / (t_eq_off - hi))
-        t = min(max(state.t_in, lo), hi)
-        if state.hvac_on:
-            prog = rc * math.log((hi - t_eq_on) / (t - t_eq_on)) / tau_on
-        else:
-            prog = rc * math.log((t_eq_off - lo) / (t_eq_off - t)) / tau_off
-    else:
-        t_eq_on = t_out + params.q_hvac * params.r_thermal
-        t_eq_off = t_out
-        if not (t_eq_on > hi and t_eq_off < lo):
-            return 0.0
-        tau_on = rc * math.log((t_eq_on - lo) / (t_eq_on - hi))
-        tau_off = rc * math.log((hi - t_eq_off) / (lo - t_eq_off))
-        t = min(max(state.t_in, lo), hi)
-        if state.hvac_on:
-            prog = rc * math.log((t_eq_on - lo) / (t_eq_on - t)) / tau_on
-        else:
-            prog = rc * math.log((hi - t_eq_off) / (t - t_eq_off)) / tau_off
-    prog = min(max(prog, 0.0), 1.0)
-    duty = tau_on / (tau_on + tau_off)
-    phase = prog * duty if state.hvac_on else duty + prog * (1.0 - duty)
-    return phase % 1.0
+    cooling, lo, hi = _cycle_band(cfg)
+    return _phase(
+        state.t_in, state.hvac_on, params.r_thermal, params.c_thermal, params.q_hvac,
+        cooling, lo, hi, t_out,
+    )
 
 
 def state_from_phase(
@@ -358,37 +366,36 @@ def state_from_phase(
     """Inverse of cycle_phase: synthesize the state at a given phase."""
     if not 0.0 <= phase < 1.0:
         phase = phase % 1.0
-    lo, hi = _cycle_band(cfg)
-    rc = params.r_thermal * params.c_thermal
-    if cfg.mode == MODE_COOLING:
-        t_eq_on = t_out + params.q_hvac * params.r_thermal
-        t_eq_off = t_out
-        if not (t_eq_on < lo and t_eq_off > hi):
-            return HouseState(t_in=(lo + hi) / 2.0, hvac_on=False)
-        tau_on = rc * math.log((hi - t_eq_on) / (lo - t_eq_on))
-        tau_off = rc * math.log((t_eq_off - lo) / (t_eq_off - hi))
-        duty = tau_on / (tau_on + tau_off)
-        if phase < duty:
-            elapsed = (phase / duty) * tau_on
-            t = t_eq_on + (hi - t_eq_on) * math.exp(-elapsed / rc)
-            return HouseState(t_in=t, hvac_on=True)
-        elapsed = ((phase - duty) / (1.0 - duty)) * tau_off
-        t = t_eq_off + (lo - t_eq_off) * math.exp(-elapsed / rc)
-        return HouseState(t_in=t, hvac_on=False)
-    t_eq_on = t_out + params.q_hvac * params.r_thermal
-    t_eq_off = t_out
-    if not (t_eq_on > hi and t_eq_off < lo):
+    cooling, lo, hi = _cycle_band(cfg)
+    cycle = _cycle(params.r_thermal, params.q_hvac, cooling, lo, hi, t_out)
+    if cycle is None:
         return HouseState(t_in=(lo + hi) / 2.0, hvac_on=False)
-    tau_on = rc * math.log((t_eq_on - lo) / (t_eq_on - hi))
-    tau_off = rc * math.log((hi - t_eq_off) / (lo - t_eq_off))
+    t_eq_on, on_from, off_from, log_on, log_off = cycle
+    rc = params.r_thermal * params.c_thermal
+    tau_on = rc * log_on
+    tau_off = rc * log_off
     duty = tau_on / (tau_on + tau_off)
     if phase < duty:
         elapsed = (phase / duty) * tau_on
-        t = t_eq_on + (lo - t_eq_on) * math.exp(-elapsed / rc)
+        t = t_eq_on + (on_from - t_eq_on) * math.exp(-elapsed / rc)
         return HouseState(t_in=t, hvac_on=True)
     elapsed = ((phase - duty) / (1.0 - duty)) * tau_off
-    t = t_eq_off + (hi - t_eq_off) * math.exp(-elapsed / rc)
+    t = t_out + (off_from - t_out) * math.exp(-elapsed / rc)
     return HouseState(t_in=t, hvac_on=False)
+
+
+def steady_duty(params: ThermalParams, cfg: ThermostatConfig, t_out: float) -> float:
+    """Fraction of time the equipment runs in steady cycling.
+
+    0.0 when the house never needs the unit at this ambient temperature,
+    1.0 when the unit cannot bring it back into the band.
+    """
+    cooling, lo, hi = _cycle_band(cfg)
+    cycle = _cycle(params.r_thermal, params.q_hvac, cooling, lo, hi, t_out)
+    if cycle is None:
+        return 0.0 if (t_out <= hi if cooling else t_out >= lo) else 1.0
+    _, _, _, log_on, log_off = cycle
+    return log_on / (log_on + log_off)
 
 
 def diversity_from_phases(phases: Iterable[float]) -> float:
@@ -406,10 +413,15 @@ def diversity_from_phases(phases: Iterable[float]) -> float:
 
 def diversity_metric(pop: Population, t_out: float) -> float:
     """Diversity of a population, phases read from current states."""
-    phases = [
-        cycle_phase(pop.state_of(i), pop.params_of(i), pop.config_of(i), t_out)
-        for i in range(len(pop))
-    ]
+    half = pop.deadband / 2.0
+    hysteresis = pop.kind == 0
+    lo = np.where(hysteresis, pop.setpoint - half, pop.t_desired - 0.5)
+    hi = np.where(hysteresis, pop.setpoint + half, pop.t_desired + 0.5)
+    phases = map(
+        _phase, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.r_thermal.tolist(),
+        pop.c_thermal.tolist(), pop.q_hvac.tolist(), (pop.mode_sign > 0).tolist(),
+        lo.tolist(), hi.tolist(), repeat(t_out),
+    )
     return diversity_from_phases(phases)
 
 

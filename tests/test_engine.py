@@ -186,7 +186,7 @@ def test_single_house_trace_replays_outside_the_engine(scenario_runs):
         if boundary:
             price = prices[t]
             market_setpoint[0] = setpoint_from_price(
-                price, pop.config_of(0), float(pop.comfort_k[0]), stats
+                price, cfg0, float(pop.comfort_k[0]), stats
             )
             stats.observe(price)
         np.clip(market_setpoint, pop.t_min, pop.t_max, out=pop.setpoint)

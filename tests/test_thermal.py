@@ -24,6 +24,7 @@ from tgsim.thermal import (
     diversity_metric,
     hysteresis_decide,
     state_from_phase,
+    steady_duty,
     step_house,
 )
 
@@ -197,7 +198,7 @@ def _random_population(rng, n=40):
         states.append(HouseState(t_in=rng.uniform(15.0, 28.0), hvac_on=bool(rng.integers(2))))
         ids.append(f"h{i:03d}")
         ks.append(1.0)
-    return Population(ids, params, configs, states, ks)
+    return Population(ids, params, configs, states, ks), params, configs
 
 
 def test_population_tick_matches_scalar_reference_bitwise():
@@ -209,7 +210,7 @@ def test_population_tick_matches_scalar_reference_bitwise():
     edge, where >= and > differ.
     """
     rng = np.random.default_rng(7)
-    pop = _random_population(rng)
+    pop, params, configs = _random_population(rng)
     pop.latched[3] = 1
     pop.latched[11] = 1
     for i in range(0, 12, 4):
@@ -228,8 +229,8 @@ def test_population_tick_matches_scalar_reference_bitwise():
             if pop.latched[i]:
                 on = False
             else:
-                on = decide(t, pop.config_of(i), bool(pop.hvac_on[i]), at_boundary)
-            nxt = step_house(HouseState(t, on), pop.params_of(i), t_out, h)
+                on = decide(t, configs[i], bool(pop.hvac_on[i]), at_boundary)
+            nxt = step_house(HouseState(t, on), params[i], t_out, h)
             expect_t[i] = nxt.t_in
             expect_on[i] = 1 if on else 0
             if on:
@@ -308,10 +309,21 @@ def test_cycle_phase_duty_fraction_at_handover():
     # exactly the duty fraction.
     duty = cycle_phase(HouseState(21.5, True), COOL, COOL_CFG, t_out=32.0)
     assert duty == pytest.approx(0.41656730110504137, rel=1e-12)
+    assert steady_duty(COOL, COOL_CFG, 32.0) == pytest.approx(0.41656730110504137, rel=1e-12)
     # heating at t_out 0: duty = 0.8340315418240445 precomputed, on run
     # ends at the top of the band
     duty_h = cycle_phase(HouseState(20.5, True), HEAT, HEAT_CFG, t_out=0.0)
     assert duty_h == pytest.approx(0.8340315418240445, rel=1e-12)
+    assert steady_duty(HEAT, HEAT_CFG, 0.0) == pytest.approx(0.8340315418240445, rel=1e-12)
+    # no cycle: idle when ambient never drives the house past the band
+    # edge that starts the unit, always on when the unit cannot reach
+    # the edge that stops it
+    assert steady_duty(COOL, COOL_CFG, 22.5) == 0.0
+    assert steady_duty(HEAT, HEAT_CFG, 19.5) == 0.0
+    weak_cool = ThermalParams(r_thermal=2.0, c_thermal=2.0, q_hvac=-1.0, p_rated=1.0)
+    weak_heat = ThermalParams(r_thermal=2.0, c_thermal=2.0, q_hvac=1.0, p_rated=1.0)
+    assert steady_duty(weak_cool, COOL_CFG, 32.0) == 1.0
+    assert steady_duty(weak_heat, HEAT_CFG, 0.0) == 1.0
 
 
 def test_cycle_phase_anchors():
@@ -394,6 +406,31 @@ def test_diversity_from_phases():
     assert diversity_from_phases(np.arange(200) / 200.0) > 0.99
     with pytest.raises(ValueError):
         diversity_from_phases([])
+
+
+def test_diversity_metric_matches_per_house_cycle_phase_bitwise():
+    """The fleet path reads the same phases as the scalar cycle_phase.
+
+    The mixed fleet has both modes and kinds with setpoints off
+    t_desired; temperatures sit on band edges and outside the band, and
+    the ambient values leave some houses unable to cycle.
+    """
+    rng = np.random.default_rng(11)
+    pop, params, configs = _random_population(rng, n=60)
+    # even houses are hysteresis, odd ones zero-deadband: put both on their edges
+    half = pop.deadband / 2.0
+    pop.t_in[0::6] = pop.setpoint[0::6] + half[0::6]
+    pop.t_in[2::6] = pop.setpoint[2::6] - half[2::6]
+    pop.t_in[3::6] = pop.t_desired[3::6] + 0.5
+    pop.t_in[5::6] = pop.t_desired[5::6] - 0.5
+    for t_out in (-10.0, 15.0, 23.0, 35.0):
+        phases = [
+            cycle_phase(HouseState(float(pop.t_in[i]), bool(pop.hvac_on[i])), params[i], configs[i], t_out)
+            for i in range(len(pop))
+        ]
+        assert diversity_metric(pop, t_out) == diversity_from_phases(phases)
+        cycling = sum(0.0 < steady_duty(p, c, t_out) < 1.0 for p, c in zip(params, configs))
+        assert 0 < cycling < len(pop)
 
 
 def test_diversity_metric_on_synchronized_population():
