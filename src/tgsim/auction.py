@@ -37,7 +37,6 @@ class Order:
     side: str
     price: float
     quantity: float
-    flexible: bool = True
 
     def __post_init__(self) -> None:
         if self.side not in (SIDE_BUY, SIDE_SELL):
@@ -100,14 +99,13 @@ class ClearingResult:
     marginal_order: str | None = None
 
 
-def build_demand_curve(bids: Iterable[Order], price_cap: float) -> StepCurve:
-    """Demand curve from buy orders; must-run orders are placed at cap."""
+def build_demand_curve(bids: Iterable[Order]) -> StepCurve:
+    """Demand curve from buy orders; must-run orders already bid the cap."""
     segs = []
     for o in bids:
         if o.side != SIDE_BUY:
             raise ValueError(f"demand curve given a sell order {o.order_id}")
-        price = o.price if o.flexible else price_cap
-        segs.append(Segment(price, o.quantity, o.order_id))
+        segs.append(Segment(o.price, o.quantity, o.order_id))
     return StepCurve(SIDE_BUY, segs)
 
 

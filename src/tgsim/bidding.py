@@ -35,13 +35,16 @@ class PriceStats:
 
     Population standard deviation convention. The prior applies until
     `window` observations have arrived, after which the statistics are
-    computed purely over the observed window.
+    computed purely over the observed window. mean and sigma change only
+    when a price arrives, so they are computed then, not on every read.
     """
 
     window: int = 24
     prior_mean: float = 30.0
     prior_sigma: float = 10.0
     history: deque = field(default_factory=deque)
+    mean: float = field(init=False)
+    sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.window < 2:
@@ -49,25 +52,22 @@ class PriceStats:
         if self.prior_sigma < 0:
             raise ValueError("prior sigma must be nonnegative")
         self.history = deque(self.history, maxlen=self.window)
+        self._update()
 
     def observe(self, price: float) -> None:
         if not math.isfinite(price):
             raise ValueError("price must be finite")
         self.history.append(float(price))
+        self._update()
 
-    @property
-    def mean(self) -> float:
-        if len(self.history) < self.window:
-            return self.prior_mean
-        return left_sum(self.history) / len(self.history)
-
-    @property
-    def sigma(self) -> float:
-        if len(self.history) < self.window:
-            return self.prior_sigma
-        m = self.mean
-        var = left_sum((p - m) ** 2 for p in self.history) / len(self.history)
-        return math.sqrt(var)
+    def _update(self) -> None:
+        n = len(self.history)
+        if n < self.window:
+            self.mean, self.sigma = self.prior_mean, self.prior_sigma
+            return
+        m = left_sum(self.history) / n
+        var = left_sum((p - m) ** 2 for p in self.history) / n
+        self.mean, self.sigma = m, math.sqrt(var)
 
 
 def _comfort_span(cfg: ThermostatConfig) -> float:
@@ -110,11 +110,11 @@ def thermostat_bid(
             return None
         emergency = t_measured <= cfg.t_min
     if emergency:
-        return Order(device_id, SIDE_BUY, price_cap, p_rated, flexible=False)
+        return Order(device_id, SIDE_BUY, price_cap, p_rated)
     if comfort_k == 0.0:
         # price insensitive: ask for service at the cap whenever wanted
         if _needs_service(t_measured, cfg):
-            return Order(device_id, SIDE_BUY, price_cap, p_rated, flexible=False)
+            return Order(device_id, SIDE_BUY, price_cap, p_rated)
         return None
     span = _comfort_span(cfg)
     direction = 1.0 if cfg.mode == MODE_COOLING else -1.0

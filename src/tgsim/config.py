@@ -267,7 +267,7 @@ def parse_config(text: str) -> ScenarioConfig:
         w.complain("market.price_floor", "must sit below market.price_cap")
 
     pop_d = w.section(doc, "population")
-    pop = PopulationSpec(
+    population = PopulationSpec(
         mode=w.choice(pop_d, "mode", "population", (MODE_COOLING, MODE_HEATING), MODE_COOLING),
         thermostat=w.choice(
             pop_d, "thermostat", "population", (KIND_HYSTERESIS, KIND_ZERO_DEADBAND), KIND_HYSTERESIS
@@ -285,11 +285,11 @@ def parse_config(text: str) -> ScenarioConfig:
         comfort_k_spread=w.number(pop_d, "comfort_k_spread", "population", default=0.0, lo=0.0),
         initial=w.choice(pop_d, "initial", "population", ("steady", "synchronized"), "steady"),
     )
-    if not pop.t_min < pop.t_desired < pop.t_max:
+    if not population.t_min < population.t_desired < population.t_max:
         w.complain("population.t_desired", "need t_min < t_desired < t_max")
-    if pop.mode == MODE_COOLING and pop.q_hvac >= 0:
+    if population.mode == MODE_COOLING and population.q_hvac >= 0:
         w.complain("population.q_hvac", "cooling equipment must remove heat (q_hvac < 0)")
-    if pop.mode == MODE_HEATING and pop.q_hvac <= 0:
+    if population.mode == MODE_HEATING and population.q_hvac <= 0:
         w.complain("population.q_hvac", "heating equipment must add heat (q_hvac > 0)")
 
     feeders: list[FeederSpec] = []
@@ -494,7 +494,7 @@ def parse_config(text: str) -> ScenarioConfig:
         seed=seed,
         simulation=sim,
         market=market,
-        population=pop,
+        population=population,
         feeders=tuple(feeders),
         area=area,
         storage=tuple(storage),

@@ -70,6 +70,7 @@ from .hierarchy import (
 )
 from .spectral import ingest_series
 from .thermal import (
+    MODE_COOLING,
     Population,
     ThermalParams,
     ThermostatConfig,
@@ -105,10 +106,10 @@ class _FeederState:
     market_setpoint: np.ndarray
     reg_offset: np.ndarray
     house_power_kw: float = 0.0
-    cleared_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
     sched_kw: float = 0.0
+    reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
     armed_ids: list = field(default_factory=list)
     id_to_idx: dict = field(default_factory=dict)
 
@@ -124,15 +125,15 @@ class SimulationRun:
         self.rng_pop = np.random.default_rng(pop_seq)
         self.rng_ufls = np.random.default_rng(ufls_seq)
         # every house shares these settings; its setpoint lives in the fleet arrays
-        pop = cfg.population
+        spec = cfg.population
         self.thermostat = ThermostatConfig(
-            kind=pop.thermostat,
-            mode=pop.mode,
-            setpoint=pop.t_desired,
-            deadband=pop.deadband,
-            t_min=pop.t_min,
-            t_max=pop.t_max,
-            t_desired=pop.t_desired,
+            kind=spec.thermostat,
+            mode=spec.mode,
+            setpoint=spec.t_desired,
+            deadband=spec.deadband,
+            t_min=spec.t_min,
+            t_max=spec.t_max,
+            t_desired=spec.t_desired,
         )
         self._build_outdoor()
         self._build_feeders()
@@ -201,7 +202,7 @@ class SimulationRun:
                 params.append(par)
                 states.append(st)
                 ks.append(k)
-            pop = Population(ids, params, [self.thermostat] * len(ids), states, ks)
+            pop = Population(ids, params, self.thermostat, states, ks)
             n_armed = math.ceil(self.cfg.area.ufls.armed_fraction * fspec.houses)
             fs = _FeederState(
                 spec=fspec,
@@ -218,13 +219,15 @@ class SimulationRun:
             )
             fs.house_power_kw = pop.aggregate_power()
             self.feeders[fspec.feeder_id] = fs
+        rated = {fid: float(np.sum(fs.pop.p_rated)) for fid, fs in self.feeders.items()}
+        total = left_sum(rated.values())
+        for fid, fs in self.feeders.items():
+            fs.reg_share = rated[fid] / total if total > 0 else 0.0
 
     def _build_storage(self) -> None:
         self.storage_states: dict[str, StorageState] = {}
-        self.storage_power: dict[str, tuple[float, float]] = {}
         for placement in self.cfg.storage:
             self.storage_states[placement.spec.device_id] = StorageState(placement.soc0_kwh)
-            self.storage_power[placement.spec.device_id] = (0.0, 0.0)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -449,7 +452,7 @@ class SimulationRun:
                 if order is not None:
                     bids.append(order)
             if fspec.base_load_kw > 0:
-                bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw, flexible=False))
+                bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
             sells: list[Order] = []
             for sid in sorted(self.storage_states):
                 placement = placements[sid]
@@ -462,7 +465,7 @@ class SimulationRun:
                 emit({"t": t, "type": "bid", "market": fid, "order": order.order_id,
                       "side": order.side, "price": order.price, "quantity": order.quantity})
 
-            demand = build_demand_curve(bids, mkt.price_cap)
+            demand = build_demand_curve(bids)
             supply_spec = FeederSupplySpec(
                 wholesale_price=anchor,
                 capacity_normal=fspec.capacity_kw,
@@ -475,7 +478,6 @@ class SimulationRun:
             demand_curves[fid] = demand
             self.curve_history.setdefault((day, hour_of_day), {}).setdefault(fid, []).append(demand)
 
-            fs.cleared_kw = result.quantity
             fs.import_kw = left_sum(
                 fill for oid, fill in result.accepted_sells.items() if oid.startswith("__import")
             )
@@ -500,7 +502,6 @@ class SimulationRun:
                     continue
                 charge = result.accepted_buys.get(f"{sid}_chg", 0.0)
                 discharge = result.accepted_sells.get(f"{sid}_dis", 0.0)
-                self.storage_power[sid] = (charge, discharge)
                 self.storage_states[sid] = apply_clearing_to_storage(
                     placement.spec, self.storage_states[sid], charge, discharge, interval_h
                 )
@@ -540,7 +541,7 @@ class SimulationRun:
             # operating reference blends retail with the balancing request
             shed_age = None if self.last_shed_t is None else t - self.last_shed_t
             mode = reference_mode(self.ace_filtered, fspec.ace_threshold_mw, shed_age, fspec.ufls_recency_s)
-            balance_kw = fs.sched_kw + self._feeder_share(fid) * self.reg_agg_mw * 1000.0
+            balance_kw = fs.sched_kw + fs.reg_share * self.reg_agg_mw * 1000.0
             ref = feeder_reference(result.quantity, balance_kw, fspec.weight_normal,
                                    fspec.weight_contingency, mode)
             markets.write(
@@ -569,14 +570,6 @@ class SimulationRun:
             f"{len(merged.segments)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)}\n"
         )
 
-    def _feeder_share(self, fid: str) -> float:
-        total = left_sum(
-            float(np.sum(fs.pop.p_rated)) for fs in self.feeders.values() if len(fs.pop)
-        )
-        if total <= 0:
-            return 0.0
-        return float(np.sum(self.feeders[fid].pop.p_rated)) / total
-
     def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
         sim = self.cfg.simulation
         h_hours = sim.device_tick_s / 3600.0
@@ -586,8 +579,8 @@ class SimulationRun:
             if len(fs.pop):
                 np.clip(
                     fs.market_setpoint + fs.reg_offset,
-                    fs.pop.t_min,
-                    fs.pop.t_max,
+                    self.thermostat.t_min,
+                    self.thermostat.t_max,
                     out=fs.pop.setpoint,
                 )
                 fs.house_power_kw = fs.pop.tick(t_out_now, h_hours, at_boundary)
@@ -696,20 +689,17 @@ class SimulationRun:
                     fs.reg_offset[:] = 0.0
             return
         frac = min(max(to_agg_mw / cap, -1.0), 1.0)
+        # shedding load (frac > 0) raises cooling setpoints and lowers
+        # heating ones, so the offset moves setpoints by direction * frac
+        cfg = self.thermostat
+        step = (1.0 if cfg.mode == MODE_COOLING else -1.0) * frac
         for fs in self.feeders.values():
             if not len(fs.pop):
                 continue
-            pop = fs.pop
-            cooling = pop.mode_sign > 0
-            if frac > 0:
-                # shed load: cooling raises setpoints, heating lowers them
-                room_up = pop.t_max - fs.market_setpoint
-                room_dn = fs.market_setpoint - pop.t_min
-                fs.reg_offset[:] = np.where(cooling, frac * room_up, -frac * room_dn)
+            if step > 0:
+                fs.reg_offset[:] = step * (cfg.t_max - fs.market_setpoint)
             else:
-                room_dn = fs.market_setpoint - pop.t_min
-                room_up = pop.t_max - fs.market_setpoint
-                fs.reg_offset[:] = np.where(cooling, frac * room_dn, -frac * room_up)
+                fs.reg_offset[:] = step * (fs.market_setpoint - cfg.t_min)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, base_dir=None) -> RunArtifacts:

@@ -27,6 +27,7 @@ from .auction import (
     Segment,
     SIDE_BUY,
     StepCurve,
+    _price_spans,
     aggregate_demand,
     clear_area,
     participation,
@@ -106,6 +107,9 @@ def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
     Pointwise (quantity) average over the union of step prices: each
     interval contributes its willingness at every price, divided by the
     window length. Feeds the next day's forecast.
+    A curve's ``quantity_at(p)`` is the running total of its price-
+    descending prefix priced at or above p, so one cursor per curve
+    reads it off ``_price_spans`` as the prices fall, with the same bits.
     """
     curves = list(curves)
     if not curves:
@@ -113,12 +117,19 @@ def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
     for c in curves:
         if c.side != SIDE_BUY:
             raise ValueError("availability feedback expects demand curves")
-    prices = sorted({s.price for c in curves for s in c.segments}, reverse=True)
+    spans = [_price_spans(c) for c in curves]
+    prices = sorted({p for sp in spans for _, p in sp}, reverse=True)
     n = len(curves)
+    cursor = [0] * n
+    willing = [0.0] * n
     segs = []
     prev_q = 0.0
     for k, p in enumerate(prices):
-        q_here = left_sum(c.quantity_at(p) for c in curves) / n
+        for i, sp in enumerate(spans):
+            while cursor[i] < len(sp) and sp[cursor[i]][1] >= p:
+                willing[i] = sp[cursor[i]][0]
+                cursor[i] += 1
+        q_here = left_sum(willing) / n
         if q_here > prev_q:
             segs.append(Segment(p, q_here - prev_q, f"__forecast{k}"))
             prev_q = q_here

@@ -49,9 +49,6 @@ MODE_HEATING = "heating"
 KIND_HYSTERESIS = "hysteresis"
 KIND_ZERO_DEADBAND = "zero_deadband"
 
-_KIND_CODES = {KIND_HYSTERESIS: 0, KIND_ZERO_DEADBAND: 1}
-_MODE_SIGNS = {MODE_COOLING: 1, MODE_HEATING: -1}
-
 
 @dataclass(frozen=True)
 class ThermalParams:
@@ -77,11 +74,12 @@ class ThermalParams:
 
 @dataclass(frozen=True)
 class ThermostatConfig:
-    """Switching rule for one house.
+    """Switching rule of one house, or of every house in a fleet.
 
     kind is "hysteresis" or "zero_deadband". Setpoint is the market-
-    adjusted target; comfort limits t_min/t_max bound how far price
-    response may push it. deadband only applies to the hysteresis kind.
+    adjusted target (a fleet starts each house's setpoint here); comfort
+    limits t_min/t_max bound how far price response may push it.
+    deadband only applies to the hysteresis kind.
     """
 
     kind: str
@@ -93,9 +91,9 @@ class ThermostatConfig:
     t_desired: float
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_CODES:
+        if self.kind not in (KIND_HYSTERESIS, KIND_ZERO_DEADBAND):
             raise ValueError(f"unknown thermostat kind {self.kind!r}")
-        if self.mode not in _MODE_SIGNS:
+        if self.mode not in (MODE_COOLING, MODE_HEATING):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kind == KIND_HYSTERESIS and not self.deadband > 0:
             raise ValueError("hysteresis thermostat needs deadband > 0")
@@ -179,34 +177,31 @@ def decide(
 class Population:
     """Struct-of-arrays container for a fleet of houses.
 
-    Per-house scalars live in aligned numpy arrays and ``tick`` steps
-    the whole fleet at once. The scalar functions above are the oracles
-    for that array tick; tests pin it to them bit for bit.
+    The fleet follows one thermostat rule, ``cfg``. Per-house scalars,
+    the setpoint among them, live in aligned numpy arrays and ``tick``
+    steps the whole fleet at once. The scalar functions above are the
+    oracles for that array tick; tests pin it to them bit for bit.
     """
 
     def __init__(
         self,
         ids: Sequence[str],
         params: Sequence[ThermalParams],
-        configs: Sequence[ThermostatConfig],
+        cfg: ThermostatConfig,
         states: Sequence[HouseState],
         comfort_k: Sequence[float],
     ) -> None:
         n = len(ids)
-        if not (len(params) == len(configs) == len(states) == len(comfort_k) == n):
+        if not (len(params) == len(states) == len(comfort_k) == n):
             raise ValueError("population arrays must align")
         self.ids = list(ids)
+        self.cfg = cfg
         self.r_thermal = np.array([p.r_thermal for p in params], dtype=np.float64)
         self.c_thermal = np.array([p.c_thermal for p in params], dtype=np.float64)
         self.q_hvac = np.array([p.q_hvac for p in params], dtype=np.float64)
         self.p_rated = np.array([p.p_rated for p in params], dtype=np.float64)
-        self.kind = np.array([_KIND_CODES[c.kind] for c in configs], dtype=np.uint8)
-        self.mode_sign = np.array([_MODE_SIGNS[c.mode] for c in configs], dtype=np.int8)
-        self.setpoint = np.array([c.setpoint for c in configs], dtype=np.float64)
-        self.deadband = np.array([c.deadband for c in configs], dtype=np.float64)
-        self.t_min = np.array([c.t_min for c in configs], dtype=np.float64)
-        self.t_max = np.array([c.t_max for c in configs], dtype=np.float64)
-        self.t_desired = np.array([c.t_desired for c in configs], dtype=np.float64)
+        # starts at cfg.setpoint; price response and regulation move it
+        self.setpoint = np.full(n, cfg.setpoint, dtype=np.float64)
         self.comfort_k = np.array(comfort_k, dtype=np.float64)
         self.t_in = np.array([s.t_in for s in states], dtype=np.float64)
         self.hvac_on = np.array([1 if s.hvac_on else 0 for s in states], dtype=np.uint8)
@@ -234,18 +229,19 @@ class Population:
         t_out = float(t_out)
         t = self.t_in
         prior = self.hvac_on != 0
-        cooling = self.mode_sign > 0
-        # hysteresis: the edge that switches on is tested first
-        half = self.deadband / 2.0
-        upper = t >= self.setpoint + half
-        lower = t <= self.setpoint - half
-        hysteresis = np.where(cooling, upper | (prior & ~lower), lower | (prior & ~upper))
-        # zero deadband: strict side of the setpoint, at boundaries only
-        if at_market_boundary:
-            zero_deadband = np.where(cooling, t > self.setpoint, t < self.setpoint)
+        cooling = self.cfg.mode == MODE_COOLING
+        if self.cfg.kind == KIND_HYSTERESIS:
+            # the edge that switches on is tested first
+            half = self.cfg.deadband / 2.0
+            upper = t >= self.setpoint + half
+            lower = t <= self.setpoint - half
+            on = (upper | (prior & ~lower)) if cooling else (lower | (prior & ~upper))
+        elif at_market_boundary:
+            # zero deadband: strict side of the setpoint, at boundaries only
+            on = t > self.setpoint if cooling else t < self.setpoint
         else:
-            zero_deadband = prior
-        on = (self.latched == 0) & np.where(self.kind == 0, hysteresis, zero_deadband)
+            on = prior
+        on = (self.latched == 0) & on
 
         if self._decay_h != h:
             # libm exp, as in step_house: np.exp can differ in the last bit
@@ -413,14 +409,16 @@ def diversity_from_phases(phases: Iterable[float]) -> float:
 
 def diversity_metric(pop: Population, t_out: float) -> float:
     """Diversity of a population, phases read from current states."""
-    half = pop.deadband / 2.0
-    hysteresis = pop.kind == 0
-    lo = np.where(hysteresis, pop.setpoint - half, pop.t_desired - 0.5)
-    hi = np.where(hysteresis, pop.setpoint + half, pop.t_desired + 0.5)
+    cooling, lo, hi = _cycle_band(pop.cfg)
+    los, his = repeat(lo), repeat(hi)
+    if pop.cfg.kind == KIND_HYSTERESIS:
+        # each house cycles around its own, price-moved setpoint
+        half = pop.cfg.deadband / 2.0
+        los, his = (pop.setpoint - half).tolist(), (pop.setpoint + half).tolist()
     phases = map(
         _phase, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.r_thermal.tolist(),
-        pop.c_thermal.tolist(), pop.q_hvac.tolist(), (pop.mode_sign > 0).tolist(),
-        lo.tolist(), hi.tolist(), repeat(t_out),
+        pop.c_thermal.tolist(), pop.q_hvac.tolist(), repeat(cooling),
+        los, his, repeat(t_out),
     )
     return diversity_from_phases(phases)
 

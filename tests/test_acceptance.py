@@ -193,11 +193,11 @@ def test_c07_curtailment_conserves_daily_energy():
     ids = [f"h{i:03d}" for i in range(n)]
 
     t0 = time.perf_counter()
-    curtailed_pop = Population(ids, params, [cfg] * n, states, [1.0] * n)
+    curtailed_pop = Population(ids, params, cfg, states, [1.0] * n)
     curtailed = curtailment_experiment(
         curtailed_pop, 32.0, span_h=24.0, tick_h=1 / 60, off_start_h=10.0, off_end_h=12.0
     )
-    baseline_pop = Population(ids, params, [cfg] * n, states, [1.0] * n)
+    baseline_pop = Population(ids, params, cfg, states, [1.0] * n)
     baseline = curtailment_experiment(baseline_pop, 32.0, span_h=24.0, tick_h=1 / 60)
     elapsed = time.perf_counter() - t0
 

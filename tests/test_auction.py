@@ -20,6 +20,8 @@ from tgsim.auction import (
     clear_area,
     participation,
 )
+from tgsim.bidding import PriceStats, thermostat_bid
+from tgsim.thermal import ThermostatConfig
 
 
 def buys(*specs):
@@ -70,15 +72,16 @@ def test_quantity_at_uses_weak_inequality():
 
 
 def test_build_demand_curve_places_must_run_at_cap():
-    orders = [
-        Order("h1", SIDE_BUY, 35.0, 4.0),
-        Order("h2", SIDE_BUY, 10.0, 4.0, flexible=False),
-    ]
-    curve = build_demand_curve(orders, price_cap=1000.0)
+    # a comfort emergency bids the cap itself; the curve keeps its price
+    cfg = ThermostatConfig("hysteresis", "cooling", 22.0, 1.0, 20.0, 24.0, 22.0)
+    stats = PriceStats(window=12, prior_mean=30.0, prior_sigma=10.0)
+    must_run = thermostat_bid("h2", 24.5, cfg, 1.0, stats, 4.0, 0.0, 1000.0)
+    orders = [Order("h1", SIDE_BUY, 35.0, 4.0), must_run]
+    curve = build_demand_curve(orders)
     assert curve.segments[0].order_id == "h2"  # must-run sorts to the top
     assert curve.segments[0].price == 1000.0
     with pytest.raises(ValueError):
-        build_demand_curve([Order("s", SIDE_SELL, 10.0, 1.0)], 1000.0)
+        build_demand_curve([Order("s", SIDE_SELL, 10.0, 1.0)])
 
 
 def test_build_feeder_supply_blocks_and_ids():

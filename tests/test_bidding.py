@@ -89,7 +89,6 @@ def test_bid_at_desired_temperature_is_expected_price():
     assert order.price == 30.0
     assert order.quantity == 4.0
     assert order.side == SIDE_BUY
-    assert order.flexible
 
 
 def test_bid_slope_follows_comfort_setting():
@@ -107,9 +106,8 @@ def test_bid_slope_follows_comfort_setting():
 def test_bid_emergency_at_comfort_limit_is_must_run():
     order = thermostat_bid("h1", 24.0, COOL_CFG, 1.0, fresh_stats(), 4.0, 0.0, 1000.0)
     assert order.price == 1000.0
-    assert not order.flexible
     order = thermostat_bid("h1", 26.5, COOL_CFG, 1.0, fresh_stats(), 4.0, 0.0, 1000.0)
-    assert order.price == 1000.0 and not order.flexible
+    assert order.price == 1000.0
 
 
 def test_bid_abstains_when_no_service_wanted():
@@ -122,14 +120,13 @@ def test_heating_bid_rises_as_it_gets_colder():
     order = thermostat_bid("h1", 19.0, HEAT_CFG, 1.0, fresh_stats(), 4.0, 0.0, 1000.0)
     assert order.price == 35.0
     order = thermostat_bid("h1", 18.0, HEAT_CFG, 1.0, fresh_stats(), 4.0, 0.0, 1000.0)
-    assert order.price == 1000.0 and not order.flexible  # comfort emergency
+    assert order.price == 1000.0  # comfort emergency
 
 
 def test_zero_k_is_price_insensitive():
     """k = 0 wants service at any price or not at all."""
     order = thermostat_bid("h1", 23.0, COOL_CFG, 0.0, fresh_stats(), 4.0, 0.0, 1000.0)
     assert order.price == 1000.0
-    assert not order.flexible
     # exactly at t_desired the strict comparison says no service needed
     assert thermostat_bid("h1", 22.0, COOL_CFG, 0.0, fresh_stats(), 4.0, 0.0, 1000.0) is None
     assert thermostat_bid("h1", 21.0, COOL_CFG, 0.0, fresh_stats(), 4.0, 0.0, 1000.0) is None
@@ -140,7 +137,6 @@ def test_bid_clamps_to_market_limits():
     order = thermostat_bid("h1", 23.9, COOL_CFG, 5.0, stats, 4.0, 0.0, 60.0)
     # line value 30 + 25*1.9 = 77.5 exceeds the cap
     assert order.price == 60.0
-    assert order.flexible  # clamped, but still a price-taking order
     order = thermostat_bid("h1", 20.1, COOL_CFG, 5.0, stats, 4.0, 0.0, 1000.0)
     # line value 30 - 25*1.9 = -17.5 sits under the floor
     assert order.price == 0.0

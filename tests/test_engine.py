@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim.bidding import PriceStats, setpoint_from_price
-from tgsim.config import load_config
+from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
 from tgsim.thermal import (
     Population,
@@ -176,7 +176,7 @@ def test_single_house_trace_replays_outside_the_engine(scenario_runs):
         deadband=1.0, t_min=20.0, t_max=24.0, t_desired=22.0,
     )
     state0 = state_from_phase(0.0, params, cfg0, 32.0)
-    pop = Population(["f1_h0000"], [params], [cfg0], [state0], [1.0])
+    pop = Population(["f1_h0000"], [params], cfg0, [state0], [1.0])
     stats = PriceStats(window=12, prior_mean=30.0, prior_sigma=10.0)
     market_setpoint = pop.setpoint.copy()
 
@@ -189,7 +189,7 @@ def test_single_house_trace_replays_outside_the_engine(scenario_runs):
                 price, cfg0, float(pop.comfort_k[0]), stats
             )
             stats.observe(price)
-        np.clip(market_setpoint, pop.t_min, pop.t_max, out=pop.setpoint)
+        np.clip(market_setpoint, cfg0.t_min, cfg0.t_max, out=pop.setpoint)
         pop.tick(32.0, 60 / 3600.0, boundary)
         replayed.append((t, float(pop.t_in[0]), int(pop.hvac_on[0]), float(pop.setpoint[0])))
 
@@ -245,6 +245,70 @@ def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
         float(r["freq_hz"]) for r in rows_of(artifact_files(run)["frequency.csv"])
     )
     assert armed_nadir > disarmed_nadir
+
+
+# ------------------------------------------------------------ heating
+
+HEATING = """
+schema_version: 1
+seed: 5
+simulation:
+  start: "2026-01-15T00:00:00"
+  span_s: 3600
+population:
+  mode: heating
+  thermostat: {kind}
+  q_hvac: 12.0
+  t_desired: 20.0
+  t_min: 18.0
+  t_max: 22.0
+  comfort_k_spread: 0.2
+feeders:
+  - {{id: f1, houses: 8, capacity_kw: 40.0, base_load_kw: 3.0}}
+  - {{id: f2, houses: 6, capacity_kw: 30.0}}
+area:
+  regulation_gain: 0.5
+  split: {{alpha: 0.0, beta: 0.5}}
+  events: [{{at_s: 1200, delta_p_mw: -0.01, duration_s: 600}}]
+inputs:
+  outdoor_temp_c: 5.0
+  da_price: 30.0
+"""
+
+
+def test_heating_aggregator_command_moves_setpoints_against_the_load():
+    # a positive command sheds load, so heating setpoints fall toward
+    # t_min; a negative one adds load and raises them toward t_max
+    sim = SimulationRun(parse_config(HEATING.format(kind="hysteresis")))
+    cfg = sim.thermostat
+    cap = sim.cfg.area.regulation_capacity_mw
+    for fs in sim.feeders.values():
+        fs.market_setpoint[:] = np.linspace(cfg.t_min, cfg.t_max, len(fs.pop))
+    for to_agg in (0.5, 3.0, -0.7, -5.0):
+        sim._apply_aggregator_command(to_agg)
+        frac = min(max(to_agg / cap, -1.0), 1.0)
+        for fs in sim.feeders.values():
+            sp = fs.market_setpoint
+            if frac > 0:
+                want = [-frac * (s - cfg.t_min) for s in sp.tolist()]
+            else:
+                want = [-frac * (cfg.t_max - s) for s in sp.tolist()]
+            assert fs.reg_offset.tolist() == want
+    sim._apply_aggregator_command(0.0)
+    for fs in sim.feeders.values():
+        assert not fs.reg_offset.any()
+
+
+@pytest.mark.parametrize("kind", ["hysteresis", "zero_deadband"])
+def test_heating_runs_are_byte_identical(tmp_path, kind):
+    cfg = parse_config(HEATING.format(kind=kind))
+    runs = [run_scenario(cfg, tmp_path / name) for name in ("a", "b")]
+    files = [artifact_files(run) for run in runs]
+    assert files[0] == files[1]
+    assert runs[0].summary["energy_kwh"] > 0.0
+    # regulation reached the aggregators, so the heating offset path ran
+    freq = rows_of(files[0]["frequency.csv"])
+    assert any(float(row["reg_to_aggregators_mw"]) != 0.0 for row in freq)
 
 
 # ------------------------------------------------------------ storage

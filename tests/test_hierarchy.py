@@ -1,8 +1,10 @@
 """Hourly scheduling, forecast feedback, dispatch blending, settlement."""
 
+import numpy as np
 import pytest
 
 from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, clear_and_allocate
+from tgsim.fold import left_sum
 from tgsim.hierarchy import (
     MODE_CONTINGENCY,
     MODE_NORMAL,
@@ -140,6 +142,37 @@ def test_feedback_is_idempotent():
     twice = availability_feedback([once])
     for probe in (60.0, 50.0, 40.0, 0.0):
         assert twice.quantity_at(probe) == once.quantity_at(probe)
+
+
+def _feedback_per_price(curves):
+    """The feedback curve read off every curve at every distinct price."""
+    prices = sorted({s.price for c in curves for s in c.segments}, reverse=True)
+    segs, prev_q = [], 0.0
+    for k, p in enumerate(prices):
+        q_here = left_sum(c.quantity_at(p) for c in curves) / len(curves)
+        if q_here > prev_q:
+            segs.append((p, q_here - prev_q, f"__forecast{k}"))
+            prev_q = q_here
+    return segs
+
+
+def test_feedback_matches_the_per_price_formula_bitwise():
+    # half the prices come from a small grid, so curves tie with each
+    # other and within themselves; some curves in a window are empty
+    rng = np.random.default_rng(3)
+    grid = np.array([0.0, 12.5, 30.0, 30.1, 47.25, 1000.0])
+    windows = [[demand(), demand()], [demand(), demand((30.0, 2.0, "a"))]]
+    for _ in range(300):
+        window = []
+        for c in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(0, 15))
+            prices = np.where(rng.random(n) < 0.5, rng.choice(grid, n), rng.uniform(0.0, 100.0, n))
+            qs = rng.uniform(0.1, 7.0, n)
+            window.append(demand(*((p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices, qs)))))
+        windows.append(window)
+    for window in windows:
+        got = [tuple(s) for s in availability_feedback(window).segments]
+        assert got == _feedback_per_price(window)
 
 
 def test_feedback_rejects_empty_window_and_supply_curves():

@@ -5,6 +5,7 @@ solution of dT/dt = (T_out - T)/(R*C) + q/C with 50-digit arithmetic
 and rounded to the nearest double, independently of the implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -169,11 +170,29 @@ def test_decide_dispatches_on_kind():
 # ----------------------------------------------------------------------
 
 
-def _random_population(rng, n=40):
-    ids, params, configs, states, ks = [], [], [], [], []
+FLEETS = [
+    (kind, mode)
+    for kind in ("hysteresis", "zero_deadband")
+    for mode in ("cooling", "heating")
+]
+
+
+def _random_population(rng, kind, mode, n=40):
+    """A fleet of one (kind, mode) with per-house setpoints off t_desired."""
+    heating = mode == "heating"
+    sp = 20.0 if heating else 22.0
+    cfg = ThermostatConfig(
+        kind=kind,
+        mode=mode,
+        setpoint=sp,
+        deadband=rng.uniform(0.5, 2.0),
+        t_min=sp - 2.0,
+        t_max=sp + 2.0,
+        t_desired=sp,
+    )
+    ids, params, states, ks = [], [], [], []
     for i in range(n):
-        heating = i % 5 == 4
-        q = rng.uniform(8.0, 14.0) * (1.0 if heating else -1.0)
+        q = rng.uniform(4.0, 14.0) * (1.0 if heating else -1.0)
         params.append(
             ThermalParams(
                 r_thermal=rng.uniform(1.5, 3.0),
@@ -182,42 +201,44 @@ def _random_population(rng, n=40):
                 p_rated=rng.uniform(3.0, 5.0),
             )
         )
-        kind = "hysteresis" if i % 2 == 0 else "zero_deadband"
-        sp = 20.0 if heating else 22.0
-        configs.append(
-            ThermostatConfig(
-                kind=kind,
-                mode="heating" if heating else "cooling",
-                setpoint=sp + rng.uniform(-0.5, 0.5),
-                deadband=rng.uniform(0.5, 2.0),
-                t_min=sp - 2.0,
-                t_max=sp + 2.0,
-                t_desired=sp,
-            )
-        )
         states.append(HouseState(t_in=rng.uniform(15.0, 28.0), hvac_on=bool(rng.integers(2))))
         ids.append(f"h{i:03d}")
         ks.append(1.0)
-    return Population(ids, params, configs, states, ks), params, configs
+    pop = Population(ids, params, cfg, states, ks)
+    # as price response leaves them, setpoints differ from house to house
+    pop.setpoint[:] = sp + rng.uniform(-0.5, 0.5, n)
+    return pop, params
+
+
+def _house_cfg(pop, i):
+    """The scalar oracles' view of house i: the fleet rule at its setpoint."""
+    return dataclasses.replace(pop.cfg, setpoint=float(pop.setpoint[i]))
 
 
 def test_population_tick_matches_scalar_reference_bitwise():
     """The array kernel must reproduce decide() + step_house() exactly.
 
-    Sequential ticks let any divergence compound; market boundaries come
-    every 5th tick, the tick length changes midway (the cached per-house
-    decay must follow it), and some houses start exactly on a switching
-    edge, where >= and > differ.
+    Every (kind, mode) fleet runs. Sequential ticks let any divergence
+    compound; market boundaries come every 5th tick, the tick length
+    changes midway (the cached per-house decay must follow it), and
+    some houses start exactly on a switching edge, where >= and > differ.
     """
-    rng = np.random.default_rng(7)
-    pop, params, configs = _random_population(rng)
+    for kind, mode in FLEETS:
+        rng = np.random.default_rng(7)
+        pop, params = _random_population(rng, kind, mode)
+        _check_tick_against_scalar_reference(pop, params, 18.0 if mode == "heating" else 26.0)
+        empty = Population([], [], pop.cfg, [], [])
+        assert empty.tick(20.0, 0.1, at_market_boundary=True) == 0.0
+
+
+def _check_tick_against_scalar_reference(pop, params, t_out):
     pop.latched[3] = 1
     pop.latched[11] = 1
+    half = pop.cfg.deadband / 2.0
     for i in range(0, 12, 4):
-        pop.t_in[i] = pop.setpoint[i] + pop.deadband[i] / 2.0
+        pop.t_in[i] = pop.setpoint[i] + half
         pop.t_in[i + 1] = pop.setpoint[i + 1]
-        pop.t_in[i + 2] = pop.setpoint[i + 2] - pop.deadband[i + 2] / 2.0
-    t_out = 18.0
+        pop.t_in[i + 2] = pop.setpoint[i + 2] - half
     for k in range(60):
         at_boundary = k % 5 == 0
         h = 1.0 / 30.0 if k < 30 else 1.0 / 60.0
@@ -229,7 +250,7 @@ def test_population_tick_matches_scalar_reference_bitwise():
             if pop.latched[i]:
                 on = False
             else:
-                on = decide(t, configs[i], bool(pop.hvac_on[i]), at_boundary)
+                on = decide(t, _house_cfg(pop, i), bool(pop.hvac_on[i]), at_boundary)
             nxt = step_house(HouseState(t, on), params[i], t_out, h)
             expect_t[i] = nxt.t_in
             expect_on[i] = 1 if on else 0
@@ -240,14 +261,14 @@ def test_population_tick_matches_scalar_reference_bitwise():
         assert np.array_equal(pop.t_in, expect_t)
         assert np.array_equal(pop.hvac_on, expect_on)
         assert pop.aggregate_power() == expect_power
-    empty = Population([], [], [], [], [])
-    assert empty.tick(t_out, 0.1, at_market_boundary=True) == 0.0
+    # the fleet is split between on and off at the end
+    assert 0 < expect_on.sum() < len(pop)
 
 
 def test_population_validation_and_guards():
     with pytest.raises(ValueError):
-        Population(["a"], [COOL], [COOL_CFG], [], [1.0])
-    pop = Population(["a"], [COOL], [COOL_CFG], [HouseState(23.0, False)], [1.0])
+        Population(["a"], [COOL], COOL_CFG, [], [1.0])
+    pop = Population(["a"], [COOL], COOL_CFG, [HouseState(23.0, False)], [1.0])
     with pytest.raises(ValueError):
         pop.tick(30.0, 0.0, at_market_boundary=True)
     with pytest.raises(ValueError):
@@ -256,7 +277,7 @@ def test_population_validation_and_guards():
 
 def test_latch_forces_hvac_off_and_excludes_power():
     states = [HouseState(25.0, True), HouseState(25.0, True)]
-    pop = Population(["a", "b"], [COOL, COOL], [COOL_CFG, COOL_CFG], states, [1.0, 1.0])
+    pop = Population(["a", "b"], [COOL, COOL], COOL_CFG, states, [1.0, 1.0])
     pop.latched[:] = 1
     power = pop.tick(32.0, 1.0 / 60.0, at_market_boundary=True)
     assert power == 0.0
@@ -273,7 +294,7 @@ def test_latch_forces_hvac_off_and_excludes_power():
 
 def test_zero_deadband_population_holds_between_boundaries():
     cfg = ThermostatConfig("zero_deadband", "cooling", 22.0, 0.0, 20.0, 24.0, 22.0)
-    pop = Population(["a"], [COOL], [cfg], [HouseState(21.9, False)], [1.0])
+    pop = Population(["a"], [COOL], cfg, [HouseState(21.9, False)], [1.0])
     # temperature drifts up past the setpoint with no boundary: holds off
     for _ in range(120):
         pop.tick(32.0, 1.0 / 120.0, at_market_boundary=False)
@@ -293,7 +314,7 @@ def test_aggregate_power_both_forms():
     ]
     states = [HouseState(22.0, True), HouseState(22.0, False), HouseState(22.0, True)]
     assert aggregate_power(states, params) == 9.0
-    pop = Population(["a", "b", "c"], params, [COOL_CFG] * 3, states, [1.0] * 3)
+    pop = Population(["a", "b", "c"], params, COOL_CFG, states, [1.0] * 3)
     assert pop.aggregate_power() == 9.0
 
 
@@ -411,32 +432,51 @@ def test_diversity_from_phases():
 def test_diversity_metric_matches_per_house_cycle_phase_bitwise():
     """The fleet path reads the same phases as the scalar cycle_phase.
 
-    The mixed fleet has both modes and kinds with setpoints off
-    t_desired; temperatures sit on band edges and outside the band, and
-    the ambient values leave some houses unable to cycle.
+    Every (kind, mode) fleet runs, with setpoints off t_desired;
+    temperatures sit on band edges and outside the band, and some
+    ambients leave part of the fleet, or all of it, unable to cycle.
     """
-    rng = np.random.default_rng(11)
-    pop, params, configs = _random_population(rng, n=60)
-    # even houses are hysteresis, odd ones zero-deadband: put both on their edges
-    half = pop.deadband / 2.0
-    pop.t_in[0::6] = pop.setpoint[0::6] + half[0::6]
-    pop.t_in[2::6] = pop.setpoint[2::6] - half[2::6]
-    pop.t_in[3::6] = pop.t_desired[3::6] + 0.5
-    pop.t_in[5::6] = pop.t_desired[5::6] - 0.5
-    for t_out in (-10.0, 15.0, 23.0, 35.0):
+    for kind, mode in FLEETS:
+        rng = np.random.default_rng(11)
+        pop, params = _random_population(rng, kind, mode, n=60)
+        # heating ambients mirror the cooling ones around 21 degC
+        ambients = (15.0, 23.0, 35.0, 45.0)
+        if mode == "heating":
+            ambients = tuple(42.0 - t for t in ambients)
+        _check_diversity_against_cycle_phase(pop, params, ambients)
+
+
+def _check_diversity_against_cycle_phase(pop, params, ambients):
+    # the hysteresis band follows each setpoint; the zero-deadband one is
+    # t_desired +- 0.5 for every house
+    half = pop.cfg.deadband / 2.0
+    pop.t_in[0::6] = pop.setpoint[0::6] + half
+    pop.t_in[2::6] = pop.setpoint[2::6] - half
+    pop.t_in[3::6] = pop.cfg.t_desired + 0.5
+    pop.t_in[5::6] = pop.cfg.t_desired - 0.5
+    n = len(pop)
+    cycling_counts = []
+    for t_out in ambients:
         phases = [
-            cycle_phase(HouseState(float(pop.t_in[i]), bool(pop.hvac_on[i])), params[i], configs[i], t_out)
-            for i in range(len(pop))
+            cycle_phase(
+                HouseState(float(pop.t_in[i]), bool(pop.hvac_on[i])),
+                params[i], _house_cfg(pop, i), t_out,
+            )
+            for i in range(n)
         ]
         assert diversity_metric(pop, t_out) == diversity_from_phases(phases)
-        cycling = sum(0.0 < steady_duty(p, c, t_out) < 1.0 for p, c in zip(params, configs))
-        assert 0 < cycling < len(pop)
+        cycling_counts.append(sum(
+            0.0 < steady_duty(params[i], _house_cfg(pop, i), t_out) < 1.0 for i in range(n)
+        ))
+    # mild: every unit idles; then all cycle; then the weaker units run flat out
+    assert cycling_counts[:2] == [0, n]
+    assert all(0 < c < n for c in cycling_counts[2:])
 
 
 def test_diversity_metric_on_synchronized_population():
     states = [HouseState(22.5, True)] * 6
     pop = Population(
-        [f"h{i}" for i in range(6)], [COOL] * 6, [COOL_CFG] * 6, states, [1.0] * 6
+        [f"h{i}" for i in range(6)], [COOL] * 6, COOL_CFG, states, [1.0] * 6
     )
     assert diversity_metric(pop, 32.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -444,10 +484,9 @@ def test_diversity_metric_on_synchronized_population():
 def test_curtailment_window_drops_load_then_rebounds():
     n = 24
     params = [COOL] * n
-    cfgs = [COOL_CFG] * n
     # seed the fleet spread evenly around the cycle
     states = [state_from_phase(i / n, COOL, COOL_CFG, 32.0) for i in range(n)]
-    pop = Population([f"h{i}" for i in range(n)], params, cfgs, states, [1.0] * n)
+    pop = Population([f"h{i}" for i in range(n)], params, COOL_CFG, states, [1.0] * n)
     out = curtailment_experiment(
         pop, t_out=32.0, span_h=6.0, tick_h=1.0 / 60.0, off_start_h=2.0, off_end_h=3.0
     )
