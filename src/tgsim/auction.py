@@ -99,9 +99,13 @@ class ClearingResult:
     marginal_order: str | None = None
 
 
-def build_demand_curve(bids: Iterable[Order]) -> StepCurve:
-    """Demand curve from buy orders; must-run orders already bid the cap."""
-    segs = []
+def build_demand_curve(bids: Iterable[Order], fleet: Iterable[Segment] = ()) -> StepCurve:
+    """Demand curve from buy orders; must-run orders already bid the cap.
+
+    ``fleet`` adds segments of bids that were checked as ``Order`` checks
+    them but never built as orders (``bidding.fleet_bids``).
+    """
+    segs = list(fleet)
     for o in bids:
         if o.side != SIDE_BUY:
             raise ValueError(f"demand curve given a sell order {o.order_id}")

@@ -16,6 +16,11 @@ wants to run.
 
 Price expectations come from a rolling window of past clearings; until
 the window has filled the configured prior mean and deviation stand in.
+
+``thermostat_bid`` and ``setpoint_from_price`` state the line for one
+house; ``fleet_bids`` and ``fleet_setpoints`` run it over a whole fleet
+as array passes, with the same operations in the same order, and tests
+pin them to the scalar functions bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .auction import Order, SIDE_BUY, SIDE_SELL
-from .fold import left_sum
+from .fold import left_sum, py_max, py_min
 from .thermal import MODE_COOLING, ThermostatConfig
 
 
@@ -147,6 +154,69 @@ def setpoint_from_price(
     direction = 1.0 if cfg.mode == MODE_COOLING else -1.0
     t_set = cfg.t_desired + direction * (p_clear - stats.mean) * span / denom
     return min(max(t_set, cfg.t_min), cfg.t_max)
+
+
+def fleet_bids(
+    t_measured: np.ndarray,
+    cfg: ThermostatConfig,
+    comfort_k: np.ndarray,
+    stats: PriceStats,
+    p_rated: np.ndarray,
+    latched: np.ndarray,
+    price_floor: float,
+    price_cap: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """thermostat_bid for every unlatched house of a fleet.
+
+    Returns the indices of the houses that bid, ascending, and their
+    prices; house i bids p_rated[i]. Raises where thermostat_bid or the
+    Order it builds would.
+    """
+    free = latched == 0
+    if (comfort_k[free] < 0).any():
+        raise ValueError("comfort_k must be nonnegative")
+    if cfg.mode == MODE_COOLING:
+        wanted = t_measured >= cfg.t_min
+        emergency = t_measured >= cfg.t_max
+        needs = t_measured > cfg.t_desired
+        direction = 1.0
+    else:
+        wanted = t_measured <= cfg.t_max
+        emergency = t_measured <= cfg.t_min
+        needs = t_measured < cfg.t_desired
+        direction = -1.0
+    flat = comfort_k == 0.0
+    # price insensitive houses bid only when they want service
+    idx = np.flatnonzero(free & wanted & (emergency | needs | ~flat))
+    t, k = t_measured[idx], comfort_k[idx]
+    slope = direction * k * stats.sigma / _comfort_span(cfg)
+    raw = stats.mean + slope * (t - cfg.t_desired)
+    lo_end = stats.mean + slope * (cfg.t_min - cfg.t_desired)
+    hi_end = stats.mean + slope * (cfg.t_max - cfg.t_desired)
+    lo, hi = py_min(lo_end, hi_end), py_max(lo_end, hi_end)
+    price = py_min(py_max(raw, lo), hi)
+    price = py_min(py_max(price, price_floor), price_cap)
+    price = np.where(emergency[idx] | flat[idx], price_cap, price)
+    if not (p_rated[idx] > 0).all():
+        raise ValueError("order quantity must be positive")
+    if not np.isfinite(price).all():
+        raise ValueError("order price must be finite")
+    return idx, price
+
+
+def fleet_setpoints(
+    p_clear: float, cfg: ThermostatConfig, comfort_k: np.ndarray, stats: PriceStats
+) -> np.ndarray:
+    """setpoint_from_price for every house of a fleet."""
+    if (comfort_k < 0).any():
+        raise ValueError("comfort_k must be nonnegative")
+    denom = comfort_k * stats.sigma
+    moves = denom != 0.0
+    direction = 1.0 if cfg.mode == MODE_COOLING else -1.0
+    t_set = cfg.t_desired + direction * (p_clear - stats.mean) * _comfort_span(cfg) / denom[moves]
+    out = np.full(len(comfort_k), cfg.t_desired)
+    out[moves] = py_min(py_max(t_set, cfg.t_min), cfg.t_max)
+    return out
 
 
 @dataclass(frozen=True)

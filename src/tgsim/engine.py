@@ -43,9 +43,9 @@ from .bidding import (
     PriceStats,
     StorageState,
     apply_clearing_to_storage,
-    setpoint_from_price,
+    fleet_bids,
+    fleet_setpoints,
     storage_bids,
-    thermostat_bid,
 )
 from .config import ScenarioConfig
 from .fold import left_sum
@@ -87,6 +87,28 @@ def _fmt(x: float) -> str:
     return repr(v)
 
 
+def _event_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _bid_keys(feeder_id: str, house_ids: list[str]) -> list[str]:
+    """The middle of each house's bid event line, ids JSON-encoded once."""
+    market = json.dumps(feeder_id)
+    return [
+        f',"type":"bid","market":{market},"order":{json.dumps(hid)},"side":"buy","price":'
+        for hid in house_ids
+    ]
+
+
+def _house_bid_lines(t: int, keys: list[str], idx, prices, quantities) -> str:
+    """House bid event lines as _event_line writes them; json encodes a
+    finite float as its repr."""
+    head = f'{{"t":{t}'
+    return "".join(
+        f'{head}{keys[i]}{p!r},"quantity":{q!r}}}\n' for i, p, q in zip(idx, prices, quantities)
+    )
+
+
 @dataclass
 class RunArtifacts:
     out_dir: Path
@@ -112,6 +134,7 @@ class _FeederState:
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
     armed_ids: list = field(default_factory=list)
     id_to_idx: dict = field(default_factory=dict)
+    bid_keys: list = field(default_factory=list)
 
 
 class SimulationRun:
@@ -149,6 +172,7 @@ class SimulationRun:
         self.reg_agg_mw = 0.0
         self.time_error_s = 0.0
         self.last_shed_t: float | None = None
+        self.relays_held = False  # some house is latched off by shedding
         self.above_threshold_since: float | None = None
         self._buyer_paid = 0.0
         self._seller_received = 0.0
@@ -216,6 +240,7 @@ class SimulationRun:
                 reg_offset=np.zeros(len(pop)),
                 armed_ids=ids[:n_armed],
                 id_to_idx={hid: i for i, hid in enumerate(ids)},
+                bid_keys=_bid_keys(fspec.feeder_id, ids),
             )
             fs.house_power_kw = pop.aggregate_power()
             self.feeders[fspec.feeder_id] = fs
@@ -322,7 +347,7 @@ class SimulationRun:
                 houses = table("houses.csv", "t_s,house_id,t_in_c,hvac_on,setpoint_c")
 
             def emit(record: dict) -> None:
-                events.write(json.dumps(record, separators=(",", ":")) + "\n")
+                events.write(_event_line(record))
 
             for k in range(n_ticks):
                 t = k * h_agc
@@ -345,7 +370,7 @@ class SimulationRun:
 
                 if t % sim.market_interval_s == 0:
                     self._market_phase(
-                        t, interval_index, day, hour_of_day, emit,
+                        t, interval_index, day, hour_of_day, emit, events,
                         markets, settlement, prices_seen, feeder_prices,
                     )
 
@@ -422,7 +447,7 @@ class SimulationRun:
     # ------------------------------------------------------------------
 
     def _market_phase(
-        self, t, interval_index, day, hour_of_day, emit,
+        self, t, interval_index, day, hour_of_day, emit, events,
         markets, settlement, prices_seen, feeder_prices,
     ) -> None:
         cfg = self.cfg
@@ -439,18 +464,12 @@ class SimulationRun:
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
             pop = fs.pop
+            idx, prices = fleet_bids(
+                pop.t_in, self.thermostat, pop.comfort_k, fs.stats, pop.p_rated, pop.latched,
+                mkt.price_floor, mkt.price_cap,
+            )
+            idx, prices, quantities = idx.tolist(), prices.tolist(), pop.p_rated[idx].tolist()
             bids: list[Order] = []
-            for hid, latched, t_in, k, p_rated in zip(
-                pop.ids, pop.latched.tolist(), pop.t_in.tolist(),
-                pop.comfort_k.tolist(), pop.p_rated.tolist(),
-            ):
-                if latched:
-                    continue
-                order = thermostat_bid(
-                    hid, t_in, self.thermostat, k, fs.stats, p_rated, mkt.price_floor, mkt.price_cap
-                )
-                if order is not None:
-                    bids.append(order)
             if fspec.base_load_kw > 0:
                 bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
             sells: list[Order] = []
@@ -461,11 +480,16 @@ class SimulationRun:
                 for order in storage_bids(placement.spec, self.storage_states[sid]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
-            for order in bids + sells:
-                emit({"t": t, "type": "bid", "market": fid, "order": order.order_id,
-                      "side": order.side, "price": order.price, "quantity": order.quantity})
+            events.write(_house_bid_lines(t, fs.bid_keys, idx, prices, quantities) + "".join(
+                _event_line({"t": t, "type": "bid", "market": fid, "order": order.order_id,
+                             "side": order.side, "price": order.price, "quantity": order.quantity})
+                for order in bids + sells
+            ))
 
-            demand = build_demand_curve(bids)
+            house_ids = pop.ids
+            demand = build_demand_curve(
+                bids, [Segment(p, q, house_ids[i]) for i, p, q in zip(idx, prices, quantities)]
+            )
             supply_spec = FeederSupplySpec(
                 wholesale_price=anchor,
                 capacity_normal=fspec.capacity_kw,
@@ -489,10 +513,9 @@ class SimulationRun:
             feeder_prices[fid].append(result.price)
 
             # price response: setpoints move along the inverted bid line
-            fs.market_setpoint[:] = [
-                setpoint_from_price(result.price, self.thermostat, k, fs.stats)
-                for k in pop.comfort_k.tolist()
-            ]
+            fs.market_setpoint[:] = fleet_setpoints(
+                result.price, self.thermostat, pop.comfort_k, fs.stats
+            )
 
             # storage dispatch from fills
             fs.storage_net_kw = 0.0
@@ -643,7 +666,9 @@ class SimulationRun:
         to_agg, to_gen = split_regulation(cmd, area.split)
         self.reg_agg_mw = to_agg
         self.reg_gen_mw = to_gen
-        self._apply_aggregator_command(to_agg)
+        if (t + h) % cfg.simulation.device_tick_s == 0:
+            # reg_offset is read only by the next device tick's setpoint clip
+            self._apply_aggregator_command(to_agg)
 
         shed_kw = 0.0
         ufls = area.ufls
@@ -662,6 +687,7 @@ class SimulationRun:
                         shed_kw += float(fs.pop.p_rated[i])
                 shed_ids_all.extend(shed)
             if shed_ids_all:
+                self.relays_held = True
                 self.last_shed_t = t
                 self._last_shed_kw = shed_kw
                 emit({"t": t, "type": "ufls", "freq_hz": freq, "count": len(shed_ids_all),
@@ -669,10 +695,10 @@ class SimulationRun:
         else:
             if self.above_threshold_since is None:
                 self.above_threshold_since = t
-            held = any(fs.pop.latched.any() for fs in self.feeders.values())
-            if held and t - self.above_threshold_since >= ufls.hold_s:
+            if self.relays_held and t - self.above_threshold_since >= ufls.hold_s:
                 for fs in self.feeders.values():
                     fs.pop.latched[:] = 0
+                self.relays_held = False
                 emit({"t": t, "type": "ufls_release"})
 
         frequency.write(

@@ -1,14 +1,20 @@
-"""Order-fixed float sums.
+"""Float folds and comparisons with one result everywhere.
 
 The builtin ``sum`` of floats is a plain left fold up to Python 3.11,
 while 3.12 compensates for rounding, so the same inputs can give
 different last bits on different interpreters. Artifacts must not
 depend on the interpreter, so every float sum goes through ``left_sum``.
+
+``py_max`` and ``py_min`` are the builtin ``max``/``min`` of two
+operands, elementwise, so an array pass over a fleet breaks ties (such
+as 0.0 against -0.0) exactly as the scalar formula it restates.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -17,3 +23,13 @@ def left_sum(values: Iterable[float]) -> float:
     for x in values:
         total += x
     return total
+
+
+def py_max(a, b) -> np.ndarray:
+    """max(a, b) elementwise: a unless b is strictly greater."""
+    return np.where(b > a, b, a)
+
+
+def py_min(a, b) -> np.ndarray:
+    """min(a, b) elementwise: a unless b is strictly smaller."""
+    return np.where(b < a, b, a)

@@ -28,20 +28,20 @@ exist to reproduce.
 
 The steady on/off cycle between two band edges (the population-state
 view of load diversity) is stated once, in ``_cycle``, for both modes.
-``cycle_phase``, ``state_from_phase``, ``steady_duty`` and the fleet's
-``diversity_metric`` all read their geometry from it.
+``cycle_phase``, ``state_from_phase`` and ``steady_duty`` read their
+geometry from it; ``cycle_phases`` restates it as array passes over a
+fleet, and tests pin it to ``cycle_phase`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fold import left_sum
+from .fold import left_sum, py_max, py_min
 
 MODE_COOLING = "cooling"
 MODE_HEATING = "heating"
@@ -316,29 +316,6 @@ def _cycle(
     return t_eq_on, on_from, off_from, log_on, log_off
 
 
-def _phase(
-    t_in: float, on: bool, r: float, c: float, q: float,
-    cooling: bool, lo: float, hi: float, t_out: float,
-) -> float:
-    """cycle_phase on plain floats, so whole fleets can map over columns."""
-    cycle = _cycle(r, q, cooling, lo, hi, t_out)
-    if cycle is None:
-        return 0.0
-    t_eq_on, on_from, off_from, log_on, log_off = cycle
-    rc = r * c
-    tau_on = rc * log_on
-    tau_off = rc * log_off
-    t = min(max(t_in, lo), hi)
-    if on:
-        prog = rc * math.log((on_from - t_eq_on) / (t - t_eq_on)) / tau_on
-    else:
-        prog = rc * math.log((off_from - t_out) / (t - t_out)) / tau_off
-    prog = min(max(prog, 0.0), 1.0)
-    duty = tau_on / (tau_on + tau_off)
-    phase = prog * duty if on else duty + prog * (1.0 - duty)
-    return phase % 1.0
-
-
 def cycle_phase(
     state: HouseState, params: ThermalParams, cfg: ThermostatConfig, t_out: float
 ) -> float:
@@ -350,10 +327,23 @@ def cycle_phase(
     equipment cannot reach the band at this ambient temperature.
     """
     cooling, lo, hi = _cycle_band(cfg)
-    return _phase(
-        state.t_in, state.hvac_on, params.r_thermal, params.c_thermal, params.q_hvac,
-        cooling, lo, hi, t_out,
-    )
+    r, c = params.r_thermal, params.c_thermal
+    cycle = _cycle(r, params.q_hvac, cooling, lo, hi, t_out)
+    if cycle is None:
+        return 0.0
+    t_eq_on, on_from, off_from, log_on, log_off = cycle
+    rc = r * c
+    tau_on = rc * log_on
+    tau_off = rc * log_off
+    t = min(max(state.t_in, lo), hi)
+    if state.hvac_on:
+        prog = rc * math.log((on_from - t_eq_on) / (t - t_eq_on)) / tau_on
+    else:
+        prog = rc * math.log((off_from - t_out) / (t - t_out)) / tau_off
+    prog = min(max(prog, 0.0), 1.0)
+    duty = tau_on / (tau_on + tau_off)
+    phase = prog * duty if state.hvac_on else duty + prog * (1.0 - duty)
+    return phase % 1.0
 
 
 def state_from_phase(
@@ -400,27 +390,62 @@ def diversity_from_phases(phases: Iterable[float]) -> float:
     1 minus the magnitude of the mean unit phasor: 0.0 when every house
     sits at the same phase, approaching 1.0 for a uniform spread.
     """
-    phases = list(phases)
-    if not phases:
+    if not isinstance(phases, np.ndarray):
+        phases = np.array(list(phases), dtype=np.float64)
+    if not len(phases):
         raise ValueError("no phases given")
-    zs = np.exp(2j * np.pi * np.asarray(phases, dtype=np.float64))
+    zs = np.exp(2j * np.pi * phases)
     return float(1.0 - abs(zs.mean()))
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """math.log elementwise; np.log can differ from it in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
+    """cycle_phase of every house of a fleet, bit for bit, as array passes.
+
+    The same operations as ``_cycle`` and ``cycle_phase`` in the same
+    order, restricted to the houses that can cycle; the others get 0.0.
+    """
+    cooling, lo, hi = _cycle_band(pop.cfg)
+    n = len(pop)
+    if pop.cfg.kind == KIND_HYSTERESIS:
+        # each house cycles around its own, price-moved setpoint
+        half = pop.cfg.deadband / 2.0
+        lo, hi = pop.setpoint - half, pop.setpoint + half
+    else:
+        lo, hi = np.full(n, lo), np.full(n, hi)
+    t_eq_on = t_out + pop.q_hvac * pop.r_thermal
+    if cooling:
+        cycles = (t_eq_on < lo) & (t_out > hi)
+        on_from, off_from = hi, lo
+    else:
+        cycles = (t_eq_on > hi) & (t_out < lo)
+        on_from, off_from = lo, hi
+    idx = np.flatnonzero(cycles)
+    t_eq_on, on_from, off_from = t_eq_on[idx], on_from[idx], off_from[idx]
+    lo, hi = lo[idx], hi[idx]
+    on = pop.hvac_on[idx] != 0
+    log_on = _libm_log((on_from - t_eq_on) / (off_from - t_eq_on))
+    log_off = _libm_log((off_from - t_out) / (on_from - t_out))
+    rc = pop.r_thermal[idx] * pop.c_thermal[idx]
+    tau_on = rc * log_on
+    tau_off = rc * log_off
+    t = py_min(py_max(pop.t_in[idx], lo), hi)
+    ratio = np.where(on, (on_from - t_eq_on) / (t - t_eq_on), (off_from - t_out) / (t - t_out))
+    prog = rc * _libm_log(ratio) / np.where(on, tau_on, tau_off)
+    prog = py_min(py_max(prog, 0.0), 1.0)
+    duty = tau_on / (tau_on + tau_off)
+    phases = np.zeros(n)
+    phases[idx] = np.where(on, prog * duty, duty + prog * (1.0 - duty)) % 1.0
+    return phases
 
 
 def diversity_metric(pop: Population, t_out: float) -> float:
     """Diversity of a population, phases read from current states."""
-    cooling, lo, hi = _cycle_band(pop.cfg)
-    los, his = repeat(lo), repeat(hi)
-    if pop.cfg.kind == KIND_HYSTERESIS:
-        # each house cycles around its own, price-moved setpoint
-        half = pop.cfg.deadband / 2.0
-        los, his = (pop.setpoint - half).tolist(), (pop.setpoint + half).tolist()
-    phases = map(
-        _phase, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.r_thermal.tolist(),
-        pop.c_thermal.tolist(), pop.q_hvac.tolist(), repeat(cooling),
-        los, his, repeat(t_out),
-    )
-    return diversity_from_phases(phases)
+    return diversity_from_phases(cycle_phases(pop, t_out))
 
 
 def curtailment_experiment(

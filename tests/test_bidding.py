@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tgsim.auction import clear_and_allocate, StepCurve, SIDE_BUY, SIDE_SELL, Segment
@@ -10,6 +11,8 @@ from tgsim.bidding import (
     StorageSpec,
     StorageState,
     apply_clearing_to_storage,
+    fleet_bids,
+    fleet_setpoints,
     setpoint_from_price,
     storage_bids,
     thermostat_bid,
@@ -188,6 +191,113 @@ def test_bid_and_setpoint_are_inverses_between_clamps():
             order = thermostat_bid("h1", t, cfg, 1.5, stats, 4.0, 0.0, 1000.0)
             back = setpoint_from_price(order.price, cfg, 1.5, stats)
             assert back == pytest.approx(t, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# fleet bids and setpoints against the scalar oracles
+# ----------------------------------------------------------------------
+
+
+def bits(values):
+    """Bit patterns of floats, so equality also tells -0.0 from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def stats_cases():
+    """sigma from the prior, from a full window, and zero."""
+    full = PriceStats(window=4, prior_mean=30.0, prior_sigma=10.0)
+    for price in (22.0, 31.5, 47.25, 28.0):
+        full.observe(price)
+    flat = PriceStats(window=2, prior_mean=30.0, prior_sigma=10.0)
+    flat.observe(25.0)
+    flat.observe(25.0)
+    assert full.sigma > 0.0 and full.mean != 30.0 and flat.sigma == 0.0
+    return {"prior": fresh_stats(), "window": full, "flat": flat}
+
+
+def random_fleet(cfg, seed, n=300):
+    """Temperatures on t_min, t_max and t_desired exactly and around the
+    comfort range; a fifth of the fleet at k = 0, every seventh house latched."""
+    rng = np.random.default_rng(seed)
+    edges = np.tile([cfg.t_min, cfg.t_max, cfg.t_desired], 20)
+    t_in = np.concatenate([edges, rng.uniform(cfg.t_min - 1.0, cfg.t_max + 1.0, n - len(edges))])
+    k = rng.lognormal(0.0, 0.8, n)
+    k[rng.random(n) < 0.2] = 0.0
+    p_rated = rng.uniform(2.0, 6.0, n)
+    latched = np.zeros(n, dtype=np.uint8)
+    latched[::7] = 1
+    return t_in, k, p_rated, latched
+
+
+def test_fleet_bids_match_thermostat_bid_bitwise():
+    limits = ((0.0, 1000.0), (25.0, 40.0))  # the narrow pair binds on most line bids
+    for cfg in (COOL_CFG, HEAT_CFG):
+        for name, stats in stats_cases().items():
+            for floor, cap in limits:
+                t_in, k, p_rated, latched = random_fleet(cfg, seed=len(name))
+                idx, prices = fleet_bids(t_in, cfg, k, stats, p_rated, latched, floor, cap)
+                want = {}
+                for i in range(len(t_in)):
+                    if latched[i]:
+                        continue
+                    order = thermostat_bid(
+                        f"h{i}", float(t_in[i]), cfg, float(k[i]), stats, float(p_rated[i]), floor, cap
+                    )
+                    if order is not None:
+                        want[i] = order
+                assert idx.tolist() == sorted(want), (cfg.mode, name, floor, cap)
+                assert bits(prices) == bits([want[i].price for i in idx.tolist()])
+                assert [want[i].quantity for i in idx.tolist()] == p_rated[idx].tolist()
+                # the cases the oracle must have seen: abstention, must-run,
+                # the floor, and k = 0 houses both bidding and abstaining
+                flat = k == 0.0
+                free = latched == 0
+                assert len(want) < free.sum()
+                assert cap in prices.tolist()
+                if name != "flat" and cap == 40.0:
+                    assert floor in prices.tolist()
+                assert (flat[idx]).any() and (flat & free & ~np.isin(np.arange(len(k)), idx)).any()
+
+
+def test_fleet_setpoints_match_setpoint_from_price_bitwise():
+    for cfg in (COOL_CFG, HEAT_CFG):
+        for name, stats in stats_cases().items():
+            _, k, _, _ = random_fleet(cfg, seed=3)
+            for p_clear in (0.0, 1000.0, stats.mean, 25.0, 33.3, 41.7):
+                got = fleet_setpoints(p_clear, cfg, k, stats)
+                want = [setpoint_from_price(p_clear, cfg, float(x), stats) for x in k.tolist()]
+                assert bits(got) == bits(want), (cfg.mode, name, p_clear)
+            if name == "flat":
+                assert (got == cfg.t_desired).all()
+
+
+def test_fleet_bids_reject_negative_k_on_unlatched_houses():
+    t_in, k, p_rated, latched = random_fleet(COOL_CFG, seed=4)
+    k[0] = -0.5  # house 0 is latched: it does not bid, so it is not checked
+    fleet_bids(t_in, COOL_CFG, k, fresh_stats(), p_rated, latched, 0.0, 1000.0)
+    k[1] = -0.5
+    with pytest.raises(ValueError):
+        fleet_bids(t_in, COOL_CFG, k, fresh_stats(), p_rated, latched, 0.0, 1000.0)
+    with pytest.raises(ValueError):
+        fleet_setpoints(30.0, COOL_CFG, k, fresh_stats())
+    # and the checks Order makes of every bid
+    t_in[:] = COOL_CFG.t_max  # every unlatched house must run
+    k[1] = 1.0
+    p_rated[5] = 0.0
+    with pytest.raises(ValueError, match="quantity"):
+        fleet_bids(t_in, COOL_CFG, k, fresh_stats(), p_rated, latched, 0.0, 1000.0)
+    p_rated[5] = 4.0
+    with pytest.raises(ValueError, match="price"):
+        fleet_bids(t_in, COOL_CFG, k, fresh_stats(), p_rated, latched, 0.0, math.inf)
+
+
+def test_fleet_bids_and_setpoints_of_an_empty_fleet():
+    empty = np.zeros(0)
+    idx, prices = fleet_bids(
+        empty, COOL_CFG, empty, fresh_stats(), empty, np.zeros(0, dtype=np.uint8), 0.0, 1000.0
+    )
+    assert idx.tolist() == [] and prices.tolist() == []
+    assert fleet_setpoints(30.0, HEAT_CFG, empty, fresh_stats()).tolist() == []
 
 
 # ----------------------------------------------------------------------

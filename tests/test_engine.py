@@ -1,6 +1,7 @@
 """End-to-end scenario runs: artifacts, determinism, integration replay."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
-from tgsim.engine import SimulationRun, run_scenario
+from tgsim.engine import SimulationRun, _bid_keys, _house_bid_lines, run_scenario
 from tgsim.thermal import (
     Population,
     ThermalParams,
@@ -150,6 +151,16 @@ def test_summaries_match_the_pinned_goldens(scenario_runs):
         assert produced == golden, f"summary drifted for {stem}"
 
 
+def test_artifacts_match_the_pinned_digests(scenario_runs):
+    # the summary goldens do not cover the event log or the CSV ledgers
+    pinned = json.loads((SCENARIO_DIR / "golden" / "artifacts.sha256.json").read_text())
+    for stem, digests in pinned.items():
+        run, _ = scenario_runs[stem]
+        for name, digest in digests.items():
+            produced = hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest()
+            assert produced == digest, f"{stem}/{name} drifted"
+
+
 # ------------------------------------------------------------- replay
 
 
@@ -247,6 +258,31 @@ def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
     assert armed_nadir > disarmed_nadir
 
 
+def test_shed_relays_release_once_after_the_hold(tmp_path):
+    # a two-minute loss sheds armed houses; once frequency is back above
+    # the threshold for hold_s the relays release, once
+    cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
+    area = cfg.area
+    cfg = dataclasses.replace(
+        cfg,
+        simulation=dataclasses.replace(cfg.simulation, span_s=1800),
+        area=dataclasses.replace(
+            area, events=(dataclasses.replace(area.events[0], duration_s=120),)
+        ),
+    )
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    run = sim.run(tmp_path / "run")
+    files = artifact_files(run)
+    events = [json.loads(line) for line in files["events.jsonl"].decode().splitlines()]
+    assert any(e["type"] == "ufls" for e in events)
+    freq = rows_of(files["frequency.csv"])
+    last_below = max(int(r["t_s"]) for r in freq if float(r["freq_hz"]) < area.ufls.threshold_hz)
+    above_since = last_below + cfg.simulation.agc_tick_s
+    releases = [e["t"] for e in events if e["type"] == "ufls_release"]
+    assert releases == [above_since + area.ufls.hold_s]
+    assert not any(fs.pop.latched.any() for fs in sim.feeders.values())
+
+
 # ------------------------------------------------------------ heating
 
 HEATING = """
@@ -309,6 +345,34 @@ def test_heating_runs_are_byte_identical(tmp_path, kind):
     # regulation reached the aggregators, so the heating offset path ran
     freq = rows_of(files[0]["frequency.csv"])
     assert any(float(row["reg_to_aggregators_mw"]) != 0.0 for row in freq)
+
+
+# ------------------------------------------------------------ event log
+
+
+def test_bid_lines_are_the_json_of_their_record(tmp_path):
+    # feeder ids are arbitrary YAML strings; json escapes these three
+    fid = 'f"1\\é'
+    ids = [f"{fid}_h{j:04d}" for j in range(6)]
+    prices = [31.25, -0.0, 0.1 + 0.2, 1e22, 5e-324, 1e-7]
+    lines = _house_bid_lines(300, _bid_keys(fid, ids), range(6), prices, [4.0] * 6)
+    want = "".join(
+        json.dumps({"t": 300, "type": "bid", "market": fid, "order": hid, "side": "buy",
+                    "price": price, "quantity": 4.0}, separators=(",", ":")) + "\n"
+        for hid, price in zip(ids, prices)
+    )
+    assert lines == want
+
+    # a whole run: every bid line, house or not, is the JSON of its record
+    doc = HEATING.format(kind="hysteresis").replace("id: f1,", "id: 'f\"1\\é',")
+    run = run_scenario(parse_config(doc), tmp_path / "run")
+    bids = [line for line in (run.out_dir / "events.jsonl").read_text().splitlines()
+            if '"type":"bid"' in line]
+    records = [json.loads(line) for line in bids]
+    assert [json.dumps(r, separators=(",", ":")) for r in records] == bids
+    assert {r["market"] for r in records} == {fid, "f2"}
+    assert any(r["order"] == f"{fid}_base" for r in records)
+    assert any(r["order"].startswith(f"{fid}_h") for r in records)
 
 
 # ------------------------------------------------------------ storage

@@ -20,6 +20,7 @@ from tgsim.thermal import (
     boundary_decide,
     curtailment_experiment,
     cycle_phase,
+    cycle_phases,
     decide,
     diversity_from_phases,
     diversity_metric,
@@ -430,7 +431,7 @@ def test_diversity_from_phases():
 
 
 def test_diversity_metric_matches_per_house_cycle_phase_bitwise():
-    """The fleet path reads the same phases as the scalar cycle_phase.
+    """cycle_phases reads the same phases as the scalar cycle_phase.
 
     Every (kind, mode) fleet runs, with setpoints off t_desired;
     temperatures sit on band edges and outside the band, and some
@@ -464,6 +465,8 @@ def _check_diversity_against_cycle_phase(pop, params, ambients):
             )
             for i in range(n)
         ]
+        fleet = cycle_phases(pop, t_out)
+        assert fleet.view(np.uint64).tolist() == np.array(phases).view(np.uint64).tolist()
         assert diversity_metric(pop, t_out) == diversity_from_phases(phases)
         cycling_counts.append(sum(
             0.0 < steady_duty(params[i], _house_cfg(pop, i), t_out) < 1.0 for i in range(n)
