@@ -1,8 +1,17 @@
 """Double-auction clearing for retail feeders and the area market.
 
-Demand and supply are step curves built from limit orders. Clearing
-finds the largest quantity at which the demand staircase still sits at
-or above the supply staircase, then prices the trade:
+Demand and supply are step curves built from limit orders. A curve is
+held as columns sorted in trade order: price, quantity, order id and
+the order's tie-break rank. Demand runs from the highest price down,
+supply from the lowest up, and orders at one price sit in ascending
+order id. The rank stands in for the id in that sort: it is the id's
+position in Python string order among a fixed set of ids (an
+``OrderRanks`` table), so ``f1_h10000`` ranks before ``f1_h9999``. A
+run ranks every demand order it can emit in one table, which lets the
+area curve merge feeder curves with one stable sort on (price, rank).
+
+Clearing finds the largest quantity at which the demand staircase still
+sits at or above the supply staircase, then prices the trade:
 
 * if only one price is consistent with that quantity (one curve crosses
   the other's horizontal step) that price clears;
@@ -14,14 +23,19 @@ or above the supply staircase, then prices the trade:
 Allocation fills every order strictly better than the clearing price in
 full, then rations orders exactly at the clearing price in ascending
 order-id, so at most one order per side is partially filled and the two
-sides balance exactly.
+sides balance exactly. Cumulative quantities and the remaining quantity
+are left folds (``np.add.accumulate``, ``np.subtract.accumulate``), so
+the array passes give the bits of an order-by-order walk;
+``tests/oracle_clearing.py`` keeps that walk as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .fold import left_sum
 
@@ -53,41 +67,114 @@ class Segment(NamedTuple):
     order_id: str
 
 
-class StepCurve:
-    """Aggregated step curve, demand sorted high to low, supply low to high.
+def _id_array(ids: Sequence[str]) -> np.ndarray:
+    out = np.empty(len(ids), dtype=object)
+    out[:] = ids
+    return out
 
-    Per-order identity is preserved; equal-price segments simply sit
-    adjacent in the sort, which serves as the merged price level.
+
+class OrderRanks:
+    """Tie-break ranks of a fixed set of order ids.
+
+    An id's rank is its position among the distinct ids in Python string
+    order, so ordering by rank orders by id and equal ids tie.
     """
 
-    def __init__(self, side: str, segments: Iterable[Segment]) -> None:
+    def __init__(self, ids: Iterable[str]) -> None:
+        # sorting before deduplicating keeps runs of ids already in order,
+        # which the sort takes in one pass
+        distinct = dict.fromkeys(sorted(ids))
+        self._rank = dict(zip(distinct, range(len(distinct))))
+
+    def of(self, ids: Iterable[str]) -> np.ndarray:
+        rank = self._rank
+        return np.array([rank[oid] for oid in ids], dtype=np.intp)
+
+
+class Bids(NamedTuple):
+    """Unsorted orders of one side as columns; rank indexes a shared table."""
+
+    ids: np.ndarray  # object array of str
+    price: np.ndarray
+    quantity: np.ndarray
+    rank: np.ndarray
+
+
+class StepCurve:
+    """Aggregated step curve as columns in trade order.
+
+    ``price``, ``quantity`` (float64), ``ids`` (object) and ``rank``
+    (intp, into ``ranks``) hold one entry per order. Demand sorts by
+    descending price, supply by ascending price, ties by ascending rank,
+    i.e. by order id; the sort is stable, so equal (price, id) orders
+    keep their input order. Per-order identity is preserved: equal-price
+    orders simply sit adjacent, which serves as the merged price level.
+
+    ``StepCurve(side, segments)`` builds a curve from (price, quantity,
+    order_id) rows and ranks their ids among themselves;
+    ``build_demand_curve`` and ``aggregate_demand`` sort columns whose
+    quantities they have checked, ranked by a shared table.
+    ``segments`` rebuilds the rows on each read.
+    """
+
+    def __init__(self, side: str, segments: Iterable[tuple[float, float, str]] = ()) -> None:
+        rows = [(float(p), float(q), str(i)) for p, q, i in segments]
+        if not all(q > 0 for _, q, _ in rows):
+            raise ValueError("segment quantity must be positive")
+        ids = [i for _, _, i in rows]
+        ranks = OrderRanks(ids)
+        self._sort(
+            side,
+            np.array([p for p, _, _ in rows], dtype=np.float64),
+            np.array([q for _, q, _ in rows], dtype=np.float64),
+            _id_array(ids),
+            ranks.of(ids),
+            ranks,
+        )
+
+    @classmethod
+    def _from_columns(cls, side: str, bids: Bids, ranks: OrderRanks) -> StepCurve:
+        curve = cls.__new__(cls)
+        curve._sort(side, bids.price, bids.quantity, bids.ids, bids.rank, ranks)
+        return curve
+
+    def _sort(self, side, price, quantity, ids, rank, ranks) -> None:
         if side not in (SIDE_BUY, SIDE_SELL):
             raise ValueError(f"bad side {side!r}")
+        # stable, and -0.0 ties with 0.0 as it does under Python's sort
+        order = np.lexsort((rank, -price if side == SIDE_BUY else price))
         self.side = side
-        segs = [Segment(float(p), float(q), str(i)) for p, q, i in segments]
-        for s in segs:
-            if not s.quantity > 0:
-                raise ValueError("segment quantity must be positive")
-        if side == SIDE_BUY:
-            segs.sort(key=lambda s: (-s.price, s.order_id))
-        else:
-            segs.sort(key=lambda s: (s.price, s.order_id))
-        self.segments = segs
+        self.price = price[order]
+        self.quantity = quantity[order]
+        self.ids = ids[order]
+        self.rank = rank[order]
+        self.ranks = ranks
+
+    @property
+    def segments(self) -> list[Segment]:
+        return [
+            Segment(p, q, i)
+            for p, q, i in zip(self.price.tolist(), self.quantity.tolist(), self.ids.tolist())
+        ]
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.price)
 
     def total_quantity(self) -> float:
-        return left_sum(s.quantity for s in self.segments)
+        return left_sum(self.quantity.tolist())
 
     def best_price(self) -> float | None:
-        return self.segments[0].price if self.segments else None
+        return float(self.price[0]) if len(self.price) else None
 
     def quantity_at(self, price: float) -> float:
         """Quantity willing to trade at the given price (weak inequality)."""
-        if self.side == SIDE_BUY:
-            return left_sum(s.quantity for s in self.segments if s.price >= price)
-        return left_sum(s.quantity for s in self.segments if s.price <= price)
+        willing = self.price >= price if self.side == SIDE_BUY else self.price <= price
+        return left_sum(self.quantity[willing].tolist())
+
+
+def _trade_key(curve: StepCurve) -> np.ndarray:
+    """Ascending key of the trade order: better prices come first."""
+    return -curve.price if curve.side == SIDE_BUY else curve.price
 
 
 @dataclass
@@ -99,18 +186,41 @@ class ClearingResult:
     marginal_order: str | None = None
 
 
-def build_demand_curve(bids: Iterable[Order], fleet: Iterable[Segment] = ()) -> StepCurve:
+def _order_columns(orders: Sequence[Order], ranks: OrderRanks) -> Bids:
+    ids = [o.order_id for o in orders]
+    return Bids(
+        _id_array(ids),
+        np.array([o.price for o in orders], dtype=np.float64),
+        np.array([o.quantity for o in orders], dtype=np.float64),
+        ranks.of(ids),
+    )
+
+
+def build_demand_curve(
+    bids: Iterable[Order], ranks: OrderRanks | None = None, houses: Bids | None = None
+) -> StepCurve:
     """Demand curve from buy orders; must-run orders already bid the cap.
 
-    ``fleet`` adds segments of bids that were checked as ``Order`` checks
-    them but never built as orders (``bidding.fleet_bids``).
+    ``houses`` adds a fleet's bids as columns, checked as ``Order``
+    checks them but never built as orders (``bidding.fleet_bids``); they
+    go ahead of ``bids`` into the one sort. Ranks come from ``ranks``,
+    which must then know every id, else from the orders' own ids.
     """
-    segs = list(fleet)
-    for o in bids:
+    orders = list(bids)
+    for o in orders:
         if o.side != SIDE_BUY:
             raise ValueError(f"demand curve given a sell order {o.order_id}")
-        segs.append(Segment(o.price, o.quantity, o.order_id))
-    return StepCurve(SIDE_BUY, segs)
+    if ranks is None:
+        if houses is not None:
+            raise ValueError("house bids need the rank table their ranks index")
+        ranks = OrderRanks(o.order_id for o in orders)
+    named = _order_columns(orders, ranks)
+    if houses is None:
+        return StepCurve._from_columns(SIDE_BUY, named, ranks)
+    if not (houses.quantity > 0).all():
+        raise ValueError("order quantity must be positive")
+    cols = Bids(*(np.concatenate(pair) for pair in zip(houses, named)))
+    return StepCurve._from_columns(SIDE_BUY, cols, ranks)
 
 
 @dataclass(frozen=True)
@@ -160,23 +270,42 @@ def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = ())
 
 
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
-    """Horizontal (quantity) sum of several demand curves."""
-    segs = []
+    """Horizontal (quantity) sum of several demand curves.
+
+    The curves' columns are concatenated in the given order and sorted
+    once; the stable sort keeps that order among equal (price, id)
+    orders. Curves that share a rank table merge on their ranks; others
+    are re-ranked together.
+    """
+    curves = list(curves)
     for c in curves:
         if c.side != SIDE_BUY:
             raise ValueError("can only aggregate demand curves")
-        segs.extend(c.segments)
-    return StepCurve(SIDE_BUY, segs)
+    if not curves:
+        return StepCurve(SIDE_BUY)
+    ids = np.concatenate([c.ids for c in curves])
+    ranks = curves[0].ranks
+    if all(c.ranks is ranks for c in curves):
+        rank = np.concatenate([c.rank for c in curves])
+    else:
+        ranks = OrderRanks(ids.tolist())
+        rank = ranks.of(ids.tolist())
+    cols = Bids(
+        ids,
+        np.concatenate([c.price for c in curves]),
+        np.concatenate([c.quantity for c in curves]),
+        rank,
+    )
+    return StepCurve._from_columns(SIDE_BUY, cols, ranks)
 
 
-def _price_spans(curve: StepCurve) -> list[tuple[float, float]]:
-    """(cumulative quantity, price) spans in trade order."""
-    spans = []
-    cum = 0.0
-    for s in curve.segments:
-        cum += s.quantity
-        spans.append((cum, s.price))
-    return spans
+def _price_spans(curve: StepCurve) -> tuple[np.ndarray, np.ndarray]:
+    """(cumulative quantity, price) columns in trade order.
+
+    ``np.add.accumulate`` folds left one element at a time, so each
+    cumulative quantity has the bits of a running ``cum += quantity``.
+    """
+    return np.add.accumulate(curve.quantity), curve.price
 
 
 def clear(
@@ -191,25 +320,36 @@ def clear(
     """
     if demand.side != SIDE_BUY or supply.side != SIDE_SELL:
         raise ValueError("clear() wants a demand curve and a supply curve")
-    d_spans = _price_spans(demand)
-    s_spans = _price_spans(supply)
+    d_cum, d_price = _price_spans(demand)
+    d_key = _trade_key(demand)
+    s_cum, s_price = (col.tolist() for col in _price_spans(supply))
+    nd, ns = len(d_cum), len(s_cum)
 
-    # walk merged quantity breakpoints while demand stays at or above supply
+    # Walk the supply steps while demand stays at or above supply. On one
+    # step, the demand orders that end before the step does and price at
+    # or above it trade whole; the first order past them either ends the
+    # walk (priced below the step) or reaches the end of the step.
     qty = 0.0
     d_at = s_at = None  # prices on the last feasible elementary interval
     di = si = 0
-    while di < len(d_spans) and si < len(s_spans):
-        d_cum, d_price = d_spans[di]
-        s_cum, s_price = s_spans[si]
-        if d_price < s_price:
+    while di < nd and si < ns:
+        s_end, s_p = s_cum[si], s_price[si]
+        below = int(np.searchsorted(d_key, -s_p, "right"))  # first demand price < s_p
+        reach = int(np.searchsorted(d_cum, s_end, "left"))  # first demand end >= s_end
+        whole = max(di, min(below, reach))
+        if whole > di:
+            qty, d_at, s_at = float(d_cum[whole - 1]), float(d_price[whole - 1]), s_p
+            di = whole
+        if di == nd:
             break
-        step_end = min(d_cum, s_cum)
-        qty = step_end
-        d_at, s_at = d_price, s_price
-        if d_cum <= step_end:
+        d_p = float(d_price[di])
+        if d_p < s_p:
+            break
+        # this order reaches the end of the step, so the step trades whole
+        qty, d_at, s_at = s_end, d_p, s_p
+        if d_cum[di] == s_end:
             di += 1
-        if s_cum <= step_end:
-            si += 1
+        si += 1
 
     if qty <= 0.0:
         best_bid = demand.best_price()
@@ -221,8 +361,8 @@ def clear(
         return ClearingResult(price=price, quantity=0.0)
 
     # prices just beyond the traded quantity bound the clearing price
-    d_next = d_spans[di][1] if di < len(d_spans) else None
-    s_next = s_spans[si][1] if si < len(s_spans) else None
+    d_next = float(d_price[di]) if di < nd else None
+    s_next = s_price[si] if si < ns else None
     lo = s_at if d_next is None else max(s_at, d_next)
     hi = d_at if s_next is None else min(d_at, s_next)
     price = lo if lo == hi else (lo + hi) / 2.0
@@ -230,32 +370,45 @@ def clear(
     return ClearingResult(price=price, quantity=qty)
 
 
-def _fill_side(
-    segments: list[Segment], price: float, quantity: float, better
-) -> tuple[dict[str, float], str | None]:
-    fills: dict[str, float] = {}
-    marginal = None
-    remaining = quantity
-    at_price = []
-    for s in segments:
-        if better(s.price, price):
-            take = min(s.quantity, remaining)
-            fills[s.order_id] = fills.get(s.order_id, 0.0) + take
-            remaining -= take
-        elif s.price == price:
-            at_price.append(s)
-    # ration orders exactly at the clearing price by ascending order id
-    at_price.sort(key=lambda s: s.order_id)
-    for s in at_price:
-        if remaining <= 0.0:
-            break
-        take = min(s.quantity, remaining)
-        fills[s.order_id] = fills.get(s.order_id, 0.0) + take
-        remaining -= take
-        if take < s.quantity:
-            marginal = s.order_id
-            break
-    return fills, marginal
+def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[dict[str, float], str | None]:
+    """Fills of one side: strictly better orders, then at-price rationing.
+
+    Both are a prefix of the trade order, since at-price orders already
+    sit in ascending id. remaining[i] is what is left before order i;
+    orders fill whole up to the first one it cannot cover (the clamp).
+    A strictly better order there takes what is left and every later
+    one takes 0.0; an at-price order there is the marginal partial fill,
+    and no at-price order fills once nothing is left.
+    """
+    key = _trade_key(curve)
+    p_key = -price if curve.side == SIDE_BUY else price
+    n_better = int(np.searchsorted(key, p_key, "left"))
+    end = int(np.searchsorted(key, p_key, "right"))
+    q = curve.quantity[:end]
+    remaining = np.subtract.accumulate(np.concatenate(([quantity], q)))[:-1]
+    short = q > remaining
+    c = int(short.argmax()) if end else 0
+    fills = q
+    n, marginal = end, None
+    if end and short[c]:
+        left = float(remaining[c])
+        fills = q.copy()
+        fills[c] = left
+        if c < n_better:
+            fills[c + 1 : n_better] = 0.0
+            n = n_better
+        elif left > 0.0:
+            n, marginal = c + 1, curve.ids[c]
+        else:
+            n = c
+    ids = curve.ids[:n].tolist()
+    taken = fills[:n].tolist()
+    out = dict(zip(ids, taken))
+    if len(out) < n:  # repeated ids add their fills in fill order
+        out = {}
+        for oid, take in zip(ids, taken):
+            out[oid] = out.get(oid, 0.0) + take
+    return out, marginal
 
 
 def allocate(result: ClearingResult, demand: StepCurve, supply: StepCurve) -> ClearingResult:
@@ -271,8 +424,8 @@ def allocate(result: ClearingResult, demand: StepCurve, supply: StepCurve) -> Cl
         result.accepted_sells = {}
         result.marginal_order = None
         return result
-    buys, m_buy = _fill_side(demand.segments, result.price, result.quantity, lambda p, c: p > c)
-    sells, m_sell = _fill_side(supply.segments, result.price, result.quantity, lambda p, c: p < c)
+    buys, m_buy = _fill_side(demand, result.price, result.quantity)
+    sells, m_sell = _fill_side(supply, result.price, result.quantity)
     result.accepted_buys = buys
     result.accepted_sells = sells
     result.marginal_order = m_buy if m_buy is not None else m_sell

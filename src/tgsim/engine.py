@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,13 @@ import numpy as np
 from . import __version__
 from .auction import (
     SIDE_BUY,
+    Bids,
     FeederSupplySpec,
     Order,
+    OrderRanks,
     Segment,
     StepCurve,
+    _id_array,
     aggregate_demand,
     build_demand_curve,
     build_feeder_supply,
@@ -127,14 +130,16 @@ class _FeederState:
     stats: PriceStats
     market_setpoint: np.ndarray
     reg_offset: np.ndarray
+    house_ids: np.ndarray  # pop.ids as an object array
+    armed_idx: np.ndarray  # houses with shedding relays, in id string order
+    id_to_idx: dict
+    bid_keys: list
     house_power_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
     sched_kw: float = 0.0
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
-    armed_ids: list = field(default_factory=list)
-    id_to_idx: dict = field(default_factory=dict)
-    bid_keys: list = field(default_factory=list)
+    house_rank: np.ndarray | None = None  # each house's rank in SimulationRun.ranks
 
 
 class SimulationRun:
@@ -161,6 +166,7 @@ class SimulationRun:
         self._build_outdoor()
         self._build_feeders()
         self._build_storage()
+        self._build_ranks()
         sim = cfg.simulation
         self.hours_per_day = max(1, 86400 // sim.schedule_interval_s)
         self.curve_history: dict[tuple[int, int], dict[str, list[StepCurve]]] = {}
@@ -238,7 +244,8 @@ class SimulationRun:
                 ),
                 market_setpoint=pop.setpoint.copy(),
                 reg_offset=np.zeros(len(pop)),
-                armed_ids=ids[:n_armed],
+                house_ids=_id_array(ids),
+                armed_idx=np.arange(n_armed),
                 id_to_idx={hid: i for i, hid in enumerate(ids)},
                 bid_keys=_bid_keys(fspec.feeder_id, ids),
             )
@@ -253,6 +260,18 @@ class SimulationRun:
         self.storage_states: dict[str, StorageState] = {}
         for placement in self.cfg.storage:
             self.storage_states[placement.spec.device_id] = StorageState(placement.soc0_kwh)
+
+    def _build_ranks(self) -> None:
+        """One tie-break rank table over every id a demand curve can hold;
+        it also puts each feeder's armed houses in id string order."""
+        ids = [f"{fid}_base" for fid in self.feeders]
+        ids += [f"{sid}_chg" for sid in self.storage_states]
+        for fs in self.feeders.values():
+            ids += fs.pop.ids
+        self.ranks = OrderRanks(ids)
+        for fs in self.feeders.values():
+            fs.house_rank = self.ranks.of(fs.pop.ids)
+            fs.armed_idx = fs.armed_idx[np.argsort(fs.house_rank[fs.armed_idx])]
 
     # ------------------------------------------------------------------
     # scheduling
@@ -468,7 +487,7 @@ class SimulationRun:
                 pop.t_in, self.thermostat, pop.comfort_k, fs.stats, pop.p_rated, pop.latched,
                 mkt.price_floor, mkt.price_cap,
             )
-            idx, prices, quantities = idx.tolist(), prices.tolist(), pop.p_rated[idx].tolist()
+            quantities = pop.p_rated[idx]
             bids: list[Order] = []
             if fspec.base_load_kw > 0:
                 bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
@@ -480,15 +499,16 @@ class SimulationRun:
                 for order in storage_bids(placement.spec, self.storage_states[sid]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
-            events.write(_house_bid_lines(t, fs.bid_keys, idx, prices, quantities) + "".join(
+            events.write(_house_bid_lines(
+                t, fs.bid_keys, idx.tolist(), prices.tolist(), quantities.tolist()
+            ) + "".join(
                 _event_line({"t": t, "type": "bid", "market": fid, "order": order.order_id,
                              "side": order.side, "price": order.price, "quantity": order.quantity})
                 for order in bids + sells
             ))
 
-            house_ids = pop.ids
             demand = build_demand_curve(
-                bids, [Segment(p, q, house_ids[i]) for i, p, q in zip(idx, prices, quantities)]
+                bids, self.ranks, Bids(fs.house_ids[idx], prices, quantities, fs.house_rank[idx])
             )
             supply_spec = FeederSupplySpec(
                 wholesale_price=anchor,
@@ -590,7 +610,7 @@ class SimulationRun:
               "quantity": area_result.quantity})
         markets.write(
             f"{t},__area,{_fmt(area_result.price)},{_fmt(area_result.quantity)},"
-            f"{len(merged.segments)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)}\n"
+            f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)}\n"
         )
 
     def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
@@ -676,7 +696,8 @@ class SimulationRun:
             self.above_threshold_since = None
             shed_ids_all = []
             for fid, fs in sorted(self.feeders.items()):
-                candidates = [hid for hid in fs.armed_ids if not fs.pop.latched[fs.id_to_idx[hid]]]
+                armed = fs.armed_idx
+                candidates = fs.house_ids[armed[fs.pop.latched[armed] == 0]].tolist()
                 shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, candidates, self.rng_ufls)
                 for hid in shed:
                     i = fs.id_to_idx[hid]
@@ -701,9 +722,11 @@ class SimulationRun:
                 self.relays_held = False
                 emit({"t": t, "type": "ufls_release"})
 
+        # every value here is a Python float or int; + 0.0 makes it a float
+        # and folds -0.0 to 0.0, as _fmt does
         frequency.write(
-            f"{t},{_fmt(freq)},{_fmt(self.delta_f)},{_fmt(ace_raw)},{_fmt(self.ace_filtered)},"
-            f"{_fmt(to_agg)},{_fmt(to_gen)},{_fmt(shed_kw)},{_fmt(self.time_error_s)}\n"
+            f"{t},{freq + 0.0!r},{self.delta_f + 0.0!r},{ace_raw + 0.0!r},{self.ace_filtered + 0.0!r},"
+            f"{to_agg + 0.0!r},{to_gen + 0.0!r},{shed_kw + 0.0!r},{self.time_error_s + 0.0!r}\n"
         )
 
     def _apply_aggregator_command(self, to_agg_mw: float) -> None:

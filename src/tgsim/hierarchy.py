@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .auction import (
     ClearingResult,
     MARKET_MAKER_PREFIX,
-    Segment,
     SIDE_BUY,
     StepCurve,
     _price_spans,
@@ -107,9 +108,9 @@ def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
     Pointwise (quantity) average over the union of step prices: each
     interval contributes its willingness at every price, divided by the
     window length. Feeds the next day's forecast.
-    A curve's ``quantity_at(p)`` is the running total of its price-
-    descending prefix priced at or above p, so one cursor per curve
-    reads it off ``_price_spans`` as the prices fall, with the same bits.
+    A curve's ``quantity_at(p)`` is the cumulative quantity of its
+    price-descending prefix priced at or above p, so it is read off
+    ``_price_spans`` with one search per curve, with the same bits.
     """
     curves = list(curves)
     if not curves:
@@ -118,22 +119,21 @@ def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
         if c.side != SIDE_BUY:
             raise ValueError("availability feedback expects demand curves")
     spans = [_price_spans(c) for c in curves]
-    prices = sorted({p for sp in spans for _, p in sp}, reverse=True)
-    n = len(curves)
-    cursor = [0] * n
-    willing = [0.0] * n
-    segs = []
-    prev_q = 0.0
-    for k, p in enumerate(prices):
-        for i, sp in enumerate(spans):
-            while cursor[i] < len(sp) and sp[cursor[i]][1] >= p:
-                willing[i] = sp[cursor[i]][0]
-                cursor[i] += 1
-        q_here = left_sum(willing) / n
-        if q_here > prev_q:
-            segs.append(Segment(p, q_here - prev_q, f"__forecast{k}"))
-            prev_q = q_here
-    return StepCurve(SIDE_BUY, segs)
+    # distinct prices, highest first; of prices that compare equal (0.0
+    # and -0.0) the first seen stands for them, as in a Python set
+    seen = np.concatenate([price for _, price in spans])
+    seen = seen[np.argsort(-seen, kind="stable")]
+    prices = seen[np.concatenate(([True], seen[1:] != seen[:-1]))] if len(seen) else seen
+    total = np.zeros(len(prices))
+    for cum, price in spans:
+        n_willing = np.searchsorted(-price, -prices, "right")
+        total += np.concatenate(([0.0], cum))[n_willing]
+    q_here = total / len(curves)
+    # a step wherever the mean rises past everything before it
+    prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
+    step = np.flatnonzero(q_here > prev_q)
+    rows = zip(prices[step].tolist(), (q_here[step] - prev_q[step]).tolist(), step.tolist())
+    return StepCurve(SIDE_BUY, [(p, q, f"__forecast{k}") for p, q, k in rows])
 
 
 def reference_mode(
@@ -230,7 +230,7 @@ def scarcity_rent(result: ClearingResult, supply: StepCurve) -> float:
     price and sells at the clearing price. The sum of those margins is
     the scarcity rent. Zero whenever the wholesale block is marginal.
     """
-    price_of = {s.order_id: s.price for s in supply.segments}
+    price_of = dict(zip(supply.ids.tolist(), supply.price.tolist()))
     return left_sum(
         (result.price - price_of[oid]) * fill
         for oid, fill in sorted(result.accepted_sells.items())

@@ -1,8 +1,9 @@
 """Reference double-auction clearing, written against the market rules
 rather than the production code.
 
-The production clearing walks merged block breakpoints and fills block
-by block. This oracle instead expands every order into unit quanta
+The production clearing holds curves as sorted columns and finds the
+trade with searches and running sums over them. The unit-quantum oracle
+below instead expands every order into unit quanta
 (it only accepts integer quantities), scans unit pairs for the largest
 feasible trade, and reads the price bounds straight off the unit
 arrays. Agreement between two such different mechanisms on random
@@ -24,6 +25,11 @@ Rules implemented here, independently of src/:
 
 Orders are plain (order_id, price, quantity) tuples so the oracle
 shares no data structures with the package.
+
+The second half of this file is the order-by-order walk over (price,
+quantity, order_id) rows that the package used before its curves became
+columns: the same market, with the float operations in the order the
+array passes must reproduce bit for bit.
 """
 
 
@@ -94,3 +100,105 @@ def oracle_clear(buys, sells, price_floor=0.0, price_cap=float("inf")):
     # units by ascending order id, so prefix counting reproduces
     # full-fill-then-ration exactly
     return price, float(q), _prefix_fills(d, q), _prefix_fills(s, q)
+
+
+# ----------------------------------------------------------------------
+# order-by-order walk: the bit-exact reference for the array clearing
+# ----------------------------------------------------------------------
+#
+# The package holds step curves as sorted columns and clears them with
+# array passes. The functions below are the same market as plain loops
+# over (price, quantity, order_id) rows, in the operation order the
+# array passes must reproduce bit for bit: the cumulative quantities are
+# running sums, the remaining quantity a running difference.
+
+
+def walk_sort(rows, buy):
+    """Trade order: demand by descending price, supply by ascending
+    price, ties by ascending order id; the sort is stable."""
+    if buy:
+        return sorted(rows, key=lambda s: (-s[0], s[2]))
+    return sorted(rows, key=lambda s: (s[0], s[2]))
+
+
+def walk_aggregate(curves):
+    """Area demand: every feeder's rows re-sorted as one curve."""
+    return walk_sort([s for rows in curves for s in rows], buy=True)
+
+
+def walk_spans(rows):
+    """(cumulative quantity, price) spans of sorted rows."""
+    spans = []
+    cum = 0.0
+    for price, quantity, _ in rows:
+        cum += quantity
+        spans.append((cum, price))
+    return spans
+
+
+def walk_clear(d_rows, s_rows, price_floor=0.0, price_cap=float("inf")):
+    """(price, quantity) of sorted demand and supply rows."""
+    d_spans = walk_spans(d_rows)
+    s_spans = walk_spans(s_rows)
+    qty = 0.0
+    d_at = s_at = None
+    di = si = 0
+    while di < len(d_spans) and si < len(s_spans):
+        d_cum, d_price = d_spans[di]
+        s_cum, s_price = s_spans[si]
+        if d_price < s_price:
+            break
+        step_end = min(d_cum, s_cum)
+        qty = step_end
+        d_at, s_at = d_price, s_price
+        if d_cum <= step_end:
+            di += 1
+        if s_cum <= step_end:
+            si += 1
+    if qty <= 0.0:
+        if d_rows and s_rows:
+            return (d_rows[0][0] + s_rows[0][0]) / 2.0, 0.0
+        return price_floor, 0.0
+    d_next = d_spans[di][1] if di < len(d_spans) else None
+    s_next = s_spans[si][1] if si < len(s_spans) else None
+    lo = s_at if d_next is None else max(s_at, d_next)
+    hi = d_at if s_next is None else min(d_at, s_next)
+    price = lo if lo == hi else (lo + hi) / 2.0
+    return min(max(price, price_floor), price_cap), qty
+
+
+def walk_fill(rows, price, quantity, buy):
+    """(fills, marginal id) of one side's sorted rows."""
+    better = (lambda p: p > price) if buy else (lambda p: p < price)
+    fills = {}
+    marginal = None
+    remaining = quantity
+    at_price = []
+    for s in rows:
+        if better(s[0]):
+            take = min(s[1], remaining)
+            fills[s[2]] = fills.get(s[2], 0.0) + take
+            remaining -= take
+        elif s[0] == price:
+            at_price.append(s)
+    at_price.sort(key=lambda s: s[2])
+    for s in at_price:
+        if remaining <= 0.0:
+            break
+        take = min(s[1], remaining)
+        fills[s[2]] = fills.get(s[2], 0.0) + take
+        remaining -= take
+        if take < s[1]:
+            marginal = s[2]
+            break
+    return fills, marginal
+
+
+def walk_clear_and_allocate(d_rows, s_rows, price_floor=0.0, price_cap=float("inf")):
+    """(price, quantity, buy fills, sell fills, marginal id) of sorted rows."""
+    price, qty = walk_clear(d_rows, s_rows, price_floor, price_cap)
+    if qty <= 0.0:
+        return price, qty, {}, {}, None
+    buys, m_buy = walk_fill(d_rows, price, qty, buy=True)
+    sells, m_sell = walk_fill(s_rows, price, qty, buy=False)
+    return price, qty, buys, sells, m_buy if m_buy is not None else m_sell

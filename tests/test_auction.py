@@ -1,13 +1,24 @@
 """Step curves, double-auction clearing and allocation."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from oracle_clearing import oracle_clear, random_book
+from oracle_clearing import (
+    oracle_clear,
+    random_book,
+    walk_aggregate,
+    walk_clear_and_allocate,
+    walk_sort,
+    walk_spans,
+)
 from tgsim.auction import (
     MARKET_MAKER_PREFIX,
+    Bids,
     FeederSupplySpec,
     Order,
+    OrderRanks,
     Segment,
     SIDE_BUY,
     SIDE_SELL,
@@ -19,6 +30,8 @@ from tgsim.auction import (
     clear_and_allocate,
     clear_area,
     participation,
+    _id_array,
+    _price_spans,
 )
 from tgsim.bidding import PriceStats, thermostat_bid
 from tgsim.thermal import ThermostatConfig
@@ -299,3 +312,117 @@ def test_extra_demand_never_reduces_traded_quantity():
         d2, _ = to_curves((extra, raw_sells))
         more = clear(d2, s)
         assert more.quantity >= base.quantity
+
+
+# ----------------------------------------------------------------------
+# bitwise cross-check of the array curves against the order-by-order walk
+# ----------------------------------------------------------------------
+
+# prices that tie often, including both signed zeros
+TIED_PRICES = np.array([-0.0, 0.0, 10.0, 30.0, 30.0, 47.25, 50.0, 1000.0])
+
+
+def _bits(x):
+    return struct.pack("<d", x)  # tells -0.0 from 0.0
+
+
+def _rows_bits(rows):
+    return [(_bits(p), _bits(q), i) for p, q, i in rows]
+
+
+def _fills_bits(fills):
+    return [(oid, _bits(q)) for oid, q in fills.items()]
+
+
+def _random_rows(rng, n, prefix, repeat_ids):
+    """n (price, quantity, id) rows; ids repeat when asked."""
+    tied = rng.random(n) < 0.6
+    prices = np.where(tied, rng.choice(TIED_PRICES, n), rng.uniform(-5.0, 100.0, n))
+    whole = rng.random(n) < 0.5  # integer sizes make running sums hit exact zeros
+    qs = np.where(whole, rng.integers(1, 7, n).astype(float), rng.uniform(0.05, 7.0, n))
+    if repeat_ids:
+        ids = [f"{prefix}{k}" for k in rng.integers(0, max(1, n // 2), n)]
+    else:
+        ids = [f"{prefix}{k}" for k in range(n)]
+    return list(zip(prices.tolist(), qs.tolist(), ids))
+
+
+def _check_against_walk(demand, supply, d_rows, s_rows, floor, cap):
+    d_walk, s_walk = walk_sort(d_rows, buy=True), walk_sort(s_rows, buy=False)
+    assert _rows_bits(demand.segments) == _rows_bits(d_walk)
+    assert _rows_bits(supply.segments) == _rows_bits(s_walk)
+    for curve, walk in ((demand, d_walk), (supply, s_walk)):
+        spans = zip(*(col.tolist() for col in _price_spans(curve)))
+        assert [(_bits(c), _bits(p)) for c, p in spans] == [(_bits(c), _bits(p)) for c, p in walk_spans(walk)]
+    price, qty, buys, sells, marginal = walk_clear_and_allocate(d_walk, s_walk, floor, cap)
+    got = clear(demand, supply, floor, cap)
+    assert (_bits(got.price), _bits(got.quantity)) == (_bits(price), _bits(qty))
+    got = clear_and_allocate(demand, supply, floor, cap)
+    assert (_bits(got.price), _bits(got.quantity)) == (_bits(price), _bits(qty))
+    assert _fills_bits(got.accepted_buys) == _fills_bits(buys)
+    assert _fills_bits(got.accepted_sells) == _fills_bits(sells)
+    assert got.marginal_order == marginal
+
+
+def test_array_clearing_matches_the_walk_bitwise_on_random_books():
+    rng = np.random.default_rng(2026)
+    for k in range(600):
+        repeat = k % 3 == 0
+        d_rows = _random_rows(rng, int(rng.integers(0, 40)), "b", repeat)
+        s_rows = _random_rows(rng, int(rng.integers(0, 6)), "s", repeat)
+        floor, cap = (0.0, 1000.0) if k % 2 else (-1.0, float(rng.choice([40.0, float("inf")])))
+        _check_against_walk(StepCurve(SIDE_BUY, d_rows), StepCurve(SIDE_SELL, s_rows), d_rows, s_rows, floor, cap)
+
+
+def _feeder_demand(rng, fid, n_houses, ranks, named, at_30=()):
+    """A feeder curve built as the engine builds it, and its rows; the
+    houses at_30 bid 30.0."""
+    ids = [f"{fid}_h{j:04d}" for j in range(n_houses)]
+    bidding = rng.random(n_houses) < 0.8
+    bidding[list(at_30)] = True
+    idx = np.flatnonzero(bidding)
+    prices = np.where(rng.random(len(idx)) < 0.7, rng.choice(TIED_PRICES, len(idx)),
+                      rng.uniform(0.0, 60.0, len(idx)))
+    prices[np.isin(idx, list(at_30))] = 30.0
+    qs = rng.choice([1.0, 2.5, 4.0], n_houses)
+    houses = Bids(_id_array(ids)[idx], prices, qs[idx], ranks.of(ids)[idx])
+    curve = build_demand_curve(named, ranks, houses)
+    rows = [(p, q, ids[i]) for i, p, q in zip(idx.tolist(), prices.tolist(), qs[idx].tolist())]
+    return curve, rows + [(o.price, o.quantity, o.order_id) for o in named]
+
+
+def test_feeder_curves_rank_ids_in_string_order_past_ten_thousand_houses():
+    rng = np.random.default_rng(11)
+    n = 10_050
+    ids = [f"f1_h{j:04d}" for j in range(n)] + ["f1_base", "bat_chg"]
+    ranks = OrderRanks(ids)
+    named = [Order("f1_base", SIDE_BUY, 1000.0, 40.0), Order("bat_chg", SIDE_BUY, 30.0, 5.0)]
+    demand, d_rows = _feeder_demand(rng, "f1", n, ranks, named, at_30=(9999, 10000))
+    order = [s.order_id for s in demand.segments]
+    tied = [oid for oid, p in zip(order, demand.price.tolist()) if p == 30.0]
+    assert tied == sorted(tied) and tied.index("f1_h10000") < tied.index("f1_h9999")
+    total = demand.total_quantity()
+    for capacity in (0.3 * total, 0.6 * total, total + 1.0):
+        s_rows = [(30.0, capacity, "__import_wholesale"), (47.25, 100.0, "__import_scarcity0")]
+        _check_against_walk(demand, StepCurve(SIDE_SELL, s_rows), d_rows, s_rows, 0.0, 1000.0)
+
+
+def test_aggregate_demand_matches_the_walk_bitwise():
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        fids = [f"f{i}" for i in range(int(rng.integers(1, 4)))]
+        n = int(rng.integers(0, 300))
+        # every feeder also bids a shared id, so equal (price, id) rows
+        # from different feeders must keep the feeder order
+        ids = [f"{fid}_h{j:04d}" for fid in fids for j in range(n)] + ["shared"]
+        ranks = OrderRanks(ids)
+        built = [
+            _feeder_demand(rng, fid, n, ranks, [Order("shared", SIDE_BUY, 30.0, float(i + 1))])
+            for i, fid in enumerate(fids)
+        ]
+        merged = aggregate_demand(c for c, _ in built)
+        assert _rows_bits(merged.segments) == _rows_bits(walk_aggregate([rows for _, rows in built]))
+        # curves ranked by different tables are re-ranked together
+        own = [StepCurve(SIDE_BUY, rows) for _, rows in built]
+        assert _rows_bits(aggregate_demand(own).segments) == _rows_bits(merged.segments)
+    assert len(aggregate_demand([])) == 0

@@ -258,6 +258,20 @@ def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
     assert armed_nadir > disarmed_nadir
 
 
+def test_house_ranks_and_armed_relays_follow_id_string_order_past_ten_thousand():
+    # past 9,999 houses a feeder, f1_h10000 sorts before f1_h9999; curve
+    # ties and the shedding draw both follow that string order
+    cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
+    feeder = dataclasses.replace(cfg.feeders[0], houses=10_001)
+    sim = SimulationRun(dataclasses.replace(cfg, feeders=(feeder,)), base_dir=SCENARIO_DIR)
+    fs = sim.feeders[feeder.feeder_id]
+    by_id = sorted(fs.pop.ids)
+    assert by_id.index("f1_h10000") < by_id.index("f1_h9999")
+    assert fs.house_ids[np.argsort(fs.house_rank)].tolist() == by_id
+    assert fs.house_ids[fs.armed_idx].tolist() == by_id  # armed_fraction 1.0
+    assert sim.ranks.of(["f1_base"]).shape == (1,)
+
+
 def test_shed_relays_release_once_after_the_hold(tmp_path):
     # a two-minute loss sheds armed houses; once frequency is back above
     # the threshold for hold_s the relays release, once

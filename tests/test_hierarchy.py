@@ -1,5 +1,7 @@
 """Hourly scheduling, forecast feedback, dispatch blending, settlement."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,21 @@ def test_feedback_matches_the_per_price_formula_bitwise():
     for window in windows:
         got = [tuple(s) for s in availability_feedback(window).segments]
         assert got == _feedback_per_price(window)
+
+
+def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
+    # 0.0 and -0.0 are one price level; the first one seen names it
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        window = []
+        for c in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(0, 6))
+            prices = rng.choice([-0.0, 0.0, 0.0, 5.0, 30.0], n)
+            qs = rng.choice([1.0, 0.5, 2.0], n)
+            window.append(demand(*((p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices, qs)))))
+        got = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in availability_feedback(window).segments]
+        want = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in _feedback_per_price(window)]
+        assert got == want
 
 
 def test_feedback_rejects_empty_window_and_supply_curves():
