@@ -1,15 +1,19 @@
 """Command line interface.
 
 Subcommands: validate, run, report, spectra, golden. Batch only; every
-invocation reads inputs, writes artifacts, and exits. Exit codes: 0
-success, 1 invalid input or failed operation, 2 I/O failure (missing or
-unreadable files). JSON output carries a schema field so downstream
-tooling can detect format changes.
+invocation reads inputs, writes artifacts, and exits. The commands raise;
+main() alone turns an exception into an exit code: 0 success, 1 a domain
+error (ConfigError, printed one problem per line, or any other ValueError
+or KeyError), 2 an I/O failure (any OSError: a missing or unreadable file,
+an output path under a regular file). Usage errors caught by argparse
+also exit 2. JSON output carries a schema field so downstream tooling can
+detect format changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,49 +49,25 @@ def cmd_validate(args) -> int:
     try:
         load_config(args.config)
     except ConfigError as exc:
-        problems = list(exc.problems)
-        if args.json:
-            print(json.dumps({"schema": JSON_SCHEMA, "valid": False, "problems": problems},
-                             indent=2, sort_keys=True))
-        else:
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
+        if not args.json:
+            raise
+        _emit({"valid": False, "problems": exc.problems}, True, [])
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps({"schema": JSON_SCHEMA, "valid": True, "problems": []},
-                         indent=2, sort_keys=True))
-    elif args.verbose:
-        print(f"{args.config}: ok")
+    _emit({"valid": True, "problems": []}, args.json,
+          [f"{args.config}: ok"] if args.verbose else [])
     return 0
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        for p in exc.problems:
-            print(f"error: {p}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = _out_root(args.out)
     if args.out is None:
         out_dir = out_dir / Path(args.config).stem
-    try:
-        artifacts = run_scenario(cfg, out_dir, base_dir=Path(args.config).parent)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    artifacts = run_scenario(cfg, out_dir, base_dir=Path(args.config).parent)
     s = artifacts.summary
-    alternations = max(s["price_alternations"].values(), default=0) if s["price_alternations"] else 0
+    alternations = max(s["price_alternations"].values(), default=0)
     oscillation = "yes" if alternations >= 3 else "no"
     lines = [
         f"peak load: {s['peak_load_kw']:.3f} kW",
@@ -107,29 +87,21 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     if not (run_dir / "summary.json").exists():
-        print(f"error: no summary.json under {run_dir}", file=sys.stderr)
-        return 2
-    try:
-        if args.against:
-            payload = compare_runs(args.against, run_dir)
-            lines = []
-            for name, summ in (("base", payload["base"]), ("other", payload["other"])):
-                lines.append(f"{name}: peak {summ['peak_load_kw']:.3f} kW, "
-                             f"energy {summ['energy_kwh']:.3f} kWh")
-            pk = payload["peak_reduction_pct"]
-            en = payload["energy_delta_pct"]
-            lines.append(f"peak reduction: {pk if pk is None else f'{pk:.2f}'} %")
-            lines.append(f"energy delta: {en if en is None else f'{en:.2f}'} %")
-        else:
-            payload = summarize_run(run_dir)
-            payload["settlement"] = settlement_check(run_dir)
-            lines = [f"{k}: {v}" for k, v in payload.items()]
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no summary.json under {run_dir}")
+    if args.against:
+        payload = compare_runs(args.against, run_dir)
+        lines = []
+        for name, summ in (("base", payload["base"]), ("other", payload["other"])):
+            lines.append(f"{name}: peak {summ['peak_load_kw']:.3f} kW, "
+                         f"energy {summ['energy_kwh']:.3f} kWh")
+        pk = payload["peak_reduction_pct"]
+        en = payload["energy_delta_pct"]
+        lines.append(f"peak reduction: {pk if pk is None else f'{pk:.2f}'} %")
+        lines.append(f"energy delta: {en if en is None else f'{en:.2f}'} %")
+    else:
+        payload = summarize_run(run_dir)
+        payload["settlement"] = settlement_check(run_dir)
+        lines = [f"{k}: {v}" for k, v in payload.items()]
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -146,14 +118,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    try:
-        load = ingest_series(args.load, units="kW")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    load = ingest_series(args.load, units="kW")
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     freqs, amps = power_spectrum(load)
@@ -165,27 +130,16 @@ def cmd_spectra(args) -> int:
     payload: dict = {"psd": str(psd_path), "samples": len(load)}
     lines = [f"wrote {psd_path} ({len(freqs)} bins)"]
     if args.impact:
-        try:
-            impact = ingest_series(args.impact, units="")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            conv = convolve_fft(impact, load)
-            conv_path = out / "convolution.csv"
-            write_series_csv(conv, conv_path)
-            payload["convolution"] = str(conv_path)
-            lines.append(f"wrote {conv_path}")
-            if args.shift is not None:
-                result = shift_impact(impact, load, args.shift)
-                payload["shift"] = result
-                lines.extend(f"{k}: {v}" for k, v in result.items())
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        impact = ingest_series(args.impact, units="")
+        conv = convolve_fft(impact, load)
+        conv_path = out / "convolution.csv"
+        write_series_csv(conv, conv_path)
+        payload["convolution"] = str(conv_path)
+        lines.append(f"wrote {conv_path}")
+        if args.shift is not None:
+            result = shift_impact(impact, load, args.shift)
+            payload["shift"] = result
+            lines.extend(f"{k}: {v}" for k, v in result.items())
     _emit(payload, args.json, lines)
     return 0
 
@@ -194,8 +148,7 @@ def cmd_golden(args) -> int:
     scen_dir = Path(args.scenarios)
     configs = sorted(scen_dir.glob("*.yaml"))
     if not configs:
-        print(f"error: no scenario configs under {scen_dir}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no scenario configs under {scen_dir}")
     out_root = _out_root(args.out)
     golden_dir = scen_dir / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
@@ -203,9 +156,7 @@ def cmd_golden(args) -> int:
         try:
             cfg = load_config(path)
         except ConfigError as exc:
-            for p in exc.problems:
-                print(f"error: {path.name}: {p}", file=sys.stderr)
-            return 1
+            raise ConfigError([f"{path.name}: {p}" for p in exc.problems]) from exc
         artifacts = run_scenario(cfg, out_root / path.stem, base_dir=scen_dir)
         summary_path = golden_dir / f"{path.stem}.summary.json"
         summary_path.write_text(json.dumps(artifacts.summary, indent=2, sort_keys=True) + "\n")
@@ -259,7 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"error: {problem}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .frequency import RegulationSplit, SwingParams
 from .thermal import KIND_HYSTERESIS, KIND_ZERO_DEADBAND, MODE_COOLING, MODE_HEATING
 
 SCHEMA_VERSION = 1
+RESERVED_PREFIX = "__"  # order ids the engine builds: __import*, __area_*, __forecast*
 
 
 class ConfigError(ValueError):
@@ -206,6 +207,14 @@ class _Walker:
             self.complain(where, f"must be >= {lo}, got {val}")
         return val
 
+    def config_id(self, ident: str, seen: set[str], kind: str, where: str) -> None:
+        """Record a config-given id; it must be new and outside the reserved prefix."""
+        if ident in seen:
+            self.complain(where, f"duplicate {kind} id {ident!r}")
+        if ident.startswith(RESERVED_PREFIX):
+            self.complain(where, f"ids starting with {RESERVED_PREFIX!r} are reserved, got {ident!r}")
+        seen.add(ident)
+
     def choice(self, d: dict, key: str, path: str, options: tuple[str, ...], default: str):
         val = d.get(key, default)
         if val not in options:
@@ -304,9 +313,7 @@ def parse_config(text: str) -> ScenarioConfig:
             w.complain(path, "expected a mapping")
             continue
         fid = str(fd.get("id", f"feeder{idx}"))
-        if fid in seen_ids:
-            w.complain(f"{path}.id", f"duplicate feeder id {fid!r}")
-        seen_ids.add(fid)
+        w.config_id(fid, seen_ids, "feeder", f"{path}.id")
         steps_raw = fd.get("scarcity_steps", [])
         steps: list[tuple[float, float]] = []
         if not isinstance(steps_raw, list):
@@ -317,7 +324,13 @@ def parse_config(text: str) -> ScenarioConfig:
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     w.complain(f"{path}.scarcity_steps[{j}]", f"expected [price, extra_kw], got {pair!r}")
                     continue
-                price, extra = float(pair[0]), float(pair[1])
+                # a step that is not two finite numbers gets no order checks
+                before = len(w.problems)
+                step = dict(zip(("price", "extra_kw"), pair))
+                price = w.number(step, "price", f"{path}.scarcity_steps[{j}]")
+                extra = w.number(step, "extra_kw", f"{path}.scarcity_steps[{j}]")
+                if len(w.problems) > before:
+                    continue
                 if extra <= 0:
                     w.complain(f"{path}.scarcity_steps[{j}]", "extra_kw must be positive")
                 if last_price is not None and price <= last_price:
@@ -407,6 +420,7 @@ def parse_config(text: str) -> ScenarioConfig:
         w.complain("area.ufls.threshold_hz", "must sit below the nominal frequency")
 
     storage: list[StoragePlacement] = []
+    storage_ids: set[str] = set()
     storage_raw = doc.get("storage", [])
     if not isinstance(storage_raw, list):
         w.complain("storage", "expected a list")
@@ -416,6 +430,8 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(sd, dict):
             w.complain(path, "expected a mapping")
             continue
+        sid = str(sd.get("id", f"storage{j}"))
+        w.config_id(sid, storage_ids, "storage", f"{path}.id")
         fid = str(sd.get("feeder", ""))
         if fid not in seen_ids:
             w.complain(f"{path}.feeder", f"unknown feeder {fid!r}")
@@ -427,7 +443,7 @@ def parse_config(text: str) -> ScenarioConfig:
             sell_above = buy_below + 1.0
         try:
             spec = StorageSpec(
-                device_id=str(sd.get("id", f"storage{j}")),
+                device_id=sid,
                 capacity_kwh=cap or 1.0,
                 p_charge=w.number(sd, "p_charge", path, default=None, lo_open=0.0) or 1.0,
                 p_discharge=w.number(sd, "p_discharge", path, default=None, lo_open=0.0) or 1.0,
@@ -477,7 +493,10 @@ def parse_config(text: str) -> ScenarioConfig:
             )
 
     out_d = w.section(doc, "output")
-    house_trace = bool(out_d.get("house_trace", False))
+    house_trace = out_d.get("house_trace", False)
+    if not isinstance(house_trace, bool):
+        w.complain("output.house_trace", f"expected true or false, got {house_trace!r}")
+        house_trace = False
 
     known = {
         "schema_version", "seed", "simulation", "market", "population",

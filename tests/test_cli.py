@@ -1,17 +1,46 @@
 """Command line surface: exit codes, output formats, artifact side effects."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR
 from tgsim.cli import main
 from tgsim.spectral import Series, write_series_csv
 
 T0 = datetime(2026, 7, 1)
+NULL_YAML = (SCENARIO_DIR / "null.yaml").read_text()
+
+
+def null_variant(path, old, new):
+    """Write null.yaml with one line replaced; the bundled file stays untouched."""
+    assert old in NULL_YAML
+    path.write_text(NULL_YAML.replace(old, new))
+    return str(path)
+
+
+def bad_steps_yaml(tmp_path):
+    return null_variant(
+        tmp_path / "steps.yaml", "capacity_kw: 100.0",
+        "capacity_kw: 100.0\n    scarcity_steps: [[x, 5]]",
+    )
+
+
+def missing_csv_yaml(path):
+    return null_variant(path, "outdoor_temp_c: 30.0", "outdoor_temp_c: missing.csv")
+
+
+def regular_file(tmp_path):
+    """A plain file, so any --out under it cannot be created."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker
 
 
 # ------------------------------------------------------------- validate
@@ -65,6 +94,21 @@ def test_validate_missing_file(capsys, tmp_path):
     _, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_validate_names_a_non_numeric_scarcity_step(capsys, tmp_path):
+    path = bad_steps_yaml(tmp_path)
+    rc = main(["validate", "--config", path])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert "error: feeders[0].scarcity_steps[0].price: expected a number, got 'x'" in err
+    rc = main(["validate", "--config", path, "--json"])
+    out, _ = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(out)["problems"] == [
+        "feeders[0].scarcity_steps[0].price: expected a number, got 'x'"
+    ]
 
 
 # ------------------------------------------------------------------ run
@@ -135,6 +179,31 @@ def test_run_error_codes(capsys, tmp_path):
     assert main(["run", "--config", str(bad)]) == 1
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
     capsys.readouterr()
+
+
+def test_run_missing_series_csv_is_an_io_error(capsys, tmp_path):
+    rc = main(["run", "--config", missing_csv_yaml(tmp_path / "csv.yaml"),
+               "--out", str(tmp_path / "run")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "missing.csv" in err
+
+
+def test_run_names_a_non_numeric_scarcity_step(capsys, tmp_path):
+    rc = main(["run", "--config", bad_steps_yaml(tmp_path), "--out", str(tmp_path / "run")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert "error: feeders[0].scarcity_steps[0]" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_out_under_a_regular_file_is_an_io_error(capsys, tmp_path):
+    out_dir = regular_file(tmp_path) / "run"
+    rc = main(["run", "--config", str(SCENARIO_DIR / "null.yaml"), "--out", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 # --------------------------------------------------------------- report
@@ -219,6 +288,15 @@ def test_report_corrupt_artifacts(capsys, tmp_path):
     assert rc == 2
 
 
+def test_report_out_under_a_regular_file_is_an_io_error(capsys, scenario_runs, tmp_path):
+    run, _ = scenario_runs["null"]
+    rc = main(["report", str(run.out_dir), "--out", str(regular_file(tmp_path) / "plots")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # -------------------------------------------------------------- spectra
 
 
@@ -287,6 +365,14 @@ def test_spectra_input_errors(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_spectra_out_under_a_regular_file_is_an_io_error(capsys, tmp_path):
+    load_path = series_csv(tmp_path / "load.csv", [5.0, 6.0, 7.0, 8.0])
+    rc = main(["spectra", "--load", load_path, "--out", str(regular_file(tmp_path) / "spec")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 # --------------------------------------------------------------- golden
 
 
@@ -319,3 +405,43 @@ def test_golden_error_codes(capsys, tmp_path):
     _, err = capsys.readouterr()
     assert rc == 1
     assert "broken.yaml" in err
+
+
+def test_golden_missing_series_csv_is_an_io_error(capsys, tmp_path):
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    missing_csv_yaml(scen / "csv.yaml")
+    rc = main(["golden", "--scenarios", str(scen), "--out", str(tmp_path / "runs")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "missing.csv" in err
+
+
+# ------------------------------------------------------ process boundary
+
+
+def cli_process(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "tgsim.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_exit_statuses(tmp_path):
+    done = cli_process("validate", "--config", "nope.yaml", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    done = cli_process("run", "--config", str(SCENARIO_DIR / "null.yaml"),
+                       "--out", "nullrun", cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "peak load: 0.000 kW"
+    # a bad value deep in the config ends as a message, never a traceback
+    done = cli_process("validate", "--config", bad_steps_yaml(tmp_path), cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: feeders[0].scarcity_steps[0]")
+    assert "Traceback" not in done.stderr

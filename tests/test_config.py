@@ -5,6 +5,7 @@ from datetime import datetime
 from pathlib import Path
 
 import pytest
+import yaml
 
 from tgsim.config import ConfigError, SCHEMA_VERSION, load_config, parse_config
 
@@ -227,6 +228,19 @@ feeders:
     assert "feeders[0].scarcity_steps[4]: expected [price, extra_kw], got 'bogus'" in probs
 
 
+def test_scarcity_step_values_are_finite_numbers():
+    base = MINIMAL.replace("capacity_kw: 50.0", "capacity_kw: 50.0\n    scarcity_steps: [{steps}]")
+    probs = problems_of(base.format(steps="[x, 5], [.nan, 5], [60.0, true], [70.0, .inf]"))
+    assert probs == [
+        "feeders[0].scarcity_steps[0].price: expected a number, got 'x'",
+        "feeders[0].scarcity_steps[1].price: must be finite",
+        "feeders[0].scarcity_steps[2].extra_kw: expected a number, got True",
+        "feeders[0].scarcity_steps[3].extra_kw: must be finite",
+    ]
+    cfg = parse_config(base.format(steps="[40, 5], [50.5, 2]"))
+    assert cfg.feeders[0].scarcity_steps == ((40.0, 5.0), (50.5, 2.0))
+
+
 def test_scarcity_steps_must_clear_the_day_ahead_price():
     text = """\
 schema_version: 1
@@ -300,6 +314,42 @@ storage:
     assert placed.spec.efficiency == 0.9
 
 
+def test_storage_ids_are_unique():
+    battery = """\
+  - id: {sid}
+    feeder: f0
+    capacity_kwh: 10.0
+    p_charge: 3.0
+    p_discharge: 2.0
+    buy_below: 20.0
+    sell_above: 40.0
+    soc0_kwh: {soc}
+"""
+    text = MINIMAL + "storage:\n" + battery.format(sid="bat1", soc=1.0) + battery.format(sid="bat1", soc=5.0)
+    assert problems_of(text) == ["storage[1].id: duplicate storage id 'bat1'"]
+    text = MINIMAL + "storage:\n" + battery.format(sid="bat1", soc=1.0) + battery.format(sid="bat2", soc=5.0)
+    assert [s.spec.device_id for s in parse_config(text).storage] == ["bat1", "bat2"]
+
+
+def test_reserved_id_prefix_is_rejected():
+    text = MINIMAL.replace("id: f0", "id: __area") + """\
+storage:
+  - id: __import_x
+    feeder: __area
+    capacity_kwh: 10.0
+    p_charge: 3.0
+    p_discharge: 2.0
+    buy_below: 20.0
+    sell_above: 40.0
+"""
+    assert problems_of(text) == [
+        "feeders[0].id: ids starting with '__' are reserved, got '__area'",
+        "storage[0].id: ids starting with '__' are reserved, got '__import_x'",
+    ]
+    # an inner double underscore is not the reserved prefix
+    assert parse_config(MINIMAL.replace("id: f0", "id: f__0")).feeders[0].feeder_id == "f__0"
+
+
 def test_storage_validation():
     base = MINIMAL + """\
 storage:
@@ -355,6 +405,14 @@ def test_day_ahead_price_must_sit_between_renewables_and_cap():
 def test_house_trace_flag():
     cfg = parse_config(MINIMAL + "output:\n  house_trace: true\n")
     assert cfg.house_trace is True
+
+
+def test_house_trace_accepts_only_a_boolean():
+    for raw in ("'false'", "'true'", "1", "0", "yes please", "null"):
+        assert problems_of(MINIMAL + f"output:\n  house_trace: {raw}\n") == [
+            f"output.house_trace: expected true or false, got {yaml.safe_load(raw)!r}"
+        ]
+    assert parse_config(MINIMAL + "output:\n  house_trace: false\n").house_trace is False
 
 
 def test_load_config_from_file(tmp_path):
