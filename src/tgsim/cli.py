@@ -149,14 +149,20 @@ def cmd_golden(args) -> int:
     configs = sorted(scen_dir.glob("*.yaml"))
     if not configs:
         raise FileNotFoundError(f"no scenario configs under {scen_dir}")
+    # every config is validated before the first run, so a bad one leaves
+    # the goldens untouched
+    loaded, problems = [], []
+    for path in configs:
+        try:
+            loaded.append((path, load_config(path)))
+        except ConfigError as exc:
+            problems += [f"{path.name}: {p}" for p in exc.problems]
+    if problems:
+        raise ConfigError(problems)
     out_root = _out_root(args.out)
     golden_dir = scen_dir / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
-    for path in configs:
-        try:
-            cfg = load_config(path)
-        except ConfigError as exc:
-            raise ConfigError([f"{path.name}: {p}" for p in exc.problems]) from exc
+    for path, cfg in loaded:
         artifacts = run_scenario(cfg, out_root / path.stem, base_dir=scen_dir)
         summary_path = golden_dir / f"{path.stem}.summary.json"
         summary_path.write_text(json.dumps(artifacts.summary, indent=2, sort_keys=True) + "\n")

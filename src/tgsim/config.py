@@ -263,6 +263,11 @@ def parse_config(text: str) -> ScenarioConfig:
     ):
         if small > 0 and big % small != 0:
             w.complain(f"simulation.{name}", f"{big} is not a multiple of the next faster tick {small}")
+    # each day is scheduled ahead as a whole number of scheduling periods
+    if sim.schedule_interval_s > 0 and 86400 % sim.schedule_interval_s != 0:
+        w.complain(
+            "simulation.schedule_interval_s", f"must divide one day (86400 s), got {sim.schedule_interval_s}"
+        )
 
     mkt_d = w.section(doc, "market")
     market = MarketSpec(
@@ -307,6 +312,7 @@ def parse_config(text: str) -> ScenarioConfig:
         w.complain("feeders", "at least one feeder is required")
         feeder_raw = []
     seen_ids: set[str] = set()
+    first_steps: list[tuple[str, float]] = []  # (feeder path, first scarcity step price)
     for idx, fd in enumerate(feeder_raw):
         path = f"feeders[{idx}]"
         if not isinstance(fd, dict):
@@ -339,6 +345,8 @@ def parse_config(text: str) -> ScenarioConfig:
                     w.complain(f"{path}.scarcity_steps[{j}]", "step price above market.price_cap")
                 last_price = price
                 steps.append((price, extra))
+        if steps:
+            first_steps.append((path, steps[0][0]))
         feeders.append(
             FeederSpec(
                 feeder_id=fid,
@@ -485,12 +493,9 @@ def parse_config(text: str) -> ScenarioConfig:
         if price >= market.price_cap:
             w.complain("inputs.da_price", f"bulk price {price} must sit below market.price_cap")
             break
-    for f in feeders:
-        if f.scarcity_steps and max(da) >= f.scarcity_steps[0][0]:
-            w.complain(
-                f"feeders[{f.feeder_id}].scarcity_steps",
-                "first step price must exceed every day-ahead price",
-            )
+    for path, first_price in first_steps:
+        if max(da) >= first_price:
+            w.complain(f"{path}.scarcity_steps", "first step price must exceed every day-ahead price")
 
     out_d = w.section(doc, "output")
     house_trace = out_d.get("house_trace", False)

@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .auction import (
+    MARKET_MAKER_PREFIX,
     SIDE_BUY,
     Bids,
     FeederSupplySpec,
@@ -50,7 +51,7 @@ from .bidding import (
     fleet_setpoints,
     storage_bids,
 )
-from .config import ScenarioConfig
+from .config import ScenarioConfig, StoragePlacement
 from .fold import left_sum
 from .frequency import (
     nerc_ace,
@@ -140,6 +141,7 @@ class _FeederState:
     sched_kw: float = 0.0
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
     house_rank: np.ndarray | None = None  # each house's rank in SimulationRun.ranks
+    storage: list[StoragePlacement] = field(default_factory=list)  # placed here, in id order
 
 
 class SimulationRun:
@@ -167,10 +169,11 @@ class SimulationRun:
         self._build_feeders()
         self._build_storage()
         self._build_ranks()
-        sim = cfg.simulation
-        self.hours_per_day = max(1, 86400 // sim.schedule_interval_s)
-        self.curve_history: dict[tuple[int, int], dict[str, list[StepCurve]]] = {}
-        self.schedule_by_day: dict[int, Schedule] = {}
+        self.hours_per_day = 86400 // cfg.simulation.schedule_interval_s
+        # each feeder's demand curves per hour of the last day a later day
+        # reads; _keep_curves says whether today's market phase fills them
+        self.day_curves: list[dict[str, list[StepCurve]]] = []
+        self._keep_curves = False
         # balancing state
         self.delta_f = 0.0
         self.ace_filtered = 0.0
@@ -258,8 +261,9 @@ class SimulationRun:
 
     def _build_storage(self) -> None:
         self.storage_states: dict[str, StorageState] = {}
-        for placement in self.cfg.storage:
+        for placement in sorted(self.cfg.storage, key=lambda p: p.spec.device_id):
             self.storage_states[placement.spec.device_id] = StorageState(placement.soc0_kwh)
+            self.feeders[placement.feeder_id].storage.append(placement)
 
     def _build_ranks(self) -> None:
         """One tie-break rank table over every id a demand curve can hold;
@@ -277,11 +281,12 @@ class SimulationRun:
     # scheduling
     # ------------------------------------------------------------------
 
-    def _bootstrap_forecast(self, hour_abs: int) -> dict[str, StepCurve]:
+    def _bootstrap_forecast(self, hour: int) -> dict[str, StepCurve]:
+        """Day 0's forecast for one hour, from the median house's steady duty."""
         cfgp = self.cfg.population
         mkt = self.cfg.market
         median = ThermalParams(cfgp.r_median, cfgp.c_median, cfgp.q_hvac, cfgp.p_rated)
-        duty = steady_duty(median, self.thermostat, self.t_out(hour_abs * 3600.0))
+        duty = steady_duty(median, self.thermostat, self.t_out(hour * 3600.0))
         curves = {}
         for fspec in self.cfg.feeders:
             segs = []
@@ -293,37 +298,37 @@ class SimulationRun:
             curves[fspec.feeder_id] = StepCurve(SIDE_BUY, segs)
         return curves
 
-    def _forecast_for(self, day: int, hour_of_day: int) -> dict[str, StepCurve]:
-        hour_abs = day * self.hours_per_day + hour_of_day
-        if day == 0:
-            return self._bootstrap_forecast(hour_abs)
-        prior = self.curve_history.get((day - 1, hour_of_day))
-        if not prior:
-            return self._bootstrap_forecast(hour_abs)
-        return {
-            fid: availability_feedback(curves) if curves else StepCurve(SIDE_BUY, [])
-            for fid, curves in sorted(prior.items())
-        }
+    def _start_day(self, t: int, day: int, emit) -> Schedule:
+        """The day-ahead cycle, run once at each day boundary.
 
-    def _schedule_for_day(self, day: int) -> Schedule:
-        if day in self.schedule_by_day:
-            return self.schedule_by_day[day]
+        Forecasts each hour (bootstrap on day 0, then the availability
+        feedback of yesterday's curves), schedules the whole day, and
+        gives today's market phase an empty store only if a later day
+        will read it.
+        """
         area = self.cfg.area
         mkt = self.cfg.market
-        forecasts = [self._forecast_for(day, h) for h in range(self.hours_per_day)]
-        da_prices = [
-            self.da_price_for_hour(day * self.hours_per_day + h) for h in range(self.hours_per_day)
-        ]
+        hours = range(self.hours_per_day)
+        if day == 0:
+            forecasts = [self._bootstrap_forecast(h) for h in hours]
+        else:
+            forecasts = [
+                {fid: availability_feedback(curves) for fid, curves in by_feeder.items()}
+                for by_feeder in self.day_curves
+            ]
         sched = schedule_hourly(
             forecasts,
-            da_prices,
+            [self.da_price_for_hour(day * self.hours_per_day + h) for h in hours],
             area.renewables_price,
             area.renewables_capacity_mw * 1000.0,
             area.bulk_capacity_mw * 1000.0,
             mkt.price_floor,
             mkt.price_cap,
         )
-        self.schedule_by_day[day] = sched
+        emit({"t": t, "type": "schedule", "day": day, "prices": [e.price for e in sched.entries]})
+        self._keep_curves = (day + 1) * 86400 < self.cfg.simulation.span_s
+        if self._keep_curves:
+            self.day_curves = [{fid: [] for fid in sorted(self.feeders)} for _ in hours]
         return sched
 
     # ------------------------------------------------------------------
@@ -374,15 +379,10 @@ class SimulationRun:
                 hour_of_day = (t % 86400) // sim.schedule_interval_s
                 interval_index = t // sim.market_interval_s
 
+                if t % 86400 == 0:
+                    sched = self._start_day(t, day, emit)
                 if t % sim.schedule_interval_s == 0:
-                    sched = self._schedule_for_day(day)
                     entry = sched.entry_for(hour_of_day)
-                    if t % 86400 == 0:
-                        # forecasts read only the previous day's curves
-                        for key in [key for key in self.curve_history if key[0] < day - 1]:
-                            del self.curve_history[key]
-                        emit({"t": t, "type": "schedule", "day": day,
-                              "prices": [e.price for e in sched.entries]})
                     for fid, fs in self.feeders.items():
                         fs.sched_kw = entry.feeder_kw.get(fid, 0.0)
                     self._hour_entry = entry
@@ -478,7 +478,6 @@ class SimulationRun:
             day * self.hours_per_day + hour_of_day
         )
         demand_curves: dict[str, StepCurve] = {}
-        placements = {p.spec.device_id: p for p in cfg.storage}
 
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
@@ -492,11 +491,8 @@ class SimulationRun:
             if fspec.base_load_kw > 0:
                 bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
             sells: list[Order] = []
-            for sid in sorted(self.storage_states):
-                placement = placements[sid]
-                if placement.feeder_id != fid:
-                    continue
-                for order in storage_bids(placement.spec, self.storage_states[sid]):
+            for placement in fs.storage:
+                for order in storage_bids(placement.spec, self.storage_states[placement.spec.device_id]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
             events.write(_house_bid_lines(
@@ -520,10 +516,11 @@ class SimulationRun:
             result = clear_and_allocate(demand, supply, mkt.price_floor, mkt.price_cap)
             rent = scarcity_rent(result, supply)
             demand_curves[fid] = demand
-            self.curve_history.setdefault((day, hour_of_day), {}).setdefault(fid, []).append(demand)
+            if self._keep_curves:
+                self.day_curves[hour_of_day][fid].append(demand)
 
             fs.import_kw = left_sum(
-                fill for oid, fill in result.accepted_sells.items() if oid.startswith("__import")
+                fill for oid, fill in result.accepted_sells.items() if oid.startswith(MARKET_MAKER_PREFIX)
             )
             emit({"t": t, "type": "clearing", "market": fid, "price": result.price,
                   "quantity": result.quantity, "buys": len(result.accepted_buys),
@@ -539,10 +536,8 @@ class SimulationRun:
 
             # storage dispatch from fills
             fs.storage_net_kw = 0.0
-            for sid in sorted(self.storage_states):
-                placement = placements[sid]
-                if placement.feeder_id != fid:
-                    continue
+            for placement in fs.storage:
+                sid = placement.spec.device_id
                 charge = result.accepted_buys.get(f"{sid}_chg", 0.0)
                 discharge = result.accepted_sells.get(f"{sid}_dis", 0.0)
                 self.storage_states[sid] = apply_clearing_to_storage(

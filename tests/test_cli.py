@@ -198,6 +198,18 @@ def test_run_names_a_non_numeric_scarcity_step(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_run_rejects_a_schedule_interval_that_does_not_divide_a_day(capsys, tmp_path):
+    config = null_variant(
+        tmp_path / "sched.yaml", "span_s: 3600",
+        "span_s: 100000\n  schedule_interval_s: 50000\n  market_interval_s: 500\n  device_tick_s: 100",
+    )
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "run")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert err == "error: simulation.schedule_interval_s: must divide one day (86400 s), got 50000\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_out_under_a_regular_file_is_an_io_error(capsys, tmp_path):
     out_dir = regular_file(tmp_path) / "run"
     rc = main(["run", "--config", str(SCENARIO_DIR / "null.yaml"), "--out", str(out_dir)])
@@ -398,13 +410,18 @@ def test_golden_error_codes(capsys, tmp_path):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "no scenario configs" in err
+    # every config is validated before the first runs, so a valid a.yaml
+    # sorted ahead of the broken one leaves no golden written
     scen = tmp_path / "scen"
     scen.mkdir()
-    (scen / "broken.yaml").write_text("schema_version: 99\n")
+    shutil.copy(SCENARIO_DIR / "null.yaml", scen / "a.yaml")
+    (scen / "broken.yaml").write_text(NULL_YAML.replace("schema_version: 1", "schema_version: 99"))
     rc = main(["golden", "--scenarios", str(scen), "--out", str(tmp_path / "runs")])
     _, err = capsys.readouterr()
     assert rc == 1
-    assert "broken.yaml" in err
+    assert err == "error: broken.yaml: schema_version: expected 1, got 99\n"
+    assert not (scen / "golden" / "a.summary.json").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 def test_golden_missing_series_csv_is_an_io_error(capsys, tmp_path):

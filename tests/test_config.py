@@ -155,6 +155,18 @@ def test_cadences_must_nest():
     probs = problems_of(bad)
     assert "simulation.device_tick_s: 7 is not a multiple of the next faster tick 4" in probs
     assert "simulation.market_interval_s: 300 is not a multiple of the next faster tick 7" in probs
+    # each day is scheduled as whole scheduling periods, so one must divide a day
+    for interval, span in ((50000, 100000), (7000, 7000), (100000, 100000)):
+        bad = MINIMAL.replace(
+            "  span_s: 3600",
+            f"  span_s: {span}\n  schedule_interval_s: {interval}\n"
+            "  market_interval_s: 500\n  device_tick_s: 100",
+        )
+        assert problems_of(bad) == [
+            f"simulation.schedule_interval_s: must divide one day (86400 s), got {interval}"
+        ]
+    ok = MINIMAL.replace("  span_s: 3600", "  span_s: 86400\n  schedule_interval_s: 1800")
+    assert parse_config(ok).simulation.schedule_interval_s == 1800
 
 
 def test_seed_validation():
@@ -253,10 +265,11 @@ feeders:
 inputs:
   da_price: [30.0, 40.0]
 """
-    assert (
-        "feeders[f0].scarcity_steps: first step price must exceed every day-ahead price"
-        in problems_of(text)
-    )
+    problem = "scarcity_steps: first step price must exceed every day-ahead price"
+    assert f"feeders[0].{problem}" in problems_of(text)
+    # the path is the index in the document, whatever entries precede it
+    shifted = text.replace("feeders:\n", "feeders:\n  - 5\n")
+    assert problems_of(shifted) == ["feeders[0]: expected a mapping", f"feeders[1].{problem}"]
 
 
 def test_area_guards():

@@ -1,13 +1,16 @@
 """End-to-end scenario runs: artifacts, determinism, integration replay."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
+from tgsim import engine
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, _bid_keys, _house_bid_lines, run_scenario
@@ -104,23 +107,69 @@ def test_double_runs_are_byte_identical(scenario_runs):
             assert a[name] == b[name], f"{stem}/{name} differs between runs"
 
 
-def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path):
+def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, monkeypatch):
     # days 1 and 2 are scheduled from the previous day's availability
-    # feedback; once day 2 begins, day 0's demand curves are never read
-    cfg = load_config(SCENARIO_DIR / "single_house.yaml")
-    cfg = dataclasses.replace(
-        cfg,
-        simulation=dataclasses.replace(cfg.simulation, span_s=3 * 86400),
-        house_trace=False,
-    )
+    # feedback; day 2's curves are never read, so the run stores none
+    # of them and still holds the day 1 curves that day 2 was scheduled from
+    fed: list[list] = []
+    real_feedback = engine.availability_feedback
+
+    def recorded_feedback(curves):
+        fed.append(curves)
+        return real_feedback(curves)
+
+    monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
+    base = load_config(SCENARIO_DIR / "single_house.yaml")
+
+    def config(span_s):
+        sim = dataclasses.replace(base.simulation, span_s=span_s)
+        return dataclasses.replace(base, simulation=sim, house_trace=False)
+
     files = []
     for name in ("a", "b"):
-        sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+        fed.clear()
+        sim = SimulationRun(config(3 * 86400), base_dir=SCENARIO_DIR)
         run = sim.run(tmp_path / name)
-        assert {day for day, _ in sim.curve_history} == {1, 2}
-        assert sorted(sim.schedule_by_day) == [0, 1, 2]
+        hours = sim.hours_per_day
+        assert len(fed) == 2 * hours * len(sim.feeders)
+        held = [curves for by_feeder in sim.day_curves for curves in by_feeder.values()]
+        assert len(held) == hours * len(sim.feeders)
+        assert all(a is b for a, b in zip(held, fed[-len(held):]))
+        assert all(len(curves) == 3600 // 300 for curves in held)
         files.append(artifact_files(run))
+        events = map(json.loads, files[-1]["events.jsonl"].splitlines())
+        assert [e["day"] for e in events if e["type"] == "schedule"] == [0, 1, 2]
     assert files[0] == files[1]
+
+    # no later day reads a run of one day or less, so it stores no curves
+    for span_s in (3600, 86400):
+        fed.clear()
+        sim = SimulationRun(config(span_s), base_dir=SCENARIO_DIR)
+        sim.run(tmp_path / f"short{span_s}")
+        assert sim.day_curves == [] and fed == []
+
+
+def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path):
+    # live bytes a finished run still holds, over those after construction:
+    # none of a one-day run's curves outlive it, and a third day adds nothing
+    base = load_config(SCENARIO_DIR / "two_day.yaml")
+    retained = {}
+    for days in (1, 2, 3):
+        cfg = dataclasses.replace(
+            base, simulation=dataclasses.replace(base.simulation, span_s=days * 86400)
+        )
+        tracemalloc.start()
+        try:
+            sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            sim.run(tmp_path / f"{days}d")
+            gc.collect()
+            retained[days] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert retained[1] <= 0.25 * retained[2], retained
+    assert retained[3] <= 1.1 * retained[2], retained
 
 
 def test_seed_only_enters_through_the_random_streams(tmp_path, scenario_runs):
