@@ -159,6 +159,11 @@ def cmd_golden(args) -> int:
             problems += [f"{path.name}: {p}" for p in exc.problems]
     if problems:
         raise ConfigError(problems)
+    for _, cfg in loaded:
+        # the run reads its outdoor series at construction; read every one
+        # here so a missing or malformed series also fails before any run
+        if isinstance(cfg.outdoor_temp_c, str):
+            ingest_series(scen_dir / cfg.outdoor_temp_c, units="degC")
     out_root = _out_root(args.out)
     golden_dir = scen_dir / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)

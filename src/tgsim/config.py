@@ -139,7 +139,7 @@ class ScenarioConfig:
     area: AreaSpec
     storage: tuple[StoragePlacement, ...]
     outdoor_temp_c: float | str = 30.0  # constant, or path to a series CSV
-    da_price: tuple[float, ...] = (30.0,)  # hourly pattern, cycled
+    da_price: tuple[float, ...] = (30.0,)  # one price per scheduling period, cycled
     house_trace: bool = False
     source_text: str = ""
 

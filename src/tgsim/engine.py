@@ -10,6 +10,15 @@ and deviations settle. Every schedule interval (3600 s) the active
 hourly position changes; whole-day schedules are fixed at day
 boundaries from availability feedback (bootstrap estimates on day one).
 
+The loop steps over device ticks. After a tick's market and device
+phases, its balancing ticks run as one block (``_balancing_block``)
+that keeps the control state in locals and writes its frequency rows
+at once. Every house of the area lives in one ``Population``, drawn in
+feeder config order; each feeder holds a contiguous run of it whose
+arrays are views of the area's, so the device clock, the setpoint clip,
+the regulation offset and the diversity phases are one pass over the
+area while each feeder's draw and diversity are still its own.
+
 All randomness flows from two named streams spawned off the scenario
 seed: one for population synthesis, one for shedding draws. Identical
 (config, seed) pairs produce byte-identical artifacts; float columns
@@ -127,9 +136,9 @@ class RunArtifacts:
 @dataclass
 class _FeederState:
     spec: object
-    pop: Population
+    pop: Population  # this feeder's run of SimulationRun.fleet, as views
     stats: PriceStats
-    market_setpoint: np.ndarray
+    market_setpoint: np.ndarray  # views into SimulationRun's area arrays
     reg_offset: np.ndarray
     house_ids: np.ndarray  # pop.ids as an object array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
@@ -186,7 +195,6 @@ class SimulationRun:
         self._buyer_paid = 0.0
         self._seller_received = 0.0
         self._rent_total = 0.0
-        self._last_shed_kw = 0.0
 
     # ------------------------------------------------------------------
     # construction
@@ -215,13 +223,16 @@ class SimulationRun:
         return da[hour_abs % len(da)]
 
     def _build_feeders(self) -> None:
+        """Draws every house, feeder by feeder in config order, into one
+        area fleet, and gives each feeder its run of that fleet."""
         cfgp = self.cfg.population
         sigma_rc = math.log1p(cfgp.spread)
         sigma_k = math.log1p(cfgp.comfort_k_spread)
         t0 = self.t_out(0.0)
-        self.feeders: dict[str, _FeederState] = {}
+        ids, params, states, ks = [], [], [], []
+        bounds = []
         for fspec in self.cfg.feeders:
-            ids, params, states, ks = [], [], [], []
+            lo = len(ids)
             for j in range(fspec.houses):
                 z = self.rng_pop.standard_normal(3)
                 u = self.rng_pop.random()
@@ -235,7 +246,15 @@ class SimulationRun:
                 params.append(par)
                 states.append(st)
                 ks.append(k)
-            pop = Population(ids, params, self.thermostat, states, ks)
+            bounds.append((lo, len(ids)))
+        self.fleet = fleet = Population(ids, params, self.thermostat, states, ks)
+        self.market_setpoint = fleet.setpoint.copy()
+        self.reg_offset = np.zeros(len(fleet))
+        # the runs of houses that have a diversity, in feeder config order
+        self.house_bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
+        self.feeders: dict[str, _FeederState] = {}
+        for fspec, (lo, hi) in zip(self.cfg.feeders, bounds):
+            pop = fleet.houses(lo, hi)
             n_armed = math.ceil(self.cfg.area.ufls.armed_fraction * fspec.houses)
             fs = _FeederState(
                 spec=fspec,
@@ -245,12 +264,12 @@ class SimulationRun:
                     prior_mean=self.cfg.market.prior_mean,
                     prior_sigma=self.cfg.market.prior_sigma,
                 ),
-                market_setpoint=pop.setpoint.copy(),
-                reg_offset=np.zeros(len(pop)),
-                house_ids=_id_array(ids),
+                market_setpoint=self.market_setpoint[lo:hi],
+                reg_offset=self.reg_offset[lo:hi],
+                house_ids=_id_array(pop.ids),
                 armed_idx=np.arange(n_armed),
-                id_to_idx={hid: i for i, hid in enumerate(ids)},
-                bid_keys=_bid_keys(fspec.feeder_id, ids),
+                id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
+                bid_keys=_bid_keys(fspec.feeder_id, pop.ids),
             )
             fs.house_power_kw = pop.aggregate_power()
             self.feeders[fspec.feeder_id] = fs
@@ -281,12 +300,14 @@ class SimulationRun:
     # scheduling
     # ------------------------------------------------------------------
 
-    def _bootstrap_forecast(self, hour: int) -> dict[str, StepCurve]:
-        """Day 0's forecast for one hour, from the median house's steady duty."""
+    def _bootstrap_forecast(self, period: int) -> dict[str, StepCurve]:
+        """Day 0's forecast for one scheduling period, from the median
+        house's steady duty at the period's start."""
         cfgp = self.cfg.population
         mkt = self.cfg.market
         median = ThermalParams(cfgp.r_median, cfgp.c_median, cfgp.q_hvac, cfgp.p_rated)
-        duty = steady_duty(median, self.thermostat, self.t_out(hour * 3600.0))
+        t_start = period * self.cfg.simulation.schedule_interval_s
+        duty = steady_duty(median, self.thermostat, self.t_out(t_start))
         curves = {}
         for fspec in self.cfg.feeders:
             segs = []
@@ -342,8 +363,6 @@ class SimulationRun:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        h_agc = sim.agc_tick_s
-        n_ticks = sim.span_s // h_agc
         prices_seen: list[float] = []
         peak_load = 0.0
         energy_kwh = 0.0
@@ -373,8 +392,8 @@ class SimulationRun:
             def emit(record: dict) -> None:
                 events.write(_event_line(record))
 
-            for k in range(n_ticks):
-                t = k * h_agc
+            for k in range(sim.span_s // sim.device_tick_s):
+                t = k * sim.device_tick_s
                 day = t // 86400
                 hour_of_day = (t % 86400) // sim.schedule_interval_s
                 interval_index = t // sim.market_interval_s
@@ -387,29 +406,24 @@ class SimulationRun:
                         fs.sched_kw = entry.feeder_kw.get(fid, 0.0)
                     self._hour_entry = entry
 
-                if t % sim.market_interval_s == 0:
+                at_boundary = t % sim.market_interval_s == 0
+                if at_boundary:
                     self._market_phase(
                         t, interval_index, day, hour_of_day, emit, events,
                         markets, settlement, prices_seen, feeder_prices,
                     )
 
-                if t % sim.device_tick_s == 0:
-                    at_boundary = t % sim.market_interval_s == 0
-                    total_kw = self._device_phase(t, at_boundary, load, houses)
-                    peak_load = max(peak_load, total_kw)
-                    energy_kwh += total_kw * (sim.device_tick_s / 3600.0)
+                total_kw = self._device_phase(t, at_boundary, load, houses)
+                peak_load = max(peak_load, total_kw)
+                energy_kwh += total_kw * (sim.device_tick_s / 3600.0)
 
-                self._agc_phase(t, frequency, emit)
-                shed_now = self._last_shed_kw
-                if shed_now > 0:
+                for shed_kw in self._balancing_block(t, frequency, emit):
                     ufls_events += 1
-                    ufls_total_kw += shed_now
+                    ufls_total_kw += shed_kw
 
         freq_nom = area.freq_nominal_hz
-        final_div = {
-            fid: (diversity_metric(fs.pop, self.t_out(sim.span_s)) if len(fs.pop) else None)
-            for fid, fs in self.feeders.items()
-        }
+        divs = iter(diversity_metric(self.fleet, self.t_out(sim.span_s), self.house_bounds))
+        final_div = {fid: (next(divs) if len(fs.pop) else None) for fid, fs in self.feeders.items()}
         price_mean = (left_sum(prices_seen) / len(prices_seen)) if prices_seen else None
         price_sigma = None
         if prices_seen:
@@ -610,140 +624,187 @@ class SimulationRun:
 
     def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
         sim = self.cfg.simulation
-        h_hours = sim.device_tick_s / 3600.0
         t_out_now = self.t_out(t)
-        total = base = storage_net = resp = 0.0
+        fleet = self.fleet
+        div = mean_t = 0.0
+        if len(fleet):
+            np.clip(
+                self.market_setpoint + self.reg_offset,
+                self.thermostat.t_min,
+                self.thermostat.t_max,
+                out=fleet.setpoint,
+            )
+            fleet.tick(t_out_now, sim.device_tick_s / 3600.0, at_boundary)
+            for fs in self.feeders.values():
+                # each feeder's draw is a left fold over its own houses
+                fs.house_power_kw = fs.pop.aggregate_power()
+            divs = diversity_metric(fleet, t_out_now, self.house_bounds)
+            div = left_sum(divs) / len(divs)
+            mean_t = float(fleet.t_in.mean())
+        resp = base = storage_net = 0.0
         for fid, fs in sorted(self.feeders.items()):
-            if len(fs.pop):
-                np.clip(
-                    fs.market_setpoint + fs.reg_offset,
-                    self.thermostat.t_min,
-                    self.thermostat.t_max,
-                    out=fs.pop.setpoint,
-                )
-                fs.house_power_kw = fs.pop.tick(t_out_now, h_hours, at_boundary)
             resp += fs.house_power_kw
             base += fs.spec.base_load_kw
             storage_net += fs.storage_net_kw
-            if houses is not None and len(fs.pop):
+            if houses is not None:
                 for i, hid in enumerate(fs.pop.ids):
                     houses.write(
                         f"{t},{hid},{_fmt(fs.pop.t_in[i])},{int(fs.pop.hvac_on[i])},"
                         f"{_fmt(fs.pop.setpoint[i])}\n"
                     )
         total = resp + base + storage_net
-        divs = [
-            diversity_metric(fs.pop, t_out_now) for fs in self.feeders.values() if len(fs.pop)
-        ]
-        div = left_sum(divs) / len(divs) if divs else 0.0
-        temps = np.concatenate([fs.pop.t_in for fs in self.feeders.values() if len(fs.pop)]) if divs else None
-        mean_t = float(temps.mean()) if temps is not None else 0.0
         load.write(
             f"{t},{_fmt(total)},{_fmt(resp)},{_fmt(base)},{_fmt(storage_net)},"
             f"{_fmt(div)},{_fmt(mean_t)}\n"
         )
         return total
 
-    def _agc_phase(self, t, frequency, emit) -> None:
+    def _balancing_block(self, t0: int, frequency, emit) -> list[float]:
+        """Every balancing tick of the device tick that starts at t0.
+
+        Each step advances the swing, the time error, the control error
+        and the regulation split once, then the shedding relays. The
+        area's load and import change only at device ticks, or when a
+        shed opens a running unit's relay, so they are summed once and
+        again only after such a shed. Returns the kW shed at each step
+        that shed any.
+        """
         cfg = self.cfg
         area = cfg.area
         h = cfg.simulation.agc_tick_s
-        self._last_shed_kw = 0.0
+        f_nom = area.freq_nominal_hz
+        swing = area.swing
+        split = area.split
+        alpha = split.alpha
+        droop = area.droop_mw_per_hz
+        te_threshold = area.time_error_threshold_s
+        te_offset = area.time_correction_offset_hz
+        interchange = area.scheduled_interchange_mw
+        bias = area.bias_mw_per_01hz
+        tau = area.smoothing_tau_s
+        gain = area.regulation_gain
+        reg_cap = area.regulation_capacity_mw
+        threshold = area.ufls.threshold_hz
+        hold_s = area.ufls.hold_s
+        events = [
+            (ev.at_s, math.inf if ev.duration_s is None else ev.at_s + ev.duration_s, ev.delta_p_mw)
+            for ev in area.events
+        ]
+        feeders = list(self.feeders.values())
 
-        load_kw = 0.0
-        import_kw = 0.0
-        for fs in self.feeders.values():
-            load_kw += fs.house_power_kw + fs.spec.base_load_kw + fs.storage_net_kw
-            import_kw += fs.import_kw
-        load_mw = load_kw / 1000.0
-        gen_mw = import_kw / 1000.0
+        delta_f = self.delta_f
+        time_error_s = self.time_error_s
+        ace_filtered = self.ace_filtered
+        reg_gen_mw = self.reg_gen_mw
+        above_since = self.above_threshold_since
+        load_mw = gen_mw = None
+        rows = []
+        sheds = []
+        for t in range(t0, t0 + cfg.simulation.device_tick_s, h):
+            if load_mw is None:
+                load_kw = 0.0
+                import_kw = 0.0
+                for fs in feeders:
+                    load_kw += fs.house_power_kw + fs.spec.base_load_kw + fs.storage_net_kw
+                    import_kw += fs.import_kw
+                load_mw = load_kw / 1000.0
+                gen_mw = import_kw / 1000.0
 
-        droop_mw = -area.droop_mw_per_hz * self.delta_f
-        droop_gen = (1.0 - area.split.alpha) * droop_mw
-        droop_load = area.split.alpha * droop_mw  # positive reduces load
-        event_mw = 0.0
-        for ev in area.events:
-            if ev.at_s <= t and (ev.duration_s is None or t < ev.at_s + ev.duration_s):
-                event_mw += ev.delta_p_mw
+            droop_mw = -droop * delta_f
+            droop_gen = (1.0 - alpha) * droop_mw
+            droop_load = alpha * droop_mw  # positive reduces load
+            event_mw = 0.0
+            for at_s, until_s, delta_p_mw in events:
+                if at_s <= t < until_s:
+                    event_mw += delta_p_mw
 
-        delta_p = gen_mw + self.reg_gen_mw + droop_gen + event_mw - (load_mw - droop_load)
-        self.delta_f = swing_step(self.delta_f, delta_p, area.swing, h)
-        freq = area.freq_nominal_hz + self.delta_f
+            delta_p = gen_mw + reg_gen_mw + droop_gen + event_mw - (load_mw - droop_load)
+            delta_f = swing_step(delta_f, delta_p, swing, h)
+            freq = f_nom + delta_f
 
-        self.time_error_s = time_error_step(self.time_error_s, freq, area.freq_nominal_hz, h)
-        f_sched = area.freq_nominal_hz + time_correction_offset(
-            self.time_error_s, area.time_error_threshold_s, area.time_correction_offset_hz
-        )
+            time_error_s = time_error_step(time_error_s, freq, f_nom, h)
+            f_sched = f_nom + time_correction_offset(time_error_s, te_threshold, te_offset)
 
-        ace_raw = nerc_ace(0.0, area.scheduled_interchange_mw, area.bias_mw_per_01hz, freq, f_sched)
-        self.ace_filtered = smooth_ace(self.ace_filtered, ace_raw, area.smoothing_tau_s, h)
-        cmd = regulation_command(self.ace_filtered, area.regulation_gain, area.regulation_capacity_mw)
-        to_agg, to_gen = split_regulation(cmd, area.split)
+            ace_raw = nerc_ace(0.0, interchange, bias, freq, f_sched)
+            ace_filtered = smooth_ace(ace_filtered, ace_raw, tau, h)
+            cmd = regulation_command(ace_filtered, gain, reg_cap)
+            to_agg, reg_gen_mw = split_regulation(cmd, split)
+
+            shed_kw = 0.0
+            if freq < threshold:
+                above_since = None
+                shed_kw = self._shed(t, freq, emit)
+                if shed_kw > 0:
+                    sheds.append(shed_kw)
+                    load_mw = None
+            else:
+                if above_since is None:
+                    above_since = t
+                if self.relays_held and t - above_since >= hold_s:
+                    self.fleet.latched[:] = 0
+                    self.relays_held = False
+                    emit({"t": t, "type": "ufls_release"})
+
+            # every value here is a Python float or int; + 0.0 makes it a float
+            # and folds -0.0 to 0.0, as _fmt does
+            rows.append(
+                f"{t},{freq + 0.0!r},{delta_f + 0.0!r},{ace_raw + 0.0!r},{ace_filtered + 0.0!r},"
+                f"{to_agg + 0.0!r},{reg_gen_mw + 0.0!r},{shed_kw + 0.0!r},{time_error_s + 0.0!r}\n"
+            )
+
+        frequency.write("".join(rows))
+        self.delta_f = delta_f
+        self.time_error_s = time_error_s
+        self.ace_filtered = ace_filtered
+        self.reg_gen_mw = reg_gen_mw
         self.reg_agg_mw = to_agg
-        self.reg_gen_mw = to_gen
-        if (t + h) % cfg.simulation.device_tick_s == 0:
-            # reg_offset is read only by the next device tick's setpoint clip
-            self._apply_aggregator_command(to_agg)
+        self.above_threshold_since = above_since
+        # reg_offset is read only by the next device tick's setpoint clip
+        self._apply_aggregator_command(to_agg)
+        return sheds
 
+    def _shed(self, t: int, freq: float, emit) -> float:
+        """One shedding draw over every feeder's armed, unlatched houses.
+
+        Returns the kW of running units the draw switched off.
+        """
+        ufls = self.cfg.area.ufls
         shed_kw = 0.0
-        ufls = area.ufls
-        if freq < ufls.threshold_hz:
-            self.above_threshold_since = None
-            shed_ids_all = []
-            for fid, fs in sorted(self.feeders.items()):
-                armed = fs.armed_idx
-                candidates = fs.house_ids[armed[fs.pop.latched[armed] == 0]].tolist()
-                shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, candidates, self.rng_ufls)
-                for hid in shed:
-                    i = fs.id_to_idx[hid]
-                    fs.pop.latched[i] = 1
-                    if fs.pop.hvac_on[i]:
-                        fs.pop.hvac_on[i] = 0
-                        fs.house_power_kw -= float(fs.pop.p_rated[i])
-                        shed_kw += float(fs.pop.p_rated[i])
-                shed_ids_all.extend(shed)
-            if shed_ids_all:
-                self.relays_held = True
-                self.last_shed_t = t
-                self._last_shed_kw = shed_kw
-                emit({"t": t, "type": "ufls", "freq_hz": freq, "count": len(shed_ids_all),
-                      "shed_kw": shed_kw})
-        else:
-            if self.above_threshold_since is None:
-                self.above_threshold_since = t
-            if self.relays_held and t - self.above_threshold_since >= ufls.hold_s:
-                for fs in self.feeders.values():
-                    fs.pop.latched[:] = 0
-                self.relays_held = False
-                emit({"t": t, "type": "ufls_release"})
-
-        # every value here is a Python float or int; + 0.0 makes it a float
-        # and folds -0.0 to 0.0, as _fmt does
-        frequency.write(
-            f"{t},{freq + 0.0!r},{self.delta_f + 0.0!r},{ace_raw + 0.0!r},{self.ace_filtered + 0.0!r},"
-            f"{to_agg + 0.0!r},{to_gen + 0.0!r},{shed_kw + 0.0!r},{self.time_error_s + 0.0!r}\n"
-        )
+        shed_ids_all = []
+        for fid, fs in sorted(self.feeders.items()):
+            armed = fs.armed_idx
+            candidates = fs.house_ids[armed[fs.pop.latched[armed] == 0]].tolist()
+            shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, candidates, self.rng_ufls)
+            for hid in shed:
+                i = fs.id_to_idx[hid]
+                fs.pop.latched[i] = 1
+                if fs.pop.hvac_on[i]:
+                    fs.pop.hvac_on[i] = 0
+                    fs.house_power_kw -= float(fs.pop.p_rated[i])
+                    shed_kw += float(fs.pop.p_rated[i])
+            shed_ids_all.extend(shed)
+        if shed_ids_all:
+            self.relays_held = True
+            self.last_shed_t = t
+            emit({"t": t, "type": "ufls", "freq_hz": freq, "count": len(shed_ids_all),
+                  "shed_kw": shed_kw})
+        return shed_kw
 
     def _apply_aggregator_command(self, to_agg_mw: float) -> None:
-        area = self.cfg.area
-        cap = area.regulation_capacity_mw
+        cap = self.cfg.area.regulation_capacity_mw
         if cap <= 0 or to_agg_mw == 0.0:
-            for fs in self.feeders.values():
-                if fs.reg_offset.any():
-                    fs.reg_offset[:] = 0.0
+            if self.reg_offset.any():
+                self.reg_offset[:] = 0.0
             return
         frac = min(max(to_agg_mw / cap, -1.0), 1.0)
         # shedding load (frac > 0) raises cooling setpoints and lowers
         # heating ones, so the offset moves setpoints by direction * frac
         cfg = self.thermostat
         step = (1.0 if cfg.mode == MODE_COOLING else -1.0) * frac
-        for fs in self.feeders.values():
-            if not len(fs.pop):
-                continue
-            if step > 0:
-                fs.reg_offset[:] = step * (cfg.t_max - fs.market_setpoint)
-            else:
-                fs.reg_offset[:] = step * (fs.market_setpoint - cfg.t_min)
+        if step > 0:
+            self.reg_offset[:] = step * (cfg.t_max - self.market_setpoint)
+        else:
+            self.reg_offset[:] = step * (self.market_setpoint - cfg.t_min)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, base_dir=None) -> RunArtifacts:

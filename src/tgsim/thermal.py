@@ -181,7 +181,14 @@ class Population:
     the setpoint among them, live in aligned numpy arrays and ``tick``
     steps the whole fleet at once. The scalar functions above are the
     oracles for that array tick; tests pin it to them bit for bit.
+
+    ``houses(lo, hi)`` gives a contiguous run of houses as a Population
+    whose arrays are views of this one's, so a part and its whole read
+    and write the same houses.
     """
+
+    _ARRAYS = ("r_thermal", "c_thermal", "q_hvac", "p_rated", "setpoint",
+               "comfort_k", "t_in", "hvac_on", "latched")
 
     def __init__(
         self,
@@ -214,6 +221,17 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def houses(self, lo: int, hi: int) -> Population:
+        """Houses lo..hi-1; their arrays are views into this fleet's."""
+        part = object.__new__(Population)
+        part.ids = self.ids[lo:hi]
+        part.cfg = self.cfg
+        for name in self._ARRAYS:
+            setattr(part, name, getattr(self, name)[lo:hi])
+        part._decay_h = None
+        part._decay = np.empty(0)
+        return part
 
     def tick(self, t_out: float, h: float, at_market_boundary: bool) -> float:
         """Decide every relay, then advance physics h hours.
@@ -443,9 +461,19 @@ def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
     return phases
 
 
-def diversity_metric(pop: Population, t_out: float) -> float:
-    """Diversity of a population, phases read from current states."""
-    return diversity_from_phases(cycle_phases(pop, t_out))
+def diversity_metric(
+    pop: Population, t_out: float, bounds: Sequence[tuple[int, int]] | None = None
+) -> float | list[float]:
+    """Diversity of a population, phases read from current states.
+
+    Given (lo, hi) bounds, returns the diversity of each run of houses
+    lo..hi-1 instead, from one phase pass over the whole fleet; each
+    equals the diversity of those houses alone, bit for bit.
+    """
+    phases = cycle_phases(pop, t_out)
+    if bounds is None:
+        return diversity_from_phases(phases)
+    return [diversity_from_phases(phases[lo:hi]) for lo, hi in bounds]
 
 
 def curtailment_experiment(

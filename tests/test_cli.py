@@ -435,6 +435,23 @@ def test_golden_missing_series_csv_is_an_io_error(capsys, tmp_path):
     assert "missing.csv" in err
 
 
+def test_golden_reads_every_series_before_the_first_run(capsys, tmp_path):
+    # a.yaml is valid and sorts first; b.yaml names a series that is not
+    # there, which only reading the series finds
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    shutil.copy(SCENARIO_DIR / "null.yaml", scen / "a.yaml")
+    missing_csv_yaml(scen / "b.yaml")
+    rc = main(["golden", "--scenarios", str(scen), "--out", str(tmp_path / "runs")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "missing.csv" in err
+    assert not (scen / "golden" / "a.summary.json").exists()
+    assert not (tmp_path / "runs").exists()
+
+
 # ------------------------------------------------------ process boundary
 
 

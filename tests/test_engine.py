@@ -14,6 +14,7 @@ from tgsim import engine
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, _bid_keys, _house_bid_lines, run_scenario
+from tgsim.spectral import Series, write_series_csv
 from tgsim.thermal import (
     Population,
     ThermalParams,
@@ -172,6 +173,31 @@ def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path):
     assert retained[3] <= 1.1 * retained[2], retained
 
 
+def test_bootstrap_forecast_reads_each_scheduling_period_start(tmp_path):
+    # with 1800 s periods one day has 48; day 0's forecast of period p
+    # reads the outdoor series at p * 1800 s, so no read leaves the span
+    base = load_config(SCENARIO_DIR / "single_house.yaml")
+    temps = Series(base.simulation.start, 3600.0, 30.0 + np.arange(25) / 4.0)
+    write_series_csv(temps, tmp_path / "temps.csv")
+    sim_spec = dataclasses.replace(base.simulation, span_s=86400, schedule_interval_s=1800)
+    cfg = dataclasses.replace(base, simulation=sim_spec, outdoor_temp_c="temps.csv", house_trace=False)
+    sim = SimulationRun(cfg, base_dir=tmp_path)
+    reads = []
+    t_out = sim.t_out
+
+    def recorded(t_s):
+        reads.append(t_s)
+        return t_out(t_s)
+
+    sim.t_out = recorded
+    sim.run(tmp_path / "run")
+    assert sim.hours_per_day == 48
+    assert 0 < max(reads) <= cfg.simulation.span_s
+    reads.clear()
+    sim._bootstrap_forecast(47)
+    assert reads == [47 * 1800]
+
+
 def test_seed_only_enters_through_the_random_streams(tmp_path, scenario_runs):
     # the null system never draws a random number, so reseeding changes
     # the recorded seed and nothing else
@@ -305,6 +331,55 @@ def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
         float(r["freq_hz"]) for r in rows_of(artifact_files(run)["frequency.csv"])
     )
     assert armed_nadir > disarmed_nadir
+
+
+# gen_loss_ufls over three feeders in config order f2 (60 houses), f0
+# (none) and f1 (100), with a 900 s loss: both fleets shed, then release.
+# The digests were computed when each feeder held its own Population.
+THREE_FEEDER_UFLS_SHA256 = {
+    "events.jsonl": "b6019371e7922ddf1e67795ac0182ba560c1d1a67710c463f289a350119eb465",
+    "frequency.csv": "83bcc0cd828e09ccd9635edeaf6e4e1434ce4b1d6999881b2e9c8e0fa2c42001",
+    "load.csv": "56379f153b507bfc3375579f0abcd3502d036009e6161e07ed1c35f72e77bc42",
+}
+
+
+def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp_path, monkeypatch):
+    cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
+    f1 = cfg.feeders[0]
+    feeders = (
+        dataclasses.replace(f1, feeder_id="f2", houses=60, capacity_kw=300.0, base_load_kw=20.0),
+        dataclasses.replace(f1, feeder_id="f0", houses=0, capacity_kw=50.0, base_load_kw=10.0),
+        f1,
+    )
+    area = cfg.area
+    cfg = dataclasses.replace(
+        cfg,
+        feeders=feeders,
+        simulation=dataclasses.replace(cfg.simulation, span_s=2700),
+        area=dataclasses.replace(area, events=(dataclasses.replace(area.events[0], duration_s=900),)),
+    )
+    shed_ids = []
+    ufls_check = engine.ufls_check
+
+    def recorded(*args):
+        shed = ufls_check(*args)
+        shed_ids.extend(shed)
+        return shed
+
+    monkeypatch.setattr(engine, "ufls_check", recorded)
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    assert len(sim.fleet) == 160
+    for fid, (lo, hi) in (("f2", (0, 60)), ("f1", (60, 160))):
+        pop = sim.feeders[fid].pop
+        assert pop.ids == sim.fleet.ids[lo:hi]
+        assert np.shares_memory(pop.latched, sim.fleet.latched)
+    run = sim.run(tmp_path / "run")
+    assert {hid.split("_")[0] for hid in shed_ids} == {"f1", "f2"}
+    assert not sim.fleet.latched.any()
+    events = [json.loads(line) for line in (run.out_dir / "events.jsonl").read_text().splitlines()]
+    assert [e["t"] for e in events if e["type"] == "ufls_release"] == [1800]
+    for name, digest in THREE_FEEDER_UFLS_SHA256.items():
+        assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_house_ranks_and_armed_relays_follow_id_string_order_past_ten_thousand():

@@ -476,6 +476,36 @@ def _check_diversity_against_cycle_phase(pop, params, ambients):
     assert all(0 < c < n for c in cycling_counts[2:])
 
 
+def test_feeder_diversity_from_the_area_pass_matches_each_feeder_alone():
+    """An area fleet split into feeder runs, one house and none included.
+
+    Each run's diversity from the one area pass equals diversity_metric
+    of that feeder built as its own Population, bit for bit, and a run
+    from houses() reads and writes the area's arrays.
+    """
+    bounds = [(0, 17), (17, 18), (18, 18), (18, 50)]
+    for kind, mode in FLEETS:
+        rng = np.random.default_rng(5)
+        area, params = _random_population(rng, kind, mode, n=50)
+        feeders = []
+        for lo, hi in bounds:
+            states = [HouseState(float(area.t_in[i]), bool(area.hvac_on[i])) for i in range(lo, hi)]
+            own = Population(area.ids[lo:hi], params[lo:hi], area.cfg, states, [1.0] * (hi - lo))
+            own.setpoint[:] = area.setpoint[lo:hi]
+            feeders.append(own)
+        ambients = (35.0, 45.0) if mode == "cooling" else (7.0, -3.0)
+        for t_out in ambients:
+            got = diversity_metric(area, t_out, [b for b in bounds if b[1] > b[0]])
+            want = [diversity_metric(own, t_out) for own in feeders if len(own)]
+            assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        part = area.houses(18, 50)
+        assert part.ids == area.ids[18:50]
+        for name in Population._ARRAYS:
+            assert np.shares_memory(getattr(part, name), getattr(area, name)), name
+        part.latched[0] = 1
+        assert area.latched[18] == 1
+
+
 def test_diversity_metric_on_synchronized_population():
     states = [HouseState(22.5, True)] * 6
     pop = Population(
