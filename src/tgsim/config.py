@@ -3,7 +3,9 @@
 Scenarios are YAML documents with a top-level schema_version. The
 validator walks the whole document and collects every problem it finds
 with its full key path (for example area.swing.d_per_s) instead of
-stopping at the first, so a config review needs one round trip.
+stopping at the first, so a config review needs one round trip. A key
+the parser never reads is one of those problems, so a typo such as
+output.house_trac cannot silently fall back to a default.
 
 Defaults are deliberate: the cadence defaults (hourly schedule, five
 minute markets, four second balancing ticks, one minute device ticks)
@@ -141,10 +143,31 @@ class ScenarioConfig:
     outdoor_temp_c: float | str = 30.0  # constant, or path to a series CSV
     da_price: tuple[float, ...] = (30.0,)  # one price per scheduling period, cycled
     house_trace: bool = False
+    house_bids: bool = False  # one event line per house bid, not a digest per feeder
     source_text: str = ""
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
+
+
+class _Mapping(dict):
+    """A config mapping that remembers every key the parser looked up."""
+
+    def __init__(self, d: dict):
+        super().__init__(d)
+        self.read: set = set()
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 class _Walker:
@@ -152,18 +175,32 @@ class _Walker:
 
     def __init__(self) -> None:
         self.problems: list[str] = []
+        self._mappings: list[tuple[str, _Mapping]] = []
 
     def complain(self, path: str, msg: str) -> None:
         self.problems.append(f"{path}: {msg}")
 
-    def section(self, doc: dict, key: str) -> dict:
+    def mapping(self, d: dict, path: str) -> _Mapping:
+        """d with its key reads recorded; unread_keys reports the rest."""
+        m = _Mapping(d)
+        self._mappings.append((path, m))
+        return m
+
+    def unread_keys(self) -> None:
+        for path, m in self._mappings:
+            for key in m:
+                if key not in m.read:
+                    self.complain(self._at(path, str(key)), "unknown key")
+
+    def section(self, doc: dict, key: str, path: str = "") -> dict:
+        where = self._at(path, key)
         val = doc.get(key)
         if val is None:
             return {}
         if not isinstance(val, dict):
-            self.complain(key, f"expected a mapping, got {type(val).__name__}")
+            self.complain(where, f"expected a mapping, got {type(val).__name__}")
             return {}
-        return val
+        return self.mapping(val, where)
 
     @staticmethod
     def _at(path: str, key: str) -> str:
@@ -220,6 +257,14 @@ class _Walker:
         if val not in options:
             self.complain(self._at(path, key), f"expected one of {options}, got {val!r}")
             return default
+        return val
+
+    def flag(self, d: dict, key: str, path: str) -> bool:
+        """A boolean that defaults to false."""
+        val = d.get(key, False)
+        if not isinstance(val, bool):
+            self.complain(self._at(path, key), f"expected true or false, got {val!r}")
+            return False
         return val
 
 
@@ -318,6 +363,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(fd, dict):
             w.complain(path, "expected a mapping")
             continue
+        fd = w.mapping(fd, path)
         fid = str(fd.get("id", f"feeder{idx}"))
         w.config_id(fid, seen_ids, "feeder", f"{path}.id")
         steps_raw = fd.get("scarcity_steps", [])
@@ -362,14 +408,14 @@ def parse_config(text: str) -> ScenarioConfig:
         )
 
     area_d = w.section(doc, "area")
-    swing_d = w.section(area_d, "swing") if area_d else {}
+    swing_d = w.section(area_d, "swing", "area") if area_d else {}
     m_val = w.number(swing_d, "m_hz_per_s_mw", "area.swing", default=0.01, lo_open=0.0)
     d_val = w.number(swing_d, "d_per_s", "area.swing", default=-0.2)
     if d_val >= 0:
         w.complain("area.swing.d_per_s", "damping must be negative")
         d_val = -0.2
-    split_d = w.section(area_d, "split") if area_d else {}
-    ufls_d = w.section(area_d, "ufls") if area_d else {}
+    split_d = w.section(area_d, "split", "area") if area_d else {}
+    ufls_d = w.section(area_d, "ufls", "area") if area_d else {}
     events: list[EventSpec] = []
     events_raw = area_d.get("events", [])
     if not isinstance(events_raw, list):
@@ -380,6 +426,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(ev, dict):
             w.complain(path, "expected a mapping")
             continue
+        ev = w.mapping(ev, path)
         duration = ev.get("duration_s")
         if duration is not None:
             duration = w.integer(ev, "duration_s", path, default=0, lo=1)
@@ -438,6 +485,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(sd, dict):
             w.complain(path, "expected a mapping")
             continue
+        sd = w.mapping(sd, path)
         sid = str(sd.get("id", f"storage{j}"))
         w.config_id(sid, storage_ids, "storage", f"{path}.id")
         fid = str(sd.get("feeder", ""))
@@ -449,20 +497,23 @@ def parse_config(text: str) -> ScenarioConfig:
         if buy_below is not None and sell_above is not None and buy_below >= sell_above:
             w.complain(f"{path}.buy_below", "must sit strictly below sell_above")
             sell_above = buy_below + 1.0
+        p_charge = w.number(sd, "p_charge", path, default=None, lo_open=0.0)
+        p_discharge = w.number(sd, "p_discharge", path, default=None, lo_open=0.0)
+        efficiency = w.number(sd, "efficiency", path, default=1.0, lo_open=0.0, hi=1.0)
+        soc0 = w.number(sd, "soc0_kwh", path, default=0.0, lo=0.0)
         try:
             spec = StorageSpec(
                 device_id=sid,
                 capacity_kwh=cap or 1.0,
-                p_charge=w.number(sd, "p_charge", path, default=None, lo_open=0.0) or 1.0,
-                p_discharge=w.number(sd, "p_discharge", path, default=None, lo_open=0.0) or 1.0,
+                p_charge=p_charge or 1.0,
+                p_discharge=p_discharge or 1.0,
                 buy_below=buy_below if buy_below is not None else 0.0,
                 sell_above=sell_above if sell_above is not None else 1.0,
-                efficiency=w.number(sd, "efficiency", path, default=1.0, lo_open=0.0, hi=1.0),
+                efficiency=efficiency,
             )
         except ValueError as exc:
             w.complain(path, str(exc))
             continue
-        soc0 = w.number(sd, "soc0_kwh", path, default=0.0, lo=0.0)
         if cap is not None and soc0 > cap:
             w.complain(f"{path}.soc0_kwh", "initial charge exceeds capacity")
         storage.append(StoragePlacement(spec=spec, feeder_id=fid, soc0_kwh=soc0))
@@ -498,10 +549,8 @@ def parse_config(text: str) -> ScenarioConfig:
             w.complain(f"{path}.scarcity_steps", "first step price must exceed every day-ahead price")
 
     out_d = w.section(doc, "output")
-    house_trace = out_d.get("house_trace", False)
-    if not isinstance(house_trace, bool):
-        w.complain("output.house_trace", f"expected true or false, got {house_trace!r}")
-        house_trace = False
+    house_trace = w.flag(out_d, "house_trace", "output")
+    house_bids = w.flag(out_d, "house_bids", "output")
 
     known = {
         "schema_version", "seed", "simulation", "market", "population",
@@ -510,6 +559,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in doc:
         if key not in known:
             w.complain(str(key), "unknown top-level section")
+    w.unread_keys()
 
     if w.problems:
         raise ConfigError(w.problems)
@@ -525,6 +575,7 @@ def parse_config(text: str) -> ScenarioConfig:
         outdoor_temp_c=outdoor,
         da_price=da,
         house_trace=house_trace,
+        house_bids=house_bids,
         source_text=text,
     )
 

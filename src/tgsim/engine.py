@@ -122,6 +122,21 @@ def _house_bid_lines(t: int, keys: list[str], idx, prices, quantities) -> str:
     )
 
 
+def _house_bids_digest(t: int, market: str, prices: np.ndarray, quantities: np.ndarray,
+                       price_cap: float) -> dict:
+    """One feeder's house bids of one interval as a single event record.
+
+    Every sum is a left fold in bid order: the quantity, the
+    quantity-weighted price (None when nothing is bid) and the
+    quantity bid at the cap.
+    """
+    quantity = left_sum(quantities.tolist())
+    price = left_sum((prices * quantities).tolist()) / quantity if quantity else None
+    return {"t": t, "type": "house_bids", "market": market, "orders": len(quantities),
+            "quantity_kw": quantity, "price": price,
+            "must_run_kw": left_sum(quantities[prices == price_cap].tolist())}
+
+
 @dataclass
 class RunArtifacts:
     out_dir: Path
@@ -143,7 +158,7 @@ class _FeederState:
     house_ids: np.ndarray  # pop.ids as an object array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
     id_to_idx: dict
-    bid_keys: list
+    bid_keys: list | None  # _bid_keys of the houses, built only with cfg.house_bids
     house_power_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
@@ -269,7 +284,7 @@ class SimulationRun:
                 house_ids=_id_array(pop.ids),
                 armed_idx=np.arange(n_armed),
                 id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
-                bid_keys=_bid_keys(fspec.feeder_id, pop.ids),
+                bid_keys=_bid_keys(fspec.feeder_id, pop.ids) if self.cfg.house_bids else None,
             )
             fs.house_power_kw = pop.aggregate_power()
             self.feeders[fspec.feeder_id] = fs
@@ -509,9 +524,13 @@ class SimulationRun:
                 for order in storage_bids(placement.spec, self.storage_states[placement.spec.device_id]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
-            events.write(_house_bid_lines(
-                t, fs.bid_keys, idx.tolist(), prices.tolist(), quantities.tolist()
-            ) + "".join(
+            if cfg.house_bids:
+                house_lines = _house_bid_lines(
+                    t, fs.bid_keys, idx.tolist(), prices.tolist(), quantities.tolist()
+                )
+            else:
+                house_lines = _event_line(_house_bids_digest(t, fid, prices, quantities, mkt.price_cap))
+            events.write(house_lines + "".join(
                 _event_line({"t": t, "type": "bid", "market": fid, "order": order.order_id,
                              "side": order.side, "price": order.price, "quantity": order.quantity})
                 for order in bids + sells

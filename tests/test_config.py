@@ -71,6 +71,7 @@ def test_minimal_document_fills_defaults():
     assert cfg.outdoor_temp_c == 30.0
     assert cfg.da_price == (30.0,)
     assert cfg.house_trace is False
+    assert cfg.house_bids is False
     assert cfg.source_text == MINIMAL
 
 
@@ -426,6 +427,75 @@ def test_house_trace_accepts_only_a_boolean():
             f"output.house_trace: expected true or false, got {yaml.safe_load(raw)!r}"
         ]
     assert parse_config(MINIMAL + "output:\n  house_trace: false\n").house_trace is False
+
+
+def test_house_bids_flag_accepts_only_a_boolean():
+    cfg = parse_config(MINIMAL + "output:\n  house_bids: true\n")
+    assert cfg.house_bids is True and cfg.house_trace is False
+    assert parse_config(MINIMAL + "output:\n  house_bids: false\n").house_bids is False
+    for raw in ("'true'", "1", "null"):
+        assert problems_of(MINIMAL + f"output:\n  house_bids: {raw}\n") == [
+            f"output.house_bids: expected true or false, got {yaml.safe_load(raw)!r}"
+        ]
+
+
+# every mapping the parser reads, each with one key of its own set
+EVERY_SECTION = """\
+schema_version: 1
+simulation: {span_s: 3600, start: "2026-07-15T00:00:00"}
+market: {price_cap: 1000.0}
+population: {mode: cooling}
+feeders:
+  - {id: f0, houses: 2, capacity_kw: 50.0, scarcity_steps: [[500.0, 5.0]]}
+area:
+  bias_mw_per_01hz: -1.0
+  swing: {d_per_s: -0.2}
+  split: {alpha: 0.5}
+  ufls: {probability: 0.5}
+  events: [{at_s: 600, delta_p_mw: -1.0, duration_s: 60}]
+storage:
+  - {id: bat1, feeder: f0, capacity_kwh: 8.0, p_charge: 2.0, p_discharge: 2.0,
+     buy_below: 20.0, sell_above: 40.0, soc0_kwh: 1.0}
+inputs: {outdoor_temp_c: 32.0, da_price: 30.0}
+output: {house_trace: false, house_bids: false}
+"""
+
+
+@pytest.mark.parametrize("path, typo", [
+    ("simulation", "spanx_s"),
+    ("market", "price_cp"),
+    ("population", "therostat"),
+    ("feeders[0]", "base_load"),
+    ("area", "droop"),
+    ("area.swing", "d_per_sec"),
+    ("area.split", "beta_"),
+    ("area.ufls", "armed"),
+    ("area.events[0]", "duration"),
+    ("storage[0]", "soc_kwh"),
+    ("inputs", "da_prices"),
+    ("output", "house_trac"),
+])
+def test_unknown_keys_are_reported_with_their_path(path, typo):
+    doc = yaml.safe_load(EVERY_SECTION)
+    parse_config(yaml.safe_dump(doc))  # valid before the typo goes in
+    node = doc
+    for part in path.split("."):
+        name, _, index = part.partition("[")
+        node = node[name]
+        if index:
+            node = node[int(index[:-1])]
+    node[typo] = True
+    assert problems_of(yaml.safe_dump(doc)) == [f"{path}.{typo}: unknown key"]
+
+
+def test_unknown_keys_are_reported_beside_other_problems():
+    # the typo does not hide the bad value next to it, nor the other way round
+    text = MINIMAL + "output:\n  house_bids: 1\n  house_bid: true\n"
+    assert problems_of(text) == [
+        "output.house_bids: expected true or false, got 1",
+        "output.house_bid: unknown key",
+    ]
+    assert problems_of(MINIMAL + "area:\n  swing: 3\n") == ["area.swing: expected a mapping, got int"]
 
 
 def test_load_config_from_file(tmp_path):
