@@ -143,7 +143,6 @@ class ScenarioConfig:
     outdoor_temp_c: float | str = 30.0  # constant, or path to a series CSV
     da_price: tuple[float, ...] = (30.0,)  # one price per scheduling period, cycled
     house_trace: bool = False
-    house_bids: bool = False  # one event line per house bid, not a digest per feeder
     source_text: str = ""
 
     def config_hash(self) -> str:
@@ -257,14 +256,6 @@ class _Walker:
         if val not in options:
             self.complain(self._at(path, key), f"expected one of {options}, got {val!r}")
             return default
-        return val
-
-    def flag(self, d: dict, key: str, path: str) -> bool:
-        """A boolean that defaults to false."""
-        val = d.get(key, False)
-        if not isinstance(val, bool):
-            self.complain(self._at(path, key), f"expected true or false, got {val!r}")
-            return False
         return val
 
 
@@ -549,8 +540,10 @@ def parse_config(text: str) -> ScenarioConfig:
             w.complain(f"{path}.scarcity_steps", "first step price must exceed every day-ahead price")
 
     out_d = w.section(doc, "output")
-    house_trace = w.flag(out_d, "house_trace", "output")
-    house_bids = w.flag(out_d, "house_bids", "output")
+    house_trace = out_d.get("house_trace", False)
+    if not isinstance(house_trace, bool):
+        w.complain("output.house_trace", f"expected true or false, got {house_trace!r}")
+        house_trace = False
 
     known = {
         "schema_version", "seed", "simulation", "market", "population",
@@ -575,7 +568,6 @@ def parse_config(text: str) -> ScenarioConfig:
         outdoor_temp_c=outdoor,
         da_price=da,
         house_trace=house_trace,
-        house_bids=house_bids,
         source_text=text,
     )
 

@@ -104,24 +104,6 @@ def _event_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def _bid_keys(feeder_id: str, house_ids: list[str]) -> list[str]:
-    """The middle of each house's bid event line, ids JSON-encoded once."""
-    market = json.dumps(feeder_id)
-    return [
-        f',"type":"bid","market":{market},"order":{json.dumps(hid)},"side":"buy","price":'
-        for hid in house_ids
-    ]
-
-
-def _house_bid_lines(t: int, keys: list[str], idx, prices, quantities) -> str:
-    """House bid event lines as _event_line writes them; json encodes a
-    finite float as its repr."""
-    head = f'{{"t":{t}'
-    return "".join(
-        f'{head}{keys[i]}{p!r},"quantity":{q!r}}}\n' for i, p, q in zip(idx, prices, quantities)
-    )
-
-
 def _house_bids_digest(t: int, market: str, prices: np.ndarray, quantities: np.ndarray,
                        price_cap: float) -> dict:
     """One feeder's house bids of one interval as a single event record.
@@ -158,7 +140,6 @@ class _FeederState:
     house_ids: np.ndarray  # pop.ids as an object array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
     id_to_idx: dict
-    bid_keys: list | None  # _bid_keys of the houses, built only with cfg.house_bids
     house_power_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
@@ -284,7 +265,6 @@ class SimulationRun:
                 house_ids=_id_array(pop.ids),
                 armed_idx=np.arange(n_armed),
                 id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
-                bid_keys=_bid_keys(fspec.feeder_id, pop.ids) if self.cfg.house_bids else None,
             )
             fs.house_power_kw = pop.aggregate_power()
             self.feeders[fspec.feeder_id] = fs
@@ -524,17 +504,13 @@ class SimulationRun:
                 for order in storage_bids(placement.spec, self.storage_states[placement.spec.device_id]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
-            if cfg.house_bids:
-                house_lines = _house_bid_lines(
-                    t, fs.bid_keys, idx.tolist(), prices.tolist(), quantities.tolist()
+            events.write(
+                _event_line(_house_bids_digest(t, fid, prices, quantities, mkt.price_cap)) + "".join(
+                    _event_line({"t": t, "type": "bid", "market": fid, "order": order.order_id,
+                                 "side": order.side, "price": order.price, "quantity": order.quantity})
+                    for order in bids + sells
                 )
-            else:
-                house_lines = _event_line(_house_bids_digest(t, fid, prices, quantities, mkt.price_cap))
-            events.write(house_lines + "".join(
-                _event_line({"t": t, "type": "bid", "market": fid, "order": order.order_id,
-                             "side": order.side, "price": order.price, "quantity": order.quantity})
-                for order in bids + sells
-            ))
+            )
 
             demand = build_demand_curve(
                 bids, self.ranks, Bids(fs.house_ids[idx], prices, quantities, fs.house_rank[idx])

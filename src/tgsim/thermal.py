@@ -446,20 +446,14 @@ def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
     t_eq_on, on_from, off_from = t_eq_on[idx], on_from[idx], off_from[idx]
     lo, hi = lo[idx], hi[idx]
     on = pop.hvac_on[idx] != 0
-    t = py_min(py_max(pop.t_in[idx], lo), hi)
-    ratio = np.where(on, (on_from - t_eq_on) / (t - t_eq_on), (off_from - t_out) / (t - t_out))
-    # one libm pass over the three log arguments, sliced back in order
-    m = len(idx)
-    logs = _libm_log(np.concatenate((
-        (on_from - t_eq_on) / (off_from - t_eq_on),
-        (off_from - t_out) / (on_from - t_out),
-        ratio,
-    )))
-    log_on, log_off, log_ratio = logs[:m], logs[m:2 * m], logs[2 * m:]
+    log_on = _libm_log((on_from - t_eq_on) / (off_from - t_eq_on))
+    log_off = _libm_log((off_from - t_out) / (on_from - t_out))
     rc = pop.r_thermal[idx] * pop.c_thermal[idx]
     tau_on = rc * log_on
     tau_off = rc * log_off
-    prog = rc * log_ratio / np.where(on, tau_on, tau_off)
+    t = py_min(py_max(pop.t_in[idx], lo), hi)
+    ratio = np.where(on, (on_from - t_eq_on) / (t - t_eq_on), (off_from - t_out) / (t - t_out))
+    prog = rc * _libm_log(ratio) / np.where(on, tau_on, tau_off)
     prog = py_min(py_max(prog, 0.0), 1.0)
     duty = tau_on / (tau_on + tau_off)
     phases = np.zeros(n)

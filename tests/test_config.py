@@ -71,7 +71,6 @@ def test_minimal_document_fills_defaults():
     assert cfg.outdoor_temp_c == 30.0
     assert cfg.da_price == (30.0,)
     assert cfg.house_trace is False
-    assert cfg.house_bids is False
     assert cfg.source_text == MINIMAL
 
 
@@ -429,16 +428,6 @@ def test_house_trace_accepts_only_a_boolean():
     assert parse_config(MINIMAL + "output:\n  house_trace: false\n").house_trace is False
 
 
-def test_house_bids_flag_accepts_only_a_boolean():
-    cfg = parse_config(MINIMAL + "output:\n  house_bids: true\n")
-    assert cfg.house_bids is True and cfg.house_trace is False
-    assert parse_config(MINIMAL + "output:\n  house_bids: false\n").house_bids is False
-    for raw in ("'true'", "1", "null"):
-        assert problems_of(MINIMAL + f"output:\n  house_bids: {raw}\n") == [
-            f"output.house_bids: expected true or false, got {yaml.safe_load(raw)!r}"
-        ]
-
-
 # every mapping the parser reads, each with one key of its own set
 EVERY_SECTION = """\
 schema_version: 1
@@ -457,7 +446,7 @@ storage:
   - {id: bat1, feeder: f0, capacity_kwh: 8.0, p_charge: 2.0, p_discharge: 2.0,
      buy_below: 20.0, sell_above: 40.0, soc0_kwh: 1.0}
 inputs: {outdoor_temp_c: 32.0, da_price: 30.0}
-output: {house_trace: false, house_bids: false}
+output: {house_trace: false}
 """
 
 
@@ -490,10 +479,10 @@ def test_unknown_keys_are_reported_with_their_path(path, typo):
 
 def test_unknown_keys_are_reported_beside_other_problems():
     # the typo does not hide the bad value next to it, nor the other way round
-    text = MINIMAL + "output:\n  house_bids: 1\n  house_bid: true\n"
+    text = MINIMAL + "output:\n  house_trace: 1\n  house_bids: true\n"
     assert problems_of(text) == [
-        "output.house_bids: expected true or false, got 1",
-        "output.house_bid: unknown key",
+        "output.house_trace: expected true or false, got 1",
+        "output.house_bids: unknown key",
     ]
     assert problems_of(MINIMAL + "area:\n  swing: 3\n") == ["area.swing: expected a mapping, got int"]
 

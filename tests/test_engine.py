@@ -13,7 +13,7 @@ from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim import engine
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
-from tgsim.engine import SimulationRun, _bid_keys, _house_bid_lines, run_scenario
+from tgsim.engine import SimulationRun, run_scenario
 from tgsim.spectral import Series, write_series_csv
 from tgsim.thermal import (
     Population,
@@ -335,10 +335,9 @@ def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
 
 # gen_loss_ufls over three feeders in config order f2 (60 houses), f0
 # (none) and f1 (100), with a 900 s loss: both fleets shed, then release.
-# The digests were computed when each feeder held its own Population,
-# with every house bid in the event log.
+# The csv digests were computed when each feeder held its own Population.
 THREE_FEEDER_UFLS_SHA256 = {
-    "events.jsonl": "b6019371e7922ddf1e67795ac0182ba560c1d1a67710c463f289a350119eb465",
+    "events.jsonl": "e54afa066742ac6a56430ffd91041347a96f401176621dcfd6f8d2745e87ab61",
     "frequency.csv": "83bcc0cd828e09ccd9635edeaf6e4e1434ce4b1d6999881b2e9c8e0fa2c42001",
     "load.csv": "56379f153b507bfc3375579f0abcd3502d036009e6161e07ed1c35f72e77bc42",
 }
@@ -356,7 +355,6 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
     cfg = dataclasses.replace(
         cfg,
         feeders=feeders,
-        house_bids=True,
         simulation=dataclasses.replace(cfg.simulation, span_s=2700),
         area=dataclasses.replace(area, events=(dataclasses.replace(area.events[0], duration_s=900),)),
     )
@@ -490,122 +488,66 @@ def test_heating_runs_are_byte_identical(tmp_path, kind):
 # ------------------------------------------------------------ event log
 
 
-def test_bid_lines_are_the_json_of_their_record(tmp_path):
-    # feeder ids are arbitrary YAML strings; json escapes these three
-    fid = 'f"1\\é'
-    ids = [f"{fid}_h{j:04d}" for j in range(6)]
-    prices = [31.25, -0.0, 0.1 + 0.2, 1e22, 5e-324, 1e-7]
-    lines = _house_bid_lines(300, _bid_keys(fid, ids), range(6), prices, [4.0] * 6)
-    want = "".join(
-        json.dumps({"t": 300, "type": "bid", "market": fid, "order": hid, "side": "buy",
-                    "price": price, "quantity": 4.0}, separators=(",", ":")) + "\n"
-        for hid, price in zip(ids, prices)
-    )
-    assert lines == want
-
-    # a whole run with house bids logged: every bid line, house or not,
-    # is the JSON of its record
-    doc = HEATING.format(kind="hysteresis").replace("id: f1,", "id: 'f\"1\\é',")
-    doc += "output:\n  house_bids: true\n"
-    run = run_scenario(parse_config(doc), tmp_path / "run")
-    bids = [line for line in (run.out_dir / "events.jsonl").read_text().splitlines()
-            if '"type":"bid"' in line]
-    records = [json.loads(line) for line in bids]
-    assert [json.dumps(r, separators=(",", ":")) for r in records] == bids
-    assert {r["market"] for r in records} == {fid, "f2"}
-    assert any(r["order"] == f"{fid}_base" for r in records)
-    assert any(r["order"].startswith(f"{fid}_h") for r in records)
-
-
 def event_lines(run) -> list[str]:
     return (run.out_dir / "events.jsonl").read_text().splitlines()
 
 
-HOUSE_BIDS_PINNED = json.loads((SCENARIO_DIR / "golden" / "events_house_bids.sha256.json").read_text())
+def test_bid_lines_are_the_json_of_their_record(tmp_path):
+    # every bid and house_bids line is the JSON of its record, also under
+    # a feeder id that json escapes
+    fid = 'f"1\\é'
+    doc = HEATING.format(kind="hysteresis").replace("id: f1,", "id: 'f\"1\\é',")
+    run = run_scenario(parse_config(doc), tmp_path / "run")
+    lines = [line for line in event_lines(run)
+             if '"type":"bid"' in line or '"type":"house_bids"' in line]
+    records = [json.loads(line) for line in lines]
+    assert [json.dumps(r, separators=(",", ":")) for r in records] == lines
+    assert {r["market"] for r in records} == {fid, "f2"}
+    assert any(r["type"] == "bid" and r["order"] == f"{fid}_base" for r in records)
+    assert any(r["type"] == "house_bids" and r["market"] == fid and r["orders"] for r in records)
 
 
-@pytest.fixture(scope="module")
-def house_bid_runs(tmp_path_factory):
-    """{stem: (SimulationRun, RunArtifacts)} with house_bids on, for every
-    scenario whose event log with house bids is pinned."""
-    runs = {}
-    for stem in HOUSE_BIDS_PINNED:
-        cfg = dataclasses.replace(load_config(SCENARIO_DIR / f"{stem}.yaml"), house_bids=True)
-        sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
-        runs[stem] = (sim, sim.run(tmp_path_factory.mktemp(f"{stem}_house_bids")))
-    return runs
+# each scenario's edge case: intervals with no house bid in
+# gen_loss_ufls, bids at the cap in scarcity_sync
+@pytest.mark.parametrize("stem, edge", [
+    ("gen_loss_ufls", lambda r: r["price"] is None),
+    ("scarcity_sync", lambda r: r["must_run_kw"] > 0),
+], ids=["gen_loss_ufls", "scarcity_sync"])
+def test_house_bids_line_is_the_left_fold_of_the_fleet_bids(tmp_path, monkeypatch, stem, edge):
+    # each feeder's house_bids line of an interval folds the bids
+    # fleet_bids made for it, in bid order
+    made = []
+    fleet_bids = engine.fleet_bids
 
+    def recorded(t_in, cfg, k, stats, p_rated, *args):
+        idx, prices = fleet_bids(t_in, cfg, k, stats, p_rated, *args)
+        made.append((prices.tolist(), p_rated[idx].tolist()))
+        return idx, prices
 
-def test_house_bid_lines_reproduce_the_pinned_event_logs(house_bid_runs):
-    # the event logs every scenario wrote before the digest became the default
-    for stem, digests in HOUSE_BIDS_PINNED.items():
-        _, run = house_bid_runs[stem]
-        for name, digest in digests.items():
-            produced = hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest()
-            assert produced == digest, f"{stem}/{name} with house_bids drifted"
-
-
-def test_house_bids_setting_changes_only_the_event_log(scenario_runs, house_bid_runs):
-    for stem in ("baseline_200", "gen_loss_ufls"):
-        default = artifact_files(scenario_runs[stem][0])
-        opt_in = artifact_files(house_bid_runs[stem][1])
-        assert set(default) == set(opt_in)
-        assert [name for name in default if default[name] != opt_in[name]] == ["events.jsonl"]
-
-
-def test_house_bids_digest_is_the_left_fold_of_the_house_bid_lines(scenario_runs, house_bid_runs):
-    # the default log is the opt-in log with each feeder's house bid lines
-    # of an interval folded into one house_bids line, in bid order
-    folded = []
-    for stem, (sim, opt_in) in house_bid_runs.items():
-        houses = set(sim.fleet.ids)
-        cap = sim.cfg.market.price_cap
-        folds: dict[tuple, tuple] = {}
-        others = []
-        for line in event_lines(opt_in):
-            rec = json.loads(line)
-            if rec["type"] == "bid" and rec["order"] in houses:
-                n, q, pq, must = folds.get((rec["t"], rec["market"]), (0, 0.0, 0.0, 0.0))
-                p, dq = rec["price"], rec["quantity"]
-                if p == cap:
-                    must += dq
-                folds[rec["t"], rec["market"]] = (n + 1, q + dq, pq + p * dq, must)
-            else:
-                others.append(line)
-
-        digests = []
-        rest = []
-        for line in event_lines(scenario_runs[stem][0]):
-            (digests if '"type":"house_bids"' in line else rest).append(line)
-        assert rest == others, stem
-        sim_spec = sim.cfg.simulation
-        intervals = range(0, sim_spec.span_s, sim_spec.market_interval_s)
-        keys = [(r["t"], r["market"]) for r in map(json.loads, digests)]
-        assert keys == [(t, fid) for t in intervals for fid in sorted(sim.feeders)], stem
-        assert set(folds) <= set(keys)
-        for (t, fid), line in zip(keys, digests):
-            n, q, pq, must = folds.get((t, fid), (0, 0.0, 0.0, 0.0))
-            want = {"t": t, "type": "house_bids", "market": fid, "orders": n, "quantity_kw": q,
-                    "price": pq / q if q else None, "must_run_kw": must}
-            # floats are written as their repr, so equal text is equal bits
-            assert line == json.dumps(want, separators=(",", ":")), (stem, t, fid)
-        folded += folds.values()
-    # house bids were folded, some of them at the cap
-    assert any(n for n, *_ in folded) and any(must for *_, must in folded)
-
-
-def test_default_run_builds_no_house_bid_lines(tmp_path, monkeypatch, scenario_runs):
-    def refuse(*args):
-        raise AssertionError("house bid lines built")
-
-    monkeypatch.setattr(engine, "_bid_keys", refuse)
-    monkeypatch.setattr(engine, "_house_bid_lines", refuse)
-    cfg = load_config(SCENARIO_DIR / "baseline_200.yaml")
+    monkeypatch.setattr(engine, "fleet_bids", recorded)
+    cfg = load_config(SCENARIO_DIR / f"{stem}.yaml")
     run = run_scenario(cfg, tmp_path / "run", base_dir=SCENARIO_DIR)
-    assert artifact_files(run) == artifact_files(scenario_runs["baseline_200"][0])
-    # the patch is live: with the option on, construction builds the keys
-    with pytest.raises(AssertionError, match="house bid lines built"):
-        SimulationRun(dataclasses.replace(cfg, house_bids=True))
+    sim_spec = cfg.simulation
+    cap = cfg.market.price_cap
+    digests = [line for line in event_lines(run) if '"type":"house_bids"' in line]
+    keys = [(r["t"], r["market"]) for r in map(json.loads, digests)]
+    feeder_ids = sorted(f.feeder_id for f in cfg.feeders)
+    assert keys == [(t, fid) for t in range(0, sim_spec.span_s, sim_spec.market_interval_s)
+                    for fid in feeder_ids]
+    assert len(made) == len(digests)
+    for (t, fid), line, (prices, quantities) in zip(keys, digests, made):
+        q = pq = must = 0.0
+        for p, dq in zip(prices, quantities):
+            q += dq
+            pq += p * dq
+            if p == cap:
+                must += dq
+        want = {"t": t, "type": "house_bids", "market": fid, "orders": len(prices),
+                "quantity_kw": q, "price": pq / q if q else None, "must_run_kw": must}
+        # floats are written as their repr, so equal text is equal bits
+        assert line == json.dumps(want, separators=(",", ":")), (t, fid)
+    assert any(prices for prices, _ in made)
+    assert any(edge(r) for r in map(json.loads, digests))
 
 
 # ------------------------------------------------------------ storage
