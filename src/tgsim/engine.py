@@ -3,12 +3,13 @@
 One run advances four nested clocks. Every balancing tick (4 s) the
 swing dynamics, control error, regulation split and shedding logic
 update. Every device tick (60 s) the thermostat fleet decides and the
-thermal states advance. Every market interval (300 s) bids are
-collected, each feeder's double auction clears against supply anchored
-at the scheduled hourly price, setpoints respond to the clearing price
-and deviations settle. Every schedule interval (3600 s) the active
-hourly position changes; whole-day schedules are fixed at day
-boundaries from availability feedback (bootstrap estimates on day one).
+thermal states advance. Every market interval (300 s) each feeder's
+diversity is sampled, bids are collected, each feeder's double auction
+clears against supply anchored at the scheduled hourly price, setpoints
+respond to the clearing price and deviations settle. Every schedule
+interval (3600 s) the active hourly position changes; whole-day
+schedules are fixed at day boundaries from availability feedback
+(bootstrap estimates on day one).
 
 The loop steps over device ticks. After a tick's market and device
 phases, its balancing ticks run as one block (``_balancing_block``)
@@ -98,6 +99,10 @@ def _fmt(x: float) -> str:
     if v == 0.0:
         v = 0.0  # fold -0.0 so ledgers never show a signed zero
     return repr(v)
+
+
+def _fmt_or_empty(x: float | None) -> str:
+    return "" if x is None else _fmt(x)
 
 
 def _event_line(record: dict) -> str:
@@ -376,8 +381,8 @@ class SimulationRun:
             frequency = table("frequency.csv", "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
                               "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s")
             markets = table("markets.csv", "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,"
-                            "mode,reference_kw,scarcity_rent")
-            load = table("load.csv", "t_s,load_kw,responsive_kw,base_kw,storage_kw,diversity,mean_t_in_c")
+                            "mode,reference_kw,scarcity_rent,diversity")
+            load = table("load.csv", "t_s,load_kw,responsive_kw,base_kw,storage_kw,mean_t_in_c")
             settlement = table("settlement.csv", "interval,t_s,participant,role,da_energy_kwh,da_price,"
                                "rt_deviation_kwh,rt_price,payment,scarcity_rent")
             houses = None
@@ -417,8 +422,7 @@ class SimulationRun:
                     ufls_total_kw += shed_kw
 
         freq_nom = area.freq_nominal_hz
-        divs = iter(diversity_metric(self.fleet, self.t_out(sim.span_s), self.house_bounds))
-        final_div = {fid: (next(divs) if len(fs.pop) else None) for fid, fs in self.feeders.items()}
+        final_div = self._feeder_diversity(sim.span_s)
         price_mean = (left_sum(prices_seen) / len(prices_seen)) if prices_seen else None
         price_sigma = None
         if prices_seen:
@@ -464,6 +468,12 @@ class SimulationRun:
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return RunArtifacts(out_dir=out_dir, manifest=manifest, summary=summary)
 
+    def _feeder_diversity(self, t_s: float) -> dict[str, float | None]:
+        """Each feeder's diversity at t_s, in config order, from one phase
+        pass over the area fleet; None for a feeder without houses."""
+        divs = iter(diversity_metric(self.fleet, self.t_out(t_s), self.house_bounds))
+        return {fid: (next(divs) if len(fs.pop) else None) for fid, fs in self.feeders.items()}
+
     def _alternations(self, prices: list[float]) -> int:
         from .report import price_alternations
 
@@ -487,6 +497,8 @@ class SimulationRun:
             day * self.hours_per_day + hour_of_day
         )
         demand_curves: dict[str, StepCurve] = {}
+        # sampled from the state the bids are built from
+        diversity = self._feeder_diversity(t)
 
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
@@ -594,7 +606,7 @@ class SimulationRun:
             markets.write(
                 f"{t},{fid},{_fmt(result.price)},{_fmt(result.quantity)},"
                 f"{len(result.accepted_buys)},{len(result.accepted_sells)},"
-                f"{mode},{_fmt(ref)},{_fmt(rent)}\n"
+                f"{mode},{_fmt(ref)},{_fmt(rent)},{_fmt_or_empty(diversity[fid])}\n"
             )
             fs.stats.observe(result.price)
 
@@ -612,16 +624,19 @@ class SimulationRun:
         )
         emit({"t": t, "type": "area_clearing", "price": area_result.price,
               "quantity": area_result.quantity})
+        # the mean over the feeders that have houses, folded in config order
+        with_houses = [d for d in diversity.values() if d is not None]
+        area_div = left_sum(with_houses) / len(with_houses) if with_houses else None
         markets.write(
             f"{t},__area,{_fmt(area_result.price)},{_fmt(area_result.quantity)},"
-            f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)}\n"
+            f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)},"
+            f"{_fmt_or_empty(area_div)}\n"
         )
 
     def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
         sim = self.cfg.simulation
-        t_out_now = self.t_out(t)
         fleet = self.fleet
-        div = mean_t = 0.0
+        mean_t = 0.0
         if len(fleet):
             np.clip(
                 self.market_setpoint + self.reg_offset,
@@ -629,12 +644,10 @@ class SimulationRun:
                 self.thermostat.t_max,
                 out=fleet.setpoint,
             )
-            fleet.tick(t_out_now, sim.device_tick_s / 3600.0, at_boundary)
+            fleet.tick(self.t_out(t), sim.device_tick_s / 3600.0, at_boundary)
             for fs in self.feeders.values():
                 # each feeder's draw is a left fold over its own houses
                 fs.house_power_kw = fs.pop.aggregate_power()
-            divs = diversity_metric(fleet, t_out_now, self.house_bounds)
-            div = left_sum(divs) / len(divs)
             mean_t = float(fleet.t_in.mean())
         resp = base = storage_net = 0.0
         for fid, fs in sorted(self.feeders.items()):
@@ -649,8 +662,7 @@ class SimulationRun:
                     )
         total = resp + base + storage_net
         load.write(
-            f"{t},{_fmt(total)},{_fmt(resp)},{_fmt(base)},{_fmt(storage_net)},"
-            f"{_fmt(div)},{_fmt(mean_t)}\n"
+            f"{t},{_fmt(total)},{_fmt(resp)},{_fmt(base)},{_fmt(storage_net)},{_fmt(mean_t)}\n"
         )
         return total
 

@@ -14,6 +14,7 @@ from tgsim import engine
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
+from tgsim.fold import left_sum
 from tgsim.spectral import Series, write_series_csv
 from tgsim.thermal import (
     Population,
@@ -46,6 +47,7 @@ def test_null_scenario_is_flat(scenario_runs):
     load = rows_of(files["load.csv"])
     assert len(load) == 3600 // 60
     assert all(row["load_kw"] == "0.0" for row in load)
+    assert "diversity" not in load[0]
     markets = rows_of(files["markets.csv"])
     # one row per feeder plus the area aggregation row, every interval
     assert len(markets) == (3600 // 300) * 2
@@ -53,6 +55,8 @@ def test_null_scenario_is_flat(scenario_runs):
     # nothing bids, so every clearing is a null trade at the floor
     assert all(row["price"] == "0.0" for row in markets)
     assert all(row["quantity_kw"] == "0.0" for row in markets)
+    # without houses neither the feeder nor the area has a diversity
+    assert all(row["diversity"] == "" for row in markets)
     summary = run.summary
     assert summary["peak_load_kw"] == 0.0
     assert summary["energy_kwh"] == 0.0
@@ -335,15 +339,19 @@ def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
 
 # gen_loss_ufls over three feeders in config order f2 (60 houses), f0
 # (none) and f1 (100), with a 900 s loss: both fleets shed, then release.
-# The csv digests were computed when each feeder held its own Population.
+# The events and frequency digests were computed when each feeder held its
+# own Population. The load and markets digests were refreshed when the
+# diversity column moved from load.csv to markets.csv; every other column
+# of both files kept its bytes.
 THREE_FEEDER_UFLS_SHA256 = {
     "events.jsonl": "e54afa066742ac6a56430ffd91041347a96f401176621dcfd6f8d2745e87ab61",
     "frequency.csv": "83bcc0cd828e09ccd9635edeaf6e4e1434ce4b1d6999881b2e9c8e0fa2c42001",
-    "load.csv": "56379f153b507bfc3375579f0abcd3502d036009e6161e07ed1c35f72e77bc42",
+    "load.csv": "1b57469376e029f4f73ec9f0aeac1c5318fc2e1b83bc2802b5df9193851ea735",
+    "markets.csv": "6f98660a8d450c4128c47be0fddda1124f0df4375580288a22192a8eaa2697e7",
 }
 
 
-def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp_path, monkeypatch):
+def three_feeder_ufls_config():
     cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
     f1 = cfg.feeders[0]
     feeders = (
@@ -352,12 +360,16 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
         f1,
     )
     area = cfg.area
-    cfg = dataclasses.replace(
+    return dataclasses.replace(
         cfg,
         feeders=feeders,
         simulation=dataclasses.replace(cfg.simulation, span_s=2700),
         area=dataclasses.replace(area, events=(dataclasses.replace(area.events[0], duration_s=900),)),
     )
+
+
+def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp_path, monkeypatch):
+    cfg = three_feeder_ufls_config()
     shed_ids = []
     ufls_check = engine.ufls_check
 
@@ -380,6 +392,51 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
     assert [e["t"] for e in events if e["type"] == "ufls_release"] == [1800]
     for name, digest in THREE_FEEDER_UFLS_SHA256.items():
         assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_diversity_is_sampled_once_per_market_interval_onto_markets_csv(tmp_path, monkeypatch):
+    # a warming afternoon, so each clearing reads its own outdoor temperature
+    cfg = three_feeder_ufls_config()
+    temps = Series(cfg.simulation.start, 3600.0, 32.0 + np.arange(2) / 4.0)
+    write_series_csv(temps, tmp_path / "temps.csv")
+    cfg = dataclasses.replace(cfg, outdoor_temp_c="temps.csv")
+    calls, bid_t_in = [], []
+    diversity_metric, fleet_bids = engine.diversity_metric, engine.fleet_bids
+
+    def recorded(pop, t_out, bounds=None):
+        divs = diversity_metric(pop, t_out, bounds)
+        calls.append((pop, t_out, bounds, pop.t_in.copy(), divs))
+        return divs
+
+    def recorded_bids(t_in, *args):
+        bid_t_in.append(t_in.copy())
+        return fleet_bids(t_in, *args)
+
+    monkeypatch.setattr(engine, "diversity_metric", recorded)
+    monkeypatch.setattr(engine, "fleet_bids", recorded_bids)
+    sim = SimulationRun(cfg, base_dir=tmp_path)
+    run = sim.run(tmp_path / "run")
+    span = cfg.simulation.span_s
+    intervals = range(0, span, cfg.simulation.market_interval_s)
+    # one area pass per clearing and one for final_diversity, not one per
+    # device tick
+    assert len(calls) == len(intervals) + 1 < span // cfg.simulation.device_tick_s
+    for pop, _, bounds, _, _ in calls:
+        assert pop is sim.fleet
+        assert bounds == [(0, 60), (60, 160)]
+    *at_clearings, (_, t_out, _, _, (f2, f1)) = calls
+    assert t_out == sim.t_out(span)
+    assert run.summary["final_diversity"] == {"f2": f2, "f0": None, "f1": f1}
+
+    rows = rows_of((run.out_dir / "markets.csv").read_bytes())
+    for k, (t, (_, t_out, _, t_in, (f2, f1))) in enumerate(zip(intervals, at_clearings, strict=True)):
+        assert t_out == sim.t_out(t) != sim.t_out(t + cfg.simulation.device_tick_s)
+        # the state the interval's bids are built from, feeders in id order
+        assert np.array_equal(np.concatenate(bid_t_in[3 * k:3 * k + 3]), np.r_[t_in[60:], t_in[:60]])
+        written = {row["market_id"]: row["diversity"] for row in rows if int(row["t_s"]) == t}
+        # the area mean folds the feeders with houses in config order
+        assert written == {"f2": repr(f2), "f0": "", "f1": repr(f1),
+                           "__area": repr(left_sum([f2, f1]) / 2)}
 
 
 def test_house_ranks_and_armed_relays_follow_id_string_order_past_ten_thousand():

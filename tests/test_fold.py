@@ -1,4 +1,5 @@
-"""Float sums have one order on every interpreter."""
+"""Float sums have one order on every interpreter, and float
+transcendentals come from libm, whatever numpy's SIMD level."""
 
 import re
 from pathlib import Path
@@ -8,6 +9,15 @@ from tgsim.fold import left_sum
 
 # the builtin, not a method or a longer name such as np.sum or left_sum
 BARE_SUM = re.compile(r"(?<![\w.])sum\(")
+# numpy's real-valued transcendentals, whose last bit follows the host's
+# SIMD dispatch; math.log and math.exp follow libm alone
+NP_TRANSCENDENTAL = re.compile(
+    r"\bnp\.(?:log|log1p|log2|log10|exp|expm1|exp2|power"
+    r"|(?:arc)?(?:sin|cos|tan)h?|arctan2)\("
+)
+# diversity_from_phases: complex np.exp, which matches cmath.exp at every
+# SIMD level tried
+COMPLEX_ONLY = {("thermal.py", "zs = np.exp(2j * np.pi * phases)")}
 
 
 def test_left_sum_rounds_after_every_addition():
@@ -26,3 +36,14 @@ def test_no_bare_sum_in_the_package():
         if BARE_SUM.search(line)
     ]
     assert not offenders, "use fold.left_sum for float sums:\n" + "\n".join(offenders)
+
+
+def test_no_real_numpy_transcendental_in_the_package():
+    src = Path(tgsim.__file__).parent
+    offenders = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if NP_TRANSCENDENTAL.search(line) and (path.name, line.strip()) not in COMPLEX_ONLY
+    ]
+    assert not offenders, "use math.log / math.exp per element:\n" + "\n".join(offenders)
