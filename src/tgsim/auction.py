@@ -177,7 +177,7 @@ def _trade_key(curve: StepCurve) -> np.ndarray:
     return -curve.price if curve.side == SIDE_BUY else curve.price
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClearingResult:
     price: float
     quantity: float
@@ -316,7 +316,7 @@ def clear(
 ) -> ClearingResult:
     """Find the clearing price and quantity of two step curves.
 
-    Only sets price and quantity; allocate() distributes the fills.
+    Only sets price and quantity; clear_and_allocate() also fills the orders.
     """
     if demand.side != SIDE_BUY or supply.side != SIDE_SELL:
         raise ValueError("clear() wants a demand curve and a supply curve")
@@ -411,34 +411,26 @@ def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[dict[st
     return out, marginal
 
 
-def allocate(result: ClearingResult, demand: StepCurve, supply: StepCurve) -> ClearingResult:
-    """Distribute the cleared quantity over individual orders.
-
-    Strictly in-the-money orders fill completely; orders at the clearing
-    price are rationed in ascending order-id with at most one partial
-    fill per side. marginal_order reports the buy-side partial if there
-    is one, else the sell-side partial.
-    """
-    if result.quantity <= 0.0:
-        result.accepted_buys = {}
-        result.accepted_sells = {}
-        result.marginal_order = None
-        return result
-    buys, m_buy = _fill_side(demand, result.price, result.quantity)
-    sells, m_sell = _fill_side(supply, result.price, result.quantity)
-    result.accepted_buys = buys
-    result.accepted_sells = sells
-    result.marginal_order = m_buy if m_buy is not None else m_sell
-    return result
-
-
 def clear_and_allocate(
     demand: StepCurve,
     supply: StepCurve,
     price_floor: float = 0.0,
     price_cap: float = float("inf"),
 ) -> ClearingResult:
-    return allocate(clear(demand, supply, price_floor, price_cap), demand, supply)
+    """Clear two step curves and distribute the cleared quantity over orders.
+
+    Strictly in-the-money orders fill completely; orders at the clearing
+    price are rationed in ascending order-id with at most one partial
+    fill per side. marginal_order reports the buy-side partial if there
+    is one, else the sell-side partial. A no-trade clearing fills nothing.
+    """
+    result = clear(demand, supply, price_floor, price_cap)
+    if result.quantity <= 0.0:
+        return result
+    buys, m_buy = _fill_side(demand, result.price, result.quantity)
+    sells, m_sell = _fill_side(supply, result.price, result.quantity)
+    marginal = m_buy if m_buy is not None else m_sell
+    return ClearingResult(result.price, result.quantity, buys, sells, marginal)
 
 
 def clear_area(
@@ -461,7 +453,3 @@ def clear_area(
     supply = StepCurve(SIDE_SELL, segs)
     return clear(agg_demand, supply, price_floor, price_cap)
 
-
-def participation(curves: dict[str, StepCurve], price: float) -> dict[str, float]:
-    """Per-feeder quantity read back by evaluating each curve at a price."""
-    return {name: c.quantity_at(price) for name, c in curves.items()}

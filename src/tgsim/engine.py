@@ -47,6 +47,7 @@ from .auction import (
     Segment,
     StepCurve,
     _id_array,
+    _price_spans,
     aggregate_demand,
     build_demand_curve,
     build_feeder_supply,
@@ -74,7 +75,7 @@ from .frequency import (
     ufls_check,
 )
 from .hierarchy import (
-    Schedule,
+    HourEntry,
     availability_feedback,
     feeder_reference,
     reference_mode,
@@ -180,9 +181,10 @@ class SimulationRun:
         self._build_storage()
         self._build_ranks()
         self.hours_per_day = 86400 // cfg.simulation.schedule_interval_s
-        # each feeder's demand curves per hour of the last day a later day
-        # reads; _keep_curves says whether today's market phase fills them
-        self.day_curves: list[dict[str, list[StepCurve]]] = []
+        # the (cumulative kW, price) spans of each feeder's demand curves per
+        # hour of the last day a later day reads; _keep_curves says whether
+        # today's market phase fills them
+        self.day_curves: list[dict[str, list[tuple[np.ndarray, np.ndarray]]]] = []
         self._keep_curves = False
         # balancing state
         self.delta_f = 0.0
@@ -319,11 +321,11 @@ class SimulationRun:
             curves[fspec.feeder_id] = StepCurve(SIDE_BUY, segs)
         return curves
 
-    def _start_day(self, t: int, day: int, emit) -> Schedule:
+    def _start_day(self, t: int, day: int, emit) -> list[HourEntry]:
         """The day-ahead cycle, run once at each day boundary.
 
         Forecasts each hour (bootstrap on day 0, then the availability
-        feedback of yesterday's curves), schedules the whole day, and
+        feedback of yesterday's curve spans), schedules the whole day, and
         gives today's market phase an empty store only if a later day
         will read it.
         """
@@ -346,7 +348,7 @@ class SimulationRun:
             mkt.price_floor,
             mkt.price_cap,
         )
-        emit({"t": t, "type": "schedule", "day": day, "prices": [e.price for e in sched.entries]})
+        emit({"t": t, "type": "schedule", "day": day, "prices": [e.price for e in sched]})
         self._keep_curves = (day + 1) * 86400 < self.cfg.simulation.span_s
         if self._keep_curves:
             self.day_curves = [{fid: [] for fid in sorted(self.feeders)} for _ in hours]
@@ -401,7 +403,7 @@ class SimulationRun:
                 if t % 86400 == 0:
                     sched = self._start_day(t, day, emit)
                 if t % sim.schedule_interval_s == 0:
-                    entry = sched.entry_for(hour_of_day)
+                    entry = sched[hour_of_day]
                     for fid, fs in self.feeders.items():
                         fs.sched_kw = entry.feeder_kw.get(fid, 0.0)
                     self._hour_entry = entry
@@ -538,7 +540,7 @@ class SimulationRun:
             rent = scarcity_rent(result, supply)
             demand_curves[fid] = demand
             if self._keep_curves:
-                self.day_curves[hour_of_day][fid].append(demand)
+                self.day_curves[hour_of_day][fid].append(_price_spans(demand))
 
             fs.import_kw = left_sum(
                 fill for oid, fill in result.accepted_sells.items() if oid.startswith(MARKET_MAKER_PREFIX)

@@ -18,7 +18,7 @@ balancing dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +27,12 @@ from .auction import (
     ClearingResult,
     MARKET_MAKER_PREFIX,
     SIDE_BUY,
+    Bids,
+    OrderRanks,
     StepCurve,
-    _price_spans,
+    _id_array,
     aggregate_demand,
     clear_area,
-    participation,
 )
 from .fold import left_sum
 
@@ -49,14 +50,6 @@ class HourEntry:
     feeder_kw: dict[str, float]
 
 
-@dataclass
-class Schedule:
-    entries: list[HourEntry] = field(default_factory=list)
-
-    def entry_for(self, hour_index: int) -> HourEntry:
-        return self.entries[hour_index]
-
-
 def schedule_hourly(
     forecasts: Sequence[dict[str, StepCurve]],
     da_prices: Sequence[float],
@@ -65,11 +58,12 @@ def schedule_hourly(
     bulk_capacity_kw: float,
     price_floor: float,
     price_cap: float,
-) -> Schedule:
+) -> list[HourEntry]:
     """Clear each hour's forecast against the day-ahead merit order.
 
     forecasts holds one {feeder: demand curve} map per hour; da_prices
-    gives the bulk offer price for each hour. Per-feeder positions are
+    gives the bulk offer price for each hour; the result holds one entry
+    per hour, in hour order. Per-feeder positions are
     read back by evaluating each feeder's forecast curve at the cleared
     hourly price. Pure function of its inputs: scheduling twice from
     the same forecasts yields the same schedule.
@@ -88,7 +82,7 @@ def schedule_hourly(
             price_cap,
         )
         if result.quantity > 0:
-            positions = participation(curves, result.price)
+            positions = {fid: c.quantity_at(result.price) for fid, c in curves.items()}
         else:
             positions = {fid: 0.0 for fid in curves}
         entries.append(
@@ -99,26 +93,24 @@ def schedule_hourly(
                 feeder_kw=positions,
             )
         )
-    return Schedule(entries)
+    return entries
 
 
-def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
+def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> StepCurve:
     """Mean demand curve over a lookback window of cleared intervals.
 
     Pointwise (quantity) average over the union of step prices: each
     interval contributes its willingness at every price, divided by the
     window length. Feeds the next day's forecast.
-    A curve's ``quantity_at(p)`` is the cumulative quantity of its
-    price-descending prefix priced at or above p, so it is read off
-    ``_price_spans`` with one search per curve, with the same bits.
+    Each interval comes as the ``_price_spans`` pair of its demand curve,
+    (cumulative kW, price) in trade order. A demand curve's
+    ``quantity_at(p)`` is the cumulative quantity of its price-descending
+    prefix priced at or above p, so one search per interval reads it off
+    the pair with the same bits.
     """
-    curves = list(curves)
-    if not curves:
+    spans = list(spans)
+    if not spans:
         raise ValueError("no curves to aggregate")
-    for c in curves:
-        if c.side != SIDE_BUY:
-            raise ValueError("availability feedback expects demand curves")
-    spans = [_price_spans(c) for c in curves]
     # distinct prices, highest first; of prices that compare equal (0.0
     # and -0.0) the first seen stands for them, as in a Python set
     seen = np.concatenate([price for _, price in spans])
@@ -128,12 +120,15 @@ def availability_feedback(curves: Sequence[StepCurve]) -> StepCurve:
     for cum, price in spans:
         n_willing = np.searchsorted(-price, -prices, "right")
         total += np.concatenate(([0.0], cum))[n_willing]
-    q_here = total / len(curves)
-    # a step wherever the mean rises past everything before it
+    q_here = total / len(spans)
+    # a step wherever the mean rises past everything before it, so every
+    # step quantity is positive
     prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
     step = np.flatnonzero(q_here > prev_q)
-    rows = zip(prices[step].tolist(), (q_here[step] - prev_q[step]).tolist(), step.tolist())
-    return StepCurve(SIDE_BUY, [(p, q, f"__forecast{k}") for p, q, k in rows])
+    ids = [f"__forecast{k}" for k in step.tolist()]
+    ranks = OrderRanks(ids)
+    cols = Bids(_id_array(ids), prices[step], q_here[step] - prev_q[step], ranks.of(ids))
+    return StepCurve._from_columns(SIDE_BUY, cols, ranks)
 
 
 def reference_mode(

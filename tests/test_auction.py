@@ -29,7 +29,6 @@ from tgsim.auction import (
     clear,
     clear_and_allocate,
     clear_area,
-    participation,
     _id_array,
     _price_spans,
 )
@@ -238,14 +237,6 @@ def test_clear_area_bulk_price_and_validation():
     # without renewables the bulk block carries everything
     r = clear_area(demand, 15.0, 0.0, 30.0, 100.0)
     assert (r.price, r.quantity) == (30.0, 30.0)
-
-
-def test_participation_reads_curves_at_price():
-    curves = {
-        "f0": buys(("a", 40.0, 3.0), ("b", 20.0, 2.0)),
-        "f1": buys(("c", 25.0, 4.0)),
-    }
-    assert participation(curves, 25.0) == {"f0": 3.0, "f1": 4.0}
 
 
 # ----------------------------------------------------------------------

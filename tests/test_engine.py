@@ -11,6 +11,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim import engine
+from tgsim.auction import _price_spans
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
@@ -115,16 +116,26 @@ def test_double_runs_are_byte_identical(scenario_runs):
 def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, monkeypatch):
     # days 1 and 2 are scheduled from the previous day's availability
     # feedback; day 2's curves are never read, so the run stores none
-    # of them and still holds the day 1 curves that day 2 was scheduled from
+    # of them and still holds the price spans of the day 1 curves that day 2
+    # was scheduled from
     fed: list[list] = []
+    built: list = []
     real_feedback = engine.availability_feedback
+    real_build = engine.build_demand_curve
 
     def recorded_feedback(curves):
         fed.append(curves)
         return real_feedback(curves)
 
+    def recorded_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
     monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
-    base = load_config(SCENARIO_DIR / "single_house.yaml")
+    monkeypatch.setattr(engine, "build_demand_curve", recorded_build)
+    # two feeders of houses whose bids differ in price and count, so a
+    # held pair from the wrong interval or feeder would not match
+    base = load_config(SCENARIO_DIR / "two_day.yaml")
 
     def config(span_s):
         sim = dataclasses.replace(base.simulation, span_s=span_s)
@@ -133,6 +144,7 @@ def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, mon
     files = []
     for name in ("a", "b"):
         fed.clear()
+        built.clear()
         sim = SimulationRun(config(3 * 86400), base_dir=SCENARIO_DIR)
         run = sim.run(tmp_path / name)
         hours = sim.hours_per_day
@@ -140,7 +152,19 @@ def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, mon
         held = [curves for by_feeder in sim.day_curves for curves in by_feeder.values()]
         assert len(held) == hours * len(sim.feeders)
         assert all(a is b for a, b in zip(held, fed[-len(held):]))
-        assert all(len(curves) == 3600 // 300 for curves in held)
+        per_hour = 3600 // 300
+        assert all(len(curves) == per_hour for curves in held)
+        # each held entry is the spans pair of the curve cleared in its
+        # interval; the market phase builds day 1's curves interval by
+        # interval, feeders in sorted order
+        fids = sorted(sim.feeders)
+        day1 = built[len(built) // 3 : 2 * len(built) // 3]
+        for h, by_feeder in enumerate(sim.day_curves):
+            for j, fid in enumerate(fids):
+                for k, pair in enumerate(by_feeder[fid]):
+                    want = _price_spans(day1[(h * per_hour + k) * len(fids) + j])
+                    assert isinstance(pair, tuple) and len(pair) == 2
+                    assert all(a.dtype == np.float64 and a.tobytes() == w.tobytes() for a, w in zip(pair, want))
         files.append(artifact_files(run))
         events = map(json.loads, files[-1]["events.jsonl"].splitlines())
         assert [e["day"] for e in events if e["type"] == "schedule"] == [0, 1, 2]

@@ -5,12 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, clear_and_allocate
+from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, _price_spans, clear_and_allocate
 from tgsim.fold import left_sum
 from tgsim.hierarchy import (
     MODE_CONTINGENCY,
     MODE_NORMAL,
-    Schedule,
     availability_feedback,
     feeder_reference,
     reference_mode,
@@ -32,16 +31,14 @@ def supply(*segs):
 
 
 def test_schedule_zero_hours():
-    sched = schedule_hourly([], [], 15.0, 10.0, 100.0, 0.0, 1000.0)
-    assert sched.entries == []
+    assert schedule_hourly([], [], 15.0, 10.0, 100.0, 0.0, 1000.0) == []
 
 
 def test_schedule_renewables_marginal_hour():
     # 5 kW of demand against 10 kW of cheap renewables: the renewables
     # block is marginal, so the hour clears at the renewables price.
     forecasts = [{"f0": demand((40.0, 5.0, "f0"))}]
-    sched = schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 0.0, 1000.0)
-    entry = sched.entry_for(0)
+    (entry,) = schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 0.0, 1000.0)
     assert entry.hour_index == 0
     assert entry.price == 15.0
     assert entry.area_quantity_kw == 5.0
@@ -57,8 +54,7 @@ def test_schedule_bulk_marginal_hour_splits_positions():
             "f1": demand((45.0, 4.0, "f1")),
         }
     ]
-    sched = schedule_hourly(forecasts, [30.0], 15.0, 5.0, 100.0, 0.0, 1000.0)
-    entry = sched.entry_for(0)
+    (entry,) = schedule_hourly(forecasts, [30.0], 15.0, 5.0, 100.0, 0.0, 1000.0)
     assert entry.price == 30.0
     assert entry.area_quantity_kw == 12.0
     assert entry.feeder_kw == {"f0": 8.0, "f1": 4.0}
@@ -67,14 +63,13 @@ def test_schedule_bulk_marginal_hour_splits_positions():
 def test_schedule_uses_per_hour_bulk_price():
     hour = {"f0": demand((90.0, 20.0, "f0"))}
     sched = schedule_hourly([hour, hour], [30.0, 60.0], 15.0, 0.0, 100.0, 0.0, 1000.0)
-    assert [e.price for e in sched.entries] == [30.0, 60.0]
-    assert [e.area_quantity_kw for e in sched.entries] == [20.0, 20.0]
+    assert [e.price for e in sched] == [30.0, 60.0]
+    assert [e.area_quantity_kw for e in sched] == [20.0, 20.0]
 
 
 def test_schedule_empty_hour_clears_at_floor_with_zero_positions():
     forecasts = [{"f0": StepCurve(SIDE_BUY, [])}]
-    sched = schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 5.0, 1000.0)
-    entry = sched.entry_for(0)
+    (entry,) = schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 5.0, 1000.0)
     assert entry.price == 5.0
     assert entry.area_quantity_kw == 0.0
     assert entry.feeder_kw == {"f0": 0.0}
@@ -88,7 +83,7 @@ def test_schedule_is_a_pure_function_of_its_inputs():
     args = (forecasts, [30.0, 25.0], 15.0, 5.0, 100.0, 0.0, 1000.0)
     first = schedule_hourly(*args)
     second = schedule_hourly(*args)
-    assert first.entries == second.entries
+    assert first == second
 
 
 def test_schedule_length_mismatch_rejected():
@@ -98,11 +93,9 @@ def test_schedule_length_mismatch_rejected():
 
 
 def test_schedule_entry_lookup():
-    sched = Schedule()
-    assert sched.entries == []
     hour = {"f0": demand((40.0, 5.0, "f0"))}
     sched = schedule_hourly([hour, hour, hour], [30.0] * 3, 15.0, 10.0, 100.0, 0.0, 1000.0)
-    assert sched.entry_for(2) is sched.entries[2]
+    assert [e.hour_index for e in sched] == [0, 1, 2]
 
 
 # ------------------------------------------------------ forecast feedback
@@ -110,7 +103,7 @@ def test_schedule_entry_lookup():
 
 def test_feedback_single_curve_is_identity_pointwise():
     c = demand((50.0, 2.0, "a"), (40.0, 3.0, "b"))
-    mean = availability_feedback([c])
+    mean = availability_feedback([_price_spans(c)])
     for probe in (55.0, 50.0, 45.0, 40.0, 10.0):
         assert mean.quantity_at(probe) == c.quantity_at(probe)
 
@@ -120,7 +113,7 @@ def test_feedback_averages_over_the_union_of_prices():
     # interval contributes its willingness at every price, halved
     a = demand((50.0, 2.0, "a"))
     b = demand((40.0, 3.0, "b"))
-    mean = availability_feedback([a, b])
+    mean = availability_feedback([_price_spans(a), _price_spans(b)])
     assert mean.quantity_at(50.0) == 1.0
     assert mean.quantity_at(40.0) == 2.5
     assert mean.quantity_at(39.0) == 2.5
@@ -132,7 +125,7 @@ def test_feedback_averages_over_the_union_of_prices():
 def test_feedback_emits_synthetic_order_ids():
     a = demand((50.0, 2.0, "house7"))
     b = demand((40.0, 3.0, "house9"))
-    mean = availability_feedback([a, b])
+    mean = availability_feedback([_price_spans(a), _price_spans(b)])
     ids = [s.order_id for s in mean.segments]
     assert ids == ["__forecast0", "__forecast1"]
 
@@ -140,8 +133,8 @@ def test_feedback_emits_synthetic_order_ids():
 def test_feedback_is_idempotent():
     a = demand((50.0, 2.0, "a"))
     b = demand((40.0, 3.0, "b"))
-    once = availability_feedback([a, b])
-    twice = availability_feedback([once])
+    once = availability_feedback([_price_spans(a), _price_spans(b)])
+    twice = availability_feedback([_price_spans(once)])
     for probe in (60.0, 50.0, 40.0, 0.0):
         assert twice.quantity_at(probe) == once.quantity_at(probe)
 
@@ -173,7 +166,7 @@ def test_feedback_matches_the_per_price_formula_bitwise():
             window.append(demand(*((p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices, qs)))))
         windows.append(window)
     for window in windows:
-        got = [tuple(s) for s in availability_feedback(window).segments]
+        got = [tuple(s) for s in availability_feedback([_price_spans(c) for c in window]).segments]
         assert got == _feedback_per_price(window)
 
 
@@ -187,16 +180,15 @@ def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
             prices = rng.choice([-0.0, 0.0, 0.0, 5.0, 30.0], n)
             qs = rng.choice([1.0, 0.5, 2.0], n)
             window.append(demand(*((p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices, qs)))))
-        got = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in availability_feedback(window).segments]
+        mean = availability_feedback([_price_spans(c) for c in window])
+        got = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in mean.segments]
         want = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in _feedback_per_price(window)]
         assert got == want
 
 
-def test_feedback_rejects_empty_window_and_supply_curves():
+def test_feedback_rejects_empty_window():
     with pytest.raises(ValueError):
         availability_feedback([])
-    with pytest.raises(ValueError):
-        availability_feedback([supply((20.0, 5.0, "s"))])
 
 
 # ------------------------------------------------------- reference blend
