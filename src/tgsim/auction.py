@@ -23,10 +23,11 @@ sits at or above the supply staircase, then prices the trade:
 Allocation fills every order strictly better than the clearing price in
 full, then rations orders exactly at the clearing price in ascending
 order-id, so at most one order per side is partially filled and the two
-sides balance exactly. Cumulative quantities and the remaining quantity
-are left folds (``np.add.accumulate``, ``np.subtract.accumulate``), so
-the array passes give the bits of an order-by-order walk;
-``tests/oracle_clearing.py`` keeps that walk as the reference.
+sides balance exactly. Each side's fills are one column over a prefix of
+its curve in trade order. Cumulative and remaining quantities are left
+folds (``np.add.accumulate``, ``np.subtract.accumulate``), so the array
+passes give the bits of an order-by-order walk, which
+``tests/oracle_clearing.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ class Segment(NamedTuple):
 
 
 def _id_array(ids: Sequence[str]) -> np.ndarray:
-    out = np.empty(len(ids), dtype=object)
-    out[:] = ids
-    return out
+    return np.asarray(ids, dtype=object)
 
 
 class OrderRanks:
@@ -110,37 +109,36 @@ class StepCurve:
     keep their input order. Per-order identity is preserved: equal-price
     orders simply sit adjacent, which serves as the merged price level.
 
-    ``StepCurve(side, segments)`` builds a curve from (price, quantity,
-    order_id) rows and ranks their ids among themselves;
-    ``build_demand_curve`` and ``aggregate_demand`` sort columns whose
-    quantities they have checked, ranked by a shared table.
-    ``segments`` rebuilds the rows on each read.
+    ``_from_columns`` is the one way in: the library's builders pass it
+    columns whose quantities they have checked. ``StepCurve(side,
+    segments)`` turns (price, quantity, order_id) rows into columns for
+    it, for tests and hand-built curves. ``segments`` rebuilds the rows
+    on each read.
     """
 
     def __init__(self, side: str, segments: Iterable[tuple[float, float, str]] = ()) -> None:
         rows = [(float(p), float(q), str(i)) for p, q, i in segments]
         if not all(q > 0 for _, q, _ in rows):
             raise ValueError("segment quantity must be positive")
-        ids = [i for _, _, i in rows]
-        ranks = OrderRanks(ids)
-        self._sort(
-            side,
-            np.array([p for p, _, _ in rows], dtype=np.float64),
-            np.array([q for _, q, _ in rows], dtype=np.float64),
-            _id_array(ids),
-            ranks.of(ids),
-            ranks,
-        )
+        self._sort(side, [i for _, _, i in rows], [p for p, _, _ in rows], [q for _, q, _ in rows])
 
     @classmethod
-    def _from_columns(cls, side: str, bids: Bids, ranks: OrderRanks) -> StepCurve:
+    def _from_columns(cls, side: str, ids, price, quantity, rank=None, ranks: OrderRanks | None = None) -> StepCurve:
+        """Sort columns into a curve; ``rank`` indexes ``ranks``, and
+        without them the ids are ranked among themselves."""
         curve = cls.__new__(cls)
-        curve._sort(side, bids.price, bids.quantity, bids.ids, bids.rank, ranks)
+        curve._sort(side, ids, price, quantity, rank, ranks)
         return curve
 
-    def _sort(self, side, price, quantity, ids, rank, ranks) -> None:
+    def _sort(self, side, ids, price, quantity, rank=None, ranks=None) -> None:
         if side not in (SIDE_BUY, SIDE_SELL):
             raise ValueError(f"bad side {side!r}")
+        ids = _id_array(ids)
+        if ranks is None:
+            ranks = OrderRanks(ids.tolist())
+            rank = ranks.of(ids.tolist())
+        price = np.asarray(price, dtype=np.float64)
+        quantity = np.asarray(quantity, dtype=np.float64)
         # stable, and -0.0 ties with 0.0 as it does under Python's sort
         order = np.lexsort((rank, -price if side == SIDE_BUY else price))
         self.side = side
@@ -177,12 +175,16 @@ def _trade_key(curve: StepCurve) -> np.ndarray:
     return -curve.price if curve.side == SIDE_BUY else curve.price
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClearingResult:
+    """``buy_fills[k]`` fills the demand curve's order k in trade order,
+    ``sell_fills[k]`` the supply curve's; both are empty when nothing
+    trades and in a ``clear()`` result."""
+
     price: float
     quantity: float
-    accepted_buys: dict[str, float] = field(default_factory=dict)
-    accepted_sells: dict[str, float] = field(default_factory=dict)
+    buy_fills: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    sell_fills: np.ndarray = field(default_factory=lambda: np.zeros(0))
     marginal_order: str | None = None
 
 
@@ -214,13 +216,12 @@ def build_demand_curve(
         if houses is not None:
             raise ValueError("house bids need the rank table their ranks index")
         ranks = OrderRanks(o.order_id for o in orders)
-    named = _order_columns(orders, ranks)
-    if houses is None:
-        return StepCurve._from_columns(SIDE_BUY, named, ranks)
-    if not (houses.quantity > 0).all():
-        raise ValueError("order quantity must be positive")
-    cols = Bids(*(np.concatenate(pair) for pair in zip(houses, named)))
-    return StepCurve._from_columns(SIDE_BUY, cols, ranks)
+    cols = _order_columns(orders, ranks)
+    if houses is not None:
+        if not (houses.quantity > 0).all():
+            raise ValueError("order quantity must be positive")
+        cols = Bids(*(np.concatenate(pair) for pair in zip(houses, cols)))
+    return StepCurve._from_columns(SIDE_BUY, *cols, ranks)
 
 
 @dataclass(frozen=True)
@@ -257,16 +258,16 @@ MARKET_MAKER_PREFIX = "__import"
 
 def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = ()) -> StepCurve:
     """Supply curve: wholesale block, scarcity blocks, local sell orders."""
-    segs = []
-    if spec.capacity_normal > 0:
-        segs.append(Segment(spec.wholesale_price, spec.capacity_normal, f"{MARKET_MAKER_PREFIX}_wholesale"))
-    for k, (price, extra) in enumerate(spec.scarcity_steps):
-        segs.append(Segment(price, extra, f"{MARKET_MAKER_PREFIX}_scarcity{k}"))
-    for o in sell_bids:
+    sells = list(sell_bids)
+    for o in sells:
         if o.side != SIDE_SELL:
             raise ValueError(f"supply curve given a buy order {o.order_id}")
-        segs.append(Segment(o.price, o.quantity, o.order_id))
-    return StepCurve(SIDE_SELL, segs)
+    steps, mm = spec.scarcity_steps, MARKET_MAKER_PREFIX
+    whole = spec.capacity_normal > 0  # steps and orders are positive already
+    ids = [f"{mm}_wholesale"] * whole + [f"{mm}_scarcity{k}" for k in range(len(steps))] + [o.order_id for o in sells]
+    price = [spec.wholesale_price] * whole + [p for p, _ in steps] + [o.price for o in sells]
+    quantity = [spec.capacity_normal] * whole + [q for _, q in steps] + [o.quantity for o in sells]
+    return StepCurve._from_columns(SIDE_SELL, ids, price, quantity)
 
 
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
@@ -283,20 +284,16 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
             raise ValueError("can only aggregate demand curves")
     if not curves:
         return StepCurve(SIDE_BUY)
-    ids = np.concatenate([c.ids for c in curves])
     ranks = curves[0].ranks
-    if all(c.ranks is ranks for c in curves):
-        rank = np.concatenate([c.rank for c in curves])
-    else:
-        ranks = OrderRanks(ids.tolist())
-        rank = ranks.of(ids.tolist())
-    cols = Bids(
-        ids,
+    shared = all(c.ranks is ranks for c in curves)
+    return StepCurve._from_columns(
+        SIDE_BUY,
+        np.concatenate([c.ids for c in curves]),
         np.concatenate([c.price for c in curves]),
         np.concatenate([c.quantity for c in curves]),
-        rank,
+        np.concatenate([c.rank for c in curves]) if shared else None,
+        ranks if shared else None,
     )
-    return StepCurve._from_columns(SIDE_BUY, cols, ranks)
 
 
 def _price_spans(curve: StepCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +367,7 @@ def clear(
     return ClearingResult(price=price, quantity=qty)
 
 
-def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[dict[str, float], str | None]:
+def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[np.ndarray, str | None]:
     """Fills of one side: strictly better orders, then at-price rationing.
 
     Both are a prefix of the trade order, since at-price orders already
@@ -401,14 +398,7 @@ def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[dict[st
             n, marginal = c + 1, curve.ids[c]
         else:
             n = c
-    ids = curve.ids[:n].tolist()
-    taken = fills[:n].tolist()
-    out = dict(zip(ids, taken))
-    if len(out) < n:  # repeated ids add their fills in fill order
-        out = {}
-        for oid, take in zip(ids, taken):
-            out[oid] = out.get(oid, 0.0) + take
-    return out, marginal
+    return fills[:n], marginal
 
 
 def clear_and_allocate(
@@ -445,11 +435,12 @@ def clear_area(
     """Clear aggregated demand against the two-step merit order supply."""
     if bulk_price <= renewables_price:
         raise ValueError("bulk price must exceed the renewables price")
-    segs = []
-    if renewables_capacity > 0:
-        segs.append(Segment(renewables_price, renewables_capacity, "__area_renewables"))
-    if bulk_capacity > 0:
-        segs.append(Segment(bulk_price, bulk_capacity, "__area_bulk"))
-    supply = StepCurve(SIDE_SELL, segs)
+    renewables, bulk = renewables_capacity > 0, bulk_capacity > 0
+    supply = StepCurve._from_columns(
+        SIDE_SELL,
+        ["__area_renewables"] * renewables + ["__area_bulk"] * bulk,
+        [renewables_price] * renewables + [bulk_price] * bulk,
+        [renewables_capacity] * renewables + [bulk_capacity] * bulk,
+    )
     return clear(agg_demand, supply, price_floor, price_cap)
 

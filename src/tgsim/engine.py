@@ -44,7 +44,6 @@ from .auction import (
     FeederSupplySpec,
     Order,
     OrderRanks,
-    Segment,
     StepCurve,
     _id_array,
     _price_spans,
@@ -108,6 +107,12 @@ def _fmt_or_empty(x: float | None) -> str:
 
 def _event_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _fill_of(fills: np.ndarray, column: np.ndarray, key) -> float:
+    """Fill of the order whose entry in a curve's column is key, else 0.0."""
+    hit = np.flatnonzero(column[: len(fills)] == key)
+    return float(fills[hit[0]]) if len(hit) else 0.0
 
 
 def _house_bids_digest(t: int, market: str, prices: np.ndarray, quantities: np.ndarray,
@@ -294,6 +299,8 @@ class SimulationRun:
         for fs in self.feeders.values():
             ids += fs.pop.ids
         self.ranks = OrderRanks(ids)
+        # a charge order's fill is found in a demand curve by its rank
+        self.charge_rank = {sid: self.ranks.of([f"{sid}_chg"])[0] for sid in self.storage_states}
         for fs in self.feeders.values():
             fs.house_rank = self.ranks.of(fs.pop.ids)
             fs.armed_idx = fs.armed_idx[np.argsort(fs.house_rank[fs.armed_idx])]
@@ -310,15 +317,14 @@ class SimulationRun:
         median = ThermalParams(cfgp.r_median, cfgp.c_median, cfgp.q_hvac, cfgp.p_rated)
         t_start = period * self.cfg.simulation.schedule_interval_s
         duty = steady_duty(median, self.thermostat, self.t_out(t_start))
+        price = np.array([mkt.price_cap, mkt.prior_mean], dtype=np.float64)
         curves = {}
         for fspec in self.cfg.feeders:
-            segs = []
-            if fspec.base_load_kw > 0:
-                segs.append(Segment(mkt.price_cap, fspec.base_load_kw, f"{fspec.feeder_id}_base"))
-            resp = fspec.houses * cfgp.p_rated * duty
-            if resp > 0:
-                segs.append(Segment(mkt.prior_mean, resp, f"{fspec.feeder_id}_resp"))
-            curves[fspec.feeder_id] = StepCurve(SIDE_BUY, segs)
+            fid = fspec.feeder_id
+            quantity = np.array([fspec.base_load_kw, fspec.houses * cfgp.p_rated * duty], dtype=np.float64)
+            offered = quantity > 0
+            ids = _id_array([f"{fid}_base", f"{fid}_resp"])[offered]
+            curves[fid] = StepCurve._from_columns(SIDE_BUY, ids, price[offered], quantity[offered])
         return curves
 
     def _start_day(self, t: int, day: int, emit) -> list[HourEntry]:
@@ -495,9 +501,10 @@ class SimulationRun:
         area = cfg.area
         entry = self._hour_entry
         interval_h = cfg.simulation.market_interval_s / 3600.0
-        anchor = entry.price if entry.area_quantity_kw > 0 else self.da_price_for_hour(
-            day * self.hours_per_day + hour_of_day
-        )
+        bulk_price = self.da_price_for_hour(day * self.hours_per_day + hour_of_day)
+        # never above the bulk price, so scarcity steps (which config keeps
+        # above every day-ahead price) stay above an hour scheduled at the cap
+        anchor = min(entry.price, bulk_price) if entry.area_quantity_kw > 0 else bulk_price
         demand_curves: dict[str, StepCurve] = {}
         # sampled from the state the bids are built from
         diversity = self._feeder_diversity(t)
@@ -542,12 +549,11 @@ class SimulationRun:
             if self._keep_curves:
                 self.day_curves[hour_of_day][fid].append(_price_spans(demand))
 
-            fs.import_kw = left_sum(
-                fill for oid, fill in result.accepted_sells.items() if oid.startswith(MARKET_MAKER_PREFIX)
-            )
+            n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
+            sold = zip(supply.ids[:n_sells].tolist(), result.sell_fills.tolist())
+            fs.import_kw = left_sum(fill for oid, fill in sold if oid.startswith(MARKET_MAKER_PREFIX))
             emit({"t": t, "type": "clearing", "market": fid, "price": result.price,
-                  "quantity": result.quantity, "buys": len(result.accepted_buys),
-                  "sells": len(result.accepted_sells), "rent": rent,
+                  "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
                   "marginal": result.marginal_order})
             prices_seen.append(result.price)
             feeder_prices[fid].append(result.price)
@@ -561,8 +567,8 @@ class SimulationRun:
             fs.storage_net_kw = 0.0
             for placement in fs.storage:
                 sid = placement.spec.device_id
-                charge = result.accepted_buys.get(f"{sid}_chg", 0.0)
-                discharge = result.accepted_sells.get(f"{sid}_dis", 0.0)
+                charge = _fill_of(result.buy_fills, demand.rank, self.charge_rank[sid])
+                discharge = _fill_of(result.sell_fills, supply.ids, f"{sid}_dis")
                 self.storage_states[sid] = apply_clearing_to_storage(
                     placement.spec, self.storage_states[sid], charge, discharge, interval_h
                 )
@@ -607,14 +613,13 @@ class SimulationRun:
                                    fspec.weight_contingency, mode)
             markets.write(
                 f"{t},{fid},{_fmt(result.price)},{_fmt(result.quantity)},"
-                f"{len(result.accepted_buys)},{len(result.accepted_sells)},"
+                f"{n_buys},{n_sells},"
                 f"{mode},{_fmt(ref)},{_fmt(rent)},{_fmt_or_empty(diversity[fid])}\n"
             )
             fs.stats.observe(result.price)
 
         # area-level aggregation, recorded for reporting
         merged = aggregate_demand(demand_curves.values())
-        bulk_price = self.da_price_for_hour(day * self.hours_per_day + hour_of_day)
         area_result = clear_area(
             merged,
             area.renewables_price,

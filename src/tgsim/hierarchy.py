@@ -27,10 +27,7 @@ from .auction import (
     ClearingResult,
     MARKET_MAKER_PREFIX,
     SIDE_BUY,
-    Bids,
-    OrderRanks,
     StepCurve,
-    _id_array,
     aggregate_demand,
     clear_area,
 )
@@ -126,9 +123,7 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Ste
     prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
     step = np.flatnonzero(q_here > prev_q)
     ids = [f"__forecast{k}" for k in step.tolist()]
-    ranks = OrderRanks(ids)
-    cols = Bids(_id_array(ids), prices[step], q_here[step] - prev_q[step], ranks.of(ids))
-    return StepCurve._from_columns(SIDE_BUY, cols, ranks)
+    return StepCurve._from_columns(SIDE_BUY, ids, prices[step], q_here[step] - prev_q[step])
 
 
 def reference_mode(
@@ -224,10 +219,14 @@ def scarcity_rent(result: ClearingResult, supply: StepCurve) -> float:
     scarcity blocks belong to the market maker, which buys at the block
     price and sells at the clearing price. The sum of those margins is
     the scarcity rent. Zero whenever the wholesale block is marginal.
+
+    The margins fold left in ascending order id, not in trade order, so
+    ``__import_scarcity0`` comes before ``__import_wholesale``.
     """
-    price_of = dict(zip(supply.ids.tolist(), supply.price.tolist()))
+    n = len(result.sell_fills)
+    filled = zip(supply.ids[:n].tolist(), supply.price[:n].tolist(), result.sell_fills.tolist())
     return left_sum(
-        (result.price - price_of[oid]) * fill
-        for oid, fill in sorted(result.accepted_sells.items())
+        (result.price - price) * fill
+        for oid, price, fill in sorted(filled)
         if oid.startswith(MARKET_MAKER_PREFIX)
     )

@@ -194,6 +194,17 @@ def walk_fill(rows, price, quantity, buy):
     return fills, marginal
 
 
+def fills_by_id(curve, fills):
+    """{order id: fill} of a fill column over its curve's trade order,
+    keyed in first-fill order; repeated ids add their fills in fill
+    order. The walks and the oracle report fills this way."""
+    assert len(fills) <= len(curve)
+    out = {}
+    for oid, fill in zip(curve.ids.tolist(), fills.tolist()):
+        out[oid] = out[oid] + fill if oid in out else fill
+    return out
+
+
 def walk_clear_and_allocate(d_rows, s_rows, price_floor=0.0, price_cap=float("inf")):
     """(price, quantity, buy fills, sell fills, marginal id) of sorted rows."""
     price, qty = walk_clear(d_rows, s_rows, price_floor, price_cap)

@@ -14,7 +14,7 @@ from datetime import datetime
 import numpy as np
 
 from conftest import SCENARIO_DIR, artifact_files
-from oracle_clearing import oracle_clear, random_book
+from oracle_clearing import fills_by_id, oracle_clear, random_book
 from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, clear_and_allocate
 from tgsim.bidding import PriceStats, setpoint_from_price, thermostat_bid
 from tgsim.config import load_config
@@ -93,8 +93,8 @@ def test_c03_clearing_matches_the_reference_on_random_books():
         ok = ok and (
             got.price == price
             and got.quantity == qty
-            and got.accepted_buys == buy_fills
-            and got.accepted_sells == sell_fills
+            and fills_by_id(demand, got.buy_fills) == buy_fills
+            and fills_by_id(supply, got.sell_fills) == sell_fills
         )
     ok = ok and (time.perf_counter() - t0) < 30.0
     verdict(3, "10,000 random books clear identically to the unit-expansion reference", ok)

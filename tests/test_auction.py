@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracle_clearing import (
+    fills_by_id,
     oracle_clear,
     random_book,
     walk_aggregate,
@@ -13,6 +14,7 @@ from oracle_clearing import (
     walk_sort,
     walk_spans,
 )
+from tgsim import auction
 from tgsim.auction import (
     MARKET_MAKER_PREFIX,
     Bids,
@@ -185,8 +187,8 @@ def test_allocate_single_price_crossing_with_partial_buyer():
     s = sells(("s1", 35.0, 12.0))
     r = clear_and_allocate(d, s)
     assert (r.price, r.quantity) == (35.0, 12.0)
-    assert r.accepted_buys == {"b1": 10.0, "b2": 2.0}
-    assert r.accepted_sells == {"s1": 12.0}
+    assert fills_by_id(d, r.buy_fills) == {"b1": 10.0, "b2": 2.0}
+    assert fills_by_id(s, r.sell_fills) == {"s1": 12.0}
     assert r.marginal_order == "b2"
 
 
@@ -195,11 +197,16 @@ def test_allocate_rations_at_price_by_ascending_order_id():
     s = sells(("s1", 20.0, 7.0))
     r = clear_and_allocate(d, s)
     assert (r.price, r.quantity) == (40.0, 7.0)
-    assert r.accepted_buys == {"a": 3.0, "b": 3.0, "c": 1.0}
+    # the fill column follows the trade order: the at-price orders by id
+    assert r.buy_fills.tolist() == [3.0, 3.0, 1.0]
+    assert fills_by_id(d, r.buy_fills) == {"a": 3.0, "b": 3.0, "c": 1.0}
     assert r.marginal_order == "c"
     # null trades allocate nothing
     empty = clear_and_allocate(buys(("b", 10.0, 1.0)), sells(("s", 90.0, 1.0)))
-    assert empty.accepted_buys == {} and empty.accepted_sells == {}
+    assert len(empty.buy_fills) == 0 and len(empty.sell_fills) == 0
+    # clear() prices the trade and fills nothing
+    priced = clear(d, s)
+    assert len(priced.buy_fills) == 0 and len(priced.sell_fills) == 0
     assert empty.marginal_order is None
 
 
@@ -260,8 +267,8 @@ def test_random_books_match_reference_clearing():
         price, qty, buy_fills, sell_fills = oracle_clear(raw_buys, raw_sells)
         assert got.price == price
         assert got.quantity == qty
-        assert got.accepted_buys == buy_fills
-        assert got.accepted_sells == sell_fills
+        assert fills_by_id(d, got.buy_fills) == buy_fills
+        assert fills_by_id(s, got.sell_fills) == sell_fills
 
 
 def test_random_books_satisfy_market_invariants():
@@ -271,8 +278,9 @@ def test_random_books_satisfy_market_invariants():
         d, s = to_curves((raw_buys, raw_sells))
         r = clear_and_allocate(d, s, price_floor=0.0, price_cap=1000.0)
         # conservation: both sides fill to exactly the cleared quantity
-        assert sum(r.accepted_buys.values()) == r.quantity
-        assert sum(r.accepted_sells.values()) == r.quantity
+        bought, sold = fills_by_id(d, r.buy_fills), fills_by_id(s, r.sell_fills)
+        assert sum(bought.values()) == r.quantity
+        assert sum(sold.values()) == r.quantity
         assert r.quantity <= min(d.total_quantity(), s.total_quantity())
         assert 0.0 <= r.price <= 1000.0
         by_id_buy = {i: q for i, _, q in raw_buys}
@@ -280,13 +288,13 @@ def test_random_books_satisfy_market_invariants():
         prices_buy = {i: p for i, p, _ in raw_buys}
         prices_sell = {i: p for i, p, _ in raw_sells}
         partial = 0
-        for oid, fill in r.accepted_buys.items():
+        for oid, fill in bought.items():
             assert 0.0 < fill <= by_id_buy[oid]
             assert prices_buy[oid] >= r.price  # no buyer pays above its bid
             partial += fill < by_id_buy[oid]
         assert partial <= 1
         partial = 0
-        for oid, fill in r.accepted_sells.items():
+        for oid, fill in sold.items():
             assert 0.0 < fill <= by_id_sell[oid]
             assert prices_sell[oid] <= r.price  # no seller dumps below its ask
             partial += fill < by_id_sell[oid]
@@ -350,8 +358,8 @@ def _check_against_walk(demand, supply, d_rows, s_rows, floor, cap):
     assert (_bits(got.price), _bits(got.quantity)) == (_bits(price), _bits(qty))
     got = clear_and_allocate(demand, supply, floor, cap)
     assert (_bits(got.price), _bits(got.quantity)) == (_bits(price), _bits(qty))
-    assert _fills_bits(got.accepted_buys) == _fills_bits(buys)
-    assert _fills_bits(got.accepted_sells) == _fills_bits(sells)
+    assert _fills_bits(fills_by_id(demand, got.buy_fills)) == _fills_bits(buys)
+    assert _fills_bits(fills_by_id(supply, got.sell_fills)) == _fills_bits(sells)
     assert got.marginal_order == marginal
 
 
@@ -417,3 +425,40 @@ def test_aggregate_demand_matches_the_walk_bitwise():
         own = [StepCurve(SIDE_BUY, rows) for _, rows in built]
         assert _rows_bits(aggregate_demand(own).segments) == _rows_bits(merged.segments)
     assert len(aggregate_demand([])) == 0
+
+
+def test_column_built_supplies_equal_the_row_built_curves_bitwise(monkeypatch):
+    # storage sells priced at the wholesale price on either side of
+    # "__import_wholesale" in id order, so only the id tie-break places them
+    sells_at = [
+        Order("bat_dis", SIDE_SELL, 30.0, 4.5),
+        Order("A_dis", SIDE_SELL, 30.0, 2.25),
+        Order("pv_dis", SIDE_SELL, -0.0, 1.5),
+    ]
+    steps = ((60.0, 25.7), (119.9, 33.3))
+    for capacity in (100.3, 0.0):
+        spec = FeederSupplySpec(30.0, capacity, steps, 1000.0)
+        rows = [(30.0, capacity, f"{MARKET_MAKER_PREFIX}_wholesale")] if capacity else []
+        rows += [(p, q, f"{MARKET_MAKER_PREFIX}_scarcity{k}") for k, (p, q) in enumerate(steps)]
+        rows += [(o.price, o.quantity, o.order_id) for o in sells_at]
+        built = build_feeder_supply(spec, sells_at)
+        assert _rows_bits(built.segments) == _rows_bits(StepCurve(SIDE_SELL, rows).segments)
+        if capacity:
+            order = [s.order_id for s in built.segments[:4]]
+            assert order == ["pv_dis", "A_dis", f"{MARKET_MAKER_PREFIX}_wholesale", "bat_dis"]
+
+    # clear_area's two blocks, as it hands them to the clearing
+    seen = []
+    real_clear = auction.clear
+
+    def recorded(demand, supply, *limits):
+        seen.append(supply)
+        return real_clear(demand, supply, *limits)
+
+    monkeypatch.setattr(auction, "clear", recorded)
+    demand = buys(("f0", 50.0, 30.0))
+    for renewables, bulk in ((10.5, 100.25), (0.0, 100.25), (10.5, 0.0)):
+        clear_area(demand, 15.0, renewables, 30.0, bulk)
+        rows = [(15.0, renewables, "__area_renewables"), (30.0, bulk, "__area_bulk")]
+        want = StepCurve(SIDE_SELL, [r for r in rows if r[1] > 0])
+        assert _rows_bits(seen.pop().segments) == _rows_bits(want.segments)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle_clearing import fills_by_id
 from tgsim.auction import clear_and_allocate, StepCurve, SIDE_BUY, SIDE_SELL, Segment
 from tgsim.bidding import (
     PriceStats,
@@ -343,7 +344,7 @@ def test_storage_never_trades_with_itself():
     result = clear_and_allocate(demand, supply)
     assert result.quantity == 0.0
     assert result.price == 35.0  # midpoint of the untraded band
-    assert result.accepted_buys == {} and result.accepted_sells == {}
+    assert fills_by_id(demand, result.buy_fills) == {} and fills_by_id(supply, result.sell_fills) == {}
 
 
 def test_apply_clearing_round_trip_efficiency():

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim import engine
-from tgsim.auction import _price_spans
+from tgsim.auction import SIDE_BUY, StepCurve, _price_spans
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
@@ -22,6 +23,7 @@ from tgsim.thermal import (
     ThermalParams,
     ThermostatConfig,
     state_from_phase,
+    steady_duty,
 )
 
 
@@ -224,6 +226,56 @@ def test_bootstrap_forecast_reads_each_scheduling_period_start(tmp_path):
     reads.clear()
     sim._bootstrap_forecast(47)
     assert reads == [47 * 1800]
+
+
+def test_bootstrap_forecast_columns_equal_the_row_built_curves_bitwise():
+    base = load_config(SCENARIO_DIR / "baseline_200.yaml")
+    # one feeder without base load, so its forecast has the response step only
+    feeders = [base.feeders[0], dataclasses.replace(base.feeders[1], base_load_kw=0.0)]
+    cfg = dataclasses.replace(base, feeders=feeders, house_trace=False)
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    pop, mkt = cfg.population, cfg.market
+    median = ThermalParams(pop.r_median, pop.c_median, pop.q_hvac, pop.p_rated)
+    duty = steady_duty(median, sim.thermostat, sim.t_out(0))
+    assert duty > 0
+
+    def bits(curve):
+        return [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in curve.segments]
+
+    got = sim._bootstrap_forecast(0)
+    assert list(got) == [f.feeder_id for f in feeders]
+    for fspec in feeders:
+        fid = fspec.feeder_id
+        rows = [(mkt.price_cap, fspec.base_load_kw, f"{fid}_base")] if fspec.base_load_kw else []
+        rows.append((mkt.prior_mean, fspec.houses * pop.p_rated * duty, f"{fid}_resp"))
+        assert bits(got[fid]) == bits(StepCurve(SIDE_BUY, rows))
+
+
+def test_an_hour_scheduled_at_the_cap_anchors_the_feeder_at_the_bulk_price(tmp_path, monkeypatch):
+    # must-run base load beyond the area's supply schedules hour 0 at the
+    # cap; the feeder's wholesale block still sits at the day-ahead bulk
+    # price, below its first scarcity step (60.0), so the run goes on
+    text = (SCENARIO_DIR / "scarcity_sync.yaml").read_text()
+    text = text.replace("area: {}", "area: {bulk_capacity_mw: 0.01}")
+    text = text.replace("    capacity_kw: 150.0\n", "    capacity_kw: 150.0\n    base_load_kw: 50.0\n")
+    cfg = parse_config(text)
+    assert (cfg.area.bulk_capacity_mw, cfg.feeders[0].base_load_kw) == (0.01, 50.0)
+    schedules, supplies = [], []
+    real_schedule, real_supply = engine.schedule_hourly, engine.build_feeder_supply
+
+    def scheduled(*args):
+        schedules.append(real_schedule(*args))
+        return schedules[-1]
+
+    def supplied(*args):
+        supplies.append(real_supply(*args))
+        return supplies[-1]
+
+    monkeypatch.setattr(engine, "schedule_hourly", scheduled)
+    monkeypatch.setattr(engine, "build_feeder_supply", supplied)
+    SimulationRun(cfg, base_dir=SCENARIO_DIR).run(tmp_path / "run")
+    assert schedules[0][0].price == cfg.market.price_cap
+    assert supplies[0].best_price() == 30.0
 
 
 def test_seed_only_enters_through_the_random_streams(tmp_path, scenario_runs):

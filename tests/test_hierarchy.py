@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracle_clearing import fills_by_id
 from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, _price_spans, clear_and_allocate
 from tgsim.fold import left_sum
 from tgsim.hierarchy import (
@@ -296,7 +297,7 @@ def test_rent_on_scarcity_pricing():
     dem = demand((90.0, 110.0, "d"))
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 60.0
-    assert result.accepted_sells == {"__import_wholesale": 100.0, "__import_scarcity0": 10.0}
+    assert fills_by_id(sup, result.sell_fills) == {"__import_wholesale": 100.0, "__import_scarcity0": 10.0}
     assert scarcity_rent(result, sup) == 3000.0
 
 
@@ -311,8 +312,29 @@ def test_rent_excludes_local_sellers():
     dem = demand((90.0, 110.0, "d"))
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 45.0
-    assert result.accepted_sells == {"pv1": 10.0, "__import_wholesale": 100.0}
+    assert fills_by_id(sup, result.sell_fills) == {"pv1": 10.0, "__import_wholesale": 100.0}
     assert scarcity_rent(result, sup) == 1500.0
+
+
+def test_rent_folds_the_margins_in_id_order_bitwise():
+    # all three blocks fill whole at the bid price 157.1, and the three
+    # margins round differently when folded in trade order (wholesale
+    # first) than in id order (scarcity0, scarcity1, wholesale)
+    sup = supply(
+        (30.0, 100.3, "__import_wholesale"),
+        (60.0, 25.7, "__import_scarcity0"),
+        (119.9, 33.3, "__import_scarcity1"),
+    )
+    result = clear_and_allocate(demand((157.1, 300.0, "d")), sup, 0.0, 1000.0)
+    assert result.price == 157.1
+    assert result.sell_fills.tolist() == [100.3, 25.7, 33.3]
+    wholesale, scarcity0, scarcity1 = (
+        (157.1 - 30.0) * 100.3, (157.1 - 60.0) * 25.7, (157.1 - 119.9) * 33.3
+    )
+    by_id = left_sum([scarcity0, scarcity1, wholesale])
+    by_trade = left_sum([wholesale, scarcity0, scarcity1])
+    assert struct.pack("<d", by_id) != struct.pack("<d", by_trade)
+    assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_id)
 
 
 def test_rent_zero_on_null_trade():
