@@ -21,7 +21,10 @@ the regulation offset and the diversity phases are one pass over the
 area while each feeder's draw and diversity are still its own.
 
 All randomness flows from two named streams spawned off the scenario
-seed: one for population synthesis, one for shedding draws. Identical
+seed: one for population synthesis, one for shedding draws. Each feeder
+counts its armed relays that are still closed, so a shedding draw runs
+only below the threshold and only over feeders with one left; a draw
+over no houses would take nothing from the stream. Identical
 (config, seed) pairs produce byte-identical artifacts; float columns
 are serialised with repr so the round trip is lossless.
 """
@@ -105,8 +108,11 @@ def _fmt_or_empty(x: float | None) -> str:
     return "" if x is None else _fmt(x)
 
 
+_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _event_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    return _EVENT_ENCODER.encode(record) + "\n"
 
 
 def _fill_of(fills: np.ndarray, column: np.ndarray, key) -> float:
@@ -151,6 +157,7 @@ class _FeederState:
     house_ids: np.ndarray  # pop.ids as an object array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
     id_to_idx: dict
+    armed_closed: int  # armed houses whose relay is not latched open
     house_power_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
@@ -277,6 +284,7 @@ class SimulationRun:
                 house_ids=_id_array(pop.ids),
                 armed_idx=np.arange(n_armed),
                 id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
+                armed_closed=n_armed,
             )
             fs.house_power_kw = pop.aggregate_power()
             self.feeders[fspec.feeder_id] = fs
@@ -677,7 +685,8 @@ class SimulationRun:
         """Every balancing tick of the device tick that starts at t0.
 
         Each step advances the swing, the time error, the control error
-        and the regulation split once, then the shedding relays. The
+        and the regulation split once, then the shedding relays; below the
+        threshold a draw runs only while some armed relay is closed. The
         area's load and import change only at device ticks, or when a
         shed opens a running unit's relay, so they are summed once and
         again only after such a shed. Returns the kW shed at each step
@@ -747,15 +756,18 @@ class SimulationRun:
             shed_kw = 0.0
             if freq < threshold:
                 above_since = None
-                shed_kw = self._shed(t, freq, emit)
-                if shed_kw > 0:
-                    sheds.append(shed_kw)
-                    load_mw = None
+                if any(fs.armed_closed for fs in feeders):
+                    shed_kw = self._shed(t, freq, emit)
+                    if shed_kw > 0:
+                        sheds.append(shed_kw)
+                        load_mw = None
             else:
                 if above_since is None:
                     above_since = t
                 if self.relays_held and t - above_since >= hold_s:
                     self.fleet.latched[:] = 0
+                    for fs in feeders:
+                        fs.armed_closed = len(fs.armed_idx)
                     self.relays_held = False
                     emit({"t": t, "type": "ufls_release"})
 
@@ -780,15 +792,20 @@ class SimulationRun:
     def _shed(self, t: int, freq: float, emit) -> float:
         """One shedding draw over every feeder's armed, unlatched houses.
 
-        Returns the kW of running units the draw switched off.
+        A feeder with no such house is skipped: its draw would be over no
+        houses and take nothing from the stream. Returns the kW of running
+        units the draw switched off.
         """
         ufls = self.cfg.area.ufls
         shed_kw = 0.0
         shed_ids_all = []
         for fid, fs in sorted(self.feeders.items()):
+            if not fs.armed_closed:
+                continue
             armed = fs.armed_idx
             candidates = fs.house_ids[armed[fs.pop.latched[armed] == 0]].tolist()
             shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, candidates, self.rng_ufls)
+            fs.armed_closed -= len(shed)
             for hid in shed:
                 i = fs.id_to_idx[hid]
                 fs.pop.latched[i] = 1

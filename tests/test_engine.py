@@ -392,16 +392,27 @@ def test_gen_loss_sheds_only_below_threshold(scenario_runs):
     assert summary["time_error_s"] < 0.0
 
 
-def test_disarmed_relays_never_shed(tmp_path, scenario_runs):
+def test_disarmed_relays_never_shed(tmp_path, scenario_runs, monkeypatch):
     cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
     disarmed = dataclasses.replace(
         cfg, area=dataclasses.replace(
             cfg.area, ufls=dataclasses.replace(cfg.area.ufls, armed_fraction=0.0)
         )
     )
+    calls = []
+    ufls_check = engine.ufls_check
+
+    def recorded(*args):
+        calls.append(args)
+        return ufls_check(*args)
+
+    monkeypatch.setattr(engine, "ufls_check", recorded)
     run = run_scenario(disarmed, tmp_path / "disarmed", base_dir=SCENARIO_DIR)
     assert run.summary["ufls_events"] == 0
     assert run.summary["ufls_total_kw"] == 0.0
+    # frequency sits below the threshold, yet with no armed house no draw runs
+    assert run.summary["final_freq_hz"] < cfg.area.ufls.threshold_hz
+    assert calls == []
     # shedding arrests the decline, so the armed run bottoms out higher
     armed_nadir = min(
         float(r["freq_hz"])
@@ -447,10 +458,12 @@ def three_feeder_ufls_config():
 def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp_path, monkeypatch):
     cfg = three_feeder_ufls_config()
     shed_ids = []
+    drawn_over = []
     ufls_check = engine.ufls_check
 
     def recorded(*args):
         shed = ufls_check(*args)
+        drawn_over.append({hid.split("_")[0] for hid in args[3]})
         shed_ids.extend(shed)
         return shed
 
@@ -463,11 +476,52 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
         assert np.shares_memory(pop.latched, sim.fleet.latched)
     run = sim.run(tmp_path / "run")
     assert {hid.split("_")[0] for hid in shed_ids} == {"f1", "f2"}
+    # each draw is over one feeder's closed armed relays; f0 has none
+    assert drawn_over and all(feeders in ({"f1"}, {"f2"}) for feeders in drawn_over)
     assert not sim.fleet.latched.any()
     events = [json.loads(line) for line in (run.out_dir / "events.jsonl").read_text().splitlines()]
     assert [e["t"] for e in events if e["type"] == "ufls_release"] == [1800]
     for name, digest in THREE_FEEDER_UFLS_SHA256.items():
         assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_closed_relay_counts_stay_exact_and_draws_resume_after_the_release(tmp_path, monkeypatch):
+    # a second loss after the release at 1800 s: the released relays close
+    # again and drawing resumes over them
+    cfg = three_feeder_ufls_config()
+    area = cfg.area
+    first = area.events[0]
+    cfg = dataclasses.replace(cfg, area=dataclasses.replace(
+        area, events=(first, dataclasses.replace(first, at_s=2100, duration_s=300))))
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    block_t0 = []
+    candidates = []
+    ufls_check = engine.ufls_check
+
+    def recorded(*args):
+        candidates.append((block_t0[-1], len(args[3])))
+        return ufls_check(*args)
+
+    balancing_block = sim._balancing_block
+
+    def checked(t0, frequency, emit):
+        block_t0.append(t0)
+        sheds = balancing_block(t0, frequency, emit)
+        for fid, fs in sim.feeders.items():
+            closed = np.count_nonzero(fs.pop.latched[fs.armed_idx] == 0)
+            assert fs.armed_closed == closed, (t0, fid)
+        return sheds
+
+    monkeypatch.setattr(engine, "ufls_check", recorded)
+    sim._balancing_block = checked
+    run = sim.run(tmp_path / "run")
+    events = [json.loads(line) for line in (run.out_dir / "events.jsonl").read_text().splitlines()]
+    releases = [e["t"] for e in events if e["type"] == "ufls_release"]
+    assert releases[0] == 1800
+    # no draw over no houses, and draws resume over the re-closed relays
+    assert candidates and all(n > 0 for _, n in candidates)
+    assert any(t0 >= 2100 for t0, _ in candidates)
+    assert any(e["type"] == "ufls" and e["t"] > 1800 for e in events)
 
 
 def test_diversity_is_sampled_once_per_market_interval_onto_markets_csv(tmp_path, monkeypatch):
