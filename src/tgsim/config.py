@@ -1,11 +1,15 @@
 """Scenario configuration: schema, parsing and validation.
 
-Scenarios are YAML documents with a top-level schema_version. The
-validator walks the whole document and collects every problem it finds
+Scenarios are YAML documents with a top-level schema_version. Each
+section is one spec dataclass below: a field's name is its key and its
+default the key's default (no default: required); inputs and output
+hold ScenarioConfig's outdoor_temp_c, da_price and house_trace. Feeder
+and storage entries spell their ids `id`, which must be YAML strings,
+and a battery's feeder `feeder`. The validator collects every problem
 with its full key path (for example area.swing.d_per_s) instead of
 stopping at the first, so a config review needs one round trip. A key
-the parser never reads is one of those problems, so a typo such as
-output.house_trac cannot silently fall back to a default.
+outside its section's field names is one of those problems, so a typo
+such as output.house_trac cannot silently fall back to a default.
 
 Defaults are deliberate: the cadence defaults (hourly schedule, five
 minute markets, four second balancing ticks, one minute device ticks)
@@ -15,10 +19,12 @@ them is overridden.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
+from functools import cache
 from pathlib import Path
 
 import yaml
@@ -39,9 +45,9 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationSpec:
-    start: datetime
+    start: datetime = datetime(2026, 7, 15)
     span_s: int
     device_tick_s: int = 60
     market_interval_s: int = 300
@@ -49,7 +55,7 @@ class SimulationSpec:
     schedule_interval_s: int = 3600
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MarketSpec:
     price_floor: float = 0.0
     price_cap: float = 1000.0
@@ -58,7 +64,7 @@ class MarketSpec:
     prior_sigma: float = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PopulationSpec:
     mode: str = MODE_COOLING
     thermostat: str = KIND_HYSTERESIS
@@ -76,10 +82,10 @@ class PopulationSpec:
     initial: str = "steady"  # steady | synchronized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FeederSpec:
-    feeder_id: str
-    houses: int
+    feeder_id: str  # YAML key: id
+    houses: int = 0
     capacity_kw: float
     scarcity_steps: tuple[tuple[float, float], ...] = ()
     base_load_kw: float = 0.0
@@ -89,7 +95,7 @@ class FeederSpec:
     ufls_recency_s: float = 300.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class UflsSpec:
     threshold_hz: float = 59.95
     probability: float = 0.0
@@ -97,17 +103,17 @@ class UflsSpec:
     hold_s: float = 60.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EventSpec:
     at_s: int
     delta_p_mw: float
     duration_s: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AreaSpec:
     freq_nominal_hz: float = 60.0
-    swing: SwingParams = field(default_factory=lambda: SwingParams(0.01, -0.2))
+    swing: SwingParams
     bias_mw_per_01hz: float = -1.0
     renewables_price: float = 15.0
     renewables_capacity_mw: float = 0.0
@@ -115,25 +121,25 @@ class AreaSpec:
     regulation_gain: float = 0.5
     regulation_capacity_mw: float = 2.0
     smoothing_tau_s: float = 60.0
-    split: RegulationSplit = field(default_factory=RegulationSplit)
+    split: RegulationSplit
     droop_mw_per_hz: float = 0.0
-    ufls: UflsSpec = field(default_factory=UflsSpec)
+    ufls: UflsSpec
     time_error_threshold_s: float = 10.0
     time_correction_offset_hz: float = 0.02
     scheduled_interchange_mw: float = 0.0
     events: tuple[EventSpec, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StoragePlacement:
-    spec: StorageSpec
-    feeder_id: str
-    soc0_kwh: float
+    spec: StorageSpec  # YAML keys: the StorageSpec fields, device_id spelled id
+    feeder_id: str  # YAML key: feeder
+    soc0_kwh: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    seed: int
+    seed: int = 0
     simulation: SimulationSpec
     market: MarketSpec
     population: PopulationSpec
@@ -149,24 +155,38 @@ class ScenarioConfig:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
 
 
-class _Mapping(dict):
-    """A config mapping that remembers every key the parser looked up."""
+@cache
+def _keys(cls) -> frozenset[str]:
+    """Field names of a spec dataclass: the keys its section may hold."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
-    def __init__(self, d: dict):
-        super().__init__(d)
-        self.read: set = set()
 
-    def __contains__(self, key) -> bool:
-        self.read.add(key)
-        return super().__contains__(key)
+@cache
+def _numeric_fields(cls) -> tuple[tuple[str, bool, object], ...]:
+    """(name, is_integer, default or None) of each int or float field, in field order."""
+    out = []
+    for f in dataclasses.fields(cls):
+        kind = getattr(f.type, "__name__", f.type)  # a str under `from __future__ import annotations`
+        if kind in ("int", "float"):
+            out.append((f.name, kind == "int", None if f.default is dataclasses.MISSING else f.default))
+    return tuple(out)
 
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
 
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+# feeder and storage entries spell their ids `id` and a battery's feeder `feeder`
+_FEEDER_KEYS = _keys(FeederSpec) - {"feeder_id"} | {"id"}
+_STORAGE_KEYS = (
+    _keys(StorageSpec) - {"device_id"} | _keys(StoragePlacement) - {"spec", "feeder_id"} | {"id", "feeder"}
+)
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# per-key bounds for _Walker.fields
+_POSITIVE = {"lo_open": 0.0}
+_NON_NEGATIVE = {"lo": 0.0}
+_FRACTION = {"lo": 0.0, "hi": 1.0}
+_TICK = {"lo": 1}
 
 
 class _Walker:
@@ -174,24 +194,16 @@ class _Walker:
 
     def __init__(self) -> None:
         self.problems: list[str] = []
-        self._mappings: list[tuple[str, _Mapping]] = []
+        self.unknown: list[str] = []  # unknown-key problems, reported after the rest
 
     def complain(self, path: str, msg: str) -> None:
         self.problems.append(f"{path}: {msg}")
 
-    def mapping(self, d: dict, path: str) -> _Mapping:
-        """d with its key reads recorded; unread_keys reports the rest."""
-        m = _Mapping(d)
-        self._mappings.append((path, m))
-        return m
+    def known_keys(self, d: dict, path: str, known: frozenset[str]) -> None:
+        """Note every key of d outside known as an unknown key."""
+        self.unknown.extend(f"{self._at(path, str(key))}: unknown key" for key in d if key not in known)
 
-    def unread_keys(self) -> None:
-        for path, m in self._mappings:
-            for key in m:
-                if key not in m.read:
-                    self.complain(self._at(path, str(key)), "unknown key")
-
-    def section(self, doc: dict, key: str, path: str = "") -> dict:
+    def section(self, doc: dict, key: str, known: frozenset[str], path: str = "") -> dict:
         where = self._at(path, key)
         val = doc.get(key)
         if val is None:
@@ -199,7 +211,8 @@ class _Walker:
         if not isinstance(val, dict):
             self.complain(where, f"expected a mapping, got {type(val).__name__}")
             return {}
-        return self.mapping(val, where)
+        self.known_keys(val, where, known)
+        return val
 
     @staticmethod
     def _at(path: str, key: str) -> str:
@@ -243,13 +256,41 @@ class _Walker:
             self.complain(where, f"must be >= {lo}, got {val}")
         return val
 
-    def config_id(self, ident: str, seen: set[str], kind: str, where: str) -> None:
-        """Record a config-given id; it must be new and outside the reserved prefix."""
+    def fields(self, cls, d: dict, path: str, **bounds: dict) -> dict:
+        """Every int and float field of spec class cls, read from section d.
+
+        The field's name is the key, its annotation picks integer or
+        number, and its default is the default (none: required). bounds
+        maps a field name to the lo/hi/lo_open limits of its key.
+        """
+        values = {}
+        for name, is_integer, default in _numeric_fields(cls):
+            read = self.integer if is_integer else self.number
+            values[name] = read(d, name, path, default, **bounds.pop(name, {}))
+        if bounds:
+            raise TypeError(f"{cls.__name__} has no numeric fields {sorted(bounds)}")
+        return values
+
+    def string(self, d: dict, key: str, path: str, default: str) -> str | None:
+        """d[key] (default when absent) if it is a string, else None and a problem."""
+        val = d.get(key, default)
+        if not isinstance(val, str):
+            self.complain(self._at(path, key), f"expected a string, got {val!r}")
+            return None
+        return val
+
+    def config_id(self, d: dict, path: str, default: str, seen: set[str], kind: str) -> str:
+        """A config-given id: a string, new, and outside the reserved prefix."""
+        ident = self.string(d, "id", path, default)
+        if ident is None:
+            return default
+        where = f"{path}.id"
         if ident in seen:
             self.complain(where, f"duplicate {kind} id {ident!r}")
         if ident.startswith(RESERVED_PREFIX):
             self.complain(where, f"ids starting with {RESERVED_PREFIX!r} are reserved, got {ident!r}")
         seen.add(ident)
+        return ident
 
     def choice(self, d: dict, key: str, path: str, options: tuple[str, ...], default: str):
         val = d.get(key, default)
@@ -274,23 +315,19 @@ def parse_config(text: str) -> ScenarioConfig:
     if version != SCHEMA_VERSION:
         w.complain("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
-    seed = w.integer(doc, "seed", "", default=0, lo=0)
+    seed = w.integer(doc, "seed", "", ScenarioConfig.seed, lo=0)
 
-    sim_d = w.section(doc, "simulation")
-    start_raw = sim_d.get("start", "2026-07-15T00:00:00")
+    sim_d = w.section(doc, "simulation", _keys(SimulationSpec))
+    start_raw = sim_d.get("start", SimulationSpec.start)
     try:
         start = datetime.fromisoformat(str(start_raw))
     except ValueError:
         w.complain("simulation.start", f"not an ISO-8601 timestamp: {start_raw!r}")
-        start = datetime(2026, 7, 15)
-    sim = SimulationSpec(
-        start=start,
-        span_s=w.integer(sim_d, "span_s", "simulation", default=None, lo=1),
-        device_tick_s=w.integer(sim_d, "device_tick_s", "simulation", default=60, lo=1),
-        market_interval_s=w.integer(sim_d, "market_interval_s", "simulation", default=300, lo=1),
-        agc_tick_s=w.integer(sim_d, "agc_tick_s", "simulation", default=4, lo=1),
-        schedule_interval_s=w.integer(sim_d, "schedule_interval_s", "simulation", default=3600, lo=1),
-    )
+        start = SimulationSpec.start
+    sim = SimulationSpec(start=start, **w.fields(
+        SimulationSpec, sim_d, "simulation",
+        span_s=_TICK, device_tick_s=_TICK, market_interval_s=_TICK, agc_tick_s=_TICK, schedule_interval_s=_TICK,
+    ))
     for small, big, name in (
         (sim.agc_tick_s, sim.device_tick_s, "device_tick_s"),
         (sim.device_tick_s, sim.market_interval_s, "market_interval_s"),
@@ -305,35 +342,23 @@ def parse_config(text: str) -> ScenarioConfig:
             "simulation.schedule_interval_s", f"must divide one day (86400 s), got {sim.schedule_interval_s}"
         )
 
-    mkt_d = w.section(doc, "market")
-    market = MarketSpec(
-        price_floor=w.number(mkt_d, "price_floor", "market", default=0.0),
-        price_cap=w.number(mkt_d, "price_cap", "market", default=1000.0),
-        stats_window=w.integer(mkt_d, "stats_window", "market", default=12, lo=2),
-        prior_mean=w.number(mkt_d, "prior_mean", "market", default=30.0),
-        prior_sigma=w.number(mkt_d, "prior_sigma", "market", default=10.0, lo=0.0),
-    )
+    mkt_d = w.section(doc, "market", _keys(MarketSpec))
+    market = MarketSpec(**w.fields(MarketSpec, mkt_d, "market", stats_window={"lo": 2}, prior_sigma=_NON_NEGATIVE))
     if market.price_floor >= market.price_cap:
         w.complain("market.price_floor", "must sit below market.price_cap")
 
-    pop_d = w.section(doc, "population")
+    pop_d = w.section(doc, "population", _keys(PopulationSpec))
     population = PopulationSpec(
-        mode=w.choice(pop_d, "mode", "population", (MODE_COOLING, MODE_HEATING), MODE_COOLING),
+        mode=w.choice(pop_d, "mode", "population", (MODE_COOLING, MODE_HEATING), PopulationSpec.mode),
         thermostat=w.choice(
-            pop_d, "thermostat", "population", (KIND_HYSTERESIS, KIND_ZERO_DEADBAND), KIND_HYSTERESIS
+            pop_d, "thermostat", "population", (KIND_HYSTERESIS, KIND_ZERO_DEADBAND), PopulationSpec.thermostat
         ),
-        r_median=w.number(pop_d, "r_median", "population", default=2.0, lo_open=0.0),
-        c_median=w.number(pop_d, "c_median", "population", default=2.0, lo_open=0.0),
-        spread=w.number(pop_d, "spread", "population", default=0.2, lo=0.0),
-        q_hvac=w.number(pop_d, "q_hvac", "population", default=-12.0),
-        p_rated=w.number(pop_d, "p_rated", "population", default=4.0, lo_open=0.0),
-        t_desired=w.number(pop_d, "t_desired", "population", default=22.0),
-        t_min=w.number(pop_d, "t_min", "population", default=20.0),
-        t_max=w.number(pop_d, "t_max", "population", default=24.0),
-        deadband=w.number(pop_d, "deadband", "population", default=1.0, lo_open=0.0),
-        comfort_k=w.number(pop_d, "comfort_k", "population", default=1.0, lo=0.0),
-        comfort_k_spread=w.number(pop_d, "comfort_k_spread", "population", default=0.0, lo=0.0),
-        initial=w.choice(pop_d, "initial", "population", ("steady", "synchronized"), "steady"),
+        **w.fields(
+            PopulationSpec, pop_d, "population",
+            r_median=_POSITIVE, c_median=_POSITIVE, spread=_NON_NEGATIVE, p_rated=_POSITIVE,
+            deadband=_POSITIVE, comfort_k=_NON_NEGATIVE, comfort_k_spread=_NON_NEGATIVE,
+        ),
+        initial=w.choice(pop_d, "initial", "population", ("steady", "synchronized"), PopulationSpec.initial),
     )
     if not population.t_min < population.t_desired < population.t_max:
         w.complain("population.t_desired", "need t_min < t_desired < t_max")
@@ -354,9 +379,8 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(fd, dict):
             w.complain(path, "expected a mapping")
             continue
-        fd = w.mapping(fd, path)
-        fid = str(fd.get("id", f"feeder{idx}"))
-        w.config_id(fid, seen_ids, "feeder", f"{path}.id")
+        w.known_keys(fd, path, _FEEDER_KEYS)
+        fid = w.config_id(fd, path, f"feeder{idx}", seen_ids, "feeder")
         steps_raw = fd.get("scarcity_steps", [])
         steps: list[tuple[float, float]] = []
         if not isinstance(steps_raw, list):
@@ -384,29 +408,23 @@ def parse_config(text: str) -> ScenarioConfig:
                 steps.append((price, extra))
         if steps:
             first_steps.append((path, steps[0][0]))
-        feeders.append(
-            FeederSpec(
-                feeder_id=fid,
-                houses=w.integer(fd, "houses", path, default=0, lo=0),
-                capacity_kw=w.number(fd, "capacity_kw", path, default=None, lo=0.0),
-                scarcity_steps=tuple(steps),
-                base_load_kw=w.number(fd, "base_load_kw", path, default=0.0, lo=0.0),
-                weight_normal=w.number(fd, "weight_normal", path, default=0.9, lo=0.0, hi=1.0),
-                weight_contingency=w.number(fd, "weight_contingency", path, default=0.1, lo=0.0, hi=1.0),
-                ace_threshold_mw=w.number(fd, "ace_threshold_mw", path, default=1.0, lo=0.0),
-                ufls_recency_s=w.number(fd, "ufls_recency_s", path, default=300.0, lo=0.0),
-            )
-        )
+        feeders.append(FeederSpec(feeder_id=fid, scarcity_steps=tuple(steps), **w.fields(
+            FeederSpec, fd, path, houses={"lo": 0}, capacity_kw=_NON_NEGATIVE, base_load_kw=_NON_NEGATIVE,
+            weight_normal=_FRACTION, weight_contingency=_FRACTION, ace_threshold_mw=_NON_NEGATIVE,
+            ufls_recency_s=_NON_NEGATIVE,
+        )))
 
-    area_d = w.section(doc, "area")
-    swing_d = w.section(area_d, "swing", "area") if area_d else {}
-    m_val = w.number(swing_d, "m_hz_per_s_mw", "area.swing", default=0.01, lo_open=0.0)
-    d_val = w.number(swing_d, "d_per_s", "area.swing", default=-0.2)
-    if d_val >= 0:
+    area_d = w.section(doc, "area", _keys(AreaSpec))
+    swing_d = w.section(area_d, "swing", _keys(SwingParams), "area")
+    # SwingParams and RegulationSplit check their own values: a section
+    # with a bad number falls back to the defaults instead of raising
+    before = len(w.problems)
+    swing = w.fields(SwingParams, swing_d, "area.swing", m_hz_per_s_mw=_POSITIVE)
+    if swing["d_per_s"] >= 0:
         w.complain("area.swing.d_per_s", "damping must be negative")
-        d_val = -0.2
-    split_d = w.section(area_d, "split", "area") if area_d else {}
-    ufls_d = w.section(area_d, "ufls", "area") if area_d else {}
+    swing = SwingParams(**swing) if len(w.problems) == before else SwingParams()
+    split_d = w.section(area_d, "split", _keys(RegulationSplit), "area")
+    ufls_d = w.section(area_d, "ufls", _keys(UflsSpec), "area")
     events: list[EventSpec] = []
     events_raw = area_d.get("events", [])
     if not isinstance(events_raw, list):
@@ -417,47 +435,26 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(ev, dict):
             w.complain(path, "expected a mapping")
             continue
-        ev = w.mapping(ev, path)
+        w.known_keys(ev, path, _keys(EventSpec))
         duration = ev.get("duration_s")
         if duration is not None:
-            duration = w.integer(ev, "duration_s", path, default=0, lo=1)
-        events.append(
-            EventSpec(
-                at_s=w.integer(ev, "at_s", path, default=None, lo=0),
-                delta_p_mw=w.number(ev, "delta_p_mw", path, default=None),
-                duration_s=duration,
-            )
-        )
+            duration = w.integer(ev, "duration_s", path, lo=1)
+        events.append(EventSpec(**w.fields(EventSpec, ev, path, at_s={"lo": 0}), duration_s=duration))
 
-    bias = w.number(area_d, "bias_mw_per_01hz", "area", default=-1.0)
-    if bias >= 0:
-        w.complain("area.bias_mw_per_01hz", "bias is negative by convention")
-    area = AreaSpec(
-        freq_nominal_hz=w.number(area_d, "freq_nominal_hz", "area", default=60.0, lo_open=0.0),
-        swing=SwingParams(m_hz_per_s_mw=m_val, d_per_s=d_val),
-        bias_mw_per_01hz=bias,
-        renewables_price=w.number(area_d, "renewables_price", "area", default=15.0),
-        renewables_capacity_mw=w.number(area_d, "renewables_capacity_mw", "area", default=0.0, lo=0.0),
-        bulk_capacity_mw=w.number(area_d, "bulk_capacity_mw", "area", default=100.0, lo=0.0),
-        regulation_gain=w.number(area_d, "regulation_gain", "area", default=0.5, lo=0.0),
-        regulation_capacity_mw=w.number(area_d, "regulation_capacity_mw", "area", default=2.0, lo=0.0),
-        smoothing_tau_s=w.number(area_d, "smoothing_tau_s", "area", default=60.0, lo_open=0.0),
-        split=RegulationSplit(
-            alpha=w.number(split_d, "alpha", "area.split", default=0.0, lo=0.0, hi=1.0),
-            beta=w.number(split_d, "beta", "area.split", default=0.0, lo=0.0, hi=1.0),
-        ),
-        droop_mw_per_hz=w.number(area_d, "droop_mw_per_hz", "area", default=0.0, lo=0.0),
-        ufls=UflsSpec(
-            threshold_hz=w.number(ufls_d, "threshold_hz", "area.ufls", default=59.95, lo_open=0.0),
-            probability=w.number(ufls_d, "probability", "area.ufls", default=0.0, lo=0.0, hi=1.0),
-            armed_fraction=w.number(ufls_d, "armed_fraction", "area.ufls", default=0.0, lo=0.0, hi=1.0),
-            hold_s=w.number(ufls_d, "hold_s", "area.ufls", default=60.0, lo=0.0),
-        ),
-        time_error_threshold_s=w.number(area_d, "time_error_threshold_s", "area", default=10.0, lo=0.0),
-        time_correction_offset_hz=w.number(area_d, "time_correction_offset_hz", "area", default=0.02, lo=0.0),
-        scheduled_interchange_mw=w.number(area_d, "scheduled_interchange_mw", "area", default=0.0),
-        events=tuple(events),
+    area_values = w.fields(
+        AreaSpec, area_d, "area", freq_nominal_hz=_POSITIVE, renewables_capacity_mw=_NON_NEGATIVE,
+        bulk_capacity_mw=_NON_NEGATIVE, regulation_gain=_NON_NEGATIVE, regulation_capacity_mw=_NON_NEGATIVE,
+        smoothing_tau_s=_POSITIVE, droop_mw_per_hz=_NON_NEGATIVE, time_error_threshold_s=_NON_NEGATIVE,
+        time_correction_offset_hz=_NON_NEGATIVE,
     )
+    if area_values["bias_mw_per_01hz"] >= 0:
+        w.complain("area.bias_mw_per_01hz", "bias is negative by convention")
+    before = len(w.problems)
+    split = w.fields(RegulationSplit, split_d, "area.split", alpha=_FRACTION, beta=_FRACTION)
+    split = RegulationSplit(**split) if len(w.problems) == before else RegulationSplit()
+    ufls = w.fields(UflsSpec, ufls_d, "area.ufls", threshold_hz=_POSITIVE, probability=_FRACTION,
+                    armed_fraction=_FRACTION, hold_s=_NON_NEGATIVE)
+    area = AreaSpec(swing=swing, split=split, ufls=UflsSpec(**ufls), events=tuple(events), **area_values)
     if sim.agc_tick_s * abs(area.swing.d_per_s) >= 1.0:
         w.complain("area.swing.d_per_s", f"unstable with agc_tick_s={sim.agc_tick_s}: need tick * |D| < 1")
     if area.smoothing_tau_s < sim.agc_tick_s:
@@ -476,58 +473,41 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(sd, dict):
             w.complain(path, "expected a mapping")
             continue
-        sd = w.mapping(sd, path)
-        sid = str(sd.get("id", f"storage{j}"))
-        w.config_id(sid, storage_ids, "storage", f"{path}.id")
-        fid = str(sd.get("feeder", ""))
-        if fid not in seen_ids:
+        w.known_keys(sd, path, _STORAGE_KEYS)
+        sid = w.config_id(sd, path, f"storage{j}", storage_ids, "storage")
+        fid = w.string(sd, "feeder", path, "")
+        if fid is not None and fid not in seen_ids:
             w.complain(f"{path}.feeder", f"unknown feeder {fid!r}")
-        cap = w.number(sd, "capacity_kwh", path, default=None, lo_open=0.0)
-        buy_below = w.number(sd, "buy_below", path, default=None)
-        sell_above = w.number(sd, "sell_above", path, default=None)
-        if buy_below is not None and sell_above is not None and buy_below >= sell_above:
-            w.complain(f"{path}.buy_below", "must sit strictly below sell_above")
-            sell_above = buy_below + 1.0
-        p_charge = w.number(sd, "p_charge", path, default=None, lo_open=0.0)
-        p_discharge = w.number(sd, "p_discharge", path, default=None, lo_open=0.0)
-        efficiency = w.number(sd, "efficiency", path, default=1.0, lo_open=0.0, hi=1.0)
-        soc0 = w.number(sd, "soc0_kwh", path, default=0.0, lo=0.0)
-        try:
-            spec = StorageSpec(
-                device_id=sid,
-                capacity_kwh=cap or 1.0,
-                p_charge=p_charge or 1.0,
-                p_discharge=p_discharge or 1.0,
-                buy_below=buy_below if buy_below is not None else 0.0,
-                sell_above=sell_above if sell_above is not None else 1.0,
-                efficiency=efficiency,
-            )
-        except ValueError as exc:
-            w.complain(path, str(exc))
+        # a battery whose own numbers do not all read cleanly gets no cross checks
+        before = len(w.problems)
+        values = w.fields(StorageSpec, sd, path, capacity_kwh=_POSITIVE, p_charge=_POSITIVE, p_discharge=_POSITIVE,
+                          efficiency={"lo_open": 0.0, "hi": 1.0})
+        placement = w.fields(StoragePlacement, sd, path, soc0_kwh=_NON_NEGATIVE)
+        if len(w.problems) > before:
             continue
-        if cap is not None and soc0 > cap:
+        if values["buy_below"] >= values["sell_above"]:
+            w.complain(f"{path}.buy_below", "must sit strictly below sell_above")
+        if placement["soc0_kwh"] > values["capacity_kwh"]:
             w.complain(f"{path}.soc0_kwh", "initial charge exceeds capacity")
-        storage.append(StoragePlacement(spec=spec, feeder_id=fid, soc0_kwh=soc0))
+        if len(w.problems) == before:
+            storage.append(StoragePlacement(spec=StorageSpec(device_id=sid, **values), feeder_id=fid, **placement))
 
-    inputs_d = w.section(doc, "inputs")
-    t_out_raw = inputs_d.get("outdoor_temp_c", 30.0)
-    if isinstance(t_out_raw, (int, float)) and not isinstance(t_out_raw, bool):
+    inputs_d = w.section(doc, "inputs", frozenset({"outdoor_temp_c", "da_price"}))
+    t_out_raw = inputs_d.get("outdoor_temp_c", ScenarioConfig.outdoor_temp_c)
+    if _finite_number(t_out_raw):
         outdoor: float | str = float(t_out_raw)
     elif isinstance(t_out_raw, str):
         outdoor = t_out_raw
     else:
         w.complain("inputs.outdoor_temp_c", f"expected a number or CSV path, got {t_out_raw!r}")
-        outdoor = 30.0
-    da_raw = inputs_d.get("da_price", 30.0)
-    if isinstance(da_raw, (int, float)) and not isinstance(da_raw, bool):
-        da = (float(da_raw),)
-    elif isinstance(da_raw, list) and da_raw and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in da_raw
-    ):
-        da = tuple(float(x) for x in da_raw)
+        outdoor = ScenarioConfig.outdoor_temp_c
+    da_raw = inputs_d.get("da_price", ScenarioConfig.da_price)
+    da_list = da_raw if isinstance(da_raw, (list, tuple)) else [da_raw]
+    if da_list and all(_finite_number(x) for x in da_list):
+        da = tuple(float(x) for x in da_list)
     else:
         w.complain("inputs.da_price", f"expected a price or list of hourly prices, got {da_raw!r}")
-        da = (30.0,)
+        da = ScenarioConfig.da_price
     for price in da:
         if price <= area.renewables_price:
             w.complain("inputs.da_price", f"bulk price {price} must exceed area.renewables_price")
@@ -539,11 +519,11 @@ def parse_config(text: str) -> ScenarioConfig:
         if max(da) >= first_price:
             w.complain(f"{path}.scarcity_steps", "first step price must exceed every day-ahead price")
 
-    out_d = w.section(doc, "output")
-    house_trace = out_d.get("house_trace", False)
+    out_d = w.section(doc, "output", frozenset({"house_trace"}))
+    house_trace = out_d.get("house_trace", ScenarioConfig.house_trace)
     if not isinstance(house_trace, bool):
         w.complain("output.house_trace", f"expected true or false, got {house_trace!r}")
-        house_trace = False
+        house_trace = ScenarioConfig.house_trace
 
     known = {
         "schema_version", "seed", "simulation", "market", "population",
@@ -552,10 +532,9 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in doc:
         if key not in known:
             w.complain(str(key), "unknown top-level section")
-    w.unread_keys()
 
-    if w.problems:
-        raise ConfigError(w.problems)
+    if w.problems or w.unknown:
+        raise ConfigError(w.problems + w.unknown)
 
     return ScenarioConfig(
         seed=seed,

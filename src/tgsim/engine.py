@@ -108,6 +108,14 @@ def _fmt_or_empty(x: float | None) -> str:
     return "" if x is None else _fmt(x)
 
 
+def _settlement_row(interval_index: int, t: int, participant: str, role: str, da_energy_kwh: float,
+                    da_price: float, rt_deviation_kwh: float, rt_price: float, payment: float,
+                    scarcity_rent: float) -> str:
+    """One settlement.csv line."""
+    amounts = (da_energy_kwh, da_price, rt_deviation_kwh, rt_price, payment, scarcity_rent)
+    return f"{interval_index},{t},{participant},{role}," + ",".join(map(_fmt, amounts)) + "\n"
+
+
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -584,32 +592,29 @@ class SimulationRun:
                 if discharge > 0:
                     rec = settle(sid, interval_index, 0.0, entry.price, -discharge * interval_h, result.price)
                     self._seller_received += -rec.payment
-                    settlement.write(
-                        f"{interval_index},{t},{sid},seller,{_fmt(rec.da_energy_kwh)},"
-                        f"{_fmt(rec.da_price)},{_fmt(rec.rt_deviation_kwh)},{_fmt(rec.rt_price)},"
-                        f"{_fmt(rec.payment)},{_fmt(0.0)}\n"
-                    )
+                    settlement.write(_settlement_row(
+                        interval_index, t, sid, "seller", rec.da_energy_kwh, rec.da_price,
+                        rec.rt_deviation_kwh, rec.rt_price, rec.payment, 0.0,
+                    ))
 
             # two-settlement rows: feeder buys, market maker sells
             pos_kwh = fs.sched_kw * interval_h
             actual_kwh = result.quantity * interval_h
             buyer = settle(fid, interval_index, pos_kwh, entry.price, actual_kwh, result.price)
-            settlement.write(
-                f"{interval_index},{t},{fid},buyer,{_fmt(buyer.da_energy_kwh)},"
-                f"{_fmt(buyer.da_price)},{_fmt(buyer.rt_deviation_kwh)},{_fmt(buyer.rt_price)},"
-                f"{_fmt(buyer.payment)},{_fmt(0.0)}\n"
-            )
+            settlement.write(_settlement_row(
+                interval_index, t, fid, "buyer", buyer.da_energy_kwh, buyer.da_price,
+                buyer.rt_deviation_kwh, buyer.rt_price, buyer.payment, 0.0,
+            ))
             self._buyer_paid += buyer.payment
             mm_kwh = fs.import_kw * interval_h
             mm = settle(f"{fid}__import", interval_index, pos_kwh, entry.price,
                         mm_kwh, result.price)
             rent_kwh = rent * interval_h
             mm_payment = -(mm.payment - rent_kwh)
-            settlement.write(
-                f"{interval_index},{t},{fid}__import,seller,{_fmt(-mm.da_energy_kwh)},"
-                f"{_fmt(mm.da_price)},{_fmt(-(mm_kwh - pos_kwh))},{_fmt(mm.rt_price)},"
-                f"{_fmt(mm_payment)},{_fmt(rent_kwh)}\n"
-            )
+            settlement.write(_settlement_row(
+                interval_index, t, f"{fid}__import", "seller", -mm.da_energy_kwh, mm.da_price,
+                -(mm_kwh - pos_kwh), mm.rt_price, mm_payment, rent_kwh,
+            ))
             self._seller_received += -mm_payment
             self._rent_total += rent_kwh
 

@@ -30,10 +30,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SwingParams:
-    """Aggregate swing response: gain m_hz_per_s_mw, damping d_per_s < 0."""
+    """Aggregate swing response: gain m_hz_per_s_mw, damping d_per_s < 0.
 
-    m_hz_per_s_mw: float
-    d_per_s: float
+    The defaults are a scenario's area.swing defaults.
+    """
+
+    m_hz_per_s_mw: float = 0.01
+    d_per_s: float = -0.2
 
     def __post_init__(self) -> None:
         if not self.m_hz_per_s_mw > 0:

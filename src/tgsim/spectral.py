@@ -227,6 +227,8 @@ def read_series_points(path) -> list[tuple[datetime, float]]:
             try:
                 t = datetime.fromisoformat(row[0].strip())
                 x = float(row[1])
+                if not math.isfinite(x):
+                    raise ValueError(f"value {x} is not finite")
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad row {row!r}") from exc
             points.append((t, x))

@@ -1,13 +1,27 @@
 """Scenario parsing: defaults, collect-all validation, key-path messages."""
 
+import dataclasses
 import hashlib
+import json
 from datetime import datetime
 from pathlib import Path
 
 import pytest
 import yaml
 
-from tgsim.config import ConfigError, SCHEMA_VERSION, load_config, parse_config
+from tgsim.config import (
+    SCHEMA_VERSION,
+    AreaSpec,
+    ConfigError,
+    FeederSpec,
+    MarketSpec,
+    PopulationSpec,
+    SimulationSpec,
+    UflsSpec,
+    load_config,
+    parse_config,
+)
+from tgsim.frequency import RegulationSplit, SwingParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,6 +86,16 @@ def test_minimal_document_fills_defaults():
     assert cfg.da_price == (30.0,)
     assert cfg.house_trace is False
     assert cfg.source_text == MINIMAL
+
+
+def test_defaults_are_the_spec_dataclass_defaults():
+    cfg = parse_config(MINIMAL)
+    assert cfg.simulation == SimulationSpec(span_s=3600)
+    assert cfg.market == MarketSpec()
+    assert cfg.population == PopulationSpec()
+    assert cfg.feeders == (FeederSpec(feeder_id="f0", capacity_kw=50.0),)
+    assert cfg.area.ufls == UflsSpec()
+    assert cfg.area == AreaSpec(swing=SwingParams(), split=RegulationSplit(), ufls=UflsSpec())
 
 
 def test_config_hash_is_sha256_of_source_text():
@@ -284,6 +308,12 @@ def test_area_guards():
     assert "area.smoothing_tau_s: must be at least the balancing tick" in problems_of(text)
     text = MINIMAL + "area:\n  ufls: {threshold_hz: 60.0}\n"
     assert "area.ufls.threshold_hz: must sit below the nominal frequency" in problems_of(text)
+    # SwingParams and RegulationSplit check their own values: out of range
+    # is a problem with its path, not a bare ValueError
+    text = MINIMAL + "area:\n  swing: {m_hz_per_s_mw: 0}\n"
+    assert problems_of(text) == ["area.swing.m_hz_per_s_mw: must be > 0.0, got 0.0"]
+    text = MINIMAL + "area:\n  split: {alpha: 0.5, beta: 2}\n"
+    assert problems_of(text) == ["area.split.beta: must be <= 1.0, got 2.0"]
 
 
 def test_event_parsing():
@@ -361,6 +391,18 @@ storage:
     ]
     # an inner double underscore is not the reserved prefix
     assert parse_config(MINIMAL.replace("id: f0", "id: f__0")).feeders[0].feeder_id == "f__0"
+    # ids are YAML strings: a null, number or list is not turned into text
+    battery = "storage:\n  - {{id: {raw}, feeder: {raw}, capacity_kwh: 10.0, p_charge: 3.0, p_discharge: 2.0,\n" \
+              "     buy_below: 20.0, sell_above: 40.0}}\n"
+    for raw in ("null", "7", "[a, b]"):
+        got = yaml.safe_load(raw)
+        assert problems_of(MINIMAL.replace("id: f0", f"id: {raw}")) == [
+            f"feeders[0].id: expected a string, got {got!r}"
+        ]
+        assert problems_of(MINIMAL + battery.format(raw=raw)) == [
+            f"storage[0].id: expected a string, got {got!r}",
+            f"storage[0].feeder: expected a string, got {got!r}",
+        ]
 
 
 def test_storage_validation():
@@ -384,6 +426,12 @@ storage:
     text = base.format(feeder="f0", cap=10.0, buy=20.0, sell=40.0, soc=0.0)
     text = text.replace("p_charge: 3.0", "p_charge: 3.0\n    efficiency: 1.2")
     assert "storage[0].efficiency: must be <= 1.0, got 1.2" in problems_of(text)
+    # a bad number is one problem, not echoed by the checks that would read it
+    for cap, problem in (("x", "expected a number, got 'x'"), (-1.0, "must be > 0.0, got -1.0")):
+        text = base.format(feeder="f0", cap=cap, buy=20.0, sell=40.0, soc=5.0)
+        assert problems_of(text) == [f"storage[0].capacity_kwh: {problem}"]
+    text = base.format(feeder="f0", cap=10.0, buy=20.0, sell="x", soc=0.0)
+    assert problems_of(text) == ["storage[0].sell_above: expected a number, got 'x'"]
 
 
 def test_inputs_parsing():
@@ -400,6 +448,15 @@ def test_inputs_parsing():
         "inputs.outdoor_temp_c: expected a number or CSV path, got True"
         in problems_of(text)
     )
+    # a non-finite temperature or price is a problem here, not a failed run
+    for raw in (".nan", ".inf", "-.inf"):
+        got = yaml.safe_load(raw)
+        assert problems_of(MINIMAL + f"inputs:\n  outdoor_temp_c: {raw}\n") == [
+            f"inputs.outdoor_temp_c: expected a number or CSV path, got {got!r}"
+        ]
+        assert problems_of(MINIMAL + f"inputs:\n  da_price: [30.0, {raw}]\n") == [
+            f"inputs.da_price: expected a price or list of hourly prices, got {[30.0, got]!r}"
+        ]
 
 
 def test_day_ahead_price_must_sit_between_renewables_and_cap():
@@ -475,6 +532,23 @@ def test_unknown_keys_are_reported_with_their_path(path, typo):
             node = node[int(index[:-1])]
     node[typo] = True
     assert problems_of(yaml.safe_dump(doc)) == [f"{path}.{typo}: unknown key"]
+
+
+def test_every_spec_field_reads_back_under_its_own_key():
+    # each section written back as every field of its spec, under the
+    # field's name (ids and a battery's feeder spelled as in the YAML)
+    cfg = parse_config(EVERY_SECTION)
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg), default=str))
+    for fd in doc["feeders"]:
+        fd["id"] = fd.pop("feeder_id")
+    doc["storage"] = [{**sd.pop("spec"), **sd} for sd in doc["storage"]]
+    for sd in doc["storage"]:
+        sd["id"], sd["feeder"] = sd.pop("device_id"), sd.pop("feeder_id")
+    doc["inputs"] = {key: doc.pop(key) for key in ("outdoor_temp_c", "da_price")}
+    doc["output"] = {"house_trace": doc.pop("house_trace")}
+    del doc["source_text"]
+    again = parse_config(yaml.safe_dump({"schema_version": 1, **doc}))
+    assert dataclasses.replace(again, source_text="") == dataclasses.replace(cfg, source_text="")
 
 
 def test_unknown_keys_are_reported_beside_other_problems():

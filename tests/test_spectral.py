@@ -330,6 +330,11 @@ def test_ingest_header_and_row_errors(tmp_path):
     p.write_text("time,value\n2026-07-01T00:00:00,abc\n")
     with pytest.raises(ValueError, match=":2:"):
         read_series_points(p)
+    # a non-finite value is a bad row of its file, not a bare Series error
+    for value in ("nan", "inf", "-inf"):
+        p.write_text(f"time,value\n2026-07-01T00:00:00,1\n2026-07-01T00:01:00,{value}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: bad row"):
+            ingest_series(p)
     p.write_text("time,value\n2026-07-01T00:00:00,1\n")
     with pytest.raises(ValueError):
         ingest_series(p)  # a single sample has no period
