@@ -7,8 +7,9 @@ supply from the lowest up, and orders at one price sit in ascending
 order id. The rank stands in for the id in that sort: it is the id's
 position in Python string order among a fixed set of ids (an
 ``OrderRanks`` table), so ``f1_h10000`` ranks before ``f1_h9999``. A
-run ranks every demand order it can emit in one table, which lets the
-area curve merge feeder curves with one stable sort on (price, rank).
+run ranks its order ids in one table, once, so the area curve merges
+feeder curves with one stable sort on (price, rank); steps without ids
+take any integer key that orders them as ids would.
 
 Clearing finds the largest quantity at which the demand staircase still
 sits at or above the supply staircase, then prices the trade:
@@ -38,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fold import left_sum
+from .fold import array_sum
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
@@ -102,12 +103,12 @@ class Bids(NamedTuple):
 class StepCurve:
     """Aggregated step curve as columns in trade order.
 
-    ``price``, ``quantity`` (float64), ``ids`` (object) and ``rank``
-    (intp, into ``ranks``) hold one entry per order. Demand sorts by
-    descending price, supply by ascending price, ties by ascending rank,
-    i.e. by order id; the sort is stable, so equal (price, id) orders
-    keep their input order. Per-order identity is preserved: equal-price
-    orders simply sit adjacent, which serves as the merged price level.
+    ``price``, ``quantity`` (float64), ``ids`` (object, or None) and
+    ``rank`` (integers, into ``ranks`` if any) hold one entry per order.
+    Demand sorts by descending price, supply by ascending price, ties by
+    ascending rank, i.e. by order id; the sort is stable, so equal
+    (price, id) orders keep their input order. Per-order identity is
+    preserved: equal-price orders sit adjacent as the merged price level.
 
     ``_from_columns`` is the one way in: the library's builders pass it
     columns whose quantities they have checked. ``StepCurve(side,
@@ -124,8 +125,8 @@ class StepCurve:
 
     @classmethod
     def _from_columns(cls, side: str, ids, price, quantity, rank=None, ranks: OrderRanks | None = None) -> StepCurve:
-        """Sort columns into a curve; ``rank`` indexes ``ranks``, and
-        without them the ids are ranked among themselves."""
+        """Sort columns into a curve; ``rank`` is the tie key, indexing
+        ``ranks`` if given, and without it the ids rank among themselves."""
         curve = cls.__new__(cls)
         curve._sort(side, ids, price, quantity, rank, ranks)
         return curve
@@ -133,10 +134,10 @@ class StepCurve:
     def _sort(self, side, ids, price, quantity, rank=None, ranks=None) -> None:
         if side not in (SIDE_BUY, SIDE_SELL):
             raise ValueError(f"bad side {side!r}")
-        ids = _id_array(ids)
-        if ranks is None:
-            ranks = OrderRanks(ids.tolist())
-            rank = ranks.of(ids.tolist())
+        if rank is None:
+            ids = _id_array(ids).tolist()
+            ranks = OrderRanks(ids)
+            rank = ranks.of(ids)
         price = np.asarray(price, dtype=np.float64)
         quantity = np.asarray(quantity, dtype=np.float64)
         # stable, and -0.0 ties with 0.0 as it does under Python's sort
@@ -144,7 +145,7 @@ class StepCurve:
         self.side = side
         self.price = price[order]
         self.quantity = quantity[order]
-        self.ids = ids[order]
+        self.ids = None if ids is None else _id_array(ids)[order]
         self.rank = rank[order]
         self.ranks = ranks
 
@@ -159,7 +160,7 @@ class StepCurve:
         return len(self.price)
 
     def total_quantity(self) -> float:
-        return left_sum(self.quantity.tolist())
+        return array_sum(self.quantity)
 
     def best_price(self) -> float | None:
         return float(self.price[0]) if len(self.price) else None
@@ -167,7 +168,7 @@ class StepCurve:
     def quantity_at(self, price: float) -> float:
         """Quantity willing to trade at the given price (weak inequality)."""
         willing = self.price >= price if self.side == SIDE_BUY else self.price <= price
-        return left_sum(self.quantity[willing].tolist())
+        return array_sum(self.quantity[willing])
 
 
 def _trade_key(curve: StepCurve) -> np.ndarray:
@@ -256,8 +257,9 @@ class FeederSupplySpec:
 MARKET_MAKER_PREFIX = "__import"
 
 
-def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = ()) -> StepCurve:
-    """Supply curve: wholesale block, scarcity blocks, local sell orders."""
+def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = (),
+                        ranks: OrderRanks | None = None) -> StepCurve:
+    """Supply curve: wholesale block, scarcity blocks, local sell orders (``ranks`` as for demand)."""
     sells = list(sell_bids)
     for o in sells:
         if o.side != SIDE_SELL:
@@ -267,7 +269,7 @@ def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = ())
     ids = [f"{mm}_wholesale"] * whole + [f"{mm}_scarcity{k}" for k in range(len(steps))] + [o.order_id for o in sells]
     price = [spec.wholesale_price] * whole + [p for p, _ in steps] + [o.price for o in sells]
     quantity = [spec.capacity_normal] * whole + [q for _, q in steps] + [o.quantity for o in sells]
-    return StepCurve._from_columns(SIDE_SELL, ids, price, quantity)
+    return StepCurve._from_columns(SIDE_SELL, ids, price, quantity, None if ranks is None else ranks.of(ids), ranks)
 
 
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
@@ -285,7 +287,7 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
     if not curves:
         return StepCurve(SIDE_BUY)
     ranks = curves[0].ranks
-    shared = all(c.ranks is ranks for c in curves)
+    shared = ranks is not None and all(c.ranks is ranks for c in curves)
     return StepCurve._from_columns(
         SIDE_BUY,
         np.concatenate([c.ids for c in curves]),
@@ -441,6 +443,7 @@ def clear_area(
         ["__area_renewables"] * renewables + ["__area_bulk"] * bulk,
         [renewables_price] * renewables + [bulk_price] * bulk,
         [renewables_capacity] * renewables + [bulk_capacity] * bulk,
+        np.arange(renewables + bulk),  # the prices never tie, so any key orders them
     )
     return clear(agg_demand, supply, price_floor, price_cap)
 

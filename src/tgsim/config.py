@@ -34,7 +34,7 @@ from .frequency import RegulationSplit, SwingParams
 from .thermal import KIND_HYSTERESIS, KIND_ZERO_DEADBAND, MODE_COOLING, MODE_HEATING
 
 SCHEMA_VERSION = 1
-RESERVED_PREFIX = "__"  # order ids the engine builds: __import*, __area_*, __forecast*
+RESERVED_PREFIX = "__"  # order ids the engine builds: __import*, __area_*
 
 
 class ConfigError(ValueError):
@@ -218,42 +218,46 @@ class _Walker:
     def _at(path: str, key: str) -> str:
         return f"{path}.{key}" if path else key
 
+    # A bad value, missing, of the wrong type or out of bounds, reads as
+    # the default (0 if required), so no cross check reports it again.
     def number(self, d: dict, key: str, path: str, default=None, lo=None, hi=None, lo_open=None):
         where = self._at(path, key)
+        fallback = 0.0 if default is None else default
         if key not in d:
             if default is None:
                 self.complain(where, "required value missing")
-                return 0.0
-            return default
+            return fallback
         val = d[key]
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.complain(where, f"expected a number, got {val!r}")
-            return default if default is not None else 0.0
+            return fallback
         v = float(val)
         if not math.isfinite(v):
             self.complain(where, "must be finite")
-            return default if default is not None else 0.0
-        if lo is not None and v < lo:
+        elif lo is not None and v < lo:
             self.complain(where, f"must be >= {lo}, got {v}")
-        if lo_open is not None and v <= lo_open:
+        elif lo_open is not None and v <= lo_open:
             self.complain(where, f"must be > {lo_open}, got {v}")
-        if hi is not None and v > hi:
+        elif hi is not None and v > hi:
             self.complain(where, f"must be <= {hi}, got {v}")
-        return v
+        else:
+            return v
+        return fallback
 
     def integer(self, d: dict, key: str, path: str, default=None, lo=None):
         where = self._at(path, key)
+        fallback = 0 if default is None else default
         if key not in d:
             if default is None:
                 self.complain(where, "required value missing")
-                return 0
-            return default
+            return fallback
         val = d[key]
         if isinstance(val, bool) or not isinstance(val, int):
             self.complain(where, f"expected an integer, got {val!r}")
-            return default if default is not None else 0
+            return fallback
         if lo is not None and val < lo:
             self.complain(where, f"must be >= {lo}, got {val}")
+            return fallback
         return val
 
     def fields(self, cls, d: dict, path: str, **bounds: dict) -> dict:
@@ -334,10 +338,10 @@ def parse_config(text: str) -> ScenarioConfig:
         (sim.market_interval_s, sim.schedule_interval_s, "schedule_interval_s"),
         (sim.schedule_interval_s, sim.span_s, "span_s"),
     ):
-        if small > 0 and big % small != 0:
+        if big % small != 0:
             w.complain(f"simulation.{name}", f"{big} is not a multiple of the next faster tick {small}")
     # each day is scheduled ahead as a whole number of scheduling periods
-    if sim.schedule_interval_s > 0 and 86400 % sim.schedule_interval_s != 0:
+    if 86400 % sim.schedule_interval_s != 0:
         w.complain(
             "simulation.schedule_interval_s", f"must divide one day (86400 s), got {sim.schedule_interval_s}"
         )
@@ -416,8 +420,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     area_d = w.section(doc, "area", _keys(AreaSpec))
     swing_d = w.section(area_d, "swing", _keys(SwingParams), "area")
-    # SwingParams and RegulationSplit check their own values: a section
-    # with a bad number falls back to the defaults instead of raising
+    # SwingParams checks its own values: a section with a bad number
+    # falls back to the defaults instead of raising
     before = len(w.problems)
     swing = w.fields(SwingParams, swing_d, "area.swing", m_hz_per_s_mw=_POSITIVE)
     if swing["d_per_s"] >= 0:
@@ -449,9 +453,7 @@ def parse_config(text: str) -> ScenarioConfig:
     )
     if area_values["bias_mw_per_01hz"] >= 0:
         w.complain("area.bias_mw_per_01hz", "bias is negative by convention")
-    before = len(w.problems)
-    split = w.fields(RegulationSplit, split_d, "area.split", alpha=_FRACTION, beta=_FRACTION)
-    split = RegulationSplit(**split) if len(w.problems) == before else RegulationSplit()
+    split = RegulationSplit(**w.fields(RegulationSplit, split_d, "area.split", alpha=_FRACTION, beta=_FRACTION))
     ufls = w.fields(UflsSpec, ufls_d, "area.ufls", threshold_hz=_POSITIVE, probability=_FRACTION,
                     armed_fraction=_FRACTION, hold_s=_NON_NEGATIVE)
     area = AreaSpec(swing=swing, split=split, ufls=UflsSpec(**ufls), events=tuple(events), **area_values)

@@ -7,8 +7,8 @@ thermal states advance. Every market interval (300 s) each feeder's
 diversity is sampled, bids are collected, each feeder's double auction
 clears against supply anchored at the scheduled hourly price, setpoints
 respond to the clearing price and deviations settle. Every schedule
-interval (3600 s) the active hourly position changes; whole-day
-schedules are fixed at day boundaries from availability feedback
+interval (3600 s) the active hourly position changes; at each day
+boundary the day is scheduled hour by hour from availability feedback
 (bootstrap estimates on day one).
 
 The loop steps over device ticks. After a tick's market and device
@@ -47,7 +47,6 @@ from .auction import (
     FeederSupplySpec,
     Order,
     OrderRanks,
-    StepCurve,
     _id_array,
     _price_spans,
     aggregate_demand,
@@ -65,7 +64,7 @@ from .bidding import (
     storage_bids,
 )
 from .config import ScenarioConfig, StoragePlacement
-from .fold import left_sum
+from .fold import array_sum, left_sum
 from .frequency import (
     nerc_ace,
     regulation_command,
@@ -77,6 +76,7 @@ from .frequency import (
     ufls_check,
 )
 from .hierarchy import (
+    Forecast,
     HourEntry,
     availability_feedback,
     feeder_reference,
@@ -137,11 +137,11 @@ def _house_bids_digest(t: int, market: str, prices: np.ndarray, quantities: np.n
     quantity-weighted price (None when nothing is bid) and the
     quantity bid at the cap.
     """
-    quantity = left_sum(quantities.tolist())
-    price = left_sum((prices * quantities).tolist()) / quantity if quantity else None
+    quantity = array_sum(quantities)
+    price = array_sum(prices * quantities) / quantity if quantity else None
     return {"t": t, "type": "house_bids", "market": market, "orders": len(quantities),
             "quantity_kw": quantity, "price": price,
-            "must_run_kw": left_sum(quantities[prices == price_cap].tolist())}
+            "must_run_kw": array_sum(quantities[prices == price_cap])}
 
 
 @dataclass
@@ -172,6 +172,7 @@ class _FeederState:
     sched_kw: float = 0.0
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
     house_rank: np.ndarray | None = None  # each house's rank in SimulationRun.ranks
+    forecast_rank: np.ndarray | None = None  # of the bootstrap steps {fid}_base, {fid}_resp
     storage: list[StoragePlacement] = field(default_factory=list)  # placed here, in id order
 
 
@@ -202,10 +203,9 @@ class SimulationRun:
         self._build_ranks()
         self.hours_per_day = 86400 // cfg.simulation.schedule_interval_s
         # the (cumulative kW, price) spans of each feeder's demand curves per
-        # hour of the last day a later day reads; _keep_curves says whether
-        # today's market phase fills them
-        self.day_curves: list[dict[str, list[tuple[np.ndarray, np.ndarray]]]] = []
-        self._keep_curves = False
+        # hour of today, empty unless the next day reads them; the next day
+        # start releases each hour once it is scheduled
+        self.day_curves: list[dict[str, list[tuple[np.ndarray, np.ndarray]]] | None] = []
         # balancing state
         self.delta_f = 0.0
         self.ace_filtered = 0.0
@@ -308,72 +308,70 @@ class SimulationRun:
             self.feeders[placement.feeder_id].storage.append(placement)
 
     def _build_ranks(self) -> None:
-        """One tie-break rank table over every id a demand curve can hold;
-        it also puts each feeder's armed houses in id string order."""
-        ids = [f"{fid}_base" for fid in self.feeders]
-        ids += [f"{sid}_chg" for sid in self.storage_states]
+        """One tie-break rank table over every id a demand or supply curve
+        can hold, day 0's forecasts included; it also puts each feeder's
+        armed houses in id string order."""
+        mm = MARKET_MAKER_PREFIX
+        ids = [f"{fid}_{step}" for fid in self.feeders for step in ("base", "resp")]
+        n_steps = max(len(f.scarcity_steps) for f in self.cfg.feeders)
+        ids += [f"{mm}_wholesale"] + [f"{mm}_scarcity{k}" for k in range(n_steps)]
+        ids += [f"{sid}_{leg}" for sid in self.storage_states for leg in ("chg", "dis")]
         for fs in self.feeders.values():
             ids += fs.pop.ids
         self.ranks = OrderRanks(ids)
-        # a charge order's fill is found in a demand curve by its rank
-        self.charge_rank = {sid: self.ranks.of([f"{sid}_chg"])[0] for sid in self.storage_states}
-        for fs in self.feeders.values():
+        # a storage order's fill is found in a curve by its rank
+        self.storage_rank = {sid: self.ranks.of([f"{sid}_chg", f"{sid}_dis"]) for sid in self.storage_states}
+        for fid, fs in self.feeders.items():
             fs.house_rank = self.ranks.of(fs.pop.ids)
             fs.armed_idx = fs.armed_idx[np.argsort(fs.house_rank[fs.armed_idx])]
+            fs.forecast_rank = self.ranks.of([f"{fid}_base", f"{fid}_resp"])
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
 
-    def _bootstrap_forecast(self, period: int) -> dict[str, StepCurve]:
-        """Day 0's forecast for one scheduling period, from the median
-        house's steady duty at the period's start."""
+    def _bootstrap_forecast(self, period: int) -> dict[str, Forecast]:
+        """Day 0's forecast for one scheduling period: base load at the cap,
+        and the median house's steady duty at the period's start at the prior mean."""
         cfgp = self.cfg.population
         mkt = self.cfg.market
         median = ThermalParams(cfgp.r_median, cfgp.c_median, cfgp.q_hvac, cfgp.p_rated)
         t_start = period * self.cfg.simulation.schedule_interval_s
         duty = steady_duty(median, self.thermostat, self.t_out(t_start))
         price = np.array([mkt.price_cap, mkt.prior_mean], dtype=np.float64)
-        curves = {}
-        for fspec in self.cfg.feeders:
-            fid = fspec.feeder_id
-            quantity = np.array([fspec.base_load_kw, fspec.houses * cfgp.p_rated * duty], dtype=np.float64)
-            offered = quantity > 0
-            ids = _id_array([f"{fid}_base", f"{fid}_resp"])[offered]
-            curves[fid] = StepCurve._from_columns(SIDE_BUY, ids, price[offered], quantity[offered])
-        return curves
+        forecasts = {}
+        for fid, fs in self.feeders.items():
+            quantity = np.array([fs.spec.base_load_kw, fs.spec.houses * cfgp.p_rated * duty], dtype=np.float64)
+            step = np.lexsort((fs.forecast_rank, -price))  # trade order
+            step = step[quantity[step] > 0]
+            forecasts[fid] = Forecast(price[step], quantity[step], fs.forecast_rank[step])
+        return forecasts
 
     def _start_day(self, t: int, day: int, emit) -> list[HourEntry]:
         """The day-ahead cycle, run once at each day boundary.
 
-        Forecasts each hour (bootstrap on day 0, then the availability
-        feedback of yesterday's curve spans), schedules the whole day, and
-        gives today's market phase an empty store only if a later day
-        will read it.
+        Hour by hour, forecasts the hour (bootstrap on day 0, then the
+        availability feedback of yesterday's spans of that hour, released
+        once read) and schedules it. Today's market phase gets an empty
+        store only if a later day will read it.
         """
         area = self.cfg.area
         mkt = self.cfg.market
         hours = range(self.hours_per_day)
-        if day == 0:
-            forecasts = [self._bootstrap_forecast(h) for h in hours]
-        else:
-            forecasts = [
-                {fid: availability_feedback(curves) for fid, curves in by_feeder.items()}
-                for by_feeder in self.day_curves
-            ]
-        sched = schedule_hourly(
-            forecasts,
-            [self.da_price_for_hour(day * self.hours_per_day + h) for h in hours],
-            area.renewables_price,
-            area.renewables_capacity_mw * 1000.0,
-            area.bulk_capacity_mw * 1000.0,
-            mkt.price_floor,
-            mkt.price_cap,
-        )
+        sched = []
+        for h in hours:
+            if day == 0:
+                forecasts = self._bootstrap_forecast(h)
+            else:
+                forecasts = {fid: availability_feedback(spans) for fid, spans in self.day_curves[h].items()}
+                self.day_curves[h] = None
+            sched.append(schedule_hourly(
+                forecasts, self.da_price_for_hour(day * self.hours_per_day + h), area.renewables_price,
+                area.renewables_capacity_mw * 1000.0, area.bulk_capacity_mw * 1000.0, mkt.price_floor, mkt.price_cap,
+            ))
         emit({"t": t, "type": "schedule", "day": day, "prices": [e.price for e in sched]})
-        self._keep_curves = (day + 1) * 86400 < self.cfg.simulation.span_s
-        if self._keep_curves:
-            self.day_curves = [{fid: [] for fid in sorted(self.feeders)} for _ in hours]
+        keep = (day + 1) * 86400 < self.cfg.simulation.span_s  # a later day reads today's spans
+        self.day_curves = [{fid: [] for fid in sorted(self.feeders)} for _ in hours] if keep else []
         return sched
 
     # ------------------------------------------------------------------
@@ -521,7 +519,7 @@ class SimulationRun:
         # never above the bulk price, so scarcity steps (which config keeps
         # above every day-ahead price) stay above an hour scheduled at the cap
         anchor = min(entry.price, bulk_price) if entry.area_quantity_kw > 0 else bulk_price
-        demand_curves: dict[str, StepCurve] = {}
+        demand_curves = {}
         # sampled from the state the bids are built from
         diversity = self._feeder_diversity(t)
 
@@ -558,11 +556,11 @@ class SimulationRun:
                 scarcity_steps=fspec.scarcity_steps,
                 price_cap=mkt.price_cap,
             )
-            supply = build_feeder_supply(supply_spec, sells)
+            supply = build_feeder_supply(supply_spec, sells, self.ranks)
             result = clear_and_allocate(demand, supply, mkt.price_floor, mkt.price_cap)
             rent = scarcity_rent(result, supply)
             demand_curves[fid] = demand
-            if self._keep_curves:
+            if self.day_curves:
                 self.day_curves[hour_of_day][fid].append(_price_spans(demand))
 
             n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
@@ -583,8 +581,8 @@ class SimulationRun:
             fs.storage_net_kw = 0.0
             for placement in fs.storage:
                 sid = placement.spec.device_id
-                charge = _fill_of(result.buy_fills, demand.rank, self.charge_rank[sid])
-                discharge = _fill_of(result.sell_fills, supply.ids, f"{sid}_dis")
+                charge = _fill_of(result.buy_fills, demand.rank, self.storage_rank[sid][0])
+                discharge = _fill_of(result.sell_fills, supply.rank, self.storage_rank[sid][1])
                 self.storage_states[sid] = apply_clearing_to_storage(
                     placement.spec, self.storage_states[sid], charge, discharge, interval_h
                 )

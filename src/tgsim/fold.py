@@ -3,7 +3,8 @@
 The builtin ``sum`` of floats is a plain left fold up to Python 3.11,
 while 3.12 compensates for rounding, so the same inputs can give
 different last bits on different interpreters. Artifacts must not
-depend on the interpreter, so every float sum goes through ``left_sum``.
+depend on the interpreter, so every float sum goes through ``left_sum``,
+or ``array_sum`` for a float64 array (``np.sum`` adds pairwise).
 
 ``py_max`` and ``py_min`` are the builtin ``max``/``min`` of two
 operands, elementwise, so an array pass over a fleet breaks ties (such
@@ -23,6 +24,13 @@ def left_sum(values: Iterable[float]) -> float:
     for x in values:
         total += x
     return total
+
+
+def array_sum(x: np.ndarray) -> float:
+    """``left_sum`` of an array, bit for bit. The accumulate pass starts
+    from x[0], so an all -0.0 input ends at -0.0; + 0.0 gives +0.0 there,
+    as ``left_sum`` does, and changes no other result."""
+    return float(np.add.accumulate(x)[-1]) + 0.0 if len(x) else 0.0
 
 
 def py_max(a, b) -> np.ndarray:

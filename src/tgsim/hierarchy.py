@@ -3,7 +3,8 @@
 Three tiers run at nested cadences. The hourly schedule clears forecast
 demand against the day-ahead merit order (cheap limited renewables,
 then bulk generation at the day-ahead price) and fixes financially
-binding positions. Five-minute retail dispatch re-clears live bids
+binding positions, one hour per call from each feeder's forecast
+columns. Five-minute retail dispatch re-clears live bids
 against feeder supply anchored at the scheduled hourly price. The
 real-time tier settles only deviations from the scheduled position, the
 classic two-settlement arrangement: the day-ahead leg pays the
@@ -19,7 +20,7 @@ balancing dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +29,9 @@ from .auction import (
     MARKET_MAKER_PREFIX,
     SIDE_BUY,
     StepCurve,
-    aggregate_demand,
     clear_area,
 )
-from .fold import left_sum
+from .fold import array_sum, left_sum
 
 MODE_NORMAL = "normal"
 MODE_CONTINGENCY = "contingency"
@@ -41,59 +41,52 @@ MODE_CONTINGENCY = "contingency"
 class HourEntry:
     """Cleared day-ahead position for one hour."""
 
-    hour_index: int
     price: float
     area_quantity_kw: float
     feeder_kw: dict[str, float]
 
 
+class Forecast(NamedTuple):
+    """One feeder's forecast demand for one hour, as columns in trade
+    order: falling prices, equal prices (in any feeder) by ascending rank."""
+
+    price: np.ndarray
+    quantity: np.ndarray
+    rank: np.ndarray
+
+
 def schedule_hourly(
-    forecasts: Sequence[dict[str, StepCurve]],
-    da_prices: Sequence[float],
+    forecasts: Mapping[str, Forecast],
+    bulk_price: float,
     renewables_price: float,
     renewables_capacity_kw: float,
     bulk_capacity_kw: float,
     price_floor: float,
     price_cap: float,
-) -> list[HourEntry]:
-    """Clear each hour's forecast against the day-ahead merit order.
+) -> HourEntry:
+    """Clear one hour's forecasts against the day-ahead merit order.
 
-    forecasts holds one {feeder: demand curve} map per hour; da_prices
-    gives the bulk offer price for each hour; the result holds one entry
-    per hour, in hour order. Per-feeder positions are
-    read back by evaluating each feeder's forecast curve at the cleared
-    hourly price. Pure function of its inputs: scheduling twice from
-    the same forecasts yields the same schedule.
+    forecasts maps each feeder to its forecast for the hour. The steps
+    merge by one stable sort on (price, rank), so full ties keep feeder
+    order. Each feeder's position is the left fold of its own steps
+    priced at or above the cleared price. Pure function of its inputs.
     """
-    if len(forecasts) != len(da_prices):
-        raise ValueError("need one day-ahead price per forecast hour")
-    entries = []
-    for hour, (curves, bulk_price) in enumerate(zip(forecasts, da_prices)):
-        result = clear_area(
-            aggregate_demand(curves.values()),
-            renewables_price,
-            renewables_capacity_kw,
-            bulk_price,
-            bulk_capacity_kw,
-            price_floor,
-            price_cap,
-        )
-        if result.quantity > 0:
-            positions = {fid: c.quantity_at(result.price) for fid, c in curves.items()}
-        else:
-            positions = {fid: 0.0 for fid in curves}
-        entries.append(
-            HourEntry(
-                hour_index=hour,
-                price=result.price,
-                area_quantity_kw=result.quantity,
-                feeder_kw=positions,
-            )
-        )
-    return entries
+    merged = StepCurve._from_columns(SIDE_BUY, None, *map(np.concatenate, zip(*forecasts.values())))
+    result = clear_area(merged, renewables_price, renewables_capacity_kw, bulk_price, bulk_capacity_kw,
+                        price_floor, price_cap)
+    positions = {fid: array_sum(f.quantity[f.price >= result.price]) if result.quantity > 0 else 0.0
+                 for fid, f in forecasts.items()}
+    return HourEntry(price=result.price, area_quantity_kw=result.quantity, feeder_kw=positions)
 
 
-def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> StepCurve:
+def _decimal_string_rank(k: np.ndarray) -> np.ndarray:
+    """Integers that order k < 10**17 as decimal strings sort (10 before 2):
+    k's digits padded right to 17 places, then its digit count (1 before 10)."""
+    digits = np.searchsorted(10 ** np.arange(1, 18), k, "right") + 1
+    return k * 10 ** (17 - digits) * 10 + digits
+
+
+def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Forecast:
     """Mean demand curve over a lookback window of cleared intervals.
 
     Pointwise (quantity) average over the union of step prices: each
@@ -104,6 +97,7 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Ste
     ``quantity_at(p)`` is the cumulative quantity of its price-descending
     prefix priced at or above p, so one search per interval reads it off
     the pair with the same bits.
+    Step k of the distinct prices, highest first, ranks as k's decimal string.
     """
     spans = list(spans)
     if not spans:
@@ -122,8 +116,7 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Ste
     # step quantity is positive
     prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
     step = np.flatnonzero(q_here > prev_q)
-    ids = [f"__forecast{k}" for k in step.tolist()]
-    return StepCurve._from_columns(SIDE_BUY, ids, prices[step], q_here[step] - prev_q[step])
+    return Forecast(prices[step], q_here[step] - prev_q[step], _decimal_string_rank(step))
 
 
 def reference_mode(

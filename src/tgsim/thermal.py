@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fold import left_sum, py_max, py_min
+from .fold import array_sum, left_sum, py_max, py_min
 
 MODE_COOLING = "cooling"
 MODE_HEATING = "heating"
@@ -269,16 +269,11 @@ class Population:
         t_eq = t_out + np.where(on, self.q_hvac, 0.0) * self.r_thermal
         t[:] = t_eq + (t - t_eq) * self._decay
         self.hvac_on[:] = on
-        return _sequential_sum(self.p_rated[on])
+        return array_sum(self.p_rated[on])
 
     def aggregate_power(self) -> float:
         """Current electrical draw of the fleet in kW (sequential sum)."""
-        return _sequential_sum(self.p_rated[self.hvac_on != 0])
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right sum, as a Python loop computes it (np.sum is pairwise)."""
-    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+        return array_sum(self.p_rated[self.hvac_on != 0])
 
 
 def aggregate_power(states: Iterable[HouseState], params: Iterable[ThermalParams]) -> float:

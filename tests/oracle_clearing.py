@@ -29,7 +29,9 @@ shares no data structures with the package.
 The second half of this file is the order-by-order walk over (price,
 quantity, order_id) rows that the package used before its curves became
 columns: the same market, with the float operations in the order the
-array passes must reproduce bit for bit.
+array passes must reproduce bit for bit. The last part walks the
+day-ahead schedule the way it ran while forecast steps carried order
+ids.
 """
 
 
@@ -213,3 +215,57 @@ def walk_clear_and_allocate(d_rows, s_rows, price_floor=0.0, price_cap=float("in
     buys, m_buy = walk_fill(d_rows, price, qty, buy=True)
     sells, m_sell = walk_fill(s_rows, price, qty, buy=False)
     return price, qty, buys, sells, m_buy if m_buy is not None else m_sell
+
+
+# ----------------------------------------------------------------------
+# the day-ahead schedule through forecast ids
+# ----------------------------------------------------------------------
+#
+# Forecast steps used to carry the order ids ``__forecast{k}``: the area
+# curve put equal prices in id string order (``__forecast10`` before
+# ``__forecast2``), then in feeder order, and each feeder's position was
+# read back from its own rows. The package now ranks the steps with
+# numbers instead of ids; these functions keep the id path as rows.
+
+
+def walk_quantity_at(rows, price):
+    """Demand at or above price: a left fold over the sorted rows."""
+    total = 0.0
+    for p, q, _ in walk_sort(rows, buy=True):
+        if p >= price:
+            total += q
+    return total
+
+
+def feedback_rows(window):
+    """Availability feedback of a window of demand rows, as rows.
+
+    The mean willingness over the window at each distinct price, highest
+    first; a step wherever it rises, named ``__forecast{k}`` after the
+    price's position k. Of 0.0 and -0.0 the first seen in trade order
+    names the level, as in a Python set.
+    """
+    prices = sorted({p for rows in window for p, _, _ in walk_sort(rows, buy=True)}, reverse=True)
+    steps, prev_q = [], 0.0
+    for k, p in enumerate(prices):
+        q_here = 0.0
+        for rows in window:
+            q_here += walk_quantity_at(rows, p)
+        q_here /= len(window)
+        if q_here > prev_q:
+            steps.append((p, q_here - prev_q, f"__forecast{k}"))
+            prev_q = q_here
+    return steps
+
+
+def id_path_schedule(forecasts, bulk_price, renewables_price, renewables_kw, bulk_kw, price_floor, price_cap):
+    """(price, area kW, {feeder: kW}) of one hour from {feeder: rows}.
+
+    Every feeder's rows merge into one curve sorted by price, then id,
+    then feeder order; it clears against the two area blocks, and each
+    feeder's position is its own rows' quantity at the cleared price.
+    """
+    blocks = [(renewables_price, renewables_kw, "__area_renewables"), (bulk_price, bulk_kw, "__area_bulk")]
+    supply = walk_sort([b for b in blocks if b[1] > 0], buy=False)
+    price, qty = walk_clear(walk_aggregate(forecasts.values()), supply, price_floor, price_cap)
+    return price, qty, {fid: walk_quantity_at(rows, price) if qty > 0 else 0.0 for fid, rows in forecasts.items()}

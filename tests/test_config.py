@@ -191,6 +191,11 @@ def test_cadences_must_nest():
         ]
     ok = MINIMAL.replace("  span_s: 3600", "  span_s: 86400\n  schedule_interval_s: 1800")
     assert parse_config(ok).simulation.schedule_interval_s == 1800
+    # a tick out of bounds reads as its default, so it is not also
+    # reported as out of step with the next faster tick
+    assert problems_of(MINIMAL.replace("span_s: 3600", "span_s: -1")) == ["simulation.span_s: must be >= 1, got -1"]
+    bad = MINIMAL.replace("  span_s: 3600", "  span_s: 3600\n  market_interval_s: -100")
+    assert problems_of(bad) == ["simulation.market_interval_s: must be >= 1, got -100"]
 
 
 def test_seed_validation():
@@ -306,6 +311,10 @@ def test_area_guards():
     )
     text = MINIMAL + "area:\n  smoothing_tau_s: 2.0\n"
     assert "area.smoothing_tau_s: must be at least the balancing tick" in problems_of(text)
+    # a value out of bounds reads as the default, so the cross checks
+    # after it do not report it again
+    text = MINIMAL + "area:\n  smoothing_tau_s: -1\n"
+    assert problems_of(text) == ["area.smoothing_tau_s: must be > 0.0, got -1.0"]
     text = MINIMAL + "area:\n  ufls: {threshold_hz: 60.0}\n"
     assert "area.ufls.threshold_hz: must sit below the nominal frequency" in problems_of(text)
     # SwingParams and RegulationSplit check their own values: out of range

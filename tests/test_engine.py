@@ -12,7 +12,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim import engine
-from tgsim.auction import SIDE_BUY, StepCurve, _price_spans
+from tgsim.auction import SIDE_BUY, OrderRanks, StepCurve, _price_spans
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
@@ -117,26 +117,33 @@ def test_double_runs_are_byte_identical(scenario_runs):
 
 def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, monkeypatch):
     # days 1 and 2 are scheduled from the previous day's availability
-    # feedback; day 2's curves are never read, so the run stores none
-    # of them and still holds the price spans of the day 1 curves that day 2
-    # was scheduled from
-    fed: list[list] = []
+    # feedback one hour at a time: an hour's forecasts are made and
+    # scheduled before the next hour's, and its spans are released once
+    # read. The run keeps the spans of at most one day, and a finished
+    # run keeps none.
+    calls: list = []
     built: list = []
     real_feedback = engine.availability_feedback
+    real_schedule = engine.schedule_hourly
     real_build = engine.build_demand_curve
 
-    def recorded_feedback(curves):
-        fed.append(curves)
-        return real_feedback(curves)
+    def recorded_feedback(spans):
+        calls.append(("feedback", spans))
+        return real_feedback(spans)
+
+    def recorded_schedule(*args):
+        calls.append(("schedule", [by_feeder is None for by_feeder in sim.day_curves]))
+        return real_schedule(*args)
 
     def recorded_build(*args, **kwargs):
         built.append(real_build(*args, **kwargs))
         return built[-1]
 
     monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
+    monkeypatch.setattr(engine, "schedule_hourly", recorded_schedule)
     monkeypatch.setattr(engine, "build_demand_curve", recorded_build)
-    # two feeders of houses whose bids differ in price and count, so a
-    # held pair from the wrong interval or feeder would not match
+    # two feeders of houses whose bids differ in price and count, so
+    # spans from the wrong interval or feeder would not match
     base = load_config(SCENARIO_DIR / "two_day.yaml")
 
     def config(span_s):
@@ -145,26 +152,34 @@ def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, mon
 
     files = []
     for name in ("a", "b"):
-        fed.clear()
+        calls.clear()
         built.clear()
         sim = SimulationRun(config(3 * 86400), base_dir=SCENARIO_DIR)
         run = sim.run(tmp_path / name)
-        hours = sim.hours_per_day
-        assert len(fed) == 2 * hours * len(sim.feeders)
-        held = [curves for by_feeder in sim.day_curves for curves in by_feeder.values()]
-        assert len(held) == hours * len(sim.feeders)
-        assert all(a is b for a, b in zip(held, fed[-len(held):]))
+        hours, n_feeders = sim.hours_per_day, len(sim.feeders)
+        # day 0 schedules bootstrap forecasts; then each hour's feedback
+        # calls come right before that hour's schedule call, and by then
+        # the spans of that hour and the ones before are released
+        hour = ["feedback"] * n_feeders + ["schedule"]
+        assert [kind for kind, _ in calls] == ["schedule"] * hours + hour * (2 * hours)
+        released = [seen for kind, seen in calls if kind == "schedule"]
+        assert released[:hours] == [[]] * hours
+        for day in (1, 2):
+            for h in range(hours):
+                assert released[day * hours + h] == [True] * (h + 1) + [False] * (hours - h - 1)
+        assert sim.day_curves == []
+        # day 2's feedback reads the spans pairs of the curves cleared in
+        # each of day 1's intervals; the market phase builds them interval
+        # by interval, feeders in sorted order
+        fed = [spans for kind, spans in calls if kind == "feedback"][-hours * n_feeders:]
         per_hour = 3600 // 300
-        assert all(len(curves) == per_hour for curves in held)
-        # each held entry is the spans pair of the curve cleared in its
-        # interval; the market phase builds day 1's curves interval by
-        # interval, feeders in sorted order
-        fids = sorted(sim.feeders)
         day1 = built[len(built) // 3 : 2 * len(built) // 3]
-        for h, by_feeder in enumerate(sim.day_curves):
-            for j, fid in enumerate(fids):
-                for k, pair in enumerate(by_feeder[fid]):
-                    want = _price_spans(day1[(h * per_hour + k) * len(fids) + j])
+        for h in range(hours):
+            for j in range(n_feeders):
+                spans = fed[h * n_feeders + j]
+                assert len(spans) == per_hour
+                for k, pair in enumerate(spans):
+                    want = _price_spans(day1[(h * per_hour + k) * n_feeders + j])
                     assert isinstance(pair, tuple) and len(pair) == 2
                     assert all(a.dtype == np.float64 and a.tobytes() == w.tobytes() for a, w in zip(pair, want))
         files.append(artifact_files(run))
@@ -172,35 +187,66 @@ def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, mon
         assert [e["day"] for e in events if e["type"] == "schedule"] == [0, 1, 2]
     assert files[0] == files[1]
 
-    # no later day reads a run of one day or less, so it stores no curves
+    # no later day reads a run of one day or less, so it stores no spans
     for span_s in (3600, 86400):
-        fed.clear()
+        calls.clear()
         sim = SimulationRun(config(span_s), base_dir=SCENARIO_DIR)
         sim.run(tmp_path / f"short{span_s}")
-        assert sim.day_curves == [] and fed == []
+        assert sim.day_curves == [] and all(kind == "schedule" for kind, _ in calls)
 
 
-def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path):
-    # live bytes a finished run still holds, over those after construction:
-    # none of a one-day run's curves outlive it, and a third day adds nothing
+def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path, monkeypatch):
+    # two_day with 24 hourly prices, so the houses' bids spread and day
+    # 1's forecasts have many steps. The same runs measure the live bytes
+    # a finished run holds over those after construction, the spans held
+    # at the day 1 boundary, and the peak that boundary adds while it
+    # forecasts and schedules day 1; and run() builds no rank table.
+    made = []
+    real_init = OrderRanks.__init__
+
+    def counted(self, ids):
+        made.append(None)
+        real_init(self, ids)
+
+    monkeypatch.setattr(OrderRanks, "__init__", counted)
     base = load_config(SCENARIO_DIR / "two_day.yaml")
-    retained = {}
-    for days in (1, 2, 3):
+    hourly = tuple(20.0 + 1.5 * h for h in range(24))
+    retained, peaks, marks = {}, [], []
+    for days in (1, 2):
         cfg = dataclasses.replace(
-            base, simulation=dataclasses.replace(base.simulation, span_s=days * 86400)
+            base, da_price=hourly, simulation=dataclasses.replace(base.simulation, span_s=days * 86400)
         )
         tracemalloc.start()
         try:
+            made.clear()
             sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+            assert made
+            start_day = sim._start_day
+
+            def measured(*args):
+                marks.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                sched = start_day(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+                marks.append(tracemalloc.get_traced_memory()[0])
+                return sched
+
+            sim._start_day = measured
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
+            made.clear()
             sim.run(tmp_path / f"{days}d")
+            assert made == []
             gc.collect()
             retained[days] = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-    assert retained[1] <= 0.25 * retained[2], retained
-    assert retained[3] <= 1.1 * retained[2], retained
+    # marks: the 1-day run's day 0, then the 2-day run's days 0 and 1,
+    # each before and after its day start
+    store = marks[4] - marks[3]
+    assert store > 0
+    assert peaks[2] <= 0.15 * store, (peaks, store)
+    assert retained[2] <= retained[1] + 0.1 * store, (retained, store)
 
 
 def test_bootstrap_forecast_reads_each_scheduling_period_start(tmp_path):
@@ -239,16 +285,22 @@ def test_bootstrap_forecast_columns_equal_the_row_built_curves_bitwise():
     duty = steady_duty(median, sim.thermostat, sim.t_out(0))
     assert duty > 0
 
-    def bits(curve):
-        return [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in curve.segments]
+    def bits(price, quantity):
+        return [(struct.pack("<d", p), struct.pack("<d", q)) for p, q in zip(price.tolist(), quantity.tolist())]
 
     got = sim._bootstrap_forecast(0)
     assert list(got) == [f.feeder_id for f in feeders]
+    ids, ranks = [], []
     for fspec in feeders:
         fid = fspec.feeder_id
         rows = [(mkt.price_cap, fspec.base_load_kw, f"{fid}_base")] if fspec.base_load_kw else []
         rows.append((mkt.prior_mean, fspec.houses * pop.p_rated * duty, f"{fid}_resp"))
-        assert bits(got[fid]) == bits(StepCurve(SIDE_BUY, rows))
+        want = StepCurve(SIDE_BUY, rows)
+        assert bits(got[fid].price, got[fid].quantity) == bits(want.price, want.quantity)
+        ids += want.ids.tolist()
+        ranks += got[fid].rank.tolist()
+    # the ranks order every feeder's steps as their ids sort
+    assert sorted(range(len(ids)), key=ranks.__getitem__) == sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def test_an_hour_scheduled_at_the_cap_anchors_the_feeder_at_the_bulk_price(tmp_path, monkeypatch):
@@ -274,7 +326,7 @@ def test_an_hour_scheduled_at_the_cap_anchors_the_feeder_at_the_bulk_price(tmp_p
     monkeypatch.setattr(engine, "schedule_hourly", scheduled)
     monkeypatch.setattr(engine, "build_feeder_supply", supplied)
     SimulationRun(cfg, base_dir=SCENARIO_DIR).run(tmp_path / "run")
-    assert schedules[0][0].price == cfg.market.price_cap
+    assert schedules[0].price == cfg.market.price_cap
     assert supplies[0].best_price() == 30.0
 
 

@@ -2,10 +2,13 @@
 transcendentals come from libm, whatever numpy's SIMD level."""
 
 import re
+import struct
 from pathlib import Path
 
+import numpy as np
+
 import tgsim
-from tgsim.fold import left_sum
+from tgsim.fold import array_sum, left_sum
 
 # the builtin, not a method or a longer name such as np.sum or left_sum
 BARE_SUM = re.compile(r"(?<![\w.])sum\(")
@@ -25,6 +28,20 @@ def test_left_sum_rounds_after_every_addition():
     assert left_sum([0.1] * 10) == 0.9999999999999999
     assert left_sum(x for x in (1e16, 1.0, -1e16)) == 0.0
     assert left_sum([]) == 0.0
+
+
+def test_array_sum_is_the_left_sum_of_the_array_bitwise():
+    rng = np.random.default_rng(4)
+    cases = [[], [0.1] * 10, [1e16, 1.0, -1e16], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.5, -1.5]]
+    cases += [(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist() for n in range(1, 60)]
+    for x in cases:
+        assert struct.pack("<d", array_sum(np.array(x))) == struct.pack("<d", left_sum(x)), x
+    # on an all -0.0 input the accumulate pass alone ends at -0.0, while
+    # left_sum starts from 0.0 and ends at +0.0; array_sum keeps +0.0
+    for n in (1, 2, 5):
+        zeros = np.full(n, -0.0)
+        assert struct.pack("<d", np.add.accumulate(zeros)[-1]) == struct.pack("<d", -0.0)
+        assert struct.pack("<d", array_sum(zeros)) == struct.pack("<d", 0.0)
 
 
 def test_no_bare_sum_in_the_package():

@@ -5,12 +5,13 @@ import struct
 import numpy as np
 import pytest
 
-from oracle_clearing import fills_by_id
+from oracle_clearing import feedback_rows, fills_by_id, id_path_schedule
 from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, _price_spans, clear_and_allocate
-from tgsim.fold import left_sum
+from tgsim.fold import array_sum, left_sum
 from tgsim.hierarchy import (
     MODE_CONTINGENCY,
     MODE_NORMAL,
+    Forecast,
     availability_feedback,
     feeder_reference,
     reference_mode,
@@ -31,16 +32,19 @@ def supply(*segs):
 # ---------------------------------------------------------------- schedule
 
 
-def test_schedule_zero_hours():
-    assert schedule_hourly([], [], 15.0, 10.0, 100.0, 0.0, 1000.0) == []
+def hour(**feeders):
+    """{feeder: Forecast} of one (price, kW) step per feeder, ranked in
+    feeder order."""
+    return {
+        fid: Forecast(np.array([p]), np.array([q]), np.array([rank]))
+        for rank, (fid, (p, q)) in enumerate(feeders.items())
+    }
 
 
 def test_schedule_renewables_marginal_hour():
     # 5 kW of demand against 10 kW of cheap renewables: the renewables
     # block is marginal, so the hour clears at the renewables price.
-    forecasts = [{"f0": demand((40.0, 5.0, "f0"))}]
-    (entry,) = schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 0.0, 1000.0)
-    assert entry.hour_index == 0
+    entry = schedule_hourly(hour(f0=(40.0, 5.0)), 30.0, 15.0, 10.0, 100.0, 0.0, 1000.0)
     assert entry.price == 15.0
     assert entry.area_quantity_kw == 5.0
     assert entry.feeder_kw == {"f0": 5.0}
@@ -49,64 +53,100 @@ def test_schedule_renewables_marginal_hour():
 def test_schedule_bulk_marginal_hour_splits_positions():
     # demand exceeds renewables so the bulk block sets the price, and
     # each feeder's position is its own willingness at that price
-    forecasts = [
-        {
-            "f0": demand((50.0, 8.0, "f0")),
-            "f1": demand((45.0, 4.0, "f1")),
-        }
-    ]
-    (entry,) = schedule_hourly(forecasts, [30.0], 15.0, 5.0, 100.0, 0.0, 1000.0)
+    entry = schedule_hourly(hour(f0=(50.0, 8.0), f1=(45.0, 4.0)), 30.0, 15.0, 5.0, 100.0, 0.0, 1000.0)
     assert entry.price == 30.0
     assert entry.area_quantity_kw == 12.0
     assert entry.feeder_kw == {"f0": 8.0, "f1": 4.0}
 
 
 def test_schedule_uses_per_hour_bulk_price():
-    hour = {"f0": demand((90.0, 20.0, "f0"))}
-    sched = schedule_hourly([hour, hour], [30.0, 60.0], 15.0, 0.0, 100.0, 0.0, 1000.0)
+    forecasts = hour(f0=(90.0, 20.0))
+    sched = [schedule_hourly(forecasts, bulk, 15.0, 0.0, 100.0, 0.0, 1000.0) for bulk in (30.0, 60.0)]
     assert [e.price for e in sched] == [30.0, 60.0]
     assert [e.area_quantity_kw for e in sched] == [20.0, 20.0]
 
 
 def test_schedule_empty_hour_clears_at_floor_with_zero_positions():
-    forecasts = [{"f0": StepCurve(SIDE_BUY, [])}]
-    (entry,) = schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 5.0, 1000.0)
+    empty = Forecast(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
+    entry = schedule_hourly({"f0": empty}, 30.0, 15.0, 10.0, 100.0, 5.0, 1000.0)
     assert entry.price == 5.0
     assert entry.area_quantity_kw == 0.0
     assert entry.feeder_kw == {"f0": 0.0}
 
 
 def test_schedule_is_a_pure_function_of_its_inputs():
-    forecasts = [
-        {"f0": demand((50.0, 8.0, "f0")), "f1": demand((45.0, 4.0, "f1"))},
-        {"f0": demand((40.0, 2.0, "f0")), "f1": demand((35.0, 6.0, "f1"))},
-    ]
-    args = (forecasts, [30.0, 25.0], 15.0, 5.0, 100.0, 0.0, 1000.0)
+    args = (hour(f0=(50.0, 8.0), f1=(45.0, 4.0)), 30.0, 15.0, 5.0, 100.0, 0.0, 1000.0)
     first = schedule_hourly(*args)
     second = schedule_hourly(*args)
     assert first == second
 
 
-def test_schedule_length_mismatch_rejected():
-    forecasts = [{"f0": demand((40.0, 5.0, "f0"))}] * 2
-    with pytest.raises(ValueError):
-        schedule_hourly(forecasts, [30.0], 15.0, 10.0, 100.0, 0.0, 1000.0)
+def _string_and_number_orders_differ(rows_by_feeder):
+    """Whether two feeders hold steps of one price whose step numbers
+    order differently as numbers and as strings (2 and 10)."""
+    at_price = {}
+    for fid, rows in rows_by_feeder.items():
+        for p, _, oid in rows:
+            at_price.setdefault(p, []).append(int(oid.removeprefix("__forecast")))
+    return any(
+        (a < b) != (str(a) < str(b)) for ks in at_price.values() for a in ks for b in ks
+    )
 
 
-def test_schedule_entry_lookup():
-    hour = {"f0": demand((40.0, 5.0, "f0"))}
-    sched = schedule_hourly([hour, hour, hour], [30.0] * 3, 15.0, 10.0, 100.0, 0.0, 1000.0)
-    assert [e.hour_index for e in sched] == [0, 1, 2]
+def test_schedule_matches_the_forecast_id_path_bitwise():
+    # most prices come from one grid shared by every feeder, so steps
+    # tie across feeders, and a window holds up to some 40 distinct
+    # prices, so step numbers on both sides of 10 meet at one price:
+    # ordering them as numbers instead of as the ids' strings folds the
+    # area curve's quantities in another order
+    rng = np.random.default_rng(17)
+    grid = 20.0 + 2.5 * np.arange(24)
+    mixed = 0
+    for trial in range(200):
+        windows = {}
+        for f in range(int(rng.integers(2, 5))):
+            window = []
+            for c in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(0, 20))
+                prices = np.where(rng.random(n) < 0.8, rng.choice(grid, n), rng.uniform(20.0, 80.0, n))
+                qs = rng.uniform(0.1, 7.0, n)
+                window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
+            windows[f"f{f}"] = window
+        forecasts = {
+            fid: availability_feedback([_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window])
+            for fid, window in windows.items()
+        }
+        rows = {fid: feedback_rows(window) for fid, window in windows.items()}
+        mixed += _string_and_number_orders_differ(rows)
+        total = left_sum(q for steps in rows.values() for _, q, _ in steps)
+        bulk = float(rng.choice(grid))
+        renewables_kw, bulk_kw = float(rng.uniform(0.0, 0.5) * total), float(rng.uniform(0.0, 1.2) * total)
+        entry = schedule_hourly(forecasts, bulk, 15.0, renewables_kw, bulk_kw, 0.0, 1000.0)
+        price, qty, feeder_kw = id_path_schedule(rows, bulk, 15.0, renewables_kw, bulk_kw, 0.0, 1000.0)
+        got = [entry.price, entry.area_quantity_kw, *entry.feeder_kw.values()]
+        want = [price, qty, *feeder_kw.values()]
+        assert list(entry.feeder_kw) == list(feeder_kw)
+        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want], trial
+    assert mixed > 50
 
 
 # ------------------------------------------------------ forecast feedback
+
+
+def quantity_at(forecast, price):
+    """A forecast's demand at or above price, folded in trade order."""
+    return array_sum(forecast.quantity[forecast.price >= price])
+
+
+def spans_of(forecast):
+    return np.add.accumulate(forecast.quantity), forecast.price
 
 
 def test_feedback_single_curve_is_identity_pointwise():
     c = demand((50.0, 2.0, "a"), (40.0, 3.0, "b"))
     mean = availability_feedback([_price_spans(c)])
     for probe in (55.0, 50.0, 45.0, 40.0, 10.0):
-        assert mean.quantity_at(probe) == c.quantity_at(probe)
+        assert quantity_at(mean, probe) == c.quantity_at(probe)
 
 
 def test_feedback_averages_over_the_union_of_prices():
@@ -115,41 +155,49 @@ def test_feedback_averages_over_the_union_of_prices():
     a = demand((50.0, 2.0, "a"))
     b = demand((40.0, 3.0, "b"))
     mean = availability_feedback([_price_spans(a), _price_spans(b)])
-    assert mean.quantity_at(50.0) == 1.0
-    assert mean.quantity_at(40.0) == 2.5
-    assert mean.quantity_at(39.0) == 2.5
-    assert mean.quantity_at(51.0) == 0.0
+    assert quantity_at(mean, 50.0) == 1.0
+    assert quantity_at(mean, 40.0) == 2.5
+    assert quantity_at(mean, 39.0) == 2.5
+    assert quantity_at(mean, 51.0) == 0.0
     # total is the mean of the input totals
-    assert mean.total_quantity() == 2.5
+    assert array_sum(mean.quantity) == 2.5
 
 
-def test_feedback_emits_synthetic_order_ids():
-    a = demand((50.0, 2.0, "house7"))
-    b = demand((40.0, 3.0, "house9"))
-    mean = availability_feedback([_price_spans(a), _price_spans(b)])
-    ids = [s.order_id for s in mean.segments]
-    assert ids == ["__forecast0", "__forecast1"]
+def test_feedback_ranks_steps_as_their_forecast_ids_sort():
+    # 25 prices give steps 0..24; a second window skips some prices, so
+    # its step numbers differ from the first's at equal prices. Across
+    # both forecasts the ranks sort as the ids __forecast{k} do as
+    # strings: 1, 10, 11, ..., 19, 2, 20, ...
+    rows = [(100.0 - p, 1.0, f"h{p}") for p in range(25)]
+    first = availability_feedback([_price_spans(demand(*rows))])
+    second = availability_feedback([_price_spans(demand(*rows[::3]))])
+    ids = [oid for window in ([rows], [rows[::3]]) for _, _, oid in feedback_rows(window)]
+    rank = np.concatenate([first.rank, second.rank])
+    assert len(ids) == len(rank) == 25 + 9
+    assert np.argsort(rank, kind="stable").tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+    assert [ids[i] for i in np.argsort(first.rank)[:3]] == ["__forecast0", "__forecast1", "__forecast10"]
+    # the same step number ranks the same in every forecast
+    assert set(zip(ids, rank.tolist())) == set(zip(ids[:25], first.rank.tolist()))
 
 
 def test_feedback_is_idempotent():
     a = demand((50.0, 2.0, "a"))
     b = demand((40.0, 3.0, "b"))
     once = availability_feedback([_price_spans(a), _price_spans(b)])
-    twice = availability_feedback([_price_spans(once)])
+    twice = availability_feedback([spans_of(once)])
     for probe in (60.0, 50.0, 40.0, 0.0):
-        assert twice.quantity_at(probe) == once.quantity_at(probe)
+        assert quantity_at(twice, probe) == quantity_at(once, probe)
 
 
-def _feedback_per_price(curves):
-    """The feedback curve read off every curve at every distinct price."""
-    prices = sorted({s.price for c in curves for s in c.segments}, reverse=True)
-    segs, prev_q = [], 0.0
-    for k, p in enumerate(prices):
-        q_here = left_sum(c.quantity_at(p) for c in curves) / len(curves)
-        if q_here > prev_q:
-            segs.append((p, q_here - prev_q, f"__forecast{k}"))
-            prev_q = q_here
-    return segs
+def _bits(forecast):
+    """(price, kW) bits of a forecast's steps in rank order."""
+    steps = sorted(zip(forecast.rank.tolist(), forecast.price.tolist(), forecast.quantity.tolist()))
+    return [(struct.pack("<d", p), struct.pack("<d", q)) for _, p, q in steps]
+
+
+def _row_bits(rows):
+    """(price, kW) bits of the oracle's rows in id string order."""
+    return [(struct.pack("<d", p), struct.pack("<d", q)) for p, q, _ in sorted(rows, key=lambda r: r[2])]
 
 
 def test_feedback_matches_the_per_price_formula_bitwise():
@@ -157,18 +205,20 @@ def test_feedback_matches_the_per_price_formula_bitwise():
     # other and within themselves; some curves in a window are empty
     rng = np.random.default_rng(3)
     grid = np.array([0.0, 12.5, 30.0, 30.1, 47.25, 1000.0])
-    windows = [[demand(), demand()], [demand(), demand((30.0, 2.0, "a"))]]
+    windows = [[[], []], [[], [(30.0, 2.0, "a")]]]
     for _ in range(300):
         window = []
         for c in range(int(rng.integers(1, 7))):
             n = int(rng.integers(0, 15))
             prices = np.where(rng.random(n) < 0.5, rng.choice(grid, n), rng.uniform(0.0, 100.0, n))
             qs = rng.uniform(0.1, 7.0, n)
-            window.append(demand(*((p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices, qs)))))
+            window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
         windows.append(window)
     for window in windows:
-        got = [tuple(s) for s in availability_feedback([_price_spans(c) for c in window]).segments]
-        assert got == _feedback_per_price(window)
+        got = availability_feedback([_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window])
+        want = feedback_rows(window)
+        assert got.price.tolist() == [p for p, _, _ in want]
+        assert _bits(got) == _row_bits(want)
 
 
 def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
@@ -180,11 +230,9 @@ def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
             n = int(rng.integers(0, 6))
             prices = rng.choice([-0.0, 0.0, 0.0, 5.0, 30.0], n)
             qs = rng.choice([1.0, 0.5, 2.0], n)
-            window.append(demand(*((p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices, qs)))))
-        mean = availability_feedback([_price_spans(c) for c in window])
-        got = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in mean.segments]
-        want = [(struct.pack("<d", p), struct.pack("<d", q), i) for p, q, i in _feedback_per_price(window)]
-        assert got == want
+            window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
+        got = availability_feedback([_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window])
+        assert _bits(got) == _row_bits(feedback_rows(window))
 
 
 def test_feedback_rejects_empty_window():
