@@ -1,15 +1,16 @@
 """Double-auction clearing for retail feeders and the area market.
 
 Demand and supply are step curves built from limit orders. A curve is
-held as columns sorted in trade order: price, quantity, order id and
-the order's tie-break rank. Demand runs from the highest price down,
-supply from the lowest up, and orders at one price sit in ascending
-order id. The rank stands in for the id in that sort: it is the id's
-position in Python string order among a fixed set of ids (an
-``OrderRanks`` table), so ``f1_h10000`` ranks before ``f1_h9999``. A
+held as columns sorted in trade order: price, quantity and the order's
+rank. Demand runs from the highest price down, supply from the lowest
+up, and orders at one price sit in ascending order id. The rank is the
+order's identity: it is the id's position in Python string order among
+a fixed set of ids (an ``OrderRanks`` table), so ``f1_h10000`` ranks
+before ``f1_h9999``, and the table's sorted ids name the order again. A
 run ranks its order ids in one table, once, so the area curve merges
-feeder curves with one stable sort on (price, rank); steps without ids
-take any integer key that orders them as ids would.
+feeder curves with one stable sort on (price, rank), and the market
+maker's orders are one range of ranks. Steps without ids take any
+integer key that orders them as ids would, and have no names.
 
 Clearing finds the largest quantity at which the demand staircase still
 sits at or above the supply staircase, then prices the trade:
@@ -34,6 +35,7 @@ passes give the bits of an order-by-order walk, which
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,22 +71,35 @@ class Segment(NamedTuple):
     order_id: str
 
 
-def _id_array(ids: Sequence[str]) -> np.ndarray:
-    return np.asarray(ids, dtype=object)
+MARKET_MAKER_PREFIX = "__import"
+
+
+def market_maker_ids(n_steps: int) -> list[str]:
+    """Ids of the wholesale block and of n_steps scarcity steps, in step order."""
+    mm = MARKET_MAKER_PREFIX
+    return [f"{mm}_wholesale"] + [f"{mm}_scarcity{k}" for k in range(n_steps)]
 
 
 class OrderRanks:
     """Tie-break ranks of a fixed set of order ids.
 
     An id's rank is its position among the distinct ids in Python string
-    order, so ordering by rank orders by id and equal ids tie.
+    order, so ordering by rank orders by id, equal ids tie and
+    ``ids[rank]`` names the order. Ids that share a prefix sit together
+    in that order, so the market maker's ids are one range of ranks.
     """
 
     def __init__(self, ids: Iterable[str]) -> None:
         # sorting before deduplicating keeps runs of ids already in order,
         # which the sort takes in one pass
-        distinct = dict.fromkeys(sorted(ids))
+        distinct = list(dict.fromkeys(sorted(ids)))
         self._rank = dict(zip(distinct, range(len(distinct))))
+        self.ids = np.array(distinct, dtype=object)
+        # the ranks of the market maker's ids: every id with the prefix
+        # sorts at or past it and before the prefix with its last
+        # character raised
+        mm = MARKET_MAKER_PREFIX
+        self.market_maker = range(bisect_left(distinct, mm), bisect_left(distinct, mm[:-1] + chr(ord(mm[-1]) + 1)))
 
     def of(self, ids: Iterable[str]) -> np.ndarray:
         rank = self._rank
@@ -92,9 +107,9 @@ class OrderRanks:
 
 
 class Bids(NamedTuple):
-    """Unsorted orders of one side as columns; rank indexes a shared table."""
+    """Orders of one side as columns. ``rank`` orders equal prices and,
+    where the orders have ids, indexes the table that names them."""
 
-    ids: np.ndarray  # object array of str
     price: np.ndarray
     quantity: np.ndarray
     rank: np.ndarray
@@ -103,41 +118,40 @@ class Bids(NamedTuple):
 class StepCurve:
     """Aggregated step curve as columns in trade order.
 
-    ``price``, ``quantity`` (float64), ``ids`` (object, or None) and
-    ``rank`` (integers, into ``ranks`` if any) hold one entry per order.
-    Demand sorts by descending price, supply by ascending price, ties by
-    ascending rank, i.e. by order id; the sort is stable, so equal
-    (price, id) orders keep their input order. Per-order identity is
-    preserved: equal-price orders sit adjacent as the merged price level.
+    ``price``, ``quantity`` (float64) and ``rank`` (integers) hold one
+    entry per order. Demand sorts by descending price, supply by
+    ascending price, ties by ascending rank, i.e. by order id; the sort
+    is stable, so equal (price, id) orders keep their input order.
+    Per-order identity is preserved: equal-price orders sit adjacent as
+    the merged price level. ``ranks`` is the table the ranks index, and
+    ``ids`` reads the orders' names from it (None without a table).
 
     ``_from_columns`` is the one way in: the library's builders pass it
     columns whose quantities they have checked. ``StepCurve(side,
-    segments)`` turns (price, quantity, order_id) rows into columns for
-    it, for tests and hand-built curves. ``segments`` rebuilds the rows
-    on each read.
+    segments)`` turns (price, quantity, order_id) rows into columns and
+    a table of their ids, for tests and hand-built curves. ``segments``
+    rebuilds the rows on each read.
     """
 
     def __init__(self, side: str, segments: Iterable[tuple[float, float, str]] = ()) -> None:
         rows = [(float(p), float(q), str(i)) for p, q, i in segments]
         if not all(q > 0 for _, q, _ in rows):
             raise ValueError("segment quantity must be positive")
-        self._sort(side, [i for _, _, i in rows], [p for p, _, _ in rows], [q for _, q, _ in rows])
+        ids = [i for _, _, i in rows]
+        ranks = OrderRanks(ids)
+        self._sort(side, [p for p, _, _ in rows], [q for _, q, _ in rows], ranks.of(ids), ranks)
 
     @classmethod
-    def _from_columns(cls, side: str, ids, price, quantity, rank=None, ranks: OrderRanks | None = None) -> StepCurve:
+    def _from_columns(cls, side: str, price, quantity, rank, ranks: OrderRanks | None = None) -> StepCurve:
         """Sort columns into a curve; ``rank`` is the tie key, indexing
-        ``ranks`` if given, and without it the ids rank among themselves."""
+        ``ranks`` if given."""
         curve = cls.__new__(cls)
-        curve._sort(side, ids, price, quantity, rank, ranks)
+        curve._sort(side, price, quantity, rank, ranks)
         return curve
 
-    def _sort(self, side, ids, price, quantity, rank=None, ranks=None) -> None:
+    def _sort(self, side, price, quantity, rank, ranks) -> None:
         if side not in (SIDE_BUY, SIDE_SELL):
             raise ValueError(f"bad side {side!r}")
-        if rank is None:
-            ids = _id_array(ids).tolist()
-            ranks = OrderRanks(ids)
-            rank = ranks.of(ids)
         price = np.asarray(price, dtype=np.float64)
         quantity = np.asarray(quantity, dtype=np.float64)
         # stable, and -0.0 ties with 0.0 as it does under Python's sort
@@ -145,9 +159,12 @@ class StepCurve:
         self.side = side
         self.price = price[order]
         self.quantity = quantity[order]
-        self.ids = None if ids is None else _id_array(ids)[order]
         self.rank = rank[order]
         self.ranks = ranks
+
+    @property
+    def ids(self) -> np.ndarray | None:
+        return None if self.ranks is None else self.ranks.ids[self.rank]
 
     @property
     def segments(self) -> list[Segment]:
@@ -190,12 +207,10 @@ class ClearingResult:
 
 
 def _order_columns(orders: Sequence[Order], ranks: OrderRanks) -> Bids:
-    ids = [o.order_id for o in orders]
     return Bids(
-        _id_array(ids),
         np.array([o.price for o in orders], dtype=np.float64),
         np.array([o.quantity for o in orders], dtype=np.float64),
-        ranks.of(ids),
+        ranks.of(o.order_id for o in orders),
     )
 
 
@@ -254,9 +269,6 @@ class FeederSupplySpec:
             raise ValueError("scarcity step above price cap")
 
 
-MARKET_MAKER_PREFIX = "__import"
-
-
 def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = (),
                         ranks: OrderRanks | None = None) -> StepCurve:
     """Supply curve: wholesale block, scarcity blocks, local sell orders (``ranks`` as for demand)."""
@@ -264,12 +276,14 @@ def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = (),
     for o in sells:
         if o.side != SIDE_SELL:
             raise ValueError(f"supply curve given a buy order {o.order_id}")
-    steps, mm = spec.scarcity_steps, MARKET_MAKER_PREFIX
+    steps = spec.scarcity_steps
     whole = spec.capacity_normal > 0  # steps and orders are positive already
-    ids = [f"{mm}_wholesale"] * whole + [f"{mm}_scarcity{k}" for k in range(len(steps))] + [o.order_id for o in sells]
+    ids = market_maker_ids(len(steps))[0 if whole else 1:] + [o.order_id for o in sells]
     price = [spec.wholesale_price] * whole + [p for p, _ in steps] + [o.price for o in sells]
     quantity = [spec.capacity_normal] * whole + [q for _, q in steps] + [o.quantity for o in sells]
-    return StepCurve._from_columns(SIDE_SELL, ids, price, quantity, None if ranks is None else ranks.of(ids), ranks)
+    if ranks is None:
+        ranks = OrderRanks(ids)
+    return StepCurve._from_columns(SIDE_SELL, price, quantity, ranks.of(ids), ranks)
 
 
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
@@ -287,15 +301,15 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
     if not curves:
         return StepCurve(SIDE_BUY)
     ranks = curves[0].ranks
-    shared = ranks is not None and all(c.ranks is ranks for c in curves)
-    return StepCurve._from_columns(
-        SIDE_BUY,
-        np.concatenate([c.ids for c in curves]),
-        np.concatenate([c.price for c in curves]),
-        np.concatenate([c.quantity for c in curves]),
-        np.concatenate([c.rank for c in curves]) if shared else None,
-        ranks if shared else None,
-    )
+    if ranks is not None and all(c.ranks is ranks for c in curves):
+        rank = np.concatenate([c.rank for c in curves])
+    else:
+        ids = np.concatenate([c.ids for c in curves]).tolist()
+        ranks = OrderRanks(ids)
+        rank = ranks.of(ids)
+    price = np.concatenate([c.price for c in curves])
+    quantity = np.concatenate([c.quantity for c in curves])
+    return StepCurve._from_columns(SIDE_BUY, price, quantity, rank, ranks)
 
 
 def _price_spans(curve: StepCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +411,7 @@ def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[np.ndar
             fills[c + 1 : n_better] = 0.0
             n = n_better
         elif left > 0.0:
-            n, marginal = c + 1, curve.ids[c]
+            n, marginal = c + 1, curve.ranks.ids[curve.rank[c]]
         else:
             n = c
     return fills[:n], marginal
@@ -425,6 +439,9 @@ def clear_and_allocate(
     return ClearingResult(result.price, result.quantity, buys, sells, marginal)
 
 
+_AREA_BLOCKS = OrderRanks(["__area_renewables", "__area_bulk"])
+
+
 def clear_area(
     agg_demand: StepCurve,
     renewables_price: float,
@@ -440,10 +457,10 @@ def clear_area(
     renewables, bulk = renewables_capacity > 0, bulk_capacity > 0
     supply = StepCurve._from_columns(
         SIDE_SELL,
-        ["__area_renewables"] * renewables + ["__area_bulk"] * bulk,
         [renewables_price] * renewables + [bulk_price] * bulk,
         [renewables_capacity] * renewables + [bulk_capacity] * bulk,
-        np.arange(renewables + bulk),  # the prices never tie, so any key orders them
+        _AREA_BLOCKS.of(["__area_renewables"] * renewables + ["__area_bulk"] * bulk),
+        _AREA_BLOCKS,
     )
     return clear(agg_demand, supply, price_floor, price_cap)
 

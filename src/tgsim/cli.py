@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectra", help="PSD and convolution analysis of a load series")
     p_spec.add_argument("--load", required=True, help="load series CSV (time,value)")
     p_spec.add_argument("--impact", default=None, help="unit impact series CSV")
-    p_spec.add_argument("--shift", type=float, default=None, help="shift in hours")
+    p_spec.add_argument("--shift", type=float, default=None, help="shift in hours (needs --impact)")
     p_spec.add_argument("--out", default=None)
     p_spec.add_argument("--json", action="store_true")
     p_spec.set_defaults(func=cmd_spectra)
@@ -220,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.subcommand == "spectra" and args.shift is not None and args.impact is None:
+        parser.error("spectra: --shift needs --impact")
     try:
         return args.func(args)
     except ConfigError as exc:

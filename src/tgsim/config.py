@@ -328,6 +328,9 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError:
         w.complain("simulation.start", f"not an ISO-8601 timestamp: {start_raw!r}")
         start = SimulationSpec.start
+    if start.tzinfo is not None:
+        w.complain("simulation.start", f"must be local time without a UTC offset, got {str(start_raw)!r}")
+        start = SimulationSpec.start
     sim = SimulationSpec(start=start, **w.fields(
         SimulationSpec, sim_d, "simulation",
         span_s=_TICK, device_tick_s=_TICK, market_interval_s=_TICK, agc_tick_s=_TICK, schedule_interval_s=_TICK,

@@ -39,15 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, auction, report
 from .auction import (
-    MARKET_MAKER_PREFIX,
     SIDE_BUY,
     Bids,
     FeederSupplySpec,
     Order,
     OrderRanks,
-    _id_array,
     _price_spans,
     aggregate_demand,
     build_demand_curve,
@@ -76,7 +74,6 @@ from .frequency import (
     ufls_check,
 )
 from .hierarchy import (
-    Forecast,
     HourEntry,
     availability_feedback,
     feeder_reference,
@@ -150,10 +147,6 @@ class RunArtifacts:
     manifest: dict
     summary: dict
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.out_dir / "manifest.json"
-
 
 @dataclass
 class _FeederState:
@@ -162,7 +155,6 @@ class _FeederState:
     stats: PriceStats
     market_setpoint: np.ndarray  # views into SimulationRun's area arrays
     reg_offset: np.ndarray
-    house_ids: np.ndarray  # pop.ids as an object array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
     id_to_idx: dict
     armed_closed: int  # armed houses whose relay is not latched open
@@ -289,7 +281,6 @@ class SimulationRun:
                 ),
                 market_setpoint=self.market_setpoint[lo:hi],
                 reg_offset=self.reg_offset[lo:hi],
-                house_ids=_id_array(pop.ids),
                 armed_idx=np.arange(n_armed),
                 id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
                 armed_closed=n_armed,
@@ -311,10 +302,8 @@ class SimulationRun:
         """One tie-break rank table over every id a demand or supply curve
         can hold, day 0's forecasts included; it also puts each feeder's
         armed houses in id string order."""
-        mm = MARKET_MAKER_PREFIX
         ids = [f"{fid}_{step}" for fid in self.feeders for step in ("base", "resp")]
-        n_steps = max(len(f.scarcity_steps) for f in self.cfg.feeders)
-        ids += [f"{mm}_wholesale"] + [f"{mm}_scarcity{k}" for k in range(n_steps)]
+        ids += auction.market_maker_ids(max(len(f.scarcity_steps) for f in self.cfg.feeders))
         ids += [f"{sid}_{leg}" for sid in self.storage_states for leg in ("chg", "dis")]
         for fs in self.feeders.values():
             ids += fs.pop.ids
@@ -330,7 +319,7 @@ class SimulationRun:
     # scheduling
     # ------------------------------------------------------------------
 
-    def _bootstrap_forecast(self, period: int) -> dict[str, Forecast]:
+    def _bootstrap_forecast(self, period: int) -> dict[str, Bids]:
         """Day 0's forecast for one scheduling period: base load at the cap,
         and the median house's steady duty at the period's start at the prior mean."""
         cfgp = self.cfg.population
@@ -344,7 +333,7 @@ class SimulationRun:
             quantity = np.array([fs.spec.base_load_kw, fs.spec.houses * cfgp.p_rated * duty], dtype=np.float64)
             step = np.lexsort((fs.forecast_rank, -price))  # trade order
             step = step[quantity[step] > 0]
-            forecasts[fid] = Forecast(price[step], quantity[step], fs.forecast_rank[step])
+            forecasts[fid] = Bids(price[step], quantity[step], fs.forecast_rank[step])
         return forecasts
 
     def _start_day(self, t: int, day: int, emit) -> list[HourEntry]:
@@ -461,7 +450,8 @@ class SimulationRun:
             "price_floor": cfg.market.price_floor,
             "price_cap": cfg.market.price_cap,
             "price_alternations": {
-                fid: self._alternations(series) for fid, series in feeder_prices.items()
+                fid: report.price_alternations(series, cfg.market.price_floor, cfg.market.price_cap)
+                for fid, series in feeder_prices.items()
             },
             "ufls_events": ufls_events,
             "ufls_total_kw": ufls_total_kw,
@@ -495,12 +485,6 @@ class SimulationRun:
         pass over the area fleet; None for a feeder without houses."""
         divs = iter(diversity_metric(self.fleet, self.t_out(t_s), self.house_bounds))
         return {fid: (next(divs) if len(fs.pop) else None) for fid, fs in self.feeders.items()}
-
-    def _alternations(self, prices: list[float]) -> int:
-        from .report import price_alternations
-
-        mkt = self.cfg.market
-        return price_alternations(prices, mkt.price_floor, mkt.price_cap)
 
     # ------------------------------------------------------------------
     # phases
@@ -547,9 +531,7 @@ class SimulationRun:
                 )
             )
 
-            demand = build_demand_curve(
-                bids, self.ranks, Bids(fs.house_ids[idx], prices, quantities, fs.house_rank[idx])
-            )
+            demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, fs.house_rank[idx]))
             supply_spec = FeederSupplySpec(
                 wholesale_price=anchor,
                 capacity_normal=fspec.capacity_kw,
@@ -564,8 +546,8 @@ class SimulationRun:
                 self.day_curves[hour_of_day][fid].append(_price_spans(demand))
 
             n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
-            sold = zip(supply.ids[:n_sells].tolist(), result.sell_fills.tolist())
-            fs.import_kw = left_sum(fill for oid, fill in sold if oid.startswith(MARKET_MAKER_PREFIX))
+            sold = zip(supply.rank[:n_sells].tolist(), result.sell_fills.tolist())
+            fs.import_kw = left_sum(fill for rank, fill in sold if rank in self.ranks.market_maker)
             emit({"t": t, "type": "clearing", "market": fid, "price": result.price,
                   "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
                   "marginal": result.marginal_order})
@@ -806,7 +788,7 @@ class SimulationRun:
             if not fs.armed_closed:
                 continue
             armed = fs.armed_idx
-            candidates = fs.house_ids[armed[fs.pop.latched[armed] == 0]].tolist()
+            candidates = self.ranks.ids[fs.house_rank[armed[fs.pop.latched[armed] == 0]]].tolist()
             shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, candidates, self.rng_ufls)
             fs.armed_closed -= len(shed)
             for hid in shed:

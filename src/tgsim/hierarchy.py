@@ -20,17 +20,11 @@ balancing dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import (
-    ClearingResult,
-    MARKET_MAKER_PREFIX,
-    SIDE_BUY,
-    StepCurve,
-    clear_area,
-)
+from .auction import SIDE_BUY, Bids, ClearingResult, StepCurve, clear_area
 from .fold import array_sum, left_sum
 
 MODE_NORMAL = "normal"
@@ -46,17 +40,8 @@ class HourEntry:
     feeder_kw: dict[str, float]
 
 
-class Forecast(NamedTuple):
-    """One feeder's forecast demand for one hour, as columns in trade
-    order: falling prices, equal prices (in any feeder) by ascending rank."""
-
-    price: np.ndarray
-    quantity: np.ndarray
-    rank: np.ndarray
-
-
 def schedule_hourly(
-    forecasts: Mapping[str, Forecast],
+    forecasts: Mapping[str, Bids],
     bulk_price: float,
     renewables_price: float,
     renewables_capacity_kw: float,
@@ -66,12 +51,14 @@ def schedule_hourly(
 ) -> HourEntry:
     """Clear one hour's forecasts against the day-ahead merit order.
 
-    forecasts maps each feeder to its forecast for the hour. The steps
-    merge by one stable sort on (price, rank), so full ties keep feeder
-    order. Each feeder's position is the left fold of its own steps
-    priced at or above the cleared price. Pure function of its inputs.
+    forecasts maps each feeder to its forecast demand for the hour, as
+    columns in trade order: falling prices, equal prices (in any feeder)
+    by ascending rank. The steps merge by one stable sort on (price,
+    rank), so full ties keep feeder order. Each feeder's position is the
+    left fold of its own steps priced at or above the cleared price.
+    Pure function of its inputs.
     """
-    merged = StepCurve._from_columns(SIDE_BUY, None, *map(np.concatenate, zip(*forecasts.values())))
+    merged = StepCurve._from_columns(SIDE_BUY, *map(np.concatenate, zip(*forecasts.values())))
     result = clear_area(merged, renewables_price, renewables_capacity_kw, bulk_price, bulk_capacity_kw,
                         price_floor, price_cap)
     positions = {fid: array_sum(f.quantity[f.price >= result.price]) if result.quantity > 0 else 0.0
@@ -86,7 +73,7 @@ def _decimal_string_rank(k: np.ndarray) -> np.ndarray:
     return k * 10 ** (17 - digits) * 10 + digits
 
 
-def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Forecast:
+def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bids:
     """Mean demand curve over a lookback window of cleared intervals.
 
     Pointwise (quantity) average over the union of step prices: each
@@ -116,7 +103,7 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> For
     # step quantity is positive
     prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
     step = np.flatnonzero(q_here > prev_q)
-    return Forecast(prices[step], q_here[step] - prev_q[step], _decimal_string_rank(step))
+    return Bids(prices[step], q_here[step] - prev_q[step], _decimal_string_rank(step))
 
 
 def reference_mode(
@@ -213,13 +200,12 @@ def scarcity_rent(result: ClearingResult, supply: StepCurve) -> float:
     price and sells at the clearing price. The sum of those margins is
     the scarcity rent. Zero whenever the wholesale block is marginal.
 
-    The margins fold left in ascending order id, not in trade order, so
-    ``__import_scarcity0`` comes before ``__import_wholesale``.
+    The margins fold left in ascending order id, which is ascending
+    rank, not in trade order, so ``__import_scarcity0`` comes before
+    ``__import_wholesale`` and ``__import_scarcity10`` before
+    ``__import_scarcity2``.
     """
     n = len(result.sell_fills)
-    filled = zip(supply.ids[:n].tolist(), supply.price[:n].tolist(), result.sell_fills.tolist())
-    return left_sum(
-        (result.price - price) * fill
-        for oid, price, fill in sorted(filled)
-        if oid.startswith(MARKET_MAKER_PREFIX)
-    )
+    filled = zip(supply.rank[:n].tolist(), supply.price[:n].tolist(), result.sell_fills.tolist())
+    mm = supply.ranks.market_maker
+    return left_sum((result.price - price) * fill for rank, price, fill in sorted(filled) if rank in mm)

@@ -226,6 +226,8 @@ def read_series_points(path) -> list[tuple[datetime, float]]:
                 continue
             try:
                 t = datetime.fromisoformat(row[0].strip())
+                if t.tzinfo is not None:
+                    raise ValueError("timestamps are local time without a UTC offset")
                 x = float(row[1])
                 if not math.isfinite(x):
                     raise ValueError(f"value {x} is not finite")

@@ -31,7 +31,7 @@ from tgsim.auction import (
     clear,
     clear_and_allocate,
     clear_area,
-    _id_array,
+    market_maker_ids,
     _price_spans,
 )
 from tgsim.bidding import PriceStats, thermostat_bid
@@ -96,6 +96,24 @@ def test_build_demand_curve_places_must_run_at_cap():
     assert curve.segments[0].price == 1000.0
     with pytest.raises(ValueError):
         build_demand_curve([Order("s", SIDE_SELL, 10.0, 1.0)])
+
+
+def test_order_ranks_name_every_order_and_the_market_maker_range():
+    # repeated ids, ids past _h9999 (f1_h10000 sorts before f1_h9999) and
+    # ids on either side of the market maker's prefix in string order
+    ids = [f"f1_h{j:04d}" for j in (10001, 9999, 10000, 3, 9999)] + market_maker_ids(12)
+    ids += ["__imporu", "__impors", "__import", "__importer", "__area_bulk", "_", "bat_dis", "f1_base", "f1_base"]
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        if trial:
+            # random ids over the prefix's letters, some of them on the prefix
+            ids = ["".join(rng.choice(list("_import"), int(rng.integers(0, 10)))) for _ in range(int(rng.integers(0, 30)))]
+            ids += ["__import" + x for x in ids[: int(rng.integers(0, 3))]]
+        ranks = OrderRanks(ids)
+        rank = ranks.of(ids)
+        assert ranks.ids.tolist() == sorted(set(ids))
+        assert ranks.ids[rank].tolist() == ids
+        assert [r in ranks.market_maker for r in rank.tolist()] == [oid.startswith(MARKET_MAKER_PREFIX) for oid in ids]
 
 
 def test_build_feeder_supply_blocks_and_ids():
@@ -384,7 +402,7 @@ def _feeder_demand(rng, fid, n_houses, ranks, named, at_30=()):
                       rng.uniform(0.0, 60.0, len(idx)))
     prices[np.isin(idx, list(at_30))] = 30.0
     qs = rng.choice([1.0, 2.5, 4.0], n_houses)
-    houses = Bids(_id_array(ids)[idx], prices, qs[idx], ranks.of(ids)[idx])
+    houses = Bids(prices, qs[idx], ranks.of(ids)[idx])
     curve = build_demand_curve(named, ranks, houses)
     rows = [(p, q, ids[i]) for i, p, q in zip(idx.tolist(), prices.tolist(), qs[idx].tolist())]
     return curve, rows + [(o.price, o.quantity, o.order_id) for o in named]

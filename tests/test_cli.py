@@ -210,6 +210,43 @@ def test_run_rejects_a_schedule_interval_that_does_not_divide_a_day(capsys, tmp_
     assert not (tmp_path / "run").exists()
 
 
+def test_run_rejects_a_utc_offset_in_a_series_timestamp(capsys, tmp_path):
+    # the offset used to pass validate and crash the run with a TypeError
+    # once the naive start met the aware series start
+    (tmp_path / "temps.csv").write_text(
+        "time,value\n2026-07-15T00:00:00+00:00,30.0\n2026-07-15T01:00:00+00:00,31.0\n"
+    )
+    config = null_variant(tmp_path / "tz.yaml", "outdoor_temp_c: 30.0", "outdoor_temp_c: temps.csv")
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "run")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "temps.csv:2: bad row" in err
+    # golden reads the series before any run, so it writes nothing
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    shutil.copy(SCENARIO_DIR / "null.yaml", scen / "a.yaml")
+    shutil.copy(config, scen / "b.yaml")
+    shutil.copy(tmp_path / "temps.csv", scen / "temps.csv")
+    rc = main(["golden", "--scenarios", str(scen), "--out", str(tmp_path / "runs")])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and "bad row" in err
+    assert not (scen / "golden" / "a.summary.json").exists()
+
+
+def test_run_rejects_a_utc_offset_in_the_start(capsys, tmp_path):
+    # a quoted start is a string; YAML reads an unquoted one as a datetime
+    for start, echo in (('"2026-07-15T00:00:00+02:00"', "2026-07-15T00:00:00+02:00"),
+                        ("2026-07-15T00:00:00Z", "2026-07-15 00:00:00+00:00")):
+        config = null_variant(tmp_path / "tz.yaml", '"2026-07-15T00:00:00"', start)
+        rc = main(["run", "--config", config, "--out", str(tmp_path / "run")])
+        _, err = capsys.readouterr()
+        assert rc == 1
+        assert err == f"error: simulation.start: must be local time without a UTC offset, got {echo!r}\n"
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_out_under_a_regular_file_is_an_io_error(capsys, tmp_path):
     out_dir = regular_file(tmp_path) / "run"
     rc = main(["run", "--config", str(SCENARIO_DIR / "null.yaml"), "--out", str(out_dir)])
@@ -345,6 +382,17 @@ def test_spectra_convolution_and_shift(capsys, tmp_path):
     shift = payload["shift"]
     assert set(shift) == {"impact_at_zero_shift", "impact_at_shift", "impact_change"}
     assert shift["impact_change"] == shift["impact_at_shift"] - shift["impact_at_zero_shift"]
+
+
+def test_spectra_shift_without_impact_is_a_usage_error(capsys, tmp_path):
+    # the shift used to be dropped without a word
+    load_path = series_csv(tmp_path / "load.csv", [5.0, 6.0, 7.0, 8.0])
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--load", load_path, "--shift", "1", "--out", str(tmp_path / "spec")])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--shift needs --impact" in err
+    assert not (tmp_path / "spec").exists()
 
 
 def test_spectra_off_grid_shift_fails_cleanly(capsys, tmp_path):

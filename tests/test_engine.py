@@ -630,8 +630,9 @@ def test_house_ranks_and_armed_relays_follow_id_string_order_past_ten_thousand()
     fs = sim.feeders[feeder.feeder_id]
     by_id = sorted(fs.pop.ids)
     assert by_id.index("f1_h10000") < by_id.index("f1_h9999")
-    assert fs.house_ids[np.argsort(fs.house_rank)].tolist() == by_id
-    assert fs.house_ids[fs.armed_idx].tolist() == by_id  # armed_fraction 1.0
+    house_ids = np.array(fs.pop.ids, dtype=object)
+    assert house_ids[np.argsort(fs.house_rank)].tolist() == by_id
+    assert house_ids[fs.armed_idx].tolist() == by_id  # armed_fraction 1.0
     assert sim.ranks.of(["f1_base"]).shape == (1,)
 
 

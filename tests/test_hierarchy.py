@@ -6,12 +6,25 @@ import numpy as np
 import pytest
 
 from oracle_clearing import feedback_rows, fills_by_id, id_path_schedule
-from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, _price_spans, clear_and_allocate
+from tgsim.auction import (
+    SIDE_BUY,
+    SIDE_SELL,
+    Bids,
+    FeederSupplySpec,
+    Order,
+    OrderRanks,
+    Segment,
+    StepCurve,
+    _price_spans,
+    build_demand_curve,
+    build_feeder_supply,
+    clear_and_allocate,
+    market_maker_ids,
+)
 from tgsim.fold import array_sum, left_sum
 from tgsim.hierarchy import (
     MODE_CONTINGENCY,
     MODE_NORMAL,
-    Forecast,
     availability_feedback,
     feeder_reference,
     reference_mode,
@@ -33,10 +46,10 @@ def supply(*segs):
 
 
 def hour(**feeders):
-    """{feeder: Forecast} of one (price, kW) step per feeder, ranked in
+    """{feeder: Bids} of one (price, kW) step per feeder, ranked in
     feeder order."""
     return {
-        fid: Forecast(np.array([p]), np.array([q]), np.array([rank]))
+        fid: Bids(np.array([p]), np.array([q]), np.array([rank]))
         for rank, (fid, (p, q)) in enumerate(feeders.items())
     }
 
@@ -67,7 +80,7 @@ def test_schedule_uses_per_hour_bulk_price():
 
 
 def test_schedule_empty_hour_clears_at_floor_with_zero_positions():
-    empty = Forecast(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
+    empty = Bids(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
     entry = schedule_hourly({"f0": empty}, 30.0, 15.0, 10.0, 100.0, 5.0, 1000.0)
     assert entry.price == 5.0
     assert entry.area_quantity_kw == 0.0
@@ -382,6 +395,34 @@ def test_rent_folds_the_margins_in_id_order_bitwise():
     by_id = left_sum([scarcity0, scarcity1, wholesale])
     by_trade = left_sum([wholesale, scarcity0, scarcity1])
     assert struct.pack("<d", by_id) != struct.pack("<d", by_trade)
+    assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_id)
+
+
+def test_rent_folds_twelve_steps_in_id_order_bitwise():
+    # with 12 scarcity steps __import_scarcity10 and 11 sort before
+    # __import_scarcity2, so id order is neither trade nor step order; a
+    # storage sell at the wholesale price is no part of the rent
+    prices = (34.36, 42.77, 45.96, 47.44, 50.93, 57.67, 64.92, 70.23, 73.72, 82.05, 90.48, 94.97)
+    kws = (12.88, 18.78, 21.69, 18.98, 13.56, 13.82, 19.73, 27.62, 2.39, 3.6, 23.08, 14.33)
+    ranks = OrderRanks(market_maker_ids(12) + ["bat_dis", "d"])
+    sup = build_feeder_supply(
+        FeederSupplySpec(30.0, 100.3, tuple(zip(prices, kws)), 1000.0),
+        [Order("bat_dis", SIDE_SELL, 30.0, 4.5)], ranks,
+    )
+    dem = build_demand_curve([Order("d", SIDE_BUY, 157.1, sup.total_quantity() - 0.7)], ranks)
+    result = clear_and_allocate(dem, sup, 0.0, 1000.0)
+    assert result.price == 94.97
+    filled = list(zip(sup.ids.tolist(), sup.price.tolist(), result.sell_fills.tolist()))
+    assert len(filled) == 14 and filled[1][0] == "bat_dis"
+
+    def fold(rows):
+        return left_sum((result.price - p) * fill for oid, p, fill in rows if oid.startswith("__import"))
+
+    by_id = fold(sorted(filled))
+    by_step = fold(filled[2:] + filled[:1])
+    assert [oid for oid, _, _ in sorted(filled)][1:5] == [f"__import_scarcity{k}" for k in (1, 10, 11, 2)]
+    assert struct.pack("<d", by_id) != struct.pack("<d", fold(filled))
+    assert struct.pack("<d", by_id) != struct.pack("<d", by_step)
     assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_id)
 
 
