@@ -149,8 +149,8 @@ def cmd_golden(args) -> int:
     configs = sorted(scen_dir.glob("*.yaml"))
     if not configs:
         raise FileNotFoundError(f"no scenario configs under {scen_dir}")
-    # every config is validated before the first run, so a bad one leaves
-    # the goldens untouched
+    # every config and its outdoor series are validated before the first
+    # run, so a bad one leaves the goldens untouched
     loaded, problems = [], []
     for path in configs:
         try:
@@ -159,11 +159,6 @@ def cmd_golden(args) -> int:
             problems += [f"{path.name}: {p}" for p in exc.problems]
     if problems:
         raise ConfigError(problems)
-    for _, cfg in loaded:
-        # the run reads its outdoor series at construction; read every one
-        # here so a missing or malformed series also fails before any run
-        if isinstance(cfg.outdoor_temp_c, str):
-            ingest_series(scen_dir / cfg.outdoor_temp_c, units="degC")
     out_root = _out_root(args.out)
     golden_dir = scen_dir / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
@@ -224,6 +219,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "spectra" and args.shift is not None and args.impact is None:
         parser.error("spectra: --shift needs --impact")
+    if args.subcommand == "run" and args.seed is not None and args.seed < 0:
+        parser.error(f"run: --seed must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except ConfigError as exc:

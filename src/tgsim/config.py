@@ -31,6 +31,7 @@ import yaml
 
 from .bidding import StorageSpec
 from .frequency import RegulationSplit, SwingParams
+from .spectral import ingest_series
 from .thermal import KIND_HYSTERESIS, KIND_ZERO_DEADBAND, MODE_COOLING, MODE_HEATING
 
 SCHEMA_VERSION = 1
@@ -557,5 +558,14 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    text = Path(path).read_text()
-    return parse_config(text)
+    """Parses the scenario file at path and reads the outdoor series it
+    names, relative to the file's directory, as a run does. A malformed
+    series is a ConfigError; a missing one stays an OSError."""
+    path = Path(path)
+    cfg = parse_config(path.read_text())
+    if isinstance(cfg.outdoor_temp_c, str):
+        try:
+            ingest_series(path.parent / cfg.outdoor_temp_c, units="degC")
+        except ValueError as exc:
+            raise ConfigError([f"inputs.outdoor_temp_c: {exc}"]) from exc
+    return cfg

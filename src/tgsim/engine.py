@@ -7,9 +7,14 @@ thermal states advance. Every market interval (300 s) each feeder's
 diversity is sampled, bids are collected, each feeder's double auction
 clears against supply anchored at the scheduled hourly price, setpoints
 respond to the clearing price and deviations settle. Every schedule
-interval (3600 s) the active hourly position changes; at each day
-boundary the day is scheduled hour by hour from availability feedback
-(bootstrap estimates on day one).
+interval (3600 s) the loop reads the hour's entry, its bulk price and
+the supply anchor once, for every market interval of the hour; at each
+day boundary the day is scheduled hour by hour from availability
+feedback (bootstrap estimates on day one).
+
+Every settlement.csv row is one settle() record: each feeder buys its
+position, and its market maker (``{fid}__import``, paid net of the rent
+it keeps) and each discharging battery sell, with negative energies.
 
 The loop steps over device ticks. After a tick's market and device
 phases, its balancing ticks run as one block (``_balancing_block``)
@@ -75,6 +80,7 @@ from .frequency import (
 )
 from .hierarchy import (
     HourEntry,
+    SettlementRecord,
     availability_feedback,
     feeder_reference,
     reference_mode,
@@ -103,14 +109,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_or_empty(x: float | None) -> str:
     return "" if x is None else _fmt(x)
-
-
-def _settlement_row(interval_index: int, t: int, participant: str, role: str, da_energy_kwh: float,
-                    da_price: float, rt_deviation_kwh: float, rt_price: float, payment: float,
-                    scarcity_rent: float) -> str:
-    """One settlement.csv line."""
-    amounts = (da_energy_kwh, da_price, rt_deviation_kwh, rt_price, payment, scarcity_rent)
-    return f"{interval_index},{t},{participant},{role}," + ",".join(map(_fmt, amounts)) + "\n"
 
 
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -153,15 +151,13 @@ class _FeederState:
     spec: object
     pop: Population  # this feeder's run of SimulationRun.fleet, as views
     stats: PriceStats
-    market_setpoint: np.ndarray  # views into SimulationRun's area arrays
-    reg_offset: np.ndarray
+    market_setpoint: np.ndarray  # a view into SimulationRun's area array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
     id_to_idx: dict
     armed_closed: int  # armed houses whose relay is not latched open
     house_power_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
-    sched_kw: float = 0.0
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
     house_rank: np.ndarray | None = None  # each house's rank in SimulationRun.ranks
     forecast_rank: np.ndarray | None = None  # of the bootstrap steps {fid}_base, {fid}_resp
@@ -280,7 +276,6 @@ class SimulationRun:
                     prior_sigma=self.cfg.market.prior_sigma,
                 ),
                 market_setpoint=self.market_setpoint[lo:hi],
-                reg_offset=self.reg_offset[lo:hi],
                 armed_idx=np.arange(n_armed),
                 id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
                 armed_closed=n_armed,
@@ -413,14 +408,15 @@ class SimulationRun:
                     sched = self._start_day(t, day, emit)
                 if t % sim.schedule_interval_s == 0:
                     entry = sched[hour_of_day]
-                    for fid, fs in self.feeders.items():
-                        fs.sched_kw = entry.feeder_kw.get(fid, 0.0)
-                    self._hour_entry = entry
+                    bulk_price = self.da_price_for_hour(day * self.hours_per_day + hour_of_day)
+                    # never above the bulk price, so scarcity steps (which config keeps
+                    # above every day-ahead price) stay above an hour scheduled at the cap
+                    anchor = min(entry.price, bulk_price) if entry.area_quantity_kw > 0 else bulk_price
 
                 at_boundary = t % sim.market_interval_s == 0
                 if at_boundary:
                     self._market_phase(
-                        t, interval_index, day, hour_of_day, emit, events,
+                        t, interval_index, hour_of_day, entry, bulk_price, anchor, emit, events,
                         markets, settlement, prices_seen, feeder_prices,
                     )
 
@@ -491,18 +487,13 @@ class SimulationRun:
     # ------------------------------------------------------------------
 
     def _market_phase(
-        self, t, interval_index, day, hour_of_day, emit, events,
+        self, t, interval_index, hour_of_day, entry: HourEntry, bulk_price, anchor, emit, events,
         markets, settlement, prices_seen, feeder_prices,
     ) -> None:
         cfg = self.cfg
         mkt = cfg.market
         area = cfg.area
-        entry = self._hour_entry
         interval_h = cfg.simulation.market_interval_s / 3600.0
-        bulk_price = self.da_price_for_hour(day * self.hours_per_day + hour_of_day)
-        # never above the bulk price, so scarcity steps (which config keeps
-        # above every day-ahead price) stay above an hour scheduled at the cap
-        anchor = min(entry.price, bulk_price) if entry.area_quantity_kw > 0 else bulk_price
         demand_curves = {}
         # sampled from the state the bids are built from
         diversity = self._feeder_diversity(t)
@@ -570,38 +561,23 @@ class SimulationRun:
                 )
                 fs.storage_net_kw += charge - discharge
                 if discharge > 0:
-                    rec = settle(sid, interval_index, 0.0, entry.price, -discharge * interval_h, result.price)
-                    self._seller_received += -rec.payment
-                    settlement.write(_settlement_row(
-                        interval_index, t, sid, "seller", rec.da_energy_kwh, rec.da_price,
-                        rec.rt_deviation_kwh, rec.rt_price, rec.payment, 0.0,
-                    ))
+                    self._settle_row(settlement, t, "seller", settle(
+                        sid, interval_index, 0.0, entry.price, -discharge * interval_h, result.price))
 
-            # two-settlement rows: feeder buys, market maker sells
-            pos_kwh = fs.sched_kw * interval_h
-            actual_kwh = result.quantity * interval_h
-            buyer = settle(fid, interval_index, pos_kwh, entry.price, actual_kwh, result.price)
-            settlement.write(_settlement_row(
-                interval_index, t, fid, "buyer", buyer.da_energy_kwh, buyer.da_price,
-                buyer.rt_deviation_kwh, buyer.rt_price, buyer.payment, 0.0,
-            ))
-            self._buyer_paid += buyer.payment
-            mm_kwh = fs.import_kw * interval_h
-            mm = settle(f"{fid}__import", interval_index, pos_kwh, entry.price,
-                        mm_kwh, result.price)
-            rent_kwh = rent * interval_h
-            mm_payment = -(mm.payment - rent_kwh)
-            settlement.write(_settlement_row(
-                interval_index, t, f"{fid}__import", "seller", -mm.da_energy_kwh, mm.da_price,
-                -(mm_kwh - pos_kwh), mm.rt_price, mm_payment, rent_kwh,
-            ))
-            self._seller_received += -mm_payment
-            self._rent_total += rent_kwh
+            # two-settlement rows: the feeder buys its position, the market
+            # maker sells it and keeps the rent
+            sched_kw = entry.feeder_kw[fid]
+            pos_kwh = sched_kw * interval_h
+            self._settle_row(settlement, t, "buyer", settle(
+                fid, interval_index, pos_kwh, entry.price, result.quantity * interval_h, result.price))
+            self._settle_row(settlement, t, "seller", settle(
+                f"{fid}__import", interval_index, -pos_kwh, entry.price, -(fs.import_kw * interval_h),
+                result.price), rent * interval_h)
 
             # operating reference blends retail with the balancing request
             shed_age = None if self.last_shed_t is None else t - self.last_shed_t
             mode = reference_mode(self.ace_filtered, fspec.ace_threshold_mw, shed_age, fspec.ufls_recency_s)
-            balance_kw = fs.sched_kw + fs.reg_share * self.reg_agg_mw * 1000.0
+            balance_kw = sched_kw + fs.reg_share * self.reg_agg_mw * 1000.0
             ref = feeder_reference(result.quantity, balance_kw, fspec.weight_normal,
                                    fspec.weight_contingency, mode)
             markets.write(
@@ -632,6 +608,20 @@ class SimulationRun:
             f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)},"
             f"{_fmt_or_empty(area_div)}\n"
         )
+
+    def _settle_row(self, settlement, t: int, role: str, rec: SettlementRecord, rent_kwh: float = 0.0) -> None:
+        """Writes one settlement.csv row from a settle() record and folds it
+        into the run's totals. A seller's energies are negative; its
+        payment is net of the rent it keeps."""
+        payment = rec.payment + rent_kwh
+        if role == "buyer":
+            self._buyer_paid += payment
+        else:
+            self._seller_received -= payment
+        self._rent_total += rent_kwh
+        amounts = (rec.da_energy_kwh, rec.da_price, rec.rt_deviation_kwh, rec.rt_price, payment, rent_kwh)
+        settlement.write(f"{rec.interval_index},{t},{rec.participant},{role},"
+                         + ",".join(map(_fmt, amounts)) + "\n")
 
     def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
         sim = self.cfg.simulation

@@ -111,6 +111,46 @@ def test_validate_names_a_non_numeric_scarcity_step(capsys, tmp_path):
     ]
 
 
+def offset_series_yaml(tmp_path):
+    """null.yaml reading a two-row series whose timestamps carry a UTC offset."""
+    (tmp_path / "temps.csv").write_text(
+        "time,value\n2026-07-15T00:00:00+00:00,30.0\n2026-07-15T01:00:00+00:00,31.0\n"
+    )
+    return null_variant(tmp_path / "tz.yaml", "outdoor_temp_c: 30.0", "outdoor_temp_c: temps.csv")
+
+
+def test_validate_reads_the_outdoor_series(capsys, tmp_path, monkeypatch):
+    # the series used to be read only by run and golden
+    config = offset_series_yaml(tmp_path)
+    monkeypatch.chdir(REPO_ROOT)  # the path is relative to the config's directory
+    rc = main(["validate", "--config", config])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: inputs.outdoor_temp_c: ") and "temps.csv:2: bad row" in err
+    rc = main(["validate", "--config", config, "--json"])
+    out, _ = capsys.readouterr()
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    [problem] = payload["problems"]
+    assert problem.startswith("inputs.outdoor_temp_c: ") and "temps.csv:2: bad row" in problem
+    (tmp_path / "temps.csv").write_text(
+        "time,value\n2026-07-15T00:00:00,30.0\n2026-07-15T01:00:00,31.0\n"
+    )
+    assert main(["validate", "--config", config]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_validate_missing_series_csv_is_an_io_error(capsys, tmp_path):
+    rc = main(["validate", "--config", missing_csv_yaml(tmp_path / "csv.yaml")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "missing.csv" in err
+
+
 # ------------------------------------------------------------------ run
 
 
@@ -163,6 +203,17 @@ def test_run_seed_override_lands_in_the_manifest(capsys, tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "seeded" / "manifest.json").read_text())
     assert manifest["seed"] == 123
+
+
+def test_run_negative_seed_is_a_usage_error(capsys, tmp_path):
+    # numpy used to reject it mid-run with a bare "expected non-negative integer"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(SCENARIO_DIR / "null.yaml"), "--out", str(tmp_path / "run"),
+              "--seed", "-1"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_honours_the_out_env_root(capsys, tmp_path, monkeypatch):
