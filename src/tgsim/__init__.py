@@ -8,154 +8,3 @@ load-shift impact analysis and a two-settlement ledger.
 """
 
 __version__ = "0.1.0"
-
-from .auction import (
-    Bids,
-    ClearingResult,
-    FeederSupplySpec,
-    Order,
-    OrderRanks,
-    Segment,
-    StepCurve,
-    aggregate_demand,
-    build_demand_curve,
-    build_feeder_supply,
-    clear,
-    clear_and_allocate,
-    clear_area,
-)
-from .bidding import (
-    PriceStats,
-    StorageSpec,
-    StorageState,
-    apply_clearing_to_storage,
-    setpoint_from_price,
-    storage_bids,
-    thermostat_bid,
-)
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    load_config,
-    parse_config,
-)
-from .engine import RunArtifacts, SimulationRun, run_scenario
-from .frequency import (
-    RegulationSplit,
-    SwingParams,
-    control_error,
-    nerc_ace,
-    regulation_command,
-    smooth_ace,
-    split_regulation,
-    steady_state_deviation,
-    swing_step,
-    time_correction_offset,
-    time_error_step,
-    ufls_check,
-)
-from .hierarchy import (
-    SettlementRecord,
-    availability_feedback,
-    feeder_reference,
-    reference_mode,
-    scarcity_rent,
-    schedule_hourly,
-    settle,
-)
-from .spectral import (
-    Series,
-    convolve_direct,
-    convolve_fft,
-    emissions_reduction,
-    energy_load_ramp,
-    ingest_series,
-    load_from_energy,
-    load_from_ramp,
-    power_spectrum,
-    shift_impact,
-    write_series_csv,
-)
-from .thermal import (
-    HouseState,
-    Population,
-    ThermalParams,
-    ThermostatConfig,
-    curtailment_experiment,
-    cycle_phase,
-    diversity_from_phases,
-    diversity_metric,
-    state_from_phase,
-    step_house,
-)
-
-__all__ = [
-    "Bids",
-    "ClearingResult",
-    "ConfigError",
-    "FeederSupplySpec",
-    "HouseState",
-    "Order",
-    "OrderRanks",
-    "Population",
-    "PriceStats",
-    "RegulationSplit",
-    "RunArtifacts",
-    "ScenarioConfig",
-    "Segment",
-    "Series",
-    "SettlementRecord",
-    "SimulationRun",
-    "StepCurve",
-    "StorageSpec",
-    "StorageState",
-    "SwingParams",
-    "ThermalParams",
-    "ThermostatConfig",
-    "__version__",
-    "aggregate_demand",
-    "apply_clearing_to_storage",
-    "availability_feedback",
-    "build_demand_curve",
-    "build_feeder_supply",
-    "clear",
-    "clear_and_allocate",
-    "clear_area",
-    "control_error",
-    "convolve_direct",
-    "convolve_fft",
-    "curtailment_experiment",
-    "cycle_phase",
-    "diversity_from_phases",
-    "diversity_metric",
-    "emissions_reduction",
-    "energy_load_ramp",
-    "feeder_reference",
-    "ingest_series",
-    "load_config",
-    "load_from_energy",
-    "load_from_ramp",
-    "nerc_ace",
-    "parse_config",
-    "power_spectrum",
-    "reference_mode",
-    "regulation_command",
-    "run_scenario",
-    "scarcity_rent",
-    "schedule_hourly",
-    "setpoint_from_price",
-    "settle",
-    "shift_impact",
-    "smooth_ace",
-    "split_regulation",
-    "state_from_phase",
-    "steady_state_deviation",
-    "step_house",
-    "storage_bids",
-    "swing_step",
-    "thermostat_bid",
-    "time_correction_offset",
-    "time_error_step",
-    "ufls_check",
-    "write_series_csv",
-]

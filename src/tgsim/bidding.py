@@ -246,41 +246,35 @@ class StorageSpec:
             raise ValueError("efficiency must be in (0, 1]")
 
 
-@dataclass
-class StorageState:
-    soc_kwh: float
-
-
-def storage_bids(spec: StorageSpec, state: StorageState) -> list[Order]:
+def storage_bids(spec: StorageSpec, soc_kwh: float) -> list[Order]:
     """Buy and sell orders for one interval, empty legs omitted.
 
     Because buy_below < sell_above the two legs can never both clear in
     the same interval: there is no price at which the device would trade
     with itself.
     """
-    if not 0.0 <= state.soc_kwh <= spec.capacity_kwh:
+    if not 0.0 <= soc_kwh <= spec.capacity_kwh:
         raise ValueError("state of charge out of range")
     orders = []
-    if state.soc_kwh < spec.capacity_kwh:
+    if soc_kwh < spec.capacity_kwh:
         orders.append(Order(f"{spec.device_id}_chg", SIDE_BUY, spec.buy_below, spec.p_charge))
-    if state.soc_kwh > 0.0:
+    if soc_kwh > 0.0:
         orders.append(Order(f"{spec.device_id}_dis", SIDE_SELL, spec.sell_above, spec.p_discharge))
     return orders
 
 
 def apply_clearing_to_storage(
     spec: StorageSpec,
-    state: StorageState,
+    soc_kwh: float,
     charge_kw: float,
     discharge_kw: float,
     h: float,
-) -> StorageState:
-    """Advance the state of charge after a clearing, h in hours."""
+) -> float:
+    """The state of charge (kWh) after a clearing, h in hours."""
     if charge_kw > 0.0 and discharge_kw > 0.0:
         raise ValueError("storage cannot charge and discharge in one interval")
     if charge_kw < 0.0 or discharge_kw < 0.0:
         raise ValueError("cleared power must be nonnegative")
     eta = math.sqrt(spec.efficiency)
-    soc = state.soc_kwh + charge_kw * h * eta - discharge_kw * h / eta
-    soc = min(max(soc, 0.0), spec.capacity_kwh)
-    return StorageState(soc_kwh=soc)
+    soc = soc_kwh + charge_kw * h * eta - discharge_kw * h / eta
+    return min(max(soc, 0.0), spec.capacity_kwh)

@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from functools import cache
 from pathlib import Path
 
@@ -560,12 +560,21 @@ def parse_config(text: str) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     """Parses the scenario file at path and reads the outdoor series it
     names, relative to the file's directory, as a run does. A malformed
-    series is a ConfigError; a missing one stays an OSError."""
+    series, or one that does not cover the run, is a ConfigError; a
+    missing one stays an OSError."""
     path = Path(path)
     cfg = parse_config(path.read_text())
     if isinstance(cfg.outdoor_temp_c, str):
         try:
-            ingest_series(path.parent / cfg.outdoor_temp_c, units="degC")
+            series = ingest_series(path.parent / cfg.outdoor_temp_c, units="degC")
         except ValueError as exc:
             raise ConfigError([f"inputs.outdoor_temp_c: {exc}"]) from exc
+        # a run reads the series by interpolation, which would hold an
+        # uncovered stretch flat at the nearest sample
+        first, last = series.start, series.start + timedelta(seconds=series.period_s * (len(series) - 1))
+        start = cfg.simulation.start
+        end = start + timedelta(seconds=cfg.simulation.span_s)
+        if first > start or last < end:
+            raise ConfigError([f"inputs.outdoor_temp_c: series runs {first.isoformat()} to "
+                               f"{last.isoformat()}, the run needs {start.isoformat()} to {end.isoformat()}"])
     return cfg

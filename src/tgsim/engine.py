@@ -60,7 +60,6 @@ from .auction import (
 )
 from .bidding import (
     PriceStats,
-    StorageState,
     apply_clearing_to_storage,
     fleet_bids,
     fleet_setpoints,
@@ -153,7 +152,6 @@ class _FeederState:
     stats: PriceStats
     market_setpoint: np.ndarray  # a view into SimulationRun's area array
     armed_idx: np.ndarray  # houses with shedding relays, in id string order
-    id_to_idx: dict
     armed_closed: int  # armed houses whose relay is not latched open
     house_power_kw: float = 0.0
     import_kw: float = 0.0
@@ -277,7 +275,6 @@ class SimulationRun:
                 ),
                 market_setpoint=self.market_setpoint[lo:hi],
                 armed_idx=np.arange(n_armed),
-                id_to_idx={hid: i for i, hid in enumerate(pop.ids)},
                 armed_closed=n_armed,
             )
             fs.house_power_kw = pop.aggregate_power()
@@ -288,9 +285,9 @@ class SimulationRun:
             fs.reg_share = rated[fid] / total if total > 0 else 0.0
 
     def _build_storage(self) -> None:
-        self.storage_states: dict[str, StorageState] = {}
+        self.soc_kwh: dict[str, float] = {}
         for placement in sorted(self.cfg.storage, key=lambda p: p.spec.device_id):
-            self.storage_states[placement.spec.device_id] = StorageState(placement.soc0_kwh)
+            self.soc_kwh[placement.spec.device_id] = placement.soc0_kwh
             self.feeders[placement.feeder_id].storage.append(placement)
 
     def _build_ranks(self) -> None:
@@ -299,12 +296,12 @@ class SimulationRun:
         armed houses in id string order."""
         ids = [f"{fid}_{step}" for fid in self.feeders for step in ("base", "resp")]
         ids += auction.market_maker_ids(max(len(f.scarcity_steps) for f in self.cfg.feeders))
-        ids += [f"{sid}_{leg}" for sid in self.storage_states for leg in ("chg", "dis")]
+        ids += [f"{sid}_{leg}" for sid in self.soc_kwh for leg in ("chg", "dis")]
         for fs in self.feeders.values():
             ids += fs.pop.ids
         self.ranks = OrderRanks(ids)
         # a storage order's fill is found in a curve by its rank
-        self.storage_rank = {sid: self.ranks.of([f"{sid}_chg", f"{sid}_dis"]) for sid in self.storage_states}
+        self.storage_rank = {sid: self.ranks.of([f"{sid}_chg", f"{sid}_dis"]) for sid in self.soc_kwh}
         for fid, fs in self.feeders.items():
             fs.house_rank = self.ranks.of(fs.pop.ids)
             fs.armed_idx = fs.armed_idx[np.argsort(fs.house_rank[fs.armed_idx])]
@@ -375,10 +372,12 @@ class SimulationRun:
         ufls_events = 0
         ufls_total_kw = 0.0
         feeder_prices: dict[str, list[float]] = {fid: [] for fid in self.feeders}
+        written = {"events.jsonl", "summary.json"}  # the manifest lists only what this run wrote
 
         with ExitStack() as files:
 
             def table(name: str, header: str):
+                written.add(name)
                 fh = files.enter_context(open(out_dir / name, "w"))
                 fh.write(header + "\n")
                 return fh
@@ -469,9 +468,7 @@ class SimulationRun:
             "span_s": sim.span_s,
             "start": sim.start.isoformat(),
             "version": __version__,
-            "files": sorted(
-                p.name for p in out_dir.iterdir() if p.name not in ("manifest.json",)
-            ),
+            "files": sorted(written),
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return RunArtifacts(out_dir=out_dir, manifest=manifest, summary=summary)
@@ -511,7 +508,7 @@ class SimulationRun:
                 bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
             sells: list[Order] = []
             for placement in fs.storage:
-                for order in storage_bids(placement.spec, self.storage_states[placement.spec.device_id]):
+                for order in storage_bids(placement.spec, self.soc_kwh[placement.spec.device_id]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
             events.write(
@@ -556,8 +553,8 @@ class SimulationRun:
                 sid = placement.spec.device_id
                 charge = _fill_of(result.buy_fills, demand.rank, self.storage_rank[sid][0])
                 discharge = _fill_of(result.sell_fills, supply.rank, self.storage_rank[sid][1])
-                self.storage_states[sid] = apply_clearing_to_storage(
-                    placement.spec, self.storage_states[sid], charge, discharge, interval_h
+                self.soc_kwh[sid] = apply_clearing_to_storage(
+                    placement.spec, self.soc_kwh[sid], charge, discharge, interval_h
                 )
                 fs.storage_net_kw += charge - discharge
                 if discharge > 0:
@@ -773,26 +770,26 @@ class SimulationRun:
         """
         ufls = self.cfg.area.ufls
         shed_kw = 0.0
-        shed_ids_all = []
+        n_shed = 0
         for fid, fs in sorted(self.feeders.items()):
             if not fs.armed_closed:
                 continue
             armed = fs.armed_idx
-            candidates = self.ranks.ids[fs.house_rank[armed[fs.pop.latched[armed] == 0]]].tolist()
-            shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, candidates, self.rng_ufls)
+            closed = armed[fs.pop.latched[armed] == 0]
+            rank = fs.house_rank[closed]  # ascending, as armed_idx is in id order
+            shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, rank.tolist(), self.rng_ufls)
             fs.armed_closed -= len(shed)
-            for hid in shed:
-                i = fs.id_to_idx[hid]
+            for i in closed[np.searchsorted(rank, shed)].tolist():
                 fs.pop.latched[i] = 1
                 if fs.pop.hvac_on[i]:
                     fs.pop.hvac_on[i] = 0
                     fs.house_power_kw -= float(fs.pop.p_rated[i])
                     shed_kw += float(fs.pop.p_rated[i])
-            shed_ids_all.extend(shed)
-        if shed_ids_all:
+            n_shed += len(shed)
+        if n_shed:
             self.relays_held = True
             self.last_shed_t = t
-            emit({"t": t, "type": "ufls", "freq_hz": freq, "count": len(shed_ids_all),
+            emit({"t": t, "type": "ufls", "freq_hz": freq, "count": n_shed,
                   "shed_kw": shed_kw})
         return shed_kw
 

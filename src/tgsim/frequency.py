@@ -22,7 +22,6 @@ separate functions on purpose and must not be mixed in one loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,15 +142,16 @@ def ufls_check(
     freq_hz: float,
     threshold_hz: float,
     probability: float,
-    armed_ids: list[str],
+    armed_ids: list,
     rng: np.random.Generator,
-) -> list[str]:
+) -> list:
     """Underfrequency load shedding draw for one balancing tick.
 
     When frequency sits below the threshold, each armed device sheds
     independently with the given probability; the draw order follows the
-    sorted device ids so a fixed seed reproduces the exact set. Above
-    the threshold nothing sheds and the stream is not consumed.
+    sorted device keys (ids, or ranks that sort as the ids do) so a fixed
+    seed reproduces the exact set. Above the threshold nothing sheds and
+    the stream is not consumed.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must lie in [0, 1]")

@@ -25,7 +25,6 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Sequence
 
 import numpy as np
 

@@ -233,11 +233,11 @@ class Population:
         part._decay = np.empty(0)
         return part
 
-    def tick(self, t_out: float, h: float, at_market_boundary: bool) -> float:
+    def tick(self, t_out: float, h: float, at_market_boundary: bool) -> None:
         """Decide every relay, then advance physics h hours.
 
-        Returns the aggregate electrical draw (kW) that applied during
-        the tick, i.e. after the decisions.
+        aggregate_power() then gives the draw that applied during the
+        tick, i.e. after the decisions.
         """
         if not h > 0:
             raise ValueError("tick length must be positive")
@@ -269,7 +269,6 @@ class Population:
         t_eq = t_out + np.where(on, self.q_hvac, 0.0) * self.r_thermal
         t[:] = t_eq + (t - t_eq) * self._decay
         self.hvac_on[:] = on
-        return array_sum(self.p_rated[on])
 
     def aggregate_power(self) -> float:
         """Current electrical draw of the fleet in kW (sequential sum)."""
@@ -498,7 +497,8 @@ def curtailment_experiment(
             and off_start_h <= t_h < off_end_h
         )
         pop.latched[:] = 1 if forced else 0
-        power[k] = pop.tick(t_out, tick_h, at_market_boundary=True)
+        pop.tick(t_out, tick_h, at_market_boundary=True)
+        power[k] = pop.aggregate_power()
         diversity[k] = diversity_metric(pop, t_out)
         mean_t[k] = float(pop.t_in.mean())
     pop.latched[:] = 0

@@ -10,7 +10,6 @@ from tgsim.auction import clear_and_allocate, StepCurve, SIDE_BUY, SIDE_SELL, Se
 from tgsim.bidding import (
     PriceStats,
     StorageSpec,
-    StorageState,
     apply_clearing_to_storage,
     fleet_bids,
     fleet_setpoints,
@@ -321,24 +320,24 @@ def test_storage_spec_validation():
 
 def test_storage_bids_respect_state_of_charge():
     spec = StorageSpec("b1", 10.0, 5.0, 4.0, 20.0, 40.0)
-    empty = storage_bids(spec, StorageState(0.0))
+    empty = storage_bids(spec, 0.0)
     assert [o.order_id for o in empty] == ["b1_chg"]
     assert empty[0].side == SIDE_BUY and empty[0].price == 20.0 and empty[0].quantity == 5.0
-    full = storage_bids(spec, StorageState(10.0))
+    full = storage_bids(spec, 10.0)
     assert [o.order_id for o in full] == ["b1_dis"]
     assert full[0].side == SIDE_SELL and full[0].price == 40.0 and full[0].quantity == 4.0
-    both = storage_bids(spec, StorageState(5.0))
+    both = storage_bids(spec, 5.0)
     assert {o.order_id for o in both} == {"b1_chg", "b1_dis"}
     with pytest.raises(ValueError):
-        storage_bids(spec, StorageState(-0.1))
+        storage_bids(spec, -0.1)
     with pytest.raises(ValueError):
-        storage_bids(spec, StorageState(10.1))
+        storage_bids(spec, 10.1)
 
 
 def test_storage_never_trades_with_itself():
     """The band gap means both legs can never clear simultaneously."""
     spec = StorageSpec("b1", 10.0, 5.0, 4.0, 25.0, 45.0)
-    orders = storage_bids(spec, StorageState(5.0))
+    orders = storage_bids(spec, 5.0)
     demand = StepCurve(SIDE_BUY, [Segment(o.price, o.quantity, o.order_id) for o in orders if o.side == SIDE_BUY])
     supply = StepCurve(SIDE_SELL, [Segment(o.price, o.quantity, o.order_id) for o in orders if o.side == SIDE_SELL])
     result = clear_and_allocate(demand, supply)
@@ -350,10 +349,10 @@ def test_storage_never_trades_with_itself():
 def test_apply_clearing_round_trip_efficiency():
     # efficiency 0.25 makes both legs exact: sqrt is 0.5
     spec = StorageSpec("b1", 10.0, 8.0, 8.0, 20.0, 40.0, efficiency=0.25)
-    s = apply_clearing_to_storage(spec, StorageState(0.0), charge_kw=8.0, discharge_kw=0.0, h=0.5)
-    assert s.soc_kwh == 2.0  # bought 4 kWh from the grid, half survives
-    s = apply_clearing_to_storage(spec, s, charge_kw=0.0, discharge_kw=2.0, h=0.5)
-    assert s.soc_kwh == 0.0  # delivering 1 kWh drained the remaining 2
+    soc = apply_clearing_to_storage(spec, 0.0, charge_kw=8.0, discharge_kw=0.0, h=0.5)
+    assert soc == 2.0  # bought 4 kWh from the grid, half survives
+    soc = apply_clearing_to_storage(spec, soc, charge_kw=0.0, discharge_kw=2.0, h=0.5)
+    assert soc == 0.0  # delivering 1 kWh drained the remaining 2
     # the full cycle returned efficiency times the energy bought
     assert 1.0 / 4.0 == spec.efficiency
 
@@ -361,19 +360,19 @@ def test_apply_clearing_round_trip_efficiency():
 def test_apply_clearing_guards_and_clamps():
     spec = StorageSpec("b1", 10.0, 5.0, 5.0, 20.0, 40.0)
     with pytest.raises(ValueError):
-        apply_clearing_to_storage(spec, StorageState(5.0), 1.0, 1.0, 0.25)
+        apply_clearing_to_storage(spec, 5.0, 1.0, 1.0, 0.25)
     with pytest.raises(ValueError):
-        apply_clearing_to_storage(spec, StorageState(5.0), -1.0, 0.0, 0.25)
+        apply_clearing_to_storage(spec, 5.0, -1.0, 0.0, 0.25)
     # overcharge clamps to capacity, overdraw clamps to zero
-    s = apply_clearing_to_storage(spec, StorageState(9.9), 5.0, 0.0, 1.0)
-    assert s.soc_kwh == 10.0
-    s = apply_clearing_to_storage(spec, StorageState(0.1), 0.0, 5.0, 1.0)
-    assert s.soc_kwh == 0.0
+    soc = apply_clearing_to_storage(spec, 9.9, 5.0, 0.0, 1.0)
+    assert soc == 10.0
+    soc = apply_clearing_to_storage(spec, 0.1, 0.0, 5.0, 1.0)
+    assert soc == 0.0
 
 
 def test_apply_clearing_lossless_unit_efficiency():
     spec = StorageSpec("b1", 10.0, 5.0, 5.0, 20.0, 40.0)
-    s = apply_clearing_to_storage(spec, StorageState(2.0), 4.0, 0.0, 0.25)
-    assert s.soc_kwh == 3.0
-    s = apply_clearing_to_storage(spec, s, 0.0, 4.0, 0.25)
-    assert s.soc_kwh == 2.0
+    soc = apply_clearing_to_storage(spec, 2.0, 4.0, 0.0, 0.25)
+    assert soc == 3.0
+    soc = apply_clearing_to_storage(spec, soc, 0.0, 4.0, 0.25)
+    assert soc == 2.0

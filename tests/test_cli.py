@@ -194,6 +194,21 @@ def test_run_json_payload(capsys, tmp_path):
     assert payload["out_dir"].endswith("nulljson")
 
 
+def test_manifest_lists_only_the_files_of_its_own_run(capsys, tmp_path):
+    # a second run into the same directory used to list the first run's
+    # houses.csv and any other file it found there
+    out_dir = tmp_path / "runX"
+    assert main(["run", "--config", str(SCENARIO_DIR / "single_house.yaml"), "--out", str(out_dir)]) == 0
+    (out_dir / "notes.txt").write_text("kept\n")
+    assert main(["run", "--config", str(SCENARIO_DIR / "null.yaml"), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["files"] == ["events.jsonl", "frequency.csv", "load.csv", "markets.csv",
+                                 "settlement.csv", "summary.json"]
+    # files the run did not write stay on disk
+    assert (out_dir / "houses.csv").exists() and (out_dir / "notes.txt").read_text() == "kept\n"
+
+
 def test_run_seed_override_lands_in_the_manifest(capsys, tmp_path):
     rc = main([
         "run", "--config", str(SCENARIO_DIR / "null.yaml"),

@@ -515,8 +515,9 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
 
     def recorded(*args):
         shed = ufls_check(*args)
-        drawn_over.append({hid.split("_")[0] for hid in args[3]})
-        shed_ids.extend(shed)
+        # the draw is over house ranks; name them through the run's table
+        drawn_over.append({hid.split("_")[0] for hid in sim.ranks.ids[args[3]]})
+        shed_ids.extend(sim.ranks.ids[shed])
         return shed
 
     monkeypatch.setattr(engine, "ufls_check", recorded)
