@@ -31,7 +31,7 @@ import yaml
 
 from .bidding import StorageSpec
 from .frequency import RegulationSplit, SwingParams
-from .spectral import ingest_series
+from .spectral import Series, ingest_series
 from .thermal import KIND_HYSTERESIS, KIND_ZERO_DEADBAND, MODE_COOLING, MODE_HEATING
 
 SCHEMA_VERSION = 1
@@ -557,24 +557,31 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
+def read_outdoor_series(cfg: ScenarioConfig, base_dir) -> Series:
+    """Reads the outdoor series cfg names, relative to base_dir, as a run
+    uses it. A malformed series, or one that does not cover the run, is a
+    ConfigError; a missing one stays an OSError."""
+    try:
+        series = ingest_series(Path(base_dir) / cfg.outdoor_temp_c, units="degC")
+    except ValueError as exc:
+        raise ConfigError([f"inputs.outdoor_temp_c: {exc}"]) from exc
+    # a run reads the series by interpolation, which would hold an
+    # uncovered stretch flat at the nearest sample
+    first, last = series.start, series.start + timedelta(seconds=series.period_s * (len(series) - 1))
+    start = cfg.simulation.start
+    end = start + timedelta(seconds=cfg.simulation.span_s)
+    if first > start or last < end:
+        raise ConfigError([f"inputs.outdoor_temp_c: series runs {first.isoformat()} to "
+                           f"{last.isoformat()}, the run needs {start.isoformat()} to {end.isoformat()}"])
+    return series
+
+
 def load_config(path) -> ScenarioConfig:
-    """Parses the scenario file at path and reads the outdoor series it
-    names, relative to the file's directory, as a run does. A malformed
-    series, or one that does not cover the run, is a ConfigError; a
-    missing one stays an OSError."""
+    """Parses the scenario file at path and checks the outdoor series it
+    names, relative to the file's directory, as a run does
+    (read_outdoor_series)."""
     path = Path(path)
     cfg = parse_config(path.read_text())
     if isinstance(cfg.outdoor_temp_c, str):
-        try:
-            series = ingest_series(path.parent / cfg.outdoor_temp_c, units="degC")
-        except ValueError as exc:
-            raise ConfigError([f"inputs.outdoor_temp_c: {exc}"]) from exc
-        # a run reads the series by interpolation, which would hold an
-        # uncovered stretch flat at the nearest sample
-        first, last = series.start, series.start + timedelta(seconds=series.period_s * (len(series) - 1))
-        start = cfg.simulation.start
-        end = start + timedelta(seconds=cfg.simulation.span_s)
-        if first > start or last < end:
-            raise ConfigError([f"inputs.outdoor_temp_c: series runs {first.isoformat()} to "
-                               f"{last.isoformat()}, the run needs {start.isoformat()} to {end.isoformat()}"])
+        read_outdoor_series(cfg, path.parent)
     return cfg

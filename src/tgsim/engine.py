@@ -18,12 +18,16 @@ it keeps) and each discharging battery sell, with negative energies.
 
 The loop steps over device ticks. After a tick's market and device
 phases, its balancing ticks run as one block (``_balancing_block``)
-that keeps the control state in locals and writes its frequency rows
-at once. Every house of the area lives in one ``Population``, drawn in
-feeder config order; each feeder holds a contiguous run of it whose
-arrays are views of the area's, so the device clock, the setpoint clip,
-the regulation offset and the diversity phases are one pass over the
-area while each feeder's draw and diversity are still its own.
+that keeps the control state in locals and sends one record per tick
+to frequency.csv's writer. That writer is a second process
+(``frequency_writer``), started by run() and waited for before run()
+returns or raises: the rows' float text costs a long run about a third
+of its time, so it is formatted on a second core. Every house of the
+area lives in one ``Population``, drawn in feeder config order; each
+feeder holds a contiguous run of it whose arrays are views of the
+area's, so the device clock, the setpoint clip, the regulation offset
+and the diversity phases are one pass over the area while each feeder's
+draw and diversity are still its own.
 
 All randomness flows from two named streams spawned off the scenario
 seed: one for population synthesis, one for shedding draws. Each feeder
@@ -38,13 +42,16 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, auction, report
+from . import __version__, auction, frequency_writer, report
 from .auction import (
     SIDE_BUY,
     Bids,
@@ -65,7 +72,7 @@ from .bidding import (
     fleet_setpoints,
     storage_bids,
 )
-from .config import ScenarioConfig, StoragePlacement
+from .config import ScenarioConfig, StoragePlacement, read_outdoor_series
 from .fold import array_sum, left_sum
 from .frequency import (
     nerc_ace,
@@ -87,7 +94,6 @@ from .hierarchy import (
     schedule_hourly,
     settle,
 )
-from .spectral import ingest_series
 from .thermal import (
     MODE_COOLING,
     Population,
@@ -115,6 +121,29 @@ _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 def _event_line(record: dict) -> str:
     return _EVENT_ENCODER.encode(record) + "\n"
+
+
+def _start_frequency_writer(path: Path, files: ExitStack):
+    """Starts the process that appends path's rows (frequency_writer) and
+    returns the pipe that takes its records, sent in 64 KB batches.
+
+    When files closes, on success or on error, the pipe closes and the
+    writer is waited for; a writer that did not exit cleanly is an
+    OSError, so the run never returns a truncated file.
+    """
+    writer = subprocess.Popen([sys.executable, "-S", "-I", frequency_writer.__file__, str(path)],
+                              stdin=subprocess.PIPE, bufsize=frequency_writer.BATCH_BYTES)
+
+    def finish() -> None:
+        try:
+            writer.stdin.close()
+        except BrokenPipeError:
+            pass  # the writer is gone; its exit status says so
+        if writer.wait() != 0:
+            raise OSError(f"{path}: the row writer exited with status {writer.returncode}")
+
+    files.callback(finish)
+    return writer.stdin
 
 
 def _fill_of(fills: np.ndarray, column: np.ndarray, key) -> float:
@@ -215,7 +244,7 @@ class SimulationRun:
             self._t_out_const = float(src)
             self._t_out_series = None
             return
-        series = ingest_series(self.base_dir / src, units="degC")
+        series = read_outdoor_series(self.cfg, self.base_dir)
         offsets = np.arange(len(series)) * series.period_s
         start_lag = (self.cfg.simulation.start - series.start).total_seconds()
         self._t_out_series = (offsets - start_lag, series.values)
@@ -383,8 +412,9 @@ class SimulationRun:
                 return fh
 
             events = files.enter_context(open(out_dir / "events.jsonl", "w"))
-            frequency = table("frequency.csv", "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
-                              "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s")
+            table("frequency.csv", "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
+                  "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s").close()
+            frequency = _start_frequency_writer(out_dir / "frequency.csv", files)
             markets = table("markets.csv", "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,"
                             "mode,reference_kw,scarcity_rent,diversity")
             load = table("load.csv", "t_s,load_kw,responsive_kw,base_kw,storage_kw,mean_t_in_c")
@@ -661,8 +691,10 @@ class SimulationRun:
         threshold a draw runs only while some armed relay is closed. The
         area's load and import change only at device ticks, or when a
         shed opens a running unit's relay, so they are summed once and
-        again only after such a shed. Returns the kW shed at each step
-        that shed any.
+        again only after such a shed. Each step's frequency.csv row goes
+        to the writer process as one record, and the block's records are
+        written to its pipe at once. Returns the kW shed at each step that
+        shed any.
         """
         cfg = self.cfg
         area = cfg.area
@@ -693,7 +725,7 @@ class SimulationRun:
         reg_gen_mw = self.reg_gen_mw
         above_since = self.above_threshold_since
         load_mw = gen_mw = None
-        rows = []
+        records = array("d")
         sheds = []
         for t in range(t0, t0 + cfg.simulation.device_tick_s, h):
             if load_mw is None:
@@ -743,14 +775,11 @@ class SimulationRun:
                     self.relays_held = False
                     emit({"t": t, "type": "ufls_release"})
 
-            # every value here is a Python float or int; + 0.0 makes it a float
-            # and folds -0.0 to 0.0, as _fmt does
-            rows.append(
-                f"{t},{freq + 0.0!r},{delta_f + 0.0!r},{ace_raw + 0.0!r},{ace_filtered + 0.0!r},"
-                f"{to_agg + 0.0!r},{reg_gen_mw + 0.0!r},{shed_kw + 0.0!r},{time_error_s + 0.0!r}\n"
-            )
+            # one frequency_writer record; + 0.0 folds -0.0 to 0.0, as _fmt does
+            records.extend((t, freq + 0.0, delta_f + 0.0, ace_raw + 0.0, ace_filtered + 0.0,
+                            to_agg + 0.0, reg_gen_mw + 0.0, shed_kw + 0.0, time_error_s + 0.0))
 
-        frequency.write("".join(rows))
+        frequency.write(records)
         self.delta_f = delta_f
         self.time_error_s = time_error_s
         self.ace_filtered = ace_filtered

@@ -14,7 +14,7 @@ from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim import engine
 from tgsim.auction import SIDE_BUY, OrderRanks, StepCurve, _price_spans
 from tgsim.bidding import PriceStats, setpoint_from_price
-from tgsim.config import load_config, parse_config
+from tgsim.config import ConfigError, load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
 from tgsim.fold import left_sum
 from tgsim.spectral import Series, write_series_csv
@@ -247,6 +247,24 @@ def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path, monkeypatch):
     assert store > 0
     assert peaks[2] <= 0.15 * store, (peaks, store)
     assert retained[2] <= retained[1] + 0.1 * store, (retained, store)
+
+
+def test_a_run_parsed_from_text_rejects_an_uncovered_outdoor_series(tmp_path):
+    # a run checks the series as load_config does, so one built from
+    # parse_config cannot hold the uncovered half day flat
+    text = ("schema_version: 1\nsimulation:\n  span_s: 86400\n"
+            "feeders:\n  - id: f0\n    capacity_kw: 50.0\ninputs:\n  outdoor_temp_c: temps.csv\n")
+    (tmp_path / "scenario.yaml").write_text(text)
+    cfg = parse_config(text)
+    write_series_csv(Series(cfg.simulation.start, 3600.0, np.full(13, 30.0)), tmp_path / "temps.csv")
+    with pytest.raises(ConfigError) as from_file:
+        load_config(tmp_path / "scenario.yaml")
+    with pytest.raises(ConfigError) as from_text:
+        SimulationRun(cfg, base_dir=tmp_path)
+    assert from_text.value.problems == from_file.value.problems == [
+        "inputs.outdoor_temp_c: series runs 2026-07-15T00:00:00 to 2026-07-15T12:00:00, "
+        "the run needs 2026-07-15T00:00:00 to 2026-07-16T00:00:00"
+    ]
 
 
 def test_bootstrap_forecast_reads_each_scheduling_period_start(tmp_path):
