@@ -29,6 +29,23 @@ area's, so the device clock, the setpoint clip, the regulation offset
 and the diversity phases are one pass over the area while each feeder's
 draw and diversity are still its own.
 
+The writer process has a second job: two of the three libm logs of a
+diversity sample (``thermal.cycle_ratios``), those that depend only on
+setpoints and the outdoor temperature. It runs the interpreter of the
+run (``sys.executable``), so its ``math.log`` is the same libm call and
+the bits are the ones an in-process ``thermal.diversity_metric`` gives.
+Frequency records and log requests share one framed stream on its stdin
+(``_WriterProcess``); the logs come back on its stdout, in request
+order. The engine reads them without waiting whenever it writes, and
+finishes a sample (``thermal.phases_from_logs``, with the third,
+state-dependent log in-process) once its reply is in. Diversity feeds
+nothing back into the run, so an interval's markets.csv rows, which
+carry it, are written only then, a reply late; no other file waits and
+row order is unchanged. run() waits for replies only at its end, for
+the last interval's rows and final_diversity. On a single core the two
+processes take turns and a run is a few percent slower than doing all
+of it in-process.
+
 All randomness flows from two named streams spawned off the scenario
 seed: one for population synthesis, one for shedding draws. Each feeder
 counts its armed relays that are still closed, so a shedding draw runs
@@ -40,14 +57,19 @@ are serialised with repr so the round trip is lossless.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
+import os
+import select
 import subprocess
 import sys
 from array import array
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -99,7 +121,9 @@ from .thermal import (
     Population,
     ThermalParams,
     ThermostatConfig,
-    diversity_metric,
+    cycle_ratios,
+    diversity_from_phases,
+    phases_from_logs,
     state_from_phase,
     steady_duty,
 )
@@ -123,27 +147,133 @@ def _event_line(record: dict) -> str:
     return _EVENT_ENCODER.encode(record) + "\n"
 
 
-def _start_frequency_writer(path: Path, files: ExitStack):
-    """Starts the process that appends path's rows (frequency_writer) and
-    returns the pipe that takes its records, sent in 64 KB batches.
+# Each pipe to the writer process is asked to hold 1 MB (Linux; elsewhere
+# pipes keep their size). A 10,000-house log request or reply, about
+# 160 KB, then goes through whole. With 64 KB pipes the writer stalls on
+# each reply until the engine next reads, and the engine on each request
+# until the writer next reads: 0.2 s of waits in a 6 h run at that size.
+# A smaller pipe is slower, never wrong.
+PIPE_BYTES = 1 << 20
 
-    When files closes, on success or on error, the pipe closes and the
-    writer is waited for; a writer that did not exit cleanly is an
-    OSError, so the run never returns a truncated file.
+
+class _WriterProcess:
+    """frequency_writer's process beside a run, and both of its pipes.
+
+    One framed stream on its stdin carries frequency.csv's records and
+    diversity's log requests; its stdout carries the logs back, in
+    request order. Frames queue in the engine until BATCH_BYTES are
+    queued. The engine then writes what the pipe takes without waiting,
+    and waits only while BATCH_BYTES or more are still unsent. After
+    every write it reads the replies that have come in, without
+    waiting, and while it waits for room it reads them too, so neither
+    process can block the other with a full pipe. A reply's callback
+    runs once all of its bytes are in.
+
+    On exit, on success or error, the queued frames are sent, stdin is
+    closed, stdout is read to its end (after an error, the replies are
+    dropped) and the process is waited for; a process that did not exit
+    cleanly is an OSError naming path, so a run never returns a
+    truncated file.
     """
-    writer = subprocess.Popen([sys.executable, "-S", "-I", frequency_writer.__file__, str(path)],
-                              stdin=subprocess.PIPE, bufsize=frequency_writer.BATCH_BYTES)
 
-    def finish() -> None:
+    def __init__(self, path: Path):
+        self.path = path
+        self._proc = subprocess.Popen([sys.executable, "-S", "-I", frequency_writer.__file__, str(path)],
+                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+        self._in = self._proc.stdin.fileno()
+        self._out = self._proc.stdout.fileno()
+        for fd in (self._in, self._out):
+            os.set_blocking(fd, False)
+            if hasattr(fcntl, "F_SETPIPE_SZ"):
+                try:
+                    fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+                except OSError:
+                    pass  # past the user's pipe quota the default size stays
+        self._poll = select.poll()
+        self._poll.register(self._in, select.POLLOUT)
+        self._poll.register(self._out, select.POLLIN)
+        self._unsent = bytearray()
+        # per request, in request order: [its logs, bytes of them read, callback]
+        self._waiting: deque[list] = deque()
+        self._discard = False  # on exit: replies are read but no callback runs
+
+    def __enter__(self) -> _WriterProcess:
+        return self
+
+    def send_records(self, records: array) -> None:
+        """Queues whole frequency.csv records."""
+        self._queue(frequency_writer.RECORDS, len(records), records)
+
+    def request_logs(self, a: np.ndarray, b: np.ndarray, then: Callable[[np.ndarray], None]) -> None:
+        """Queues a request for math.log of each element of a, then of b;
+        then(logs) is called with them once they are back."""
+        n = len(a) + len(b)
+        self._waiting.append([np.empty(n), 0, then])
+        self._queue(frequency_writer.LOGS, n, a.data, b.data)
+
+    def _queue(self, kind: int, count: int, *parts) -> None:
+        self._unsent += frequency_writer.HEADER.pack(kind, count)
+        for part in parts:
+            self._unsent += part
+        if len(self._unsent) >= frequency_writer.BATCH_BYTES:
+            self._send(frequency_writer.BATCH_BYTES)
+
+    def _send(self, backlog: int) -> None:
+        """Writes what the pipe takes, then waits for room, reading replies
+        meanwhile, while backlog bytes or more are still unsent."""
+        while self._unsent:
+            try:
+                del self._unsent[:os.write(self._in, self._unsent)]
+            except BlockingIOError:
+                pass
+            self._read()
+            if len(self._unsent) < backlog:
+                return
+            self._poll.poll()  # room in the pipe, or a reply to read
+
+    def _read(self) -> None:
+        """Reads the reply bytes that have come into the logs they answer,
+        and passes each whole reply to its callback. It waits for bytes
+        only once finish() has made stdout blocking."""
+        waiting = self._waiting
+        while waiting:
+            request = waiting[0]
+            logs, got, then = request
+            if got < logs.nbytes:
+                n = self._proc.stdout.readinto(memoryview(logs).cast("B")[got:])
+                if n is None:
+                    return  # nothing more has come
+                if not n:
+                    raise OSError(f"{self.path}: the writer process closed its output")
+                request[1] = got + n
+                continue
+            waiting.popleft()
+            if not self._discard:
+                then(logs)
+
+    def finish(self) -> None:
+        """Sends every queued frame and waits for every reply."""
+        self._send(1)
+        self._proc.stdin.close()
+        os.set_blocking(self._out, True)
+        self._read()
+
+    def __exit__(self, *exc) -> None:
+        self._discard = True
         try:
-            writer.stdin.close()
-        except BrokenPipeError:
-            pass  # the writer is gone; its exit status says so
-        if writer.wait() != 0:
-            raise OSError(f"{path}: the row writer exited with status {writer.returncode}")
-
-    files.callback(finish)
-    return writer.stdin
+            self._send(1)  # the records of the ticks before an error still reach the file
+        except OSError:
+            pass  # the process is gone; its exit status says so
+        self._proc.stdin.close()
+        try:
+            os.set_blocking(self._out, True)
+            while os.read(self._out, frequency_writer.BATCH_BYTES):
+                pass
+        finally:
+            self._proc.stdout.close()
+            status = self._proc.wait()
+        if status != 0:
+            raise OSError(f"{self.path}: the row writer exited with status {status}")
 
 
 def _fill_of(fills: np.ndarray, column: np.ndarray, key) -> float:
@@ -414,7 +544,7 @@ class SimulationRun:
             events = files.enter_context(open(out_dir / "events.jsonl", "w"))
             table("frequency.csv", "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
                   "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s").close()
-            frequency = _start_frequency_writer(out_dir / "frequency.csv", files)
+            writer = files.enter_context(_WriterProcess(out_dir / "frequency.csv"))
             markets = table("markets.csv", "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,"
                             "mode,reference_kw,scarcity_rent,diversity")
             load = table("load.csv", "t_s,load_kw,responsive_kw,base_kw,storage_kw,mean_t_in_c")
@@ -446,19 +576,23 @@ class SimulationRun:
                 if at_boundary:
                     self._market_phase(
                         t, interval_index, hour_of_day, entry, bulk_price, anchor, emit, events,
-                        markets, settlement, prices_seen, feeder_prices,
+                        markets, settlement, prices_seen, feeder_prices, writer,
                     )
 
                 total_kw = self._device_phase(t, at_boundary, load, houses)
                 peak_load = max(peak_load, total_kw)
                 energy_kwh += total_kw * (sim.device_tick_s / 3600.0)
 
-                for shed_kw in self._balancing_block(t, frequency, emit):
+                for shed_kw in self._balancing_block(t, writer, emit):
                     ufls_events += 1
                     ufls_total_kw += shed_kw
 
+            final_div: dict[str, float | None] = {}
+            self._request_diversity(writer, sim.span_s, final_div.update)
+            # the one wait on the writer: the last markets.csv rows and final_div
+            writer.finish()
+
         freq_nom = area.freq_nominal_hz
-        final_div = self._feeder_diversity(sim.span_s)
         price_mean = (left_sum(prices_seen) / len(prices_seen)) if prices_seen else None
         price_sigma = None
         if prices_seen:
@@ -503,11 +637,20 @@ class SimulationRun:
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return RunArtifacts(out_dir=out_dir, manifest=manifest, summary=summary)
 
-    def _feeder_diversity(self, t_s: float) -> dict[str, float | None]:
-        """Each feeder's diversity at t_s, in config order, from one phase
-        pass over the area fleet; None for a feeder without houses."""
-        divs = iter(diversity_metric(self.fleet, self.t_out(t_s), self.house_bounds))
-        return {fid: (next(divs) if len(fs.pop) else None) for fid, fs in self.feeders.items()}
+    def _request_diversity(self, writer: _WriterProcess, t_s: float, then) -> None:
+        """Samples each feeder's diversity at t_s from one phase pass over
+        the area fleet, its two setpoint-only logs taken by the writer
+        process. Once they are back, calls then with the diversities, in
+        config order; None for a feeder without houses."""
+        partial, on_ratio, off_ratio = cycle_ratios(self.fleet, self.t_out(t_s))
+        n = len(partial.idx)
+
+        def finish(logs: np.ndarray) -> None:
+            phases = phases_from_logs(partial, logs[:n], logs[n:])
+            divs = iter([diversity_from_phases(phases[lo:hi]) for lo, hi in self.house_bounds])
+            then({fid: (next(divs) if len(fs.pop) else None) for fid, fs in self.feeders.items()})
+
+        writer.request_logs(on_ratio, off_ratio, finish)
 
     # ------------------------------------------------------------------
     # phases
@@ -515,15 +658,14 @@ class SimulationRun:
 
     def _market_phase(
         self, t, interval_index, hour_of_day, entry: HourEntry, bulk_price, anchor, emit, events,
-        markets, settlement, prices_seen, feeder_prices,
+        markets, settlement, prices_seen, feeder_prices, writer: _WriterProcess,
     ) -> None:
         cfg = self.cfg
         mkt = cfg.market
         area = cfg.area
         interval_h = cfg.simulation.market_interval_s / 3600.0
         demand_curves = {}
-        # sampled from the state the bids are built from
-        diversity = self._feeder_diversity(t)
+        rows = []  # (feeder id, its markets.csv row up to the diversity)
 
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
@@ -607,11 +749,8 @@ class SimulationRun:
             balance_kw = sched_kw + fs.reg_share * self.reg_agg_mw * 1000.0
             ref = feeder_reference(result.quantity, balance_kw, fspec.weight_normal,
                                    fspec.weight_contingency, mode)
-            markets.write(
-                f"{t},{fid},{_fmt(result.price)},{_fmt(result.quantity)},"
-                f"{n_buys},{n_sells},"
-                f"{mode},{_fmt(ref)},{_fmt(rent)},{_fmt_or_empty(diversity[fid])}\n"
-            )
+            rows.append((fid, f"{t},{fid},{_fmt(result.price)},{_fmt(result.quantity)},"
+                              f"{n_buys},{n_sells},{mode},{_fmt(ref)},{_fmt(rent)},"))
             fs.stats.observe(result.price)
 
         # area-level aggregation, recorded for reporting
@@ -627,14 +766,22 @@ class SimulationRun:
         )
         emit({"t": t, "type": "area_clearing", "price": area_result.price,
               "quantity": area_result.quantity})
-        # the mean over the feeders that have houses, folded in config order
-        with_houses = [d for d in diversity.values() if d is not None]
-        area_div = left_sum(with_houses) / len(with_houses) if with_houses else None
-        markets.write(
-            f"{t},__area,{_fmt(area_result.price)},{_fmt(area_result.quantity)},"
-            f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)},"
-            f"{_fmt_or_empty(area_div)}\n"
-        )
+        area_row = (f"{t},__area,{_fmt(area_result.price)},{_fmt(area_result.quantity)},"
+                    f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)},")
+
+        def write_rows(diversity: dict[str, float | None]) -> None:
+            # the area mean over the feeders that have houses, folded in config order
+            with_houses = [d for d in diversity.values() if d is not None]
+            area_div = left_sum(with_houses) / len(with_houses) if with_houses else None
+            markets.write("".join(f"{row}{_fmt_or_empty(diversity[fid])}\n" for fid, row in rows)
+                          + f"{area_row}{_fmt_or_empty(area_div)}\n")
+
+        # The market phase moves no house, so this samples the state the
+        # bids were built from. It comes after the curves the day store
+        # keeps, so its arrays, which wait for the writer, leave no gap
+        # among them in memory. The rows wait for it; later intervals'
+        # rows follow them.
+        self._request_diversity(writer, t, write_rows)
 
     def _settle_row(self, settlement, t: int, role: str, rec: SettlementRecord, rent_kwh: float = 0.0) -> None:
         """Writes one settlement.csv row from a settle() record and folds it
@@ -683,7 +830,7 @@ class SimulationRun:
         )
         return total
 
-    def _balancing_block(self, t0: int, frequency, emit) -> list[float]:
+    def _balancing_block(self, t0: int, writer: _WriterProcess, emit) -> list[float]:
         """Every balancing tick of the device tick that starts at t0.
 
         Each step advances the swing, the time error, the control error
@@ -693,8 +840,8 @@ class SimulationRun:
         shed opens a running unit's relay, so they are summed once and
         again only after such a shed. Each step's frequency.csv row goes
         to the writer process as one record, and the block's records are
-        written to its pipe at once. Returns the kW shed at each step that
-        shed any.
+        queued for its pipe as one frame. Returns the kW shed at each step
+        that shed any.
         """
         cfg = self.cfg
         area = cfg.area
@@ -779,7 +926,7 @@ class SimulationRun:
             records.extend((t, freq + 0.0, delta_f + 0.0, ace_raw + 0.0, ace_filtered + 0.0,
                             to_agg + 0.0, reg_gen_mw + 0.0, shed_kw + 0.0, time_error_s + 0.0))
 
-        frequency.write(records)
+        writer.send_records(records)
         self.delta_f = delta_f
         self.time_error_s = time_error_s
         self.ace_filtered = ace_filtered

@@ -30,7 +30,8 @@ The steady on/off cycle between two band edges (the population-state
 view of load diversity) is stated once, in ``_cycle``, for both modes.
 ``cycle_phase``, ``state_from_phase`` and ``steady_duty`` read their
 geometry from it; ``cycle_phases`` restates it as array passes over a
-fleet, and tests pin it to ``cycle_phase`` bit for bit.
+fleet (a ratio pass and a finishing pass around the logs), and tests
+pin it to ``cycle_phase`` bit for bit.
 """
 
 from __future__ import annotations
@@ -415,11 +416,28 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))
 
 
-def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
-    """cycle_phase of every house of a fleet, bit for bit, as array passes.
+@dataclass(frozen=True)
+class PartialPhases:
+    """A fleet's cycle phases up to the logs of their on and off times.
 
-    The same operations as ``_cycle`` and ``cycle_phase`` in the same
-    order, restricted to the houses that can cycle; the others get 0.0.
+    ``state_ratio`` is the log argument of the time into the current
+    half-cycle, read from indoor temperatures and relays;
+    ``phases_from_logs`` takes that log itself.
+    """
+
+    n: int  # houses in the fleet
+    idx: np.ndarray  # the houses that can cycle; the others get phase 0.0
+    on: np.ndarray  # which of them run
+    rc: np.ndarray
+    state_ratio: np.ndarray
+
+
+def cycle_ratios(pop: Population, t_out: float) -> tuple[PartialPhases, np.ndarray, np.ndarray]:
+    """The ratio pass of ``cycle_phases``: every operation before a log.
+
+    Returns the partial phases and the log arguments of each cycling
+    house's on and off times, which depend only on setpoints and the
+    outdoor temperature.
     """
     cooling, lo, hi = _cycle_band(pop.cfg)
     n = len(pop)
@@ -440,19 +458,41 @@ def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
     t_eq_on, on_from, off_from = t_eq_on[idx], on_from[idx], off_from[idx]
     lo, hi = lo[idx], hi[idx]
     on = pop.hvac_on[idx] != 0
-    log_on = _libm_log((on_from - t_eq_on) / (off_from - t_eq_on))
-    log_off = _libm_log((off_from - t_out) / (on_from - t_out))
-    rc = pop.r_thermal[idx] * pop.c_thermal[idx]
+    t = py_min(py_max(pop.t_in[idx], lo), hi)
+    partial = PartialPhases(
+        n=n,
+        idx=idx,
+        on=on,
+        rc=pop.r_thermal[idx] * pop.c_thermal[idx],
+        state_ratio=np.where(on, (on_from - t_eq_on) / (t - t_eq_on), (off_from - t_out) / (t - t_out)),
+    )
+    return partial, (on_from - t_eq_on) / (off_from - t_eq_on), (off_from - t_out) / (on_from - t_out)
+
+
+def phases_from_logs(p: PartialPhases, log_on: np.ndarray, log_off: np.ndarray) -> np.ndarray:
+    """The finishing pass of ``cycle_phases``, given libm's logs of the
+    on and off ratios that ``cycle_ratios`` returned with p."""
+    rc, on = p.rc, p.on
     tau_on = rc * log_on
     tau_off = rc * log_off
-    t = py_min(py_max(pop.t_in[idx], lo), hi)
-    ratio = np.where(on, (on_from - t_eq_on) / (t - t_eq_on), (off_from - t_out) / (t - t_out))
-    prog = rc * _libm_log(ratio) / np.where(on, tau_on, tau_off)
+    prog = rc * _libm_log(p.state_ratio) / np.where(on, tau_on, tau_off)
     prog = py_min(py_max(prog, 0.0), 1.0)
     duty = tau_on / (tau_on + tau_off)
-    phases = np.zeros(n)
-    phases[idx] = np.where(on, prog * duty, duty + prog * (1.0 - duty)) % 1.0
+    phases = np.zeros(p.n)
+    phases[p.idx] = np.where(on, prog * duty, duty + prog * (1.0 - duty)) % 1.0
     return phases
+
+
+def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
+    """cycle_phase of every house of a fleet, bit for bit, as array passes.
+
+    The same operations as ``_cycle`` and ``cycle_phase`` in the same
+    order, restricted to the houses that can cycle; the others get 0.0.
+    A run takes the same two passes with the setpoint-only logs taken in
+    its writer process, the same libm.
+    """
+    partial, on_ratio, off_ratio = cycle_ratios(pop, t_out)
+    return phases_from_logs(partial, _libm_log(on_ratio), _libm_log(off_ratio))
 
 
 def diversity_metric(

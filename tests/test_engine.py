@@ -22,6 +22,7 @@ from tgsim.thermal import (
     Population,
     ThermalParams,
     ThermostatConfig,
+    diversity_metric,
     state_from_phase,
     steady_duty,
 )
@@ -602,18 +603,19 @@ def test_diversity_is_sampled_once_per_market_interval_onto_markets_csv(tmp_path
     write_series_csv(temps, tmp_path / "temps.csv")
     cfg = dataclasses.replace(cfg, outdoor_temp_c="temps.csv")
     calls, bid_t_in = [], []
-    diversity_metric, fleet_bids = engine.diversity_metric, engine.fleet_bids
+    cycle_ratios, fleet_bids = engine.cycle_ratios, engine.fleet_bids
 
-    def recorded(pop, t_out, bounds=None):
-        divs = diversity_metric(pop, t_out, bounds)
-        calls.append((pop, t_out, bounds, pop.t_in.copy(), divs))
-        return divs
+    def recorded(pop, t_out):
+        # each sample's diversities from the in-process oracle, on the state
+        # and temperature its ratio pass reads
+        calls.append((pop, t_out, pop.t_in.copy(), diversity_metric(pop, t_out, sim.house_bounds)))
+        return cycle_ratios(pop, t_out)
 
     def recorded_bids(t_in, *args):
         bid_t_in.append(t_in.copy())
         return fleet_bids(t_in, *args)
 
-    monkeypatch.setattr(engine, "diversity_metric", recorded)
+    monkeypatch.setattr(engine, "cycle_ratios", recorded)
     monkeypatch.setattr(engine, "fleet_bids", recorded_bids)
     sim = SimulationRun(cfg, base_dir=tmp_path)
     run = sim.run(tmp_path / "run")
@@ -622,15 +624,15 @@ def test_diversity_is_sampled_once_per_market_interval_onto_markets_csv(tmp_path
     # one area pass per clearing and one for final_diversity, not one per
     # device tick
     assert len(calls) == len(intervals) + 1 < span // cfg.simulation.device_tick_s
-    for pop, _, bounds, _, _ in calls:
+    assert sim.house_bounds == [(0, 60), (60, 160)]
+    for pop, _, _, _ in calls:
         assert pop is sim.fleet
-        assert bounds == [(0, 60), (60, 160)]
-    *at_clearings, (_, t_out, _, _, (f2, f1)) = calls
+    *at_clearings, (_, t_out, _, (f2, f1)) = calls
     assert t_out == sim.t_out(span)
     assert run.summary["final_diversity"] == {"f2": f2, "f0": None, "f1": f1}
 
     rows = rows_of((run.out_dir / "markets.csv").read_bytes())
-    for k, (t, (_, t_out, _, t_in, (f2, f1))) in enumerate(zip(intervals, at_clearings, strict=True)):
+    for k, (t, (_, t_out, t_in, (f2, f1))) in enumerate(zip(intervals, at_clearings, strict=True)):
         assert t_out == sim.t_out(t) != sim.t_out(t + cfg.simulation.device_tick_s)
         # the state the interval's bids are built from, feeders in id order
         assert np.array_equal(np.concatenate(bid_t_in[3 * k:3 * k + 3]), np.r_[t_in[60:], t_in[:60]])
