@@ -16,11 +16,19 @@ Every settlement.csv row is one settle() record: each feeder buys its
 position, and its market maker (``{fid}__import``, paid net of the rent
 it keeps) and each discharging battery sell, with negative energies.
 
+Every file a run writes goes through one sink, ``_Artifacts``, which
+each phase takes in place of file handles. It opens the files and
+writes each table's header, takes events.jsonl's lines (``event``) and
+every table row (``row``, by one cell rule: floats as their repr, -0.0
+folded to 0.0), owns frequency.csv's writer process (``writer``), and
+ends with summary.json and the manifest of what it wrote. On exit, on
+success or error, it closes every file and waits for the writer.
+
 The loop steps over device ticks. After a tick's market and device
 phases, its balancing ticks run as one block (``_balancing_block``)
 that keeps the control state in locals and sends one record per tick
 to frequency.csv's writer. That writer is a second process
-(``frequency_writer``), started by run() and waited for before run()
+(``frequency_writer``), started by the sink and waited for before run()
 returns or raises: the rows' float text costs a long run about a third
 of its time, so it is formatted on a second core. Every house of the
 area lives in one ``Population``, drawn in feeder config order; each
@@ -127,24 +135,6 @@ from .thermal import (
     state_from_phase,
     steady_duty,
 )
-
-
-def _fmt(x: float) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # fold -0.0 so ledgers never show a signed zero
-    return repr(v)
-
-
-def _fmt_or_empty(x: float | None) -> str:
-    return "" if x is None else _fmt(x)
-
-
-_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def _event_line(record: dict) -> str:
-    return _EVENT_ENCODER.encode(record) + "\n"
 
 
 # Each pipe to the writer process is asked to hold 1 MB (Linux; elsewhere
@@ -276,6 +266,71 @@ class _WriterProcess:
             raise OSError(f"{self.path}: the row writer exited with status {status}")
 
 
+_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+# each table's header, in the order the tables are opened
+_TABLES = {
+    "markets.csv": "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,mode,reference_kw,scarcity_rent,"
+                   "diversity",
+    "load.csv": "t_s,load_kw,responsive_kw,base_kw,storage_kw,mean_t_in_c",
+    "settlement.csv": "interval,t_s,participant,role,da_energy_kwh,da_price,rt_deviation_kwh,rt_price,payment,"
+                      "scarcity_rent",
+    "houses.csv": "t_s,house_id,t_in_c,hvac_on,setpoint_c",  # with the house trace only
+}
+
+
+class _Artifacts:
+    """Every file of one run, in out_dir: events.jsonl, the tables of
+    _TABLES (houses.csv with the house trace only), frequency.csv through
+    ``writer``, and after the run summary.json and manifest.json. A
+    constructor that fails part-way closes what it had opened and waits
+    for the writer, as exit does.
+    """
+
+    def __init__(self, out_dir: Path, house_trace: bool):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.out_dir = out_dir
+        self.house_trace = house_trace
+        with ExitStack() as files:
+
+            def table(name: str, header: str):
+                fh = files.enter_context(open(out_dir / name, "w"))
+                fh.write(header + "\n")
+                return fh
+
+            self._events = files.enter_context(open(out_dir / "events.jsonl", "w"))
+            table("frequency.csv", frequency_writer.COLUMNS).close()
+            self.writer = files.enter_context(_WriterProcess(out_dir / "frequency.csv"))
+            self._tables = {name: table(name, header) for name, header in _TABLES.items()
+                            if house_trace or name != "houses.csv"}
+            self._files = files.pop_all()
+
+    def __enter__(self) -> _Artifacts:
+        return self
+
+    def __exit__(self, *exc):
+        return self._files.__exit__(*exc)
+
+    def event(self, record: dict) -> None:
+        self._events.write(_EVENT_ENCODER.encode(record) + "\n")
+
+    def row(self, table: str, *cells) -> None:
+        """Writes one line of a table, by the one cell rule: a float
+        (numpy's float64 too) is its repr, with -0.0 folded to 0.0 so
+        ledgers never show a signed zero; None is empty; anything else,
+        such as text or an int, is its str."""
+        self._tables[table].write(",".join([repr(float(x) + 0.0) if isinstance(x, float) else "" if x is None
+                                            else str(x) for x in cells]) + "\n")
+
+    def write_summary(self, summary: dict, manifest: dict) -> dict:
+        """Writes summary.json, then manifest.json with the list of the
+        run's other files; returns the manifest."""
+        manifest = dict(manifest, files=sorted(["events.jsonl", "frequency.csv", "summary.json", *self._tables]))
+        for name, doc in (("summary.json", summary), ("manifest.json", manifest)):
+            (self.out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return manifest
+
+
 def _fill_of(fills: np.ndarray, column: np.ndarray, key) -> float:
     """Fill of the order whose entry in a curve's column is key, else 0.0."""
     hit = np.flatnonzero(column[: len(fills)] == key)
@@ -363,6 +418,7 @@ class SimulationRun:
         self._buyer_paid = 0.0
         self._seller_received = 0.0
         self._rent_total = 0.0
+        self.feeder_prices: dict[str, list[float]] = {fid: [] for fid in self.feeders}  # in clearing order
 
     # ------------------------------------------------------------------
     # construction
@@ -487,7 +543,7 @@ class SimulationRun:
             forecasts[fid] = Bids(price[step], quantity[step], fs.forecast_rank[step])
         return forecasts
 
-    def _start_day(self, t: int, day: int, emit) -> list[HourEntry]:
+    def _start_day(self, t: int, day: int, out: _Artifacts) -> list[HourEntry]:
         """The day-ahead cycle, run once at each day boundary.
 
         Hour by hour, forecasts the hour (bootstrap on day 0, then the
@@ -509,7 +565,7 @@ class SimulationRun:
                 forecasts, self.da_price_for_hour(day * self.hours_per_day + h), area.renewables_price,
                 area.renewables_capacity_mw * 1000.0, area.bulk_capacity_mw * 1000.0, mkt.price_floor, mkt.price_cap,
             ))
-        emit({"t": t, "type": "schedule", "day": day, "prices": [e.price for e in sched]})
+        out.event({"t": t, "type": "schedule", "day": day, "prices": [e.price for e in sched]})
         keep = (day + 1) * 86400 < self.cfg.simulation.span_s  # a later day reads today's spans
         self.day_curves = [{fid: [] for fid in sorted(self.feeders)} for _ in hours] if keep else []
         return sched
@@ -521,42 +577,12 @@ class SimulationRun:
     def run(self, out_dir: Path) -> RunArtifacts:
         cfg = self.cfg
         sim = cfg.simulation
-        area = cfg.area
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-        prices_seen: list[float] = []
         peak_load = 0.0
         energy_kwh = 0.0
         ufls_events = 0
         ufls_total_kw = 0.0
-        feeder_prices: dict[str, list[float]] = {fid: [] for fid in self.feeders}
-        written = {"events.jsonl", "summary.json"}  # the manifest lists only what this run wrote
 
-        with ExitStack() as files:
-
-            def table(name: str, header: str):
-                written.add(name)
-                fh = files.enter_context(open(out_dir / name, "w"))
-                fh.write(header + "\n")
-                return fh
-
-            events = files.enter_context(open(out_dir / "events.jsonl", "w"))
-            table("frequency.csv", "t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,"
-                  "reg_to_aggregators_mw,reg_to_generators_mw,ufls_shed_kw,time_error_s").close()
-            writer = files.enter_context(_WriterProcess(out_dir / "frequency.csv"))
-            markets = table("markets.csv", "t_s,market_id,price,quantity_kw,n_buy_orders,n_sell_orders,"
-                            "mode,reference_kw,scarcity_rent,diversity")
-            load = table("load.csv", "t_s,load_kw,responsive_kw,base_kw,storage_kw,mean_t_in_c")
-            settlement = table("settlement.csv", "interval,t_s,participant,role,da_energy_kwh,da_price,"
-                               "rt_deviation_kwh,rt_price,payment,scarcity_rent")
-            houses = None
-            if cfg.house_trace:
-                houses = table("houses.csv", "t_s,house_id,t_in_c,hvac_on,setpoint_c")
-
-            def emit(record: dict) -> None:
-                events.write(_event_line(record))
-
+        with _Artifacts(Path(out_dir), cfg.house_trace) as out:
             for k in range(sim.span_s // sim.device_tick_s):
                 t = k * sim.device_tick_s
                 day = t // 86400
@@ -564,7 +590,7 @@ class SimulationRun:
                 interval_index = t // sim.market_interval_s
 
                 if t % 86400 == 0:
-                    sched = self._start_day(t, day, emit)
+                    sched = self._start_day(t, day, out)
                 if t % sim.schedule_interval_s == 0:
                     entry = sched[hour_of_day]
                     bulk_price = self.da_price_for_hour(day * self.hours_per_day + hour_of_day)
@@ -574,25 +600,23 @@ class SimulationRun:
 
                 at_boundary = t % sim.market_interval_s == 0
                 if at_boundary:
-                    self._market_phase(
-                        t, interval_index, hour_of_day, entry, bulk_price, anchor, emit, events,
-                        markets, settlement, prices_seen, feeder_prices, writer,
-                    )
+                    self._market_phase(t, interval_index, hour_of_day, entry, bulk_price, anchor, out)
 
-                total_kw = self._device_phase(t, at_boundary, load, houses)
+                total_kw = self._device_phase(t, at_boundary, out)
                 peak_load = max(peak_load, total_kw)
                 energy_kwh += total_kw * (sim.device_tick_s / 3600.0)
 
-                for shed_kw in self._balancing_block(t, writer, emit):
+                for shed_kw in self._balancing_block(t, out):
                     ufls_events += 1
                     ufls_total_kw += shed_kw
 
             final_div: dict[str, float | None] = {}
-            self._request_diversity(writer, sim.span_s, final_div.update)
+            self._request_diversity(out.writer, sim.span_s, final_div.update)
             # the one wait on the writer: the last markets.csv rows and final_div
-            writer.finish()
+            out.writer.finish()
 
-        freq_nom = area.freq_nominal_hz
+        # every clearing price in clearing order: interval by interval, feeders sorted
+        prices_seen = [p for ps in zip(*(self.feeder_prices[fid] for fid in sorted(self.feeders))) for p in ps]
         price_mean = (left_sum(prices_seen) / len(prices_seen)) if prices_seen else None
         price_sigma = None
         if prices_seen:
@@ -610,12 +634,12 @@ class SimulationRun:
             "price_cap": cfg.market.price_cap,
             "price_alternations": {
                 fid: report.price_alternations(series, cfg.market.price_floor, cfg.market.price_cap)
-                for fid, series in feeder_prices.items()
+                for fid, series in self.feeder_prices.items()
             },
             "ufls_events": ufls_events,
             "ufls_total_kw": ufls_total_kw,
             "final_diversity": final_div,
-            "final_freq_hz": freq_nom + self.delta_f,
+            "final_freq_hz": cfg.area.freq_nominal_hz + self.delta_f,
             "time_error_s": self.time_error_s,
             "settlement": {
                 "buyer_payments": self._buyer_paid,
@@ -624,18 +648,10 @@ class SimulationRun:
                 "residual": self._buyer_paid - self._seller_received - self._rent_total,
             },
         }
-
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        manifest = {
-            "config_sha256": cfg.config_hash(),
-            "seed": cfg.seed,
-            "span_s": sim.span_s,
-            "start": sim.start.isoformat(),
-            "version": __version__,
-            "files": sorted(written),
-        }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return RunArtifacts(out_dir=out_dir, manifest=manifest, summary=summary)
+        manifest = out.write_summary(summary, {"config_sha256": cfg.config_hash(), "seed": cfg.seed,
+                                               "span_s": sim.span_s, "start": sim.start.isoformat(),
+                                               "version": __version__})
+        return RunArtifacts(out_dir=out.out_dir, manifest=manifest, summary=summary)
 
     def _request_diversity(self, writer: _WriterProcess, t_s: float, then) -> None:
         """Samples each feeder's diversity at t_s from one phase pass over
@@ -656,16 +672,14 @@ class SimulationRun:
     # phases
     # ------------------------------------------------------------------
 
-    def _market_phase(
-        self, t, interval_index, hour_of_day, entry: HourEntry, bulk_price, anchor, emit, events,
-        markets, settlement, prices_seen, feeder_prices, writer: _WriterProcess,
-    ) -> None:
+    def _market_phase(self, t, interval_index, hour_of_day, entry: HourEntry, bulk_price, anchor,
+                      out: _Artifacts) -> None:
         cfg = self.cfg
         mkt = cfg.market
         area = cfg.area
         interval_h = cfg.simulation.market_interval_s / 3600.0
         demand_curves = {}
-        rows = []  # (feeder id, its markets.csv row up to the diversity)
+        rows = []  # each feeder's markets.csv cells up to the diversity
 
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
@@ -683,13 +697,10 @@ class SimulationRun:
                 for order in storage_bids(placement.spec, self.soc_kwh[placement.spec.device_id]):
                     (bids if order.side == SIDE_BUY else sells).append(order)
 
-            events.write(
-                _event_line(_house_bids_digest(t, fid, prices, quantities, mkt.price_cap)) + "".join(
-                    _event_line({"t": t, "type": "bid", "market": fid, "order": order.order_id,
-                                 "side": order.side, "price": order.price, "quantity": order.quantity})
-                    for order in bids + sells
-                )
-            )
+            out.event(_house_bids_digest(t, fid, prices, quantities, mkt.price_cap))
+            for order in bids + sells:
+                out.event({"t": t, "type": "bid", "market": fid, "order": order.order_id,
+                           "side": order.side, "price": order.price, "quantity": order.quantity})
 
             demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, fs.house_rank[idx]))
             supply_spec = FeederSupplySpec(
@@ -708,11 +719,10 @@ class SimulationRun:
             n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
             sold = zip(supply.rank[:n_sells].tolist(), result.sell_fills.tolist())
             fs.import_kw = left_sum(fill for rank, fill in sold if rank in self.ranks.market_maker)
-            emit({"t": t, "type": "clearing", "market": fid, "price": result.price,
-                  "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
-                  "marginal": result.marginal_order})
-            prices_seen.append(result.price)
-            feeder_prices[fid].append(result.price)
+            out.event({"t": t, "type": "clearing", "market": fid, "price": result.price,
+                       "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
+                       "marginal": result.marginal_order})
+            self.feeder_prices[fid].append(result.price)
 
             # price response: setpoints move along the inverted bid line
             fs.market_setpoint[:] = fleet_setpoints(
@@ -730,16 +740,16 @@ class SimulationRun:
                 )
                 fs.storage_net_kw += charge - discharge
                 if discharge > 0:
-                    self._settle_row(settlement, t, "seller", settle(
+                    self._settle_row(out, t, "seller", settle(
                         sid, interval_index, 0.0, entry.price, -discharge * interval_h, result.price))
 
             # two-settlement rows: the feeder buys its position, the market
             # maker sells it and keeps the rent
             sched_kw = entry.feeder_kw[fid]
             pos_kwh = sched_kw * interval_h
-            self._settle_row(settlement, t, "buyer", settle(
+            self._settle_row(out, t, "buyer", settle(
                 fid, interval_index, pos_kwh, entry.price, result.quantity * interval_h, result.price))
-            self._settle_row(settlement, t, "seller", settle(
+            self._settle_row(out, t, "seller", settle(
                 f"{fid}__import", interval_index, -pos_kwh, entry.price, -(fs.import_kw * interval_h),
                 result.price), rent * interval_h)
 
@@ -749,8 +759,7 @@ class SimulationRun:
             balance_kw = sched_kw + fs.reg_share * self.reg_agg_mw * 1000.0
             ref = feeder_reference(result.quantity, balance_kw, fspec.weight_normal,
                                    fspec.weight_contingency, mode)
-            rows.append((fid, f"{t},{fid},{_fmt(result.price)},{_fmt(result.quantity)},"
-                              f"{n_buys},{n_sells},{mode},{_fmt(ref)},{_fmt(rent)},"))
+            rows.append((t, fid, result.price, result.quantity, n_buys, n_sells, mode, ref, rent))
             fs.stats.observe(result.price)
 
         # area-level aggregation, recorded for reporting
@@ -764,26 +773,26 @@ class SimulationRun:
             mkt.price_floor,
             mkt.price_cap,
         )
-        emit({"t": t, "type": "area_clearing", "price": area_result.price,
-              "quantity": area_result.quantity})
-        area_row = (f"{t},__area,{_fmt(area_result.price)},{_fmt(area_result.quantity)},"
-                    f"{len(merged)},2,normal,{_fmt(area_result.quantity)},{_fmt(0.0)},")
+        out.event({"t": t, "type": "area_clearing", "price": area_result.price,
+                   "quantity": area_result.quantity})
+        area_row = (t, "__area", area_result.price, area_result.quantity, len(merged), 2, "normal",
+                    area_result.quantity, 0.0)
 
         def write_rows(diversity: dict[str, float | None]) -> None:
             # the area mean over the feeders that have houses, folded in config order
             with_houses = [d for d in diversity.values() if d is not None]
-            area_div = left_sum(with_houses) / len(with_houses) if with_houses else None
-            markets.write("".join(f"{row}{_fmt_or_empty(diversity[fid])}\n" for fid, row in rows)
-                          + f"{area_row}{_fmt_or_empty(area_div)}\n")
+            for row in rows:
+                out.row("markets.csv", *row, diversity[row[1]])
+            out.row("markets.csv", *area_row, left_sum(with_houses) / len(with_houses) if with_houses else None)
 
         # The market phase moves no house, so this samples the state the
         # bids were built from. It comes after the curves the day store
         # keeps, so its arrays, which wait for the writer, leave no gap
         # among them in memory. The rows wait for it; later intervals'
         # rows follow them.
-        self._request_diversity(writer, t, write_rows)
+        self._request_diversity(out.writer, t, write_rows)
 
-    def _settle_row(self, settlement, t: int, role: str, rec: SettlementRecord, rent_kwh: float = 0.0) -> None:
+    def _settle_row(self, out: _Artifacts, t: int, role: str, rec: SettlementRecord, rent_kwh: float = 0.0) -> None:
         """Writes one settlement.csv row from a settle() record and folds it
         into the run's totals. A seller's energies are negative; its
         payment is net of the rent it keeps."""
@@ -793,11 +802,10 @@ class SimulationRun:
         else:
             self._seller_received -= payment
         self._rent_total += rent_kwh
-        amounts = (rec.da_energy_kwh, rec.da_price, rec.rt_deviation_kwh, rec.rt_price, payment, rent_kwh)
-        settlement.write(f"{rec.interval_index},{t},{rec.participant},{role},"
-                         + ",".join(map(_fmt, amounts)) + "\n")
+        out.row("settlement.csv", rec.interval_index, t, rec.participant, role, rec.da_energy_kwh, rec.da_price,
+                rec.rt_deviation_kwh, rec.rt_price, payment, rent_kwh)
 
-    def _device_phase(self, t, at_boundary: bool, load, houses) -> float:
+    def _device_phase(self, t, at_boundary: bool, out: _Artifacts) -> float:
         sim = self.cfg.simulation
         fleet = self.fleet
         mean_t = 0.0
@@ -818,19 +826,15 @@ class SimulationRun:
             resp += fs.house_power_kw
             base += fs.spec.base_load_kw
             storage_net += fs.storage_net_kw
-            if houses is not None:
-                for i, hid in enumerate(fs.pop.ids):
-                    houses.write(
-                        f"{t},{hid},{_fmt(fs.pop.t_in[i])},{int(fs.pop.hvac_on[i])},"
-                        f"{_fmt(fs.pop.setpoint[i])}\n"
-                    )
+            if out.house_trace:
+                pop = fs.pop
+                for house in zip(pop.ids, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.setpoint.tolist()):
+                    out.row("houses.csv", t, *house)
         total = resp + base + storage_net
-        load.write(
-            f"{t},{_fmt(total)},{_fmt(resp)},{_fmt(base)},{_fmt(storage_net)},{_fmt(mean_t)}\n"
-        )
+        out.row("load.csv", t, total, resp, base, storage_net, mean_t)
         return total
 
-    def _balancing_block(self, t0: int, writer: _WriterProcess, emit) -> list[float]:
+    def _balancing_block(self, t0: int, out: _Artifacts) -> list[float]:
         """Every balancing tick of the device tick that starts at t0.
 
         Each step advances the swing, the time error, the control error
@@ -908,7 +912,7 @@ class SimulationRun:
             if freq < threshold:
                 above_since = None
                 if any(fs.armed_closed for fs in feeders):
-                    shed_kw = self._shed(t, freq, emit)
+                    shed_kw = self._shed(t, freq, out)
                     if shed_kw > 0:
                         sheds.append(shed_kw)
                         load_mw = None
@@ -920,13 +924,13 @@ class SimulationRun:
                     for fs in feeders:
                         fs.armed_closed = len(fs.armed_idx)
                     self.relays_held = False
-                    emit({"t": t, "type": "ufls_release"})
+                    out.event({"t": t, "type": "ufls_release"})
 
-            # one frequency_writer record; + 0.0 folds -0.0 to 0.0, as _fmt does
+            # one frequency_writer record; + 0.0 folds -0.0 to 0.0, as _Artifacts.row does
             records.extend((t, freq + 0.0, delta_f + 0.0, ace_raw + 0.0, ace_filtered + 0.0,
                             to_agg + 0.0, reg_gen_mw + 0.0, shed_kw + 0.0, time_error_s + 0.0))
 
-        writer.send_records(records)
+        out.writer.send_records(records)
         self.delta_f = delta_f
         self.time_error_s = time_error_s
         self.ace_filtered = ace_filtered
@@ -937,7 +941,7 @@ class SimulationRun:
         self._apply_aggregator_command(to_agg)
         return sheds
 
-    def _shed(self, t: int, freq: float, emit) -> float:
+    def _shed(self, t: int, freq: float, out: _Artifacts) -> float:
         """One shedding draw over every feeder's armed, unlatched houses.
 
         A feeder with no such house is skipped: its draw would be over no
@@ -965,8 +969,7 @@ class SimulationRun:
         if n_shed:
             self.relays_held = True
             self.last_shed_t = t
-            emit({"t": t, "type": "ufls", "freq_hz": freq, "count": n_shed,
-                  "shed_kw": shed_kw})
+            out.event({"t": t, "type": "ufls", "freq_hz": freq, "count": n_shed, "shed_kw": shed_kw})
         return shed_kw
 
     def _apply_aggregator_command(self, to_agg_mw: float) -> None:

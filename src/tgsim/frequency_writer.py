@@ -18,8 +18,8 @@ doubles:
       t, freq, delta_f, ace_raw, ace_filtered, to_agg, reg_gen, shed_kw, time_error
 
   with every float already folded by ``+ 0.0`` (no signed zero) and t
-  a whole number of seconds. Their rows are appended to the file, whose
-  header the engine wrote.
+  a whole number of seconds. Their rows are appended to the file, which
+  holds only its header, ``COLUMNS``, when this process starts.
 - ``LOGS``: ratios. The reply, on stdout, is ``math.log`` of each, count
   native doubles with no header; replies come in request order.
 
@@ -35,6 +35,9 @@ import struct
 import sys
 from array import array
 
+# frequency.csv's header: the names of a record's fields, in order
+COLUMNS = ("t_s,freq_hz,delta_f_hz,ace_raw_mw,ace_filtered_mw,reg_to_aggregators_mw,reg_to_generators_mw,"
+           "ufls_shed_kw,time_error_s")
 FIELDS = 9
 DOUBLE_BYTES = array("d").itemsize
 HEADER = struct.Struct("=II")  # kind, count of doubles that follow

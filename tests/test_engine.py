@@ -576,9 +576,9 @@ def test_closed_relay_counts_stay_exact_and_draws_resume_after_the_release(tmp_p
 
     balancing_block = sim._balancing_block
 
-    def checked(t0, frequency, emit):
+    def checked(t0, out):
         block_t0.append(t0)
-        sheds = balancing_block(t0, frequency, emit)
+        sheds = balancing_block(t0, out)
         for fid, fs in sim.feeders.items():
             closed = np.count_nonzero(fs.pop.latched[fs.armed_idx] == 0)
             assert fs.armed_closed == closed, (t0, fid)

@@ -1,6 +1,7 @@
 """The run's writer process: its row bytes, its log replies and its lifetime."""
 
 import dataclasses
+import gc
 import math
 import os
 import signal
@@ -44,6 +45,13 @@ def test_rows_match_the_in_process_format_byte_for_byte():
     text = frequency_writer.format_rows(records_of(rows))
     assert text == "".join(reference_row(t, values) for t, values in rows)
     assert "-0.0" not in text
+
+
+def test_the_header_names_each_field_of_a_row():
+    names = frequency_writer.COLUMNS.split(",")
+    assert len(set(names)) == len(names) == frequency_writer.FIELDS
+    (row,) = frequency_writer.format_rows(records_of([(4, (0.5,) * 8)])).splitlines()
+    assert len(row.split(",")) == len(names)
 
 
 def frame(kind: int, values) -> bytes:
@@ -171,6 +179,22 @@ def test_a_killed_writer_fails_the_run(tmp_path, writers, monkeypatch):
     assert_reaped(writers[0], -signal.SIGKILL)
 
 
+def test_a_table_that_cannot_be_opened_unwinds_what_the_run_opened(tmp_path, writers):
+    out = tmp_path / "run"
+    (out / "load.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        SimulationRun(null_day(), base_dir=SCENARIO_DIR).run(out)
+    # opened before load.csv: events.jsonl, frequency.csv, its writer and markets.csv
+    (writer,) = writers
+    assert_reaped(writer, 0)
+    assert writer.stdin.closed and writer.stdout.closed
+    assert (out / "frequency.csv").read_text() == frequency_writer.COLUMNS + "\n"
+    assert (out / "events.jsonl").read_text() == ""
+    assert not (out / "manifest.json").exists()
+    # a file left open would warn as it is collected, and the suite makes that an error
+    gc.collect()
+
+
 # The lifecycle cases below run in a fresh interpreter with a timeout, so
 # a pipe deadlock fails the test instead of hanging the suite.
 PRELUDE = '''
@@ -227,7 +251,7 @@ def market_phase_at(interval, action):
     def wrapped(self, t, interval_index, *args):
         market_phase(self, t, interval_index, *args)
         if interval_index == interval:
-            writer = args[-1]
+            writer = args[-1].writer
             assert writer._waiting, "no reply is outstanding"
             action(writer)
 
