@@ -98,6 +98,13 @@ class FeederSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class UflsSpec:
+    """Underfrequency load shedding.
+
+    Each feeder arms the ceiling of ``armed_fraction`` times its houses,
+    counted on the fraction as written, not on its binary float: 0.07 of
+    100 houses arms 7, though ``0.07 * 100`` is 7.000000000000001.
+    """
+
     threshold_hz: float = 59.95
     probability: float = 0.0
     armed_fraction: float = 0.0

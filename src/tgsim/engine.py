@@ -76,6 +76,7 @@ from array import array
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -103,7 +104,7 @@ from .bidding import (
     storage_bids,
 )
 from .config import ScenarioConfig, StoragePlacement, read_outdoor_series
-from .fold import array_sum, left_sum
+from .fold import array_sum, left_sum, libm_exp
 from .frequency import (
     nerc_ace,
     regulation_command,
@@ -132,7 +133,7 @@ from .thermal import (
     cycle_ratios,
     diversity_from_phases,
     phases_from_logs,
-    state_from_phase,
+    states_from_phases,
     steady_duty,
 )
 
@@ -448,30 +449,41 @@ class SimulationRun:
 
     def _build_feeders(self) -> None:
         """Draws every house, feeder by feeder in config order, into one
-        area fleet, and gives each feeder its run of that fleet."""
+        area fleet, and gives each feeder its run of that fleet.
+
+        Only the draws go house by house: each house takes
+        ``standard_normal(3)``, then ``random()``, from the population
+        stream. numpy's normal sampler takes a varying number of words
+        from the stream per value, so where a house's uniform sits in the
+        stream is known only once its normals are drawn, and no batched
+        draw gives the same values. The rest are array passes over the
+        fleet, with libm's exp and log as the per-house formulas
+        (``state_from_phase`` among them) take them, so the fleet is the
+        same bit for bit.
+        """
         cfgp = self.cfg.population
-        sigma_rc = math.log1p(cfgp.spread)
-        sigma_k = math.log1p(cfgp.comfort_k_spread)
-        t0 = self.t_out(0.0)
-        ids, params, states, ks = [], [], [], []
-        bounds = []
+        ids, bounds = [], []
         for fspec in self.cfg.feeders:
-            lo = len(ids)
-            for j in range(fspec.houses):
-                z = self.rng_pop.standard_normal(3)
-                u = self.rng_pop.random()
-                r = cfgp.r_median * math.exp(sigma_rc * z[0])
-                c = cfgp.c_median * math.exp(sigma_rc * z[1])
-                k = cfgp.comfort_k * math.exp(sigma_k * z[2]) if cfgp.comfort_k > 0 else 0.0
-                par = ThermalParams(r_thermal=r, c_thermal=c, q_hvac=cfgp.q_hvac, p_rated=cfgp.p_rated)
-                phase = u if cfgp.initial == "steady" else 0.0
-                st = state_from_phase(phase, par, self.thermostat, t0)
-                ids.append(f"{fspec.feeder_id}_h{j:04d}")
-                params.append(par)
-                states.append(st)
-                ks.append(k)
-            bounds.append((lo, len(ids)))
-        self.fleet = fleet = Population(ids, params, self.thermostat, states, ks)
+            fid = fspec.feeder_id
+            bounds.append((len(ids), len(ids) + fspec.houses))
+            ids += [f"{fid}_h{j:04d}" for j in range(fspec.houses)]
+        n = len(ids)
+        z, u = np.empty((n, 3)), [0.0] * n
+        normal, uniform = self.rng_pop.standard_normal, self.rng_pop.random
+        for i, row in enumerate(z):
+            normal(out=row)
+            u[i] = uniform()
+        sigma_rc = math.log1p(cfgp.spread)
+        r = cfgp.r_median * libm_exp(sigma_rc * z[:, 0])
+        c = cfgp.c_median * libm_exp(sigma_rc * z[:, 1])
+        if cfgp.comfort_k > 0:
+            k = cfgp.comfort_k * libm_exp(math.log1p(cfgp.comfort_k_spread) * z[:, 2])
+        else:
+            k = np.zeros(n)
+        phases = np.array(u) if cfgp.initial == "steady" else np.zeros(n)
+        t_in, hvac_on = states_from_phases(phases, r, c, cfgp.q_hvac, self.thermostat, self.t_out(0.0))
+        self.fleet = fleet = Population.from_arrays(
+            ids, self.thermostat, r, c, np.full(n, cfgp.q_hvac), np.full(n, cfgp.p_rated), k, t_in, hvac_on)
         self.market_setpoint = fleet.setpoint.copy()
         self.reg_offset = np.zeros(len(fleet))
         # the runs of houses that have a diversity, in feeder config order
@@ -479,7 +491,7 @@ class SimulationRun:
         self.feeders: dict[str, _FeederState] = {}
         for fspec, (lo, hi) in zip(self.cfg.feeders, bounds):
             pop = fleet.houses(lo, hi)
-            n_armed = math.ceil(self.cfg.area.ufls.armed_fraction * fspec.houses)
+            n_armed = math.ceil(Fraction(repr(self.cfg.area.ufls.armed_fraction)) * fspec.houses)
             fs = _FeederState(
                 spec=fspec,
                 pop=pop,

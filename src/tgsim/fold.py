@@ -9,10 +9,14 @@ or ``array_sum`` for a float64 array (``np.sum`` adds pairwise).
 ``py_max`` and ``py_min`` are the builtin ``max``/``min`` of two
 operands, elementwise, so an array pass over a fleet breaks ties (such
 as 0.0 against -0.0) exactly as the scalar formula it restates.
+``libm_exp`` and ``libm_log`` are ``math.exp`` and ``math.log``
+elementwise: ``np.exp`` and ``np.log`` follow the host's SIMD level and
+can differ from libm in the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -41,3 +45,13 @@ def py_max(a, b) -> np.ndarray:
 def py_min(a, b) -> np.ndarray:
     """min(a, b) elementwise: a unless b is strictly smaller."""
     return np.where(b < a, b, a)
+
+
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each element of a float64 array."""
+    return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def libm_log(x: np.ndarray) -> np.ndarray:
+    """math.log of each element of a float64 array."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))

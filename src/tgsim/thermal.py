@@ -29,9 +29,11 @@ exist to reproduce.
 The steady on/off cycle between two band edges (the population-state
 view of load diversity) is stated once, in ``_cycle``, for both modes.
 ``cycle_phase``, ``state_from_phase`` and ``steady_duty`` read their
-geometry from it; ``cycle_phases`` restates it as array passes over a
-fleet (a ratio pass and a finishing pass around the logs), and tests
-pin it to ``cycle_phase`` bit for bit.
+geometry from it. Two functions restate it as array passes over a fleet,
+with libm's logs and exps, and tests pin each to its scalar form bit for
+bit: ``cycle_phases`` (a ratio pass and a finishing pass around the
+logs) restates ``cycle_phase``, and ``states_from_phases``, which sets
+a fleet's initial state, restates ``state_from_phase``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fold import array_sum, left_sum, py_max, py_min
+from .fold import array_sum, left_sum, libm_exp, libm_log, py_max, py_min
 
 MODE_COOLING = "cooling"
 MODE_HEATING = "heating"
@@ -183,6 +185,11 @@ class Population:
     steps the whole fleet at once. The scalar functions above are the
     oracles for that array tick; tests pin it to them bit for bit.
 
+    ``from_arrays`` is the one way in: it takes one array per house
+    field and checks them as ``ThermalParams`` checks one house.
+    ``Population(ids, params, cfg, states, comfort_k)`` turns per-house
+    rows into those arrays, for tests and hand-built fleets.
+
     ``houses(lo, hi)`` gives a contiguous run of houses as a Population
     whose arrays are views of this one's, so a part and its whole read
     and write the same houses.
@@ -199,22 +206,43 @@ class Population:
         states: Sequence[HouseState],
         comfort_k: Sequence[float],
     ) -> None:
-        n = len(ids)
-        if not (len(params) == len(states) == len(comfort_k) == n):
-            raise ValueError("population arrays must align")
+        self._fill(
+            ids, cfg,
+            [p.r_thermal for p in params], [p.c_thermal for p in params],
+            [p.q_hvac for p in params], [p.p_rated for p in params],
+            comfort_k, [s.t_in for s in states], [s.hvac_on for s in states],
+        )
+
+    @classmethod
+    def from_arrays(cls, ids: Sequence[str], cfg: ThermostatConfig, r_thermal, c_thermal, q_hvac, p_rated,
+                    comfort_k, t_in, hvac_on) -> Population:
+        """A fleet from one array (or sequence) per house field, in house
+        order; ``hvac_on`` is truth values."""
+        pop = cls.__new__(cls)
+        pop._fill(ids, cfg, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in, hvac_on)
+        return pop
+
+    def _fill(self, ids, cfg, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in, hvac_on) -> None:
         self.ids = list(ids)
         self.cfg = cfg
-        self.r_thermal = np.array([p.r_thermal for p in params], dtype=np.float64)
-        self.c_thermal = np.array([p.c_thermal for p in params], dtype=np.float64)
-        self.q_hvac = np.array([p.q_hvac for p in params], dtype=np.float64)
-        self.p_rated = np.array([p.p_rated for p in params], dtype=np.float64)
+        self.r_thermal = np.array(r_thermal, dtype=np.float64)
+        self.c_thermal = np.array(c_thermal, dtype=np.float64)
+        self.q_hvac = np.array(q_hvac, dtype=np.float64)
+        self.p_rated = np.array(p_rated, dtype=np.float64)
+        self.comfort_k = np.array(comfort_k, dtype=np.float64)
+        self.t_in = np.array(t_in, dtype=np.float64)
+        self.hvac_on = np.array(hvac_on, dtype=bool).astype(np.uint8)
+        n = len(self.ids)
         # starts at cfg.setpoint; price response and regulation move it
         self.setpoint = np.full(n, cfg.setpoint, dtype=np.float64)
-        self.comfort_k = np.array(comfort_k, dtype=np.float64)
-        self.t_in = np.array([s.t_in for s in states], dtype=np.float64)
-        self.hvac_on = np.array([1 if s.hvac_on else 0 for s in states], dtype=np.uint8)
         # forced-off latch used by underfrequency shedding
         self.latched = np.zeros(n, dtype=np.uint8)
+        if any(getattr(self, name).shape != (n,) for name in self._ARRAYS):
+            raise ValueError("population arrays must align")
+        if not ((self.r_thermal > 0).all() and (self.c_thermal > 0).all()):
+            raise ValueError("r_thermal and c_thermal must be positive")
+        if not (self.p_rated > 0).all():
+            raise ValueError("p_rated must be positive")
         # per-house exp(-h / (R * C)) for the tick length _decay_h;
         # valid because r_thermal and c_thermal never change
         self._decay_h: float | None = None
@@ -265,7 +293,7 @@ class Population:
         if self._decay_h != h:
             # libm exp, as in step_house: np.exp can differ in the last bit
             rate = -h / (self.r_thermal * self.c_thermal)
-            self._decay = np.array([math.exp(x) for x in rate.tolist()], dtype=np.float64)
+            self._decay = libm_exp(rate)
             self._decay_h = h
         t_eq = t_out + np.where(on, self.q_hvac, 0.0) * self.r_thermal
         t[:] = t_eq + (t - t_eq) * self._decay
@@ -383,6 +411,46 @@ def state_from_phase(
     return HouseState(t_in=t, hvac_on=False)
 
 
+def states_from_phases(
+    phases: np.ndarray, r_thermal: np.ndarray, c_thermal: np.ndarray, q_hvac, cfg: ThermostatConfig, t_out: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """state_from_phase of every house of a fleet, bit for bit, as array passes.
+
+    Takes float64 arrays of each house's phase and thermal constants
+    (``q_hvac`` may be one value for all) and returns the (t_in,
+    hvac_on) arrays. The same
+    operations as ``_cycle`` and ``state_from_phase`` in the same order,
+    with libm's logs and exps, restricted to the houses that can cycle;
+    the others sit mid-band with the unit off.
+    """
+    phases = np.where((0.0 <= phases) & (phases < 1.0), phases, phases % 1.0)
+    cooling, lo, hi = _cycle_band(cfg)
+    t_eq_on = t_out + q_hvac * r_thermal
+    if cooling:
+        cycles = (t_eq_on < lo) & (t_out > hi)
+        on_from, off_from = hi, lo
+    else:
+        cycles = (t_eq_on > hi) & (t_out < lo)
+        on_from, off_from = lo, hi
+    t_in = np.full(len(phases), (lo + hi) / 2.0)
+    hvac_on = np.zeros(len(phases), dtype=bool)
+    idx = np.flatnonzero(cycles)
+    if not len(idx):
+        return t_in, hvac_on
+    t_eq_on, phase = t_eq_on[idx], phases[idx]
+    rc = r_thermal[idx] * c_thermal[idx]
+    tau_on = rc * libm_log((on_from - t_eq_on) / (off_from - t_eq_on))
+    # the off run's log depends on the band and t_out alone
+    tau_off = rc * math.log((off_from - t_out) / (on_from - t_out))
+    duty = tau_on / (tau_on + tau_off)
+    on = phase < duty
+    elapsed = np.where(on, phase, phase - duty) / np.where(on, duty, 1.0 - duty) * np.where(on, tau_on, tau_off)
+    base = np.where(on, t_eq_on, t_out)
+    t_in[idx] = base + (np.where(on, on_from, off_from) - base) * libm_exp(-elapsed / rc)
+    hvac_on[idx] = on
+    return t_in, hvac_on
+
+
 def steady_duty(params: ThermalParams, cfg: ThermostatConfig, t_out: float) -> float:
     """Fraction of time the equipment runs in steady cycling.
 
@@ -409,11 +477,6 @@ def diversity_from_phases(phases: Iterable[float]) -> float:
         raise ValueError("no phases given")
     zs = np.exp(2j * np.pi * phases)
     return float(1.0 - abs(zs.mean()))
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """math.log elementwise; np.log can differ from it in the last bit."""
-    return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))
 
 
 @dataclass(frozen=True)
@@ -475,7 +538,7 @@ def phases_from_logs(p: PartialPhases, log_on: np.ndarray, log_off: np.ndarray) 
     rc, on = p.rc, p.on
     tau_on = rc * log_on
     tau_off = rc * log_off
-    prog = rc * _libm_log(p.state_ratio) / np.where(on, tau_on, tau_off)
+    prog = rc * libm_log(p.state_ratio) / np.where(on, tau_on, tau_off)
     prog = py_min(py_max(prog, 0.0), 1.0)
     duty = tau_on / (tau_on + tau_off)
     phases = np.zeros(p.n)
@@ -492,7 +555,7 @@ def cycle_phases(pop: Population, t_out: float) -> np.ndarray:
     its writer process, the same libm.
     """
     partial, on_ratio, off_ratio = cycle_ratios(pop, t_out)
-    return phases_from_logs(partial, _libm_log(on_ratio), _libm_log(off_ratio))
+    return phases_from_logs(partial, libm_log(on_ratio), libm_log(off_ratio))
 
 
 def diversity_metric(

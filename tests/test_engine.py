@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
 
@@ -655,6 +656,87 @@ def test_house_ranks_and_armed_relays_follow_id_string_order_past_ten_thousand()
     assert house_ids[np.argsort(fs.house_rank)].tolist() == by_id
     assert house_ids[fs.armed_idx].tolist() == by_id  # armed_fraction 1.0
     assert sim.ranks.of(["f1_base"]).shape == (1,)
+
+
+def setup_cases():
+    baseline = load_config(SCENARIO_DIR / "baseline_200.yaml")
+    return {
+        # steady phases, both spreads above zero
+        "baseline_200": baseline,
+        # zero deadband, synchronized, no spread
+        "scarcity_sync": load_config(SCENARIO_DIR / "scarcity_sync.yaml"),
+        "heating": parse_config(HEATING.format(kind="hysteresis")),
+        "comfort_k_0": dataclasses.replace(
+            baseline, population=dataclasses.replace(baseline.population, comfort_k=0.0)),
+        # f0, between f2 and f1, has no houses
+        "empty_feeder": three_feeder_ufls_config(),
+    }
+
+
+def reference_fleet(sim):
+    """The fleet the per-house setup loop built: two draws, a
+    ThermalParams and a state_from_phase call per house, then a
+    Population from the rows. Returns it and its population stream."""
+    cfg = sim.cfg
+    spec = cfg.population
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
+    sigma_rc = math.log1p(spec.spread)
+    sigma_k = math.log1p(spec.comfort_k_spread)
+    t0 = sim.t_out(0.0)
+    ids, params, states, ks = [], [], [], []
+    for fspec in cfg.feeders:
+        for j in range(fspec.houses):
+            z = rng.standard_normal(3)
+            u = rng.random()
+            r = spec.r_median * math.exp(sigma_rc * z[0])
+            c = spec.c_median * math.exp(sigma_rc * z[1])
+            k = spec.comfort_k * math.exp(sigma_k * z[2]) if spec.comfort_k > 0 else 0.0
+            par = ThermalParams(r_thermal=r, c_thermal=c, q_hvac=spec.q_hvac, p_rated=spec.p_rated)
+            phase = u if spec.initial == "steady" else 0.0
+            ids.append(f"{fspec.feeder_id}_h{j:04d}")
+            params.append(par)
+            states.append(state_from_phase(phase, par, sim.thermostat, t0))
+            ks.append(k)
+    return Population(ids, params, sim.thermostat, states, ks), rng
+
+
+@pytest.mark.parametrize("case", ["baseline_200", "scarcity_sync", "heating", "comfort_k_0", "empty_feeder"])
+def test_the_array_setup_builds_the_per_house_loops_fleet_bitwise(case):
+    cfg = setup_cases()[case]
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    want, rng = reference_fleet(sim)
+    got = sim.fleet
+    assert len(got) == len(want) > 0
+    assert got.ids == want.ids
+    for name in ("r_thermal", "c_thermal", "q_hvac", "p_rated", "setpoint", "comfort_k", "t_in"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64, name
+        assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), name
+    assert got.hvac_on.dtype == want.hvac_on.dtype == np.uint8
+    assert got.hvac_on.tolist() == want.hvac_on.tolist()
+    # the next draw from the population stream is the same too
+    assert sim.rng_pop.bit_generator.state == rng.bit_generator.state
+    if case == "empty_feeder":
+        assert sim.house_bounds == [(0, 60), (60, 160)]
+    if case == "scarcity_sync":
+        # phase 0: every unit starts its on run at the top of the band
+        assert got.hvac_on.all() and len(set(got.t_in.tolist())) == 1
+    else:
+        assert 0 < got.hvac_on.sum() < len(got)
+
+
+@pytest.mark.parametrize("fraction, houses, armed", [
+    (0.07, 100, 7), (0.07, 5000, 350), (0.3, 10, 3), (0.071, 100, 8), (1.0, 37, 37), (0.0, 37, 0),
+])
+def test_armed_relays_count_from_the_fraction_as_written(fraction, houses, armed):
+    # in binary floats 0.07 * 100 is 7.000000000000001 and 0.07 * 5000 is
+    # 350.00000000000006; neither arms one house more
+    cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
+    feeder = dataclasses.replace(cfg.feeders[0], houses=houses)
+    area = dataclasses.replace(cfg.area, ufls=dataclasses.replace(cfg.area.ufls, armed_fraction=fraction))
+    sim = SimulationRun(dataclasses.replace(cfg, feeders=(feeder,), area=area), base_dir=SCENARIO_DIR)
+    fs = sim.feeders[feeder.feeder_id]
+    assert len(fs.armed_idx) == fs.armed_closed == armed
 
 
 def test_shed_relays_release_once_after_the_hold(tmp_path):

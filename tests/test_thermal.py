@@ -16,6 +16,8 @@ from tgsim.thermal import (
     Population,
     ThermalParams,
     ThermostatConfig,
+    _cycle,
+    _cycle_band,
     aggregate_power,
     boundary_decide,
     curtailment_experiment,
@@ -26,6 +28,7 @@ from tgsim.thermal import (
     diversity_metric,
     hysteresis_decide,
     state_from_phase,
+    states_from_phases,
     steady_duty,
     step_house,
 )
@@ -276,6 +279,20 @@ def test_population_validation_and_guards():
         pop.tick(float("nan"), 0.1, at_market_boundary=True)
 
 
+def test_from_arrays_checks_every_house_as_thermal_params_does():
+    cols = dict(r_thermal=[2.0, 2.0], c_thermal=[2.0, 2.0], q_hvac=[-12.0, -12.0], p_rated=[4.0, 4.0],
+                comfort_k=[1.0, 1.0], t_in=[22.0, 23.0], hvac_on=[True, False])
+    pop = Population.from_arrays(["a", "b"], COOL_CFG, **cols)
+    rows = Population(["a", "b"], [COOL, COOL], COOL_CFG, [HouseState(22.0, True), HouseState(23.0, False)], [1.0, 1.0])
+    for name in Population._ARRAYS:
+        assert getattr(pop, name).dtype == getattr(rows, name).dtype, name
+        assert getattr(pop, name).tolist() == getattr(rows, name).tolist(), name
+    for name, bad in (("r_thermal", [2.0, 0.0]), ("c_thermal", [-1.0, 2.0]), ("p_rated", [4.0, float("nan")]),
+                      ("t_in", [22.0]), ("hvac_on", [True, False, True])):
+        with pytest.raises(ValueError):
+            Population.from_arrays(["a", "b"], COOL_CFG, **{**cols, name: bad})
+
+
 def test_latch_forces_hvac_off_and_excludes_power():
     states = [HouseState(25.0, True), HouseState(25.0, True)]
     pop = Population(["a", "b"], [COOL, COOL], COOL_CFG, states, [1.0, 1.0])
@@ -386,6 +403,47 @@ def test_state_from_phase_wraps():
     a = state_from_phase(0.25, COOL, COOL_CFG, 32.0)
     b = state_from_phase(1.25, COOL, COOL_CFG, 32.0)
     assert a == b
+
+
+def test_states_from_phases_match_state_from_phase_bitwise():
+    """states_from_phases synthesizes the states state_from_phase does.
+
+    Every (kind, mode) fleet runs with r, c and q spread. Each house takes
+    phase 0.0, one ulp below its duty, exactly its duty and one ulp below
+    1.0 (and two phases that wrap); the ambients leave every unit idle,
+    let every unit cycle, and leave the weaker units unable to reach the
+    band.
+    """
+    below = np.nextafter(1.0, 0.0)
+    for kind, mode in FLEETS:
+        rng = np.random.default_rng(11)
+        pop, params = _random_population(rng, kind, mode, n=60)
+        cfg = pop.cfg
+        cooling, lo, hi = _cycle_band(cfg)
+        ambients = (15.0, 23.0, 35.0, 45.0)
+        if mode == "heating":
+            ambients = tuple(42.0 - t for t in ambients)
+        cycling_counts = []
+        for t_out in ambients:
+            duties = []
+            for p in params:
+                cycle = _cycle(p.r_thermal, p.q_hvac, cooling, lo, hi, t_out)
+                if cycle is None:
+                    duties.append(0.5)
+                    continue
+                rc = p.r_thermal * p.c_thermal
+                tau_on, tau_off = rc * cycle[3], rc * cycle[4]
+                duties.append(tau_on / (tau_on + tau_off))
+            cycling_counts.append(sum(0.0 < steady_duty(p, cfg, t_out) < 1.0 for p in params))
+            for phase in ([0.0] * 60, np.nextafter(duties, 0.0), duties, [below] * 60, [1.0] * 60, [-0.25] * 60):
+                phase = np.asarray(phase, dtype=np.float64)
+                t_in, hvac_on = states_from_phases(phase, pop.r_thermal, pop.c_thermal, pop.q_hvac, cfg, t_out)
+                want = [state_from_phase(float(x), p, cfg, t_out) for x, p in zip(phase, params)]
+                assert t_in.view(np.uint64).tolist() == np.array([s.t_in for s in want]).view(np.uint64).tolist()
+                assert hvac_on.tolist() == [s.hvac_on for s in want]
+        # mild: every unit idles; then all cycle; then the weaker units run flat out
+        assert cycling_counts[:2] == [0, 60]
+        assert all(0 < c < 60 for c in cycling_counts[2:])
 
 
 def test_measured_cycle_matches_predicted_period_and_duty():
