@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .engine import run_scenario
+from .engine import SimulationRun
 from .report import compare_runs, load_table, price_duration_curve, settlement_check, summarize_run
 from .spectral import convolve_fft, ingest_series, power_spectrum, shift_impact, write_series_csv
 
@@ -45,9 +45,18 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _build_run(config: Path, seed: int | None = None) -> SimulationRun:
+    """The scenario file's run, built but not run: construction checks
+    the config and reads its outdoor series, relative to the file."""
+    cfg = load_config(config)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    return SimulationRun(cfg, config.parent)
+
+
 def cmd_validate(args) -> int:
     try:
-        load_config(args.config)
+        _build_run(Path(args.config))
     except ConfigError as exc:
         if not args.json:
             raise
@@ -59,13 +68,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    sim = _build_run(Path(args.config), args.seed)
     out_dir = _out_root(args.out)
     if args.out is None:
         out_dir = out_dir / Path(args.config).stem
-    artifacts = run_scenario(cfg, out_dir, base_dir=Path(args.config).parent)
+    artifacts = sim.run(out_dir)
     s = artifacts.summary
     alternations = max(s["price_alternations"].values(), default=0)
     oscillation = "yes" if alternations >= 3 else "no"
@@ -149,12 +156,12 @@ def cmd_golden(args) -> int:
     configs = sorted(scen_dir.glob("*.yaml"))
     if not configs:
         raise FileNotFoundError(f"no scenario configs under {scen_dir}")
-    # every config and its outdoor series are validated before the first
-    # run, so a bad one leaves the goldens untouched
-    loaded, problems = [], []
+    # every run is built, its config and outdoor series checked, before
+    # the first runs, so a bad one leaves the goldens untouched
+    runs, problems = [], []
     for path in configs:
         try:
-            loaded.append((path, load_config(path)))
+            runs.append((path, _build_run(path)))
         except ConfigError as exc:
             problems += [f"{path.name}: {p}" for p in exc.problems]
     if problems:
@@ -162,8 +169,8 @@ def cmd_golden(args) -> int:
     out_root = _out_root(args.out)
     golden_dir = scen_dir / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
-    for path, cfg in loaded:
-        artifacts = run_scenario(cfg, out_root / path.stem, base_dir=scen_dir)
+    for path, sim in runs:
+        artifacts = sim.run(out_root / path.stem)
         summary_path = golden_dir / f"{path.stem}.summary.json"
         summary_path.write_text(json.dumps(artifacts.summary, indent=2, sort_keys=True) + "\n")
         if args.verbose:

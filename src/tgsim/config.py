@@ -565,11 +565,22 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def read_outdoor_series(cfg: ScenarioConfig, base_dir) -> Series:
-    """Reads the outdoor series cfg names, relative to base_dir, as a run
-    uses it. A malformed series, or one that does not cover the run, is a
-    ConfigError; a missing one stays an OSError."""
+    """Reads the outdoor series cfg names, as a run uses it; the one code
+    that reads or checks it, called once per SimulationRun.
+
+    A relative path resolves against base_dir, the scenario file's
+    directory, and an absolute one is read as written. A relative path
+    without a base_dir, a malformed series, or one that does not cover
+    the run is a ConfigError; a missing file stays an OSError.
+    """
+    path = Path(cfg.outdoor_temp_c)
+    if not path.is_absolute():
+        if base_dir is None:
+            raise ConfigError([f"inputs.outdoor_temp_c: relative path {cfg.outdoor_temp_c!r} "
+                               "needs the scenario file's directory"])
+        path = Path(base_dir) / path
     try:
-        series = ingest_series(Path(base_dir) / cfg.outdoor_temp_c, units="degC")
+        series = ingest_series(path, units="degC")
     except ValueError as exc:
         raise ConfigError([f"inputs.outdoor_temp_c: {exc}"]) from exc
     # a run reads the series by interpolation, which would hold an
@@ -584,11 +595,8 @@ def read_outdoor_series(cfg: ScenarioConfig, base_dir) -> Series:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parses the scenario file at path and checks the outdoor series it
-    names, relative to the file's directory, as a run does
-    (read_outdoor_series)."""
-    path = Path(path)
-    cfg = parse_config(path.read_text())
-    if isinstance(cfg.outdoor_temp_c, str):
-        read_outdoor_series(cfg, path.parent)
-    return cfg
+    """Parses the scenario file at path. An outdoor series path is kept
+    as written: the run reads it, relative to the file's directory
+    (read_outdoor_series), so validating a file means building its
+    SimulationRun."""
+    return parse_config(Path(path).read_text())

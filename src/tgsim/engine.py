@@ -381,8 +381,9 @@ class SimulationRun:
     """One scenario execution; call run() once."""
 
     def __init__(self, cfg: ScenarioConfig, base_dir: Path | None = None):
+        """base_dir is the scenario file's directory, against which a
+        relative outdoor series path resolves (config.read_outdoor_series)."""
         self.cfg = cfg
-        self.base_dir = Path(base_dir) if base_dir else Path.cwd()
         ss = np.random.SeedSequence(cfg.seed)
         pop_seq, ufls_seq = ss.spawn(2)
         self.rng_pop = np.random.default_rng(pop_seq)
@@ -398,7 +399,12 @@ class SimulationRun:
             t_max=spec.t_max,
             t_desired=spec.t_desired,
         )
-        self._build_outdoor()
+        # the run's one read of its outdoor series, if it names one
+        self._t_out_series = None
+        if isinstance(cfg.outdoor_temp_c, str):
+            series = read_outdoor_series(cfg, base_dir)
+            start_lag = (cfg.simulation.start - series.start).total_seconds()
+            self._t_out_series = (np.arange(len(series)) * series.period_s - start_lag, series.values)
         self._build_feeders()
         self._build_storage()
         self._build_ranks()
@@ -425,21 +431,9 @@ class SimulationRun:
     # construction
     # ------------------------------------------------------------------
 
-    def _build_outdoor(self) -> None:
-        src = self.cfg.outdoor_temp_c
-        if isinstance(src, (int, float)):
-            self._t_out_const = float(src)
-            self._t_out_series = None
-            return
-        series = read_outdoor_series(self.cfg, self.base_dir)
-        offsets = np.arange(len(series)) * series.period_s
-        start_lag = (self.cfg.simulation.start - series.start).total_seconds()
-        self._t_out_series = (offsets - start_lag, series.values)
-        self._t_out_const = None
-
     def t_out(self, t_s: float) -> float:
         if self._t_out_series is None:
-            return self._t_out_const
+            return self.cfg.outdoor_temp_c
         xs, ys = self._t_out_series
         return float(np.interp(t_s, xs, ys))
 

@@ -6,11 +6,13 @@ import shutil
 import subprocess
 import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, SCENARIO_DIR
+from tgsim import config
 from tgsim.cli import main
 from tgsim.spectral import Series, write_series_csv
 
@@ -319,6 +321,36 @@ def test_run_out_under_a_regular_file_is_an_io_error(capsys, tmp_path):
     _, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error:")
+
+
+def series_yaml(path, csv_name):
+    """null.yaml reading an hourly series, csv_name beside it, that covers its hour."""
+    write_series_csv(Series(datetime(2026, 7, 15), 3600.0, np.array([30.0, 31.0])), path.parent / csv_name)
+    return null_variant(path, "outdoor_temp_c: 30.0", f"outdoor_temp_c: {csv_name}")
+
+
+def test_each_command_reads_the_outdoor_series_once(capsys, tmp_path, monkeypatch):
+    # load_config used to read the series as well as the run
+    reads = []
+    real = config.ingest_series
+
+    def counted(path, *args, **kwargs):
+        reads.append(Path(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(config, "ingest_series", counted)
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    configs = [series_yaml(scen / f"{stem}.yaml", f"{stem}.csv") for stem in ("a", "b")]
+    assert main(["run", "--config", configs[0], "--out", str(tmp_path / "run")]) == 0
+    assert reads == [scen / "a.csv"]
+    reads.clear()
+    assert main(["validate", "--config", configs[0]]) == 0
+    assert reads == [scen / "a.csv"]
+    reads.clear()
+    assert main(["golden", "--scenarios", str(scen), "--out", str(tmp_path / "runs")]) == 0
+    assert reads == [scen / "a.csv", scen / "b.csv"]
+    capsys.readouterr()
 
 
 # --------------------------------------------------------------- report

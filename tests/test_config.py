@@ -580,30 +580,6 @@ def test_load_config_from_file(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
-def test_an_outdoor_series_must_cover_the_run(tmp_path):
-    # a run interpolates the series, which would hold an uncovered stretch
-    # flat at its nearest sample; MINIMAL runs from 2026-07-15T00:00 for an hour
-    p = tmp_path / "scenario.yaml"
-    p.write_text(MINIMAL + "inputs:\n  outdoor_temp_c: temps.csv\n")
-
-    def with_series(*times):
-        (tmp_path / "temps.csv").write_text("time,value\n" + "".join(f"{t},30.0\n" for t in times))
-        return p
-
-    late_start = ("2026-07-15T00:30:00", "2026-07-15T01:00:00")
-    early_end = ("2026-07-15T00:00:00", "2026-07-15T00:30:00")
-    days_later = ("2026-07-20T00:00:00", "2026-07-20T01:00:00")
-    for first, last in (late_start, early_end, days_later):
-        with pytest.raises(ConfigError) as err:
-            load_config(with_series(first, last))
-        assert err.value.problems == [f"inputs.outdoor_temp_c: series runs {first} to {last}, "
-                                      "the run needs 2026-07-15T00:00:00 to 2026-07-15T01:00:00"]
-    exact = ("2026-07-15T00:00:00", "2026-07-15T00:30:00", "2026-07-15T01:00:00")
-    wider = ("2026-07-14T23:00:00", "2026-07-15T00:00:00", "2026-07-15T01:00:00", "2026-07-15T02:00:00")
-    for times in (exact, wider):
-        assert load_config(with_series(*times)).outdoor_temp_c == "temps.csv"
-
-
 def test_shipped_scenarios_all_parse():
     paths = sorted((REPO_ROOT / "scenarios").glob("*.yaml"))
     stems = {p.stem for p in paths}

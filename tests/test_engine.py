@@ -197,6 +197,49 @@ def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, mon
         assert sim.day_curves == [] and all(kind == "schedule" for kind, _ in calls)
 
 
+def test_the_diurnal_scenario_schedules_day_one_from_feedback_and_its_houses_bid_apart(tmp_path, monkeypatch):
+    # the shipped multi-day scenario where the loop is not degenerate:
+    # day 1 is scheduled from feedback forecasts of many steps, and the
+    # houses of a feeder bid apart. The floors sit well under the values
+    # measured at seed 7 (a median of 226.5 steps; 83% of the feeder
+    # intervals with more than half of their bids distinct), so a resize
+    # that collapses the regime fails here.
+    forecasts, scheduled, bids = [], [], []
+    real_feedback, real_schedule, real_bids = engine.availability_feedback, engine.schedule_hourly, engine.fleet_bids
+
+    def recorded_feedback(spans):
+        forecasts.append(real_feedback(spans))
+        return forecasts[-1]
+
+    def recorded_schedule(by_feeder, *args):
+        scheduled.append(by_feeder)
+        return real_schedule(by_feeder, *args)
+
+    def recorded_bids(*args):
+        idx, prices = real_bids(*args)
+        bids.append((len(prices), len(np.unique(prices))))
+        return idx, prices
+
+    monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
+    monkeypatch.setattr(engine, "schedule_hourly", recorded_schedule)
+    monkeypatch.setattr(engine, "fleet_bids", recorded_bids)
+    cfg = load_config(SCENARIO_DIR / "diurnal_two_day.yaml")
+    assert cfg.simulation.span_s == 2 * 86400 and len(cfg.da_price) == 24
+    sim = SimulationRun(cfg, SCENARIO_DIR)
+    sim.run(tmp_path / "run")
+    hours, n_feeders = sim.hours_per_day, len(sim.feeders)
+    assert len(scheduled) == 2 * hours
+    # every forecast of day 1 is a feedback curve, and only day 1 has them
+    day1 = [f for by_feeder in scheduled[hours:] for f in by_feeder.values()]
+    assert len(forecasts) == len(day1) == hours * n_feeders
+    assert all(a is b for a, b in zip(day1, forecasts))
+    assert np.median([len(f.price) for f in forecasts]) >= 150
+    # each feeder interval bids once; count those where most bids differ
+    assert len(bids) == n_feeders * cfg.simulation.span_s // cfg.simulation.market_interval_s
+    apart = sum(2 * distinct > n for n, distinct in bids)
+    assert apart >= 0.7 * len(bids), (apart, len(bids))
+
+
 def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path, monkeypatch):
     # two_day with 24 hourly prices, so the houses' bids spread and day
     # 1's forecasts have many steps. The same runs measure the live bytes
@@ -251,16 +294,71 @@ def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path, monkeypatch):
     assert retained[2] <= retained[1] + 0.1 * store, (retained, store)
 
 
-def test_a_run_parsed_from_text_rejects_an_uncovered_outdoor_series(tmp_path):
-    # a run checks the series as load_config does, so one built from
-    # parse_config cannot hold the uncovered half day flat
-    text = ("schema_version: 1\nsimulation:\n  span_s: 86400\n"
+def series_scenario(span_s: int) -> str:
+    """One 50 kW feeder without houses for span_s, reading temps.csv."""
+    return (f"schema_version: 1\nsimulation:\n  span_s: {span_s}\n"
             "feeders:\n  - id: f0\n    capacity_kw: 50.0\ninputs:\n  outdoor_temp_c: temps.csv\n")
+
+
+def test_an_outdoor_series_must_cover_the_run(tmp_path):
+    # a run interpolates the series, which would hold an uncovered stretch
+    # flat at its nearest sample; the scenario runs from 2026-07-15T00:00 for an hour
+    p = tmp_path / "scenario.yaml"
+    p.write_text(series_scenario(3600))
+
+    def with_series(*times):
+        (tmp_path / "temps.csv").write_text("time,value\n" + "".join(f"{t},30.0\n" for t in times))
+        return p
+
+    late_start = ("2026-07-15T00:30:00", "2026-07-15T01:00:00")
+    early_end = ("2026-07-15T00:00:00", "2026-07-15T00:30:00")
+    days_later = ("2026-07-20T00:00:00", "2026-07-20T01:00:00")
+    for first, last in (late_start, early_end, days_later):
+        with pytest.raises(ConfigError) as err:
+            SimulationRun(load_config(with_series(first, last)), tmp_path)
+        assert err.value.problems == [f"inputs.outdoor_temp_c: series runs {first} to {last}, "
+                                      "the run needs 2026-07-15T00:00:00 to 2026-07-15T01:00:00"]
+    exact = ("2026-07-15T00:00:00", "2026-07-15T00:30:00", "2026-07-15T01:00:00")
+    wider = ("2026-07-14T23:00:00", "2026-07-15T00:00:00", "2026-07-15T01:00:00", "2026-07-15T02:00:00")
+    for times in (exact, wider):
+        cfg = load_config(with_series(*times))
+        assert cfg.outdoor_temp_c == "temps.csv"  # as written; the run resolves it
+        SimulationRun(cfg, tmp_path)
+
+
+def test_a_relative_series_path_resolves_only_against_the_scenario_directory(tmp_path, monkeypatch):
+    # the working directory holds a series that covers the run, yet a run
+    # without a base_dir may not read it
+    text = series_scenario(3600)
+    write_series_csv(Series(parse_config(text).simulation.start, 3600.0, np.full(2, 30.0)), tmp_path / "temps.csv")
+    monkeypatch.chdir(tmp_path)
+    for build in (lambda cfg: SimulationRun(cfg), lambda cfg: run_scenario(cfg, tmp_path / "run")):
+        with pytest.raises(ConfigError) as err:
+            build(parse_config(text))
+        assert err.value.problems == [
+            "inputs.outdoor_temp_c: relative path 'temps.csv' needs the scenario file's directory"
+        ]
+    assert not (tmp_path / "run").exists()
+    # an absolute path is read as written, with or without a base_dir
+    absolute = parse_config(text.replace("temps.csv", str(tmp_path / "temps.csv")))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for base_dir in (None, elsewhere):
+        assert SimulationRun(absolute, base_dir).t_out(1800.0) == 30.0
+    # a relative one is read from base_dir, not from the working directory
+    write_series_csv(Series(parse_config(text).simulation.start, 3600.0, np.full(2, 25.0)), elsewhere / "temps.csv")
+    assert SimulationRun(parse_config(text), elsewhere).t_out(1800.0) == 25.0
+
+
+def test_a_run_parsed_from_text_rejects_an_uncovered_outdoor_series(tmp_path):
+    # a run checks the series whether its config came from a file or from
+    # text, so one built from parse_config cannot hold the uncovered half day flat
+    text = series_scenario(86400)
     (tmp_path / "scenario.yaml").write_text(text)
     cfg = parse_config(text)
     write_series_csv(Series(cfg.simulation.start, 3600.0, np.full(13, 30.0)), tmp_path / "temps.csv")
     with pytest.raises(ConfigError) as from_file:
-        load_config(tmp_path / "scenario.yaml")
+        SimulationRun(load_config(tmp_path / "scenario.yaml"), tmp_path)
     with pytest.raises(ConfigError) as from_text:
         SimulationRun(cfg, base_dir=tmp_path)
     assert from_text.value.problems == from_file.value.problems == [
