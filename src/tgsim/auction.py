@@ -3,14 +3,17 @@
 Demand and supply are step curves built from limit orders. A curve is
 held as columns sorted in trade order: price, quantity and the order's
 rank. Demand runs from the highest price down, supply from the lowest
-up, and orders at one price sit in ascending order id. The rank is the
-order's identity: it is the id's position in Python string order among
-a fixed set of ids (an ``OrderRanks`` table), so ``f1_h10000`` ranks
-before ``f1_h9999``, and the table's sorted ids name the order again. A
-run ranks its order ids in one table, once, so the area curve merges
-feeder curves with one stable sort on (price, rank), and the market
-maker's orders are one range of ranks. Steps without ids take any
-integer key that orders them as ids would, and have no names.
+up, and orders at one price sit in ascending rank. The rank is the
+order's identity: its position in a fixed list of order ids (an
+``OrderRanks`` table), which names the order again. One rule sets the
+ranks: the order in which a run builds its orders. A run lists them
+once, in one table: the market maker's blocks in step order (wholesale,
+then ``scarcity0``, ``scarcity1``, ...), each battery's ``chg`` and
+``dis`` legs in device-id order, each feeder's ``base`` and ``resp`` in
+config order, then every house in fleet order. So the area curve merges
+feeder curves with one stable sort on (price, rank). Curves built from
+hand-written ids, which have no build order, rank them in ascending id.
+Steps without ids, such as forecast steps, rank by their step number.
 
 Clearing finds the largest quantity at which the demand staircase still
 sits at or above the supply staircase, then prices the trade:
@@ -24,7 +27,7 @@ sits at or above the supply staircase, then prices the trade:
 
 Allocation fills every order strictly better than the clearing price in
 full, then rations orders exactly at the clearing price in ascending
-order-id, so at most one order per side is partially filled and the two
+rank, so at most one order per side is partially filled and the two
 sides balance exactly. Each side's fills are one column over a prefix of
 its curve in trade order. Cumulative and remaining quantities are left
 folds (``np.add.accumulate``, ``np.subtract.accumulate``), so the array
@@ -35,7 +38,6 @@ passes give the bits of an order-by-order walk, which
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -81,29 +83,25 @@ def market_maker_ids(n_steps: int) -> list[str]:
 
 
 class OrderRanks:
-    """Tie-break ranks of a fixed set of order ids.
-
-    An id's rank is its position among the distinct ids in Python string
-    order, so ordering by rank orders by id, equal ids tie and
-    ``ids[rank]`` names the order. Ids that share a prefix sit together
-    in that order, so the market maker's ids are one range of ranks.
-    """
+    """Tie-break ranks of a fixed list of distinct order ids, given in
+    rank order: an id's rank is its position, and ``ids[rank]`` names
+    the order."""
 
     def __init__(self, ids: Iterable[str]) -> None:
-        # sorting before deduplicating keeps runs of ids already in order,
-        # which the sort takes in one pass
-        distinct = list(dict.fromkeys(sorted(ids)))
-        self._rank = dict(zip(distinct, range(len(distinct))))
-        self.ids = np.array(distinct, dtype=object)
-        # the ranks of the market maker's ids: every id with the prefix
-        # sorts at or past it and before the prefix with its last
-        # character raised
-        mm = MARKET_MAKER_PREFIX
-        self.market_maker = range(bisect_left(distinct, mm), bisect_left(distinct, mm[:-1] + chr(ord(mm[-1]) + 1)))
+        ids = list(ids)
+        self.ids = np.array(ids, dtype=object)
+        self._rank = dict(zip(ids, range(len(ids))))
+        if len(self._rank) != len(ids):
+            raise ValueError("order ids must be distinct")
 
     def of(self, ids: Iterable[str]) -> np.ndarray:
         rank = self._rank
         return np.array([rank[oid] for oid in ids], dtype=np.intp)
+
+
+def _ranks_by_id(ids: Iterable[str]) -> OrderRanks:
+    """Ranks of hand-written ids, which come in no build order: ascending id."""
+    return OrderRanks(sorted(set(ids)))
 
 
 class Bids(NamedTuple):
@@ -120,8 +118,8 @@ class StepCurve:
 
     ``price``, ``quantity`` (float64) and ``rank`` (integers) hold one
     entry per order. Demand sorts by descending price, supply by
-    ascending price, ties by ascending rank, i.e. by order id; the sort
-    is stable, so equal (price, id) orders keep their input order.
+    ascending price, ties by ascending rank; the sort is stable, so
+    equal (price, rank) orders keep their input order.
     Per-order identity is preserved: equal-price orders sit adjacent as
     the merged price level. ``ranks`` is the table the ranks index, and
     ``ids`` reads the orders' names from it (None without a table).
@@ -129,8 +127,8 @@ class StepCurve:
     ``_from_columns`` is the one way in: the library's builders pass it
     columns whose quantities they have checked. ``StepCurve(side,
     segments)`` turns (price, quantity, order_id) rows into columns and
-    a table of their ids, for tests and hand-built curves. ``segments``
-    rebuilds the rows on each read.
+    a table of their ids in ascending id, for tests and hand-built
+    curves. ``segments`` rebuilds the rows on each read.
     """
 
     def __init__(self, side: str, segments: Iterable[tuple[float, float, str]] = ()) -> None:
@@ -138,7 +136,7 @@ class StepCurve:
         if not all(q > 0 for _, q, _ in rows):
             raise ValueError("segment quantity must be positive")
         ids = [i for _, _, i in rows]
-        ranks = OrderRanks(ids)
+        ranks = _ranks_by_id(ids)
         self._sort(side, [p for p, _, _ in rows], [q for _, q, _ in rows], ranks.of(ids), ranks)
 
     @classmethod
@@ -222,7 +220,8 @@ def build_demand_curve(
     ``houses`` adds a fleet's bids as columns, checked as ``Order``
     checks them but never built as orders (``bidding.fleet_bids``); they
     go ahead of ``bids`` into the one sort. Ranks come from ``ranks``,
-    which must then know every id, else from the orders' own ids.
+    which must then know every id, else from the orders' own ids in
+    ascending id.
     """
     orders = list(bids)
     for o in orders:
@@ -231,7 +230,7 @@ def build_demand_curve(
     if ranks is None:
         if houses is not None:
             raise ValueError("house bids need the rank table their ranks index")
-        ranks = OrderRanks(o.order_id for o in orders)
+        ranks = _ranks_by_id(o.order_id for o in orders)
     cols = _order_columns(orders, ranks)
     if houses is not None:
         if not (houses.quantity > 0).all():
@@ -282,7 +281,7 @@ def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = (),
     price = [spec.wholesale_price] * whole + [p for p, _ in steps] + [o.price for o in sells]
     quantity = [spec.capacity_normal] * whole + [q for _, q in steps] + [o.quantity for o in sells]
     if ranks is None:
-        ranks = OrderRanks(ids)
+        ranks = _ranks_by_id(ids)
     return StepCurve._from_columns(SIDE_SELL, price, quantity, ranks.of(ids), ranks)
 
 
@@ -290,9 +289,9 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
     """Horizontal (quantity) sum of several demand curves.
 
     The curves' columns are concatenated in the given order and sorted
-    once; the stable sort keeps that order among equal (price, id)
+    once; the stable sort keeps that order among equal (price, rank)
     orders. Curves that share a rank table merge on their ranks; others
-    are re-ranked together.
+    are re-ranked together, in ascending id.
     """
     curves = list(curves)
     for c in curves:
@@ -305,7 +304,7 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
         rank = np.concatenate([c.rank for c in curves])
     else:
         ids = np.concatenate([c.ids for c in curves]).tolist()
-        ranks = OrderRanks(ids)
+        ranks = _ranks_by_id(ids)
         rank = ranks.of(ids)
     price = np.concatenate([c.price for c in curves])
     quantity = np.concatenate([c.quantity for c in curves])
@@ -387,7 +386,7 @@ def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[np.ndar
     """Fills of one side: strictly better orders, then at-price rationing.
 
     Both are a prefix of the trade order, since at-price orders already
-    sit in ascending id. remaining[i] is what is left before order i;
+    sit in ascending rank. remaining[i] is what is left before order i;
     orders fill whole up to the first one it cannot cover (the clamp).
     A strictly better order there takes what is left and every later
     one takes 0.0; an at-price order there is the marginal partial fill,
@@ -426,7 +425,7 @@ def clear_and_allocate(
     """Clear two step curves and distribute the cleared quantity over orders.
 
     Strictly in-the-money orders fill completely; orders at the clearing
-    price are rationed in ascending order-id with at most one partial
+    price are rationed in ascending rank with at most one partial
     fill per side. marginal_order reports the buy-side partial if there
     is one, else the sell-side partial. A no-trade clearing fills nothing.
     """

@@ -4,10 +4,10 @@ Subcommands: validate, run, report, spectra, golden. Batch only; every
 invocation reads inputs, writes artifacts, and exits. The commands raise;
 main() alone turns an exception into an exit code: 0 success, 1 a domain
 error (ConfigError, printed one problem per line, or any other ValueError
-or KeyError), 2 an I/O failure (any OSError: a missing or unreadable file,
-an output path under a regular file). Usage errors caught by argparse
-also exit 2. JSON output carries a schema field so downstream tooling can
-detect format changes.
+or KeyError), 2 an I/O failure (any OSError, printed one line per line of
+its message: a missing or unreadable file, an output path under a regular
+file). Usage errors caught by argparse also exit 2. JSON output carries a
+schema field so downstream tooling can detect format changes.
 """
 
 from __future__ import annotations
@@ -157,15 +157,19 @@ def cmd_golden(args) -> int:
     if not configs:
         raise FileNotFoundError(f"no scenario configs under {scen_dir}")
     # every run is built, its config and outdoor series checked, before
-    # the first runs, so a bad one leaves the goldens untouched
-    runs, problems = [], []
+    # the first runs, so a bad one leaves the goldens untouched; a series
+    # that cannot be read makes the whole report an I/O failure
+    runs, problems, unread = [], [], False
     for path in configs:
         try:
             runs.append((path, _build_run(path)))
         except ConfigError as exc:
             problems += [f"{path.name}: {p}" for p in exc.problems]
+        except OSError as exc:
+            problems.append(f"{path.name}: {exc}")
+            unread = True
     if problems:
-        raise ConfigError(problems)
+        raise OSError("\n".join(problems)) if unread else ConfigError(problems)
     out_root = _out_root(args.out)
     golden_dir = scen_dir / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
@@ -238,7 +242,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):
+            print(f"error: {line}", file=sys.stderr)
         return 2
 
 

@@ -366,13 +366,13 @@ class _FeederState:
     pop: Population  # this feeder's run of SimulationRun.fleet, as views
     stats: PriceStats
     market_setpoint: np.ndarray  # a view into SimulationRun's area array
-    armed_idx: np.ndarray  # houses with shedding relays, in id string order
+    n_armed: int  # houses 0 to n_armed - 1 have shedding relays
     armed_closed: int  # armed houses whose relay is not latched open
     house_power_kw: float = 0.0
     import_kw: float = 0.0
     storage_net_kw: float = 0.0
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
-    house_rank: np.ndarray | None = None  # each house's rank in SimulationRun.ranks
+    first_rank: int = 0  # the rank of house 0 in SimulationRun.ranks; house i ranks first_rank + i
     forecast_rank: np.ndarray | None = None  # of the bootstrap steps {fid}_base, {fid}_resp
     storage: list[StoragePlacement] = field(default_factory=list)  # placed here, in id order
 
@@ -456,12 +456,9 @@ class SimulationRun:
         same bit for bit.
         """
         cfgp = self.cfg.population
-        ids, bounds = [], []
-        for fspec in self.cfg.feeders:
-            fid = fspec.feeder_id
-            bounds.append((len(ids), len(ids) + fspec.houses))
-            ids += [f"{fid}_h{j:04d}" for j in range(fspec.houses)]
-        n = len(ids)
+        ends = np.cumsum([0] + [fspec.houses for fspec in self.cfg.feeders]).tolist()
+        bounds = list(zip(ends[:-1], ends[1:]))
+        n = ends[-1]
         z, u = np.empty((n, 3)), [0.0] * n
         normal, uniform = self.rng_pop.standard_normal, self.rng_pop.random
         for i, row in enumerate(z):
@@ -477,7 +474,7 @@ class SimulationRun:
         phases = np.array(u) if cfgp.initial == "steady" else np.zeros(n)
         t_in, hvac_on = states_from_phases(phases, r, c, cfgp.q_hvac, self.thermostat, self.t_out(0.0))
         self.fleet = fleet = Population.from_arrays(
-            ids, self.thermostat, r, c, np.full(n, cfgp.q_hvac), np.full(n, cfgp.p_rated), k, t_in, hvac_on)
+            self.thermostat, r, c, np.full(n, cfgp.q_hvac), np.full(n, cfgp.p_rated), k, t_in, hvac_on)
         self.market_setpoint = fleet.setpoint.copy()
         self.reg_offset = np.zeros(len(fleet))
         # the runs of houses that have a diversity, in feeder config order
@@ -495,7 +492,7 @@ class SimulationRun:
                     prior_sigma=self.cfg.market.prior_sigma,
                 ),
                 market_setpoint=self.market_setpoint[lo:hi],
-                armed_idx=np.arange(n_armed),
+                n_armed=n_armed,
                 armed_closed=n_armed,
             )
             fs.house_power_kw = pop.aggregate_power()
@@ -513,19 +510,21 @@ class SimulationRun:
 
     def _build_ranks(self) -> None:
         """One tie-break rank table over every id a demand or supply curve
-        can hold, day 0's forecasts included; it also puts each feeder's
-        armed houses in id string order."""
-        ids = [f"{fid}_{step}" for fid in self.feeders for step in ("base", "resp")]
-        ids += auction.market_maker_ids(max(len(f.scarcity_steps) for f in self.cfg.feeders))
+        can hold, day 0's forecasts included, in the order the run builds
+        them: the market maker's blocks in step order, each battery's legs
+        in device-id order, each feeder's base and response in config
+        order, then every house in fleet order."""
+        ids = auction.market_maker_ids(max(len(f.scarcity_steps) for f in self.cfg.feeders))
+        self.market_maker = range(len(ids))
         ids += [f"{sid}_{leg}" for sid in self.soc_kwh for leg in ("chg", "dis")]
-        for fs in self.feeders.values():
-            ids += fs.pop.ids
+        ids += [f"{fid}_{step}" for fid in self.feeders for step in ("base", "resp")]
+        for fid, fs in self.feeders.items():
+            fs.first_rank = len(ids)
+            ids += [f"{fid}_h{j:04d}" for j in range(len(fs.pop))]
         self.ranks = OrderRanks(ids)
         # a storage order's fill is found in a curve by its rank
         self.storage_rank = {sid: self.ranks.of([f"{sid}_chg", f"{sid}_dis"]) for sid in self.soc_kwh}
         for fid, fs in self.feeders.items():
-            fs.house_rank = self.ranks.of(fs.pop.ids)
-            fs.armed_idx = fs.armed_idx[np.argsort(fs.house_rank[fs.armed_idx])]
             fs.forecast_rank = self.ranks.of([f"{fid}_base", f"{fid}_resp"])
 
     # ------------------------------------------------------------------
@@ -708,7 +707,7 @@ class SimulationRun:
                 out.event({"t": t, "type": "bid", "market": fid, "order": order.order_id,
                            "side": order.side, "price": order.price, "quantity": order.quantity})
 
-            demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, fs.house_rank[idx]))
+            demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, fs.first_rank + idx))
             supply_spec = FeederSupplySpec(
                 wholesale_price=anchor,
                 capacity_normal=fspec.capacity_kw,
@@ -724,7 +723,7 @@ class SimulationRun:
 
             n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
             sold = zip(supply.rank[:n_sells].tolist(), result.sell_fills.tolist())
-            fs.import_kw = left_sum(fill for rank, fill in sold if rank in self.ranks.market_maker)
+            fs.import_kw = left_sum(fill for rank, fill in sold if rank in self.market_maker)
             out.event({"t": t, "type": "clearing", "market": fid, "price": result.price,
                        "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
                        "marginal": result.marginal_order})
@@ -834,7 +833,8 @@ class SimulationRun:
             storage_net += fs.storage_net_kw
             if out.house_trace:
                 pop = fs.pop
-                for house in zip(pop.ids, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.setpoint.tolist()):
+                names = self.ranks.ids[fs.first_rank : fs.first_rank + len(pop)].tolist()
+                for house in zip(names, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.setpoint.tolist()):
                     out.row("houses.csv", t, *house)
         total = resp + base + storage_net
         out.row("load.csv", t, total, resp, base, storage_net, mean_t)
@@ -928,7 +928,7 @@ class SimulationRun:
                 if self.relays_held and t - above_since >= hold_s:
                     self.fleet.latched[:] = 0
                     for fs in feeders:
-                        fs.armed_closed = len(fs.armed_idx)
+                        fs.armed_closed = fs.n_armed
                     self.relays_held = False
                     out.event({"t": t, "type": "ufls_release"})
 
@@ -960,12 +960,11 @@ class SimulationRun:
         for fid, fs in sorted(self.feeders.items()):
             if not fs.armed_closed:
                 continue
-            armed = fs.armed_idx
-            closed = armed[fs.pop.latched[armed] == 0]
-            rank = fs.house_rank[closed]  # ascending, as armed_idx is in id order
-            shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, rank.tolist(), self.rng_ufls)
+            closed = np.flatnonzero(fs.pop.latched[: fs.n_armed] == 0)
+            shed = ufls_check(freq, ufls.threshold_hz, ufls.probability, (fs.first_rank + closed).tolist(),
+                              self.rng_ufls)
             fs.armed_closed -= len(shed)
-            for i in closed[np.searchsorted(rank, shed)].tolist():
+            for i in [rank - fs.first_rank for rank in shed]:
                 fs.pop.latched[i] = 1
                 if fs.pop.hvac_on[i]:
                     fs.pop.hvac_on[i] = 0

@@ -149,9 +149,9 @@ def ufls_check(
 
     When frequency sits below the threshold, each armed device sheds
     independently with the given probability; the draw order follows the
-    sorted device keys (ids, or ranks that sort as the ids do) so a fixed
-    seed reproduces the exact set. Above the threshold nothing sheds and
-    the stream is not consumed.
+    sorted device keys (a run passes house ranks, in fleet order) so a
+    fixed seed reproduces the exact set. Above the threshold nothing
+    sheds and the stream is not consumed.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must lie in [0, 1]")

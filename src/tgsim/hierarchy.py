@@ -11,6 +11,14 @@ classic two-settlement arrangement: the day-ahead leg pays the
 day-ahead price, deviations pay the real-time price, and forcing real
 time equal to schedule zeroes the second leg exactly.
 
+Ranks order equal prices by the auction's one rule: the order in which
+the orders are built. A feedback forecast's step at the k-th of its
+distinct prices, highest first, ranks k, so equal prices of two feeders
+merge by step number, then in feeder order. Day 0's bootstrap steps rank
+as the run's ``{fid}_base`` and ``{fid}_resp`` orders. The market
+maker's margins fold in ascending rank, which in a run is step order:
+wholesale, then ``scarcity0``, ``scarcity1``, ...
+
 Feeder operating targets blend the retail clearing with the balancing
 request. In normal conditions the market dominates; once the control
 error or a recent shed event flags a contingency the weights flip and
@@ -24,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import SIDE_BUY, Bids, ClearingResult, StepCurve, clear_area
+from .auction import MARKET_MAKER_PREFIX, SIDE_BUY, Bids, ClearingResult, StepCurve, clear_area
 from .fold import array_sum, left_sum
 
 MODE_NORMAL = "normal"
@@ -66,13 +74,6 @@ def schedule_hourly(
     return HourEntry(price=result.price, area_quantity_kw=result.quantity, feeder_kw=positions)
 
 
-def _decimal_string_rank(k: np.ndarray) -> np.ndarray:
-    """Integers that order k < 10**17 as decimal strings sort (10 before 2):
-    k's digits padded right to 17 places, then its digit count (1 before 10)."""
-    digits = np.searchsorted(10 ** np.arange(1, 18), k, "right") + 1
-    return k * 10 ** (17 - digits) * 10 + digits
-
-
 def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bids:
     """Mean demand curve over a lookback window of cleared intervals.
 
@@ -84,7 +85,7 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bid
     ``quantity_at(p)`` is the cumulative quantity of its price-descending
     prefix priced at or above p, so one search per interval reads it off
     the pair with the same bits.
-    Step k of the distinct prices, highest first, ranks as k's decimal string.
+    The step at the k-th of the distinct prices, highest first, ranks k.
     """
     spans = list(spans)
     if not spans:
@@ -103,7 +104,7 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bid
     # step quantity is positive
     prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
     step = np.flatnonzero(q_here > prev_q)
-    return Bids(prices[step], q_here[step] - prev_q[step], _decimal_string_rank(step))
+    return Bids(prices[step], q_here[step] - prev_q[step], step)
 
 
 def reference_mode(
@@ -199,13 +200,10 @@ def scarcity_rent(result: ClearingResult, supply: StepCurve) -> float:
     scarcity blocks belong to the market maker, which buys at the block
     price and sells at the clearing price. The sum of those margins is
     the scarcity rent. Zero whenever the wholesale block is marginal.
-
-    The margins fold left in ascending order id, which is ascending
-    rank, not in trade order, so ``__import_scarcity0`` comes before
-    ``__import_wholesale`` and ``__import_scarcity10`` before
-    ``__import_scarcity2``.
+    The margins fold left in ascending rank.
     """
     n = len(result.sell_fills)
-    filled = zip(supply.rank[:n].tolist(), supply.price[:n].tolist(), result.sell_fills.tolist())
-    mm = supply.ranks.market_maker
-    return left_sum((result.price - price) * fill for rank, price, fill in sorted(filled) if rank in mm)
+    filled = zip(supply.rank[:n].tolist(), supply.ids[:n].tolist(), supply.price[:n].tolist(),
+                 result.sell_fills.tolist())
+    return left_sum((result.price - price) * fill for _, oid, price, fill in sorted(filled)
+                    if oid.startswith(MARKET_MAKER_PREFIX))

@@ -187,8 +187,9 @@ class Population:
 
     ``from_arrays`` is the one way in: it takes one array per house
     field and checks them as ``ThermalParams`` checks one house.
-    ``Population(ids, params, cfg, states, comfort_k)`` turns per-house
-    rows into those arrays, for tests and hand-built fleets.
+    ``Population(params, cfg, states, comfort_k)`` turns per-house rows
+    into those arrays, for tests and hand-built fleets. Houses are known
+    by their index; the fleet carries no market ids.
 
     ``houses(lo, hi)`` gives a contiguous run of houses as a Population
     whose arrays are views of this one's, so a part and its whole read
@@ -200,30 +201,28 @@ class Population:
 
     def __init__(
         self,
-        ids: Sequence[str],
         params: Sequence[ThermalParams],
         cfg: ThermostatConfig,
         states: Sequence[HouseState],
         comfort_k: Sequence[float],
     ) -> None:
         self._fill(
-            ids, cfg,
+            cfg,
             [p.r_thermal for p in params], [p.c_thermal for p in params],
             [p.q_hvac for p in params], [p.p_rated for p in params],
             comfort_k, [s.t_in for s in states], [s.hvac_on for s in states],
         )
 
     @classmethod
-    def from_arrays(cls, ids: Sequence[str], cfg: ThermostatConfig, r_thermal, c_thermal, q_hvac, p_rated,
-                    comfort_k, t_in, hvac_on) -> Population:
+    def from_arrays(cls, cfg: ThermostatConfig, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in,
+                    hvac_on) -> Population:
         """A fleet from one array (or sequence) per house field, in house
         order; ``hvac_on`` is truth values."""
         pop = cls.__new__(cls)
-        pop._fill(ids, cfg, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in, hvac_on)
+        pop._fill(cfg, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in, hvac_on)
         return pop
 
-    def _fill(self, ids, cfg, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in, hvac_on) -> None:
-        self.ids = list(ids)
+    def _fill(self, cfg, r_thermal, c_thermal, q_hvac, p_rated, comfort_k, t_in, hvac_on) -> None:
         self.cfg = cfg
         self.r_thermal = np.array(r_thermal, dtype=np.float64)
         self.c_thermal = np.array(c_thermal, dtype=np.float64)
@@ -232,7 +231,7 @@ class Population:
         self.comfort_k = np.array(comfort_k, dtype=np.float64)
         self.t_in = np.array(t_in, dtype=np.float64)
         self.hvac_on = np.array(hvac_on, dtype=bool).astype(np.uint8)
-        n = len(self.ids)
+        n = len(self.t_in)
         # starts at cfg.setpoint; price response and regulation move it
         self.setpoint = np.full(n, cfg.setpoint, dtype=np.float64)
         # forced-off latch used by underfrequency shedding
@@ -249,12 +248,11 @@ class Population:
         self._decay = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.t_in)
 
     def houses(self, lo: int, hi: int) -> Population:
         """Houses lo..hi-1; their arrays are views into this fleet's."""
         part = object.__new__(Population)
-        part.ids = self.ids[lo:hi]
         part.cfg = self.cfg
         for name in self._ARRAYS:
             setattr(part, name, getattr(self, name)[lo:hi])

@@ -31,7 +31,7 @@ quantity, order_id) rows that the package used before its curves became
 columns: the same market, with the float operations in the order the
 array passes must reproduce bit for bit. The last part walks the
 day-ahead schedule the way it ran while forecast steps carried order
-ids.
+ids, named so that their string order is their step number.
 """
 
 
@@ -221,11 +221,12 @@ def walk_clear_and_allocate(d_rows, s_rows, price_floor=0.0, price_cap=float("in
 # the day-ahead schedule through forecast ids
 # ----------------------------------------------------------------------
 #
-# Forecast steps used to carry the order ids ``__forecast{k}``: the area
-# curve put equal prices in id string order (``__forecast10`` before
-# ``__forecast2``), then in feeder order, and each feeder's position was
-# read back from its own rows. The package now ranks the steps with
-# numbers instead of ids; these functions keep the id path as rows.
+# Forecast steps used to carry order ids: the area curve put equal
+# prices in id string order, then in feeder order, and each feeder's
+# position was read back from its own rows. The package now ranks the
+# steps by their numbers instead; these functions keep the id path as
+# rows, with ids zero-padded (``__forecast000002`` before
+# ``__forecast000010``) so that id order is step order.
 
 
 def walk_quantity_at(rows, price):
@@ -241,8 +242,8 @@ def feedback_rows(window):
     """Availability feedback of a window of demand rows, as rows.
 
     The mean willingness over the window at each distinct price, highest
-    first; a step wherever it rises, named ``__forecast{k}`` after the
-    price's position k. Of 0.0 and -0.0 the first seen in trade order
+    first; a step wherever it rises, named ``__forecast{k:06d}`` after
+    the price's position k. Of 0.0 and -0.0 the first seen in trade order
     names the level, as in a Python set.
     """
     prices = sorted({p for rows in window for p, _, _ in walk_sort(rows, buy=True)}, reverse=True)
@@ -253,7 +254,7 @@ def feedback_rows(window):
             q_here += walk_quantity_at(rows, p)
         q_here /= len(window)
         if q_here > prev_q:
-            steps.append((p, q_here - prev_q, f"__forecast{k}"))
+            steps.append((p, q_here - prev_q, f"__forecast{k:06d}"))
             prev_q = q_here
     return steps
 

@@ -12,6 +12,7 @@ import time
 from datetime import datetime
 
 import numpy as np
+import pytest
 
 from conftest import SCENARIO_DIR, artifact_files
 from oracle_clearing import fills_by_id, oracle_clear, random_book
@@ -190,14 +191,13 @@ def test_c07_curtailment_conserves_daily_energy():
     ]
     phases = rng.uniform(0.0, 1.0, n)
     states = [state_from_phase(phases[i], params[i], cfg, 32.0) for i in range(n)]
-    ids = [f"h{i:03d}" for i in range(n)]
 
     t0 = time.perf_counter()
-    curtailed_pop = Population(ids, params, cfg, states, [1.0] * n)
+    curtailed_pop = Population(params, cfg, states, [1.0] * n)
     curtailed = curtailment_experiment(
         curtailed_pop, 32.0, span_h=24.0, tick_h=1 / 60, off_start_h=10.0, off_end_h=12.0
     )
-    baseline_pop = Population(ids, params, cfg, states, [1.0] * n)
+    baseline_pop = Population(params, cfg, states, [1.0] * n)
     baseline = curtailment_experiment(baseline_pop, 32.0, span_h=24.0, tick_h=1 / 60)
     elapsed = time.perf_counter() - t0
 
@@ -275,6 +275,7 @@ def test_c10_cleared_quantity_never_exceeds_supply(scenario_runs):
     verdict(10, "cleared quantity stays within the supply curve and the cap binds", ok)
 
 
+@pytest.mark.byte_pin
 def test_c11_runs_are_byte_identical(scenario_runs):
     ok = True
     for stem, (first, second) in scenario_runs.items():

@@ -98,22 +98,30 @@ def test_build_demand_curve_places_must_run_at_cap():
         build_demand_curve([Order("s", SIDE_SELL, 10.0, 1.0)])
 
 
-def test_order_ranks_name_every_order_and_the_market_maker_range():
-    # repeated ids, ids past _h9999 (f1_h10000 sorts before f1_h9999) and
-    # ids on either side of the market maker's prefix in string order
-    ids = [f"f1_h{j:04d}" for j in (10001, 9999, 10000, 3, 9999)] + market_maker_ids(12)
-    ids += ["__imporu", "__impors", "__import", "__importer", "__area_bulk", "_", "bat_dis", "f1_base", "f1_base"]
-    rng = np.random.default_rng(2)
-    for trial in range(200):
-        if trial:
-            # random ids over the prefix's letters, some of them on the prefix
-            ids = ["".join(rng.choice(list("_import"), int(rng.integers(0, 10)))) for _ in range(int(rng.integers(0, 30)))]
-            ids += ["__import" + x for x in ids[: int(rng.integers(0, 3))]]
-        ranks = OrderRanks(ids)
-        rank = ranks.of(ids)
-        assert ranks.ids.tolist() == sorted(set(ids))
-        assert ranks.ids[rank].tolist() == ids
-        assert [r in ranks.market_maker for r in rank.tolist()] == [oid.startswith(MARKET_MAKER_PREFIX) for oid in ids]
+def test_order_ranks_name_every_order_at_its_given_position():
+    # a table takes its ids in rank order and never sorts them, so
+    # f1_h10000 ranks after f1_h9999 when listed so, and the market
+    # maker's blocks rank in step order (scarcity2 before scarcity10)
+    ids = market_maker_ids(12) + [f"f1_h{j:04d}" for j in (3, 9999, 10000, 10001)] + ["bat_dis", "f1_base", "_"]
+    ranks = OrderRanks(ids)
+    assert ranks.ids.tolist() == ids
+    assert ranks.of(ids).tolist() == list(range(len(ids)))
+    picked = ["f1_h10000", "__import_scarcity2", "__import_scarcity10"]
+    assert ranks.of(picked).tolist() == [15, 3, 11]
+    assert ranks.ids[ranks.of(picked)].tolist() == picked
+    with pytest.raises(ValueError):
+        OrderRanks(["f1_base", "bat_dis", "f1_base"])
+    with pytest.raises(KeyError):
+        ranks.of(["f1_resp"])
+    # the builders given hand-written ids rank them in ascending id; a
+    # repeated id names one rank
+    curve = StepCurve(SIDE_BUY, [(30.0, 1.0, oid) for oid in ids + ["f1_base"]])
+    assert curve.ranks.ids.tolist() == sorted(ids)
+    assert curve.ids.tolist() == sorted(ids + ["f1_base"])
+    assert build_demand_curve([Order(oid, SIDE_BUY, 30.0, 1.0) for oid in ids]).ranks.ids.tolist() == sorted(ids)
+    supply = build_feeder_supply(FeederSupplySpec(30.0, 10.0, ((60.0, 5.0), (90.0, 5.0))),
+                                 [Order("bat_dis", SIDE_SELL, 45.0, 1.0)])
+    assert supply.ranks.ids.tolist() == sorted(market_maker_ids(2) + ["bat_dis"])
 
 
 def test_build_feeder_supply_blocks_and_ids():
@@ -412,7 +420,7 @@ def test_feeder_curves_rank_ids_in_string_order_past_ten_thousand_houses():
     rng = np.random.default_rng(11)
     n = 10_050
     ids = [f"f1_h{j:04d}" for j in range(n)] + ["f1_base", "bat_chg"]
-    ranks = OrderRanks(ids)
+    ranks = OrderRanks(sorted(ids))  # hand-written ids, ranked as the builders rank them
     named = [Order("f1_base", SIDE_BUY, 1000.0, 40.0), Order("bat_chg", SIDE_BUY, 30.0, 5.0)]
     demand, d_rows = _feeder_demand(rng, "f1", n, ranks, named, at_30=(9999, 10000))
     order = [s.order_id for s in demand.segments]

@@ -598,6 +598,26 @@ def test_golden_reads_every_series_before_the_first_run(capsys, tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def test_golden_reports_every_broken_config_by_name(capsys, tmp_path):
+    # a.yaml is valid, b.yaml names a series that is not there and c.yaml
+    # has a bad schema version: each problem is one line naming its file,
+    # the unread series makes it an I/O failure, and nothing is written
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    shutil.copy(SCENARIO_DIR / "null.yaml", scen / "a.yaml")
+    missing_csv_yaml(scen / "b.yaml")
+    (scen / "c.yaml").write_text(NULL_YAML.replace("schema_version: 1", "schema_version: 9"))
+    rc = main(["golden", "--scenarios", str(scen), "--out", str(tmp_path / "runs")])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: b.yaml: ") and "missing.csv" in lines[0]
+    assert lines[1] == "error: c.yaml: schema_version: expected 1, got 9"
+    assert not (scen / "golden").exists()
+    assert not (tmp_path / "runs").exists()
+
+
 # ------------------------------------------------------ process boundary
 
 

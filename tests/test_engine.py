@@ -7,9 +7,11 @@ import json
 import math
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from tgsim import engine
@@ -108,6 +110,7 @@ def test_manifest_describes_the_run(scenario_runs):
 # ---------------------------------------------------------- determinism
 
 
+@pytest.mark.byte_pin
 def test_double_runs_are_byte_identical(scenario_runs):
     for stem, (first, second) in scenario_runs.items():
         a = artifact_files(first)
@@ -238,6 +241,64 @@ def test_the_diurnal_scenario_schedules_day_one_from_feedback_and_its_houses_bid
     assert len(bids) == n_feeders * cfg.simulation.span_s // cfg.simulation.market_interval_s
     apart = sum(2 * distinct > n for n, distinct in bids)
     assert apart >= 0.7 * len(bids), (apart, len(bids))
+
+
+# diurnal_two_day derived to 2 x 1000 houses over 26 h at seed 7, each
+# feeder's kW scaled with its houses. The digests were taken before house
+# and forecast ranks became the order in which a run builds its orders,
+# and that change kept every byte.
+DIURNAL_AT_SCALE_SHA256 = {
+    "events.jsonl": "1069d40937ec3c982d1edd8d4bc318370ceae21f95996b2db6334208700d1880",
+    "frequency.csv": "9014e702d1e19a048f85d52d6e9a3fbd976b9e1a3b8e9da661089a1ac2abb94a",
+    "load.csv": "4ea5efed5793865ef3806b134b1b54cf2889cc4404577aa41218714bbddb9437",
+    "markets.csv": "712737aba34c8efbffd695a4ab02a8a8c71f3e692d13c44028cb3ecf929cfc91",
+    "settlement.csv": "7e90cd932572521367234c5019339fa6db662021587f8cfc20b43032c22a452a",
+    "summary.json": "879553739815c075ded1eebdab88e954f3036b3c99c3c73985a66c2cf55b68de",
+}
+
+
+def diurnal_at_scale_config():
+    """diurnal_two_day over 26 h with each feeder scaled to 1000 houses,
+    as perfbench's derive_yaml scales a workload: capacity, base load and
+    scarcity kW grow with the houses."""
+    doc = yaml.safe_load((SCENARIO_DIR / "diurnal_two_day.yaml").read_text())
+    doc["simulation"]["span_s"] = 26 * 3600
+    for feeder in doc["feeders"]:
+        k = 1000 / feeder["houses"]
+        feeder["houses"] = 1000
+        feeder["capacity_kw"] *= k
+        feeder["base_load_kw"] *= k
+        feeder["scarcity_steps"] = [[p, kw * k] for p, kw in feeder["scarcity_steps"]]
+    return parse_config(yaml.safe_dump(doc, sort_keys=False))
+
+
+@pytest.mark.byte_pin
+def test_the_diurnal_loop_at_scale_matches_its_pinned_digests(tmp_path, monkeypatch):
+    # the size where day 1's forecasts have thousands of steps (a median
+    # of 7541.5 at seed 7) and every feeder interval has more than half
+    # of its bids distinct, so a resize that collapses either fails here
+    forecasts, bids = [], []
+    real_feedback, real_bids = engine.availability_feedback, engine.fleet_bids
+
+    def recorded_feedback(spans):
+        forecasts.append(real_feedback(spans))
+        return forecasts[-1]
+
+    def recorded_bids(*args):
+        idx, prices = real_bids(*args)
+        bids.append((len(prices), len(np.unique(prices))))
+        return idx, prices
+
+    monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
+    monkeypatch.setattr(engine, "fleet_bids", recorded_bids)
+    cfg = diurnal_at_scale_config()
+    assert cfg.seed == 7 and [f.houses for f in cfg.feeders] == [1000, 1000]
+    run = SimulationRun(cfg, SCENARIO_DIR).run(tmp_path / "run")
+    assert len(forecasts) == 2 * 24
+    assert np.median([len(f.price) for f in forecasts]) >= 5000
+    assert bids and all(2 * distinct > n for n, distinct in bids)
+    for name, digest in DIURNAL_AT_SCALE_SHA256.items():
+        assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path, monkeypatch):
@@ -417,8 +478,10 @@ def test_bootstrap_forecast_columns_equal_the_row_built_curves_bitwise():
         assert bits(got[fid].price, got[fid].quantity) == bits(want.price, want.quantity)
         ids += want.ids.tolist()
         ranks += got[fid].rank.tolist()
-    # the ranks order every feeder's steps as their ids sort
-    assert sorted(range(len(ids)), key=ranks.__getitem__) == sorted(range(len(ids)), key=ids.__getitem__)
+    # the ranks order the steps as the run builds them: feeders in config
+    # order, base before response
+    assert ids == ["f1_base", "f1_resp", "f2_resp"]
+    assert ranks == sorted(ranks)
 
 
 def test_an_hour_scheduled_at_the_cap_anchors_the_feeder_at_the_bulk_price(tmp_path, monkeypatch):
@@ -468,6 +531,7 @@ def test_seed_only_enters_through_the_random_streams(tmp_path, scenario_runs):
     assert m_base == m_ours
 
 
+@pytest.mark.byte_pin
 def test_summaries_match_the_pinned_goldens(scenario_runs):
     golden_dir = SCENARIO_DIR / "golden"
     for stem, (run, _) in scenario_runs.items():
@@ -476,6 +540,7 @@ def test_summaries_match_the_pinned_goldens(scenario_runs):
         assert produced == golden, f"summary drifted for {stem}"
 
 
+@pytest.mark.byte_pin
 def test_artifacts_match_the_pinned_digests(scenario_runs):
     # the summary goldens do not cover the event log or the CSV ledgers
     pinned = json.loads((SCENARIO_DIR / "golden" / "artifacts.sha256.json").read_text())
@@ -512,7 +577,7 @@ def test_single_house_trace_replays_outside_the_engine(scenario_runs):
         deadband=1.0, t_min=20.0, t_max=24.0, t_desired=22.0,
     )
     state0 = state_from_phase(0.0, params, cfg0, 32.0)
-    pop = Population(["f1_h0000"], [params], cfg0, [state0], [1.0])
+    pop = Population([params], cfg0, [state0], [1.0])
     stats = PriceStats(window=12, prior_mean=30.0, prior_sigma=10.0)
     market_setpoint = pop.setpoint.copy()
 
@@ -642,9 +707,12 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
     sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
     assert len(sim.fleet) == 160
     for fid, (lo, hi) in (("f2", (0, 60)), ("f1", (60, 160))):
-        pop = sim.feeders[fid].pop
-        assert pop.ids == sim.fleet.ids[lo:hi]
-        assert np.shares_memory(pop.latched, sim.fleet.latched)
+        fs = sim.feeders[fid]
+        # house i of the area fleet ranks first + i, first the rank of house 0
+        assert len(fs.pop) == hi - lo and fs.first_rank == sim.feeders["f2"].first_rank + lo
+        assert sim.ranks.ids[fs.first_rank : fs.first_rank + hi - lo].tolist() == [
+            f"{fid}_h{j:04d}" for j in range(hi - lo)]
+        assert np.shares_memory(fs.pop.latched, sim.fleet.latched[lo:hi])
     run = sim.run(tmp_path / "run")
     assert {hid.split("_")[0] for hid in shed_ids} == {"f1", "f2"}
     # each draw is over one feeder's closed armed relays; f0 has none
@@ -679,7 +747,7 @@ def test_closed_relay_counts_stay_exact_and_draws_resume_after_the_release(tmp_p
         block_t0.append(t0)
         sheds = balancing_block(t0, out)
         for fid, fs in sim.feeders.items():
-            closed = np.count_nonzero(fs.pop.latched[fs.armed_idx] == 0)
+            closed = np.count_nonzero(fs.pop.latched[: fs.n_armed] == 0)
             assert fs.armed_closed == closed, (t0, fid)
         return sheds
 
@@ -741,19 +809,51 @@ def test_diversity_is_sampled_once_per_market_interval_onto_markets_csv(tmp_path
                            "__area": repr(left_sum([f2, f1]) / 2)}
 
 
-def test_house_ranks_and_armed_relays_follow_id_string_order_past_ten_thousand():
-    # past 9,999 houses a feeder, f1_h10000 sorts before f1_h9999; curve
-    # ties and the shedding draw both follow that string order
+def test_house_ranks_and_armed_relays_follow_fleet_index_past_ten_thousand(monkeypatch):
+    # past 9,999 houses a feeder, f1_h10000 ranks after f1_h9999 (string
+    # order would put it first); curve ties and the shedding draw both
+    # follow that fleet order
     cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
     feeder = dataclasses.replace(cfg.feeders[0], houses=10_001)
     sim = SimulationRun(dataclasses.replace(cfg, feeders=(feeder,)), base_dir=SCENARIO_DIR)
     fs = sim.feeders[feeder.feeder_id]
-    by_id = sorted(fs.pop.ids)
-    assert by_id.index("f1_h10000") < by_id.index("f1_h9999")
-    house_ids = np.array(fs.pop.ids, dtype=object)
-    assert house_ids[np.argsort(fs.house_rank)].tolist() == by_id
-    assert house_ids[fs.armed_idx].tolist() == by_id  # armed_fraction 1.0
+    # the fixed orders come first, in the order the run builds them
+    assert sim.ranks.ids[: fs.first_rank].tolist() == ["__import_wholesale", "f1_base", "f1_resp"]
+    names = sim.ranks.ids[fs.first_rank :].tolist()
+    assert names == [f"f1_h{j:04d}" for j in range(10_001)]
+    assert sorted(names).index("f1_h10000") < sorted(names).index("f1_h9999")
+    assert fs.n_armed == 10_001  # armed_fraction 1.0
     assert sim.ranks.of(["f1_base"]).shape == (1,)
+    # the draw is over the closed relays' ranks in fleet order, and each
+    # shed rank latches the house it names
+    drawn, ufls_check = [], engine.ufls_check
+
+    def recorded(*args):
+        drawn.append(list(args[3]))
+        return ufls_check(*args)
+
+    monkeypatch.setattr(engine, "ufls_check", recorded)
+    fs.pop.latched[:5000] = 1
+    fs.armed_closed = 10_001 - 5000
+    sim._shed(0, cfg.area.ufls.threshold_hz - 0.1, types.SimpleNamespace(event=lambda record: None))
+    assert drawn == [list(range(fs.first_rank + 5000, fs.first_rank + 10_001))]
+    shed = np.flatnonzero(fs.pop.latched[5000:]) + 5000
+    assert len(shed) and (fs.armed_closed == 10_001 - 5000 - len(shed))
+    assert sim.ranks.ids[fs.first_rank + shed].tolist() == [f"f1_h{j:04d}" for j in shed.tolist()]
+
+
+def test_feeders_a_and_a_h5_each_hold_one_block_of_house_ranks():
+    # a_h5's house ids sort between a_h5999 and a_h6000 of feeder a, so in
+    # string order the two feeders' houses would interleave
+    cfg = three_feeder_ufls_config()
+    a, a_h5 = (dataclasses.replace(cfg.feeders[2], feeder_id=fid, houses=n) for fid, n in (("a", 6001), ("a_h5", 3)))
+    sim = SimulationRun(dataclasses.replace(cfg, feeders=(a, a_h5)), base_dir=SCENARIO_DIR)
+    first = sim.feeders["a"].first_rank
+    assert sim.ranks.ids[:first].tolist() == ["__import_wholesale", "a_base", "a_resp", "a_h5_base", "a_h5_resp"]
+    assert sim.feeders["a_h5"].first_rank == first + 6001
+    names = sim.ranks.ids[first:].tolist()
+    assert names == [f"a_h{j:04d}" for j in range(6001)] + ["a_h5_h0000", "a_h5_h0001", "a_h5_h0002"]
+    assert sorted(names) != names
 
 
 def setup_cases():
@@ -781,7 +881,7 @@ def reference_fleet(sim):
     sigma_rc = math.log1p(spec.spread)
     sigma_k = math.log1p(spec.comfort_k_spread)
     t0 = sim.t_out(0.0)
-    ids, params, states, ks = [], [], [], []
+    params, states, ks = [], [], []
     for fspec in cfg.feeders:
         for j in range(fspec.houses):
             z = rng.standard_normal(3)
@@ -791,13 +891,13 @@ def reference_fleet(sim):
             k = spec.comfort_k * math.exp(sigma_k * z[2]) if spec.comfort_k > 0 else 0.0
             par = ThermalParams(r_thermal=r, c_thermal=c, q_hvac=spec.q_hvac, p_rated=spec.p_rated)
             phase = u if spec.initial == "steady" else 0.0
-            ids.append(f"{fspec.feeder_id}_h{j:04d}")
             params.append(par)
             states.append(state_from_phase(phase, par, sim.thermostat, t0))
             ks.append(k)
-    return Population(ids, params, sim.thermostat, states, ks), rng
+    return Population(params, sim.thermostat, states, ks), rng
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("case", ["baseline_200", "scarcity_sync", "heating", "comfort_k_0", "empty_feeder"])
 def test_the_array_setup_builds_the_per_house_loops_fleet_bitwise(case):
     cfg = setup_cases()[case]
@@ -805,7 +905,6 @@ def test_the_array_setup_builds_the_per_house_loops_fleet_bitwise(case):
     want, rng = reference_fleet(sim)
     got = sim.fleet
     assert len(got) == len(want) > 0
-    assert got.ids == want.ids
     for name in ("r_thermal", "c_thermal", "q_hvac", "p_rated", "setpoint", "comfort_k", "t_in"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype == np.float64, name
@@ -834,7 +933,7 @@ def test_armed_relays_count_from_the_fraction_as_written(fraction, houses, armed
     area = dataclasses.replace(cfg.area, ufls=dataclasses.replace(cfg.area.ufls, armed_fraction=fraction))
     sim = SimulationRun(dataclasses.replace(cfg, feeders=(feeder,), area=area), base_dir=SCENARIO_DIR)
     fs = sim.feeders[feeder.feeder_id]
-    assert len(fs.armed_idx) == fs.armed_closed == armed
+    assert fs.n_armed == fs.armed_closed == armed
 
 
 def test_shed_relays_release_once_after_the_hold(tmp_path):
@@ -913,6 +1012,7 @@ def test_heating_aggregator_command_moves_setpoints_against_the_load():
     assert not sim.reg_offset.any()
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("kind", ["hysteresis", "zero_deadband"])
 def test_heating_runs_are_byte_identical(tmp_path, kind):
     cfg = parse_config(HEATING.format(kind=kind))

@@ -96,7 +96,7 @@ def test_schedule_is_a_pure_function_of_its_inputs():
 
 def _string_and_number_orders_differ(rows_by_feeder):
     """Whether two feeders hold steps of one price whose step numbers
-    order differently as numbers and as strings (2 and 10)."""
+    order differently as numbers and as unpadded strings (2 and 10)."""
     at_price = {}
     for fid, rows in rows_by_feeder.items():
         for p, _, oid in rows:
@@ -110,8 +110,8 @@ def test_schedule_matches_the_forecast_id_path_bitwise():
     # most prices come from one grid shared by every feeder, so steps
     # tie across feeders, and a window holds up to some 40 distinct
     # prices, so step numbers on both sides of 10 meet at one price:
-    # ordering them as numbers instead of as the ids' strings folds the
-    # area curve's quantities in another order
+    # there the ranks must order them as numbers, as the oracle's padded
+    # ids sort, and not as the numbers' strings would
     rng = np.random.default_rng(17)
     grid = 20.0 + 2.5 * np.arange(24)
     mixed = 0
@@ -178,17 +178,20 @@ def test_feedback_averages_over_the_union_of_prices():
 
 def test_feedback_ranks_steps_as_their_forecast_ids_sort():
     # 25 prices give steps 0..24; a second window skips some prices, so
-    # its step numbers differ from the first's at equal prices. Across
-    # both forecasts the ranks sort as the ids __forecast{k} do as
-    # strings: 1, 10, 11, ..., 19, 2, 20, ...
+    # its step numbers differ from the first's at equal prices. A step's
+    # rank is its number, so across both forecasts the ranks sort as the
+    # oracle's zero-padded ids __forecast{k:06d} do: 1, 2, ..., 9, 10, ...
     rows = [(100.0 - p, 1.0, f"h{p}") for p in range(25)]
     first = availability_feedback([_price_spans(demand(*rows))])
     second = availability_feedback([_price_spans(demand(*rows[::3]))])
     ids = [oid for window in ([rows], [rows[::3]]) for _, _, oid in feedback_rows(window)]
     rank = np.concatenate([first.rank, second.rank])
     assert len(ids) == len(rank) == 25 + 9
+    assert rank.tolist() == [int(oid.removeprefix("__forecast")) for oid in ids]
+    assert first.rank.tolist() == list(range(25)) and second.rank.tolist() == list(range(9))
     assert np.argsort(rank, kind="stable").tolist() == sorted(range(len(ids)), key=ids.__getitem__)
-    assert [ids[i] for i in np.argsort(first.rank)[:3]] == ["__forecast0", "__forecast1", "__forecast10"]
+    assert [ids[i] for i in np.argsort(first.rank)[1:4]] == ["__forecast000001", "__forecast000002",
+                                                              "__forecast000003"]
     # the same step number ranks the same in every forecast
     assert set(zip(ids, rank.tolist())) == set(zip(ids[:25], first.rank.tolist()))
 
@@ -404,7 +407,7 @@ def test_rent_folds_twelve_steps_in_id_order_bitwise():
     # storage sell at the wholesale price is no part of the rent
     prices = (34.36, 42.77, 45.96, 47.44, 50.93, 57.67, 64.92, 70.23, 73.72, 82.05, 90.48, 94.97)
     kws = (12.88, 18.78, 21.69, 18.98, 13.56, 13.82, 19.73, 27.62, 2.39, 3.6, 23.08, 14.33)
-    ranks = OrderRanks(market_maker_ids(12) + ["bat_dis", "d"])
+    ranks = OrderRanks(sorted(market_maker_ids(12) + ["bat_dis", "d"]))  # a table by id
     sup = build_feeder_supply(
         FeederSupplySpec(30.0, 100.3, tuple(zip(prices, kws)), 1000.0),
         [Order("bat_dis", SIDE_SELL, 30.0, 4.5)], ranks,
@@ -424,6 +427,27 @@ def test_rent_folds_twelve_steps_in_id_order_bitwise():
     assert struct.pack("<d", by_id) != struct.pack("<d", fold(filled))
     assert struct.pack("<d", by_id) != struct.pack("<d", by_step)
     assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_id)
+
+
+def test_rent_folds_a_runs_market_maker_blocks_in_step_order_bitwise():
+    # a run's table lists the market maker's blocks in step order, so the
+    # twelve steps' margins fold wholesale first, then scarcity0 to 11
+    prices = (34.36, 42.77, 45.96, 47.44, 50.93, 57.67, 64.92, 70.23, 73.72, 82.05, 90.48, 94.97)
+    kws = (12.88, 18.78, 21.69, 18.98, 13.56, 13.82, 19.73, 27.62, 2.39, 3.6, 23.08, 14.33)
+    ranks = OrderRanks(market_maker_ids(12) + ["bat_dis", "d"])
+    sup = build_feeder_supply(
+        FeederSupplySpec(30.0, 100.3, tuple(zip(prices, kws)), 1000.0),
+        [Order("bat_dis", SIDE_SELL, 30.0, 4.5)], ranks,
+    )
+    dem = build_demand_curve([Order("d", SIDE_BUY, 157.1, sup.total_quantity() - 0.7)], ranks)
+    result = clear_and_allocate(dem, sup, 0.0, 1000.0)
+    filled = list(zip(sup.ids.tolist(), sup.price.tolist(), result.sell_fills.tolist()))
+    by_step = [row for row in filled if row[0].startswith("__import")]
+    assert [oid for oid, _, _ in by_step] == market_maker_ids(12)
+    by_step_fold = left_sum((result.price - p) * fill for _, p, fill in by_step)
+    by_id_fold = left_sum((result.price - p) * fill for _, p, fill in sorted(by_step))
+    assert struct.pack("<d", by_step_fold) != struct.pack("<d", by_id_fold)
+    assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_step_fold)
 
 
 def test_rent_zero_on_null_trade():

@@ -194,7 +194,7 @@ def _random_population(rng, kind, mode, n=40):
         t_max=sp + 2.0,
         t_desired=sp,
     )
-    ids, params, states, ks = [], [], [], []
+    params, states, ks = [], [], []
     for i in range(n):
         q = rng.uniform(4.0, 14.0) * (1.0 if heating else -1.0)
         params.append(
@@ -206,9 +206,8 @@ def _random_population(rng, kind, mode, n=40):
             )
         )
         states.append(HouseState(t_in=rng.uniform(15.0, 28.0), hvac_on=bool(rng.integers(2))))
-        ids.append(f"h{i:03d}")
         ks.append(1.0)
-    pop = Population(ids, params, cfg, states, ks)
+    pop = Population(params, cfg, states, ks)
     # as price response leaves them, setpoints differ from house to house
     pop.setpoint[:] = sp + rng.uniform(-0.5, 0.5, n)
     return pop, params
@@ -231,7 +230,7 @@ def test_population_tick_matches_scalar_reference_bitwise():
         rng = np.random.default_rng(7)
         pop, params = _random_population(rng, kind, mode)
         _check_tick_against_scalar_reference(pop, params, 18.0 if mode == "heating" else 26.0)
-        empty = Population([], [], pop.cfg, [], [])
+        empty = Population([], pop.cfg, [], [])
         empty.tick(20.0, 0.1, at_market_boundary=True)
         assert empty.aggregate_power() == 0.0
 
@@ -271,8 +270,8 @@ def _check_tick_against_scalar_reference(pop, params, t_out):
 
 def test_population_validation_and_guards():
     with pytest.raises(ValueError):
-        Population(["a"], [COOL], COOL_CFG, [], [1.0])
-    pop = Population(["a"], [COOL], COOL_CFG, [HouseState(23.0, False)], [1.0])
+        Population([COOL], COOL_CFG, [], [1.0])
+    pop = Population([COOL], COOL_CFG, [HouseState(23.0, False)], [1.0])
     with pytest.raises(ValueError):
         pop.tick(30.0, 0.0, at_market_boundary=True)
     with pytest.raises(ValueError):
@@ -282,20 +281,20 @@ def test_population_validation_and_guards():
 def test_from_arrays_checks_every_house_as_thermal_params_does():
     cols = dict(r_thermal=[2.0, 2.0], c_thermal=[2.0, 2.0], q_hvac=[-12.0, -12.0], p_rated=[4.0, 4.0],
                 comfort_k=[1.0, 1.0], t_in=[22.0, 23.0], hvac_on=[True, False])
-    pop = Population.from_arrays(["a", "b"], COOL_CFG, **cols)
-    rows = Population(["a", "b"], [COOL, COOL], COOL_CFG, [HouseState(22.0, True), HouseState(23.0, False)], [1.0, 1.0])
+    pop = Population.from_arrays(COOL_CFG, **cols)
+    rows = Population([COOL, COOL], COOL_CFG, [HouseState(22.0, True), HouseState(23.0, False)], [1.0, 1.0])
     for name in Population._ARRAYS:
         assert getattr(pop, name).dtype == getattr(rows, name).dtype, name
         assert getattr(pop, name).tolist() == getattr(rows, name).tolist(), name
     for name, bad in (("r_thermal", [2.0, 0.0]), ("c_thermal", [-1.0, 2.0]), ("p_rated", [4.0, float("nan")]),
                       ("t_in", [22.0]), ("hvac_on", [True, False, True])):
         with pytest.raises(ValueError):
-            Population.from_arrays(["a", "b"], COOL_CFG, **{**cols, name: bad})
+            Population.from_arrays(COOL_CFG, **{**cols, name: bad})
 
 
 def test_latch_forces_hvac_off_and_excludes_power():
     states = [HouseState(25.0, True), HouseState(25.0, True)]
-    pop = Population(["a", "b"], [COOL, COOL], COOL_CFG, states, [1.0, 1.0])
+    pop = Population([COOL, COOL], COOL_CFG, states, [1.0, 1.0])
     pop.latched[:] = 1
     pop.tick(32.0, 1.0 / 60.0, at_market_boundary=True)
     assert pop.aggregate_power() == 0.0
@@ -312,7 +311,7 @@ def test_latch_forces_hvac_off_and_excludes_power():
 
 def test_zero_deadband_population_holds_between_boundaries():
     cfg = ThermostatConfig("zero_deadband", "cooling", 22.0, 0.0, 20.0, 24.0, 22.0)
-    pop = Population(["a"], [COOL], cfg, [HouseState(21.9, False)], [1.0])
+    pop = Population([COOL], cfg, [HouseState(21.9, False)], [1.0])
     # temperature drifts up past the setpoint with no boundary: holds off
     for _ in range(120):
         pop.tick(32.0, 1.0 / 120.0, at_market_boundary=False)
@@ -332,7 +331,7 @@ def test_aggregate_power_both_forms():
     ]
     states = [HouseState(22.0, True), HouseState(22.0, False), HouseState(22.0, True)]
     assert aggregate_power(states, params) == 9.0
-    pop = Population(["a", "b", "c"], params, COOL_CFG, states, [1.0] * 3)
+    pop = Population(params, COOL_CFG, states, [1.0] * 3)
     assert pop.aggregate_power() == 9.0
 
 
@@ -405,6 +404,7 @@ def test_state_from_phase_wraps():
     assert a == b
 
 
+@pytest.mark.byte_pin
 def test_states_from_phases_match_state_from_phase_bitwise():
     """states_from_phases synthesizes the states state_from_phase does.
 
@@ -548,7 +548,7 @@ def test_feeder_diversity_from_the_area_pass_matches_each_feeder_alone():
         feeders = []
         for lo, hi in bounds:
             states = [HouseState(float(area.t_in[i]), bool(area.hvac_on[i])) for i in range(lo, hi)]
-            own = Population(area.ids[lo:hi], params[lo:hi], area.cfg, states, [1.0] * (hi - lo))
+            own = Population(params[lo:hi], area.cfg, states, [1.0] * (hi - lo))
             own.setpoint[:] = area.setpoint[lo:hi]
             feeders.append(own)
         ambients = (35.0, 45.0) if mode == "cooling" else (7.0, -3.0)
@@ -557,7 +557,7 @@ def test_feeder_diversity_from_the_area_pass_matches_each_feeder_alone():
             want = [diversity_metric(own, t_out) for own in feeders if len(own)]
             assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
         part = area.houses(18, 50)
-        assert part.ids == area.ids[18:50]
+        assert len(part) == 32
         for name in Population._ARRAYS:
             assert np.shares_memory(getattr(part, name), getattr(area, name)), name
         part.latched[0] = 1
@@ -566,9 +566,7 @@ def test_feeder_diversity_from_the_area_pass_matches_each_feeder_alone():
 
 def test_diversity_metric_on_synchronized_population():
     states = [HouseState(22.5, True)] * 6
-    pop = Population(
-        [f"h{i}" for i in range(6)], [COOL] * 6, COOL_CFG, states, [1.0] * 6
-    )
+    pop = Population([COOL] * 6, COOL_CFG, states, [1.0] * 6)
     assert diversity_metric(pop, 32.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -577,7 +575,7 @@ def test_curtailment_window_drops_load_then_rebounds():
     params = [COOL] * n
     # seed the fleet spread evenly around the cycle
     states = [state_from_phase(i / n, COOL, COOL_CFG, 32.0) for i in range(n)]
-    pop = Population([f"h{i}" for i in range(n)], params, COOL_CFG, states, [1.0] * n)
+    pop = Population(params, COOL_CFG, states, [1.0] * n)
     out = curtailment_experiment(
         pop, t_out=32.0, span_h=6.0, tick_h=1.0 / 60.0, off_start_h=2.0, off_end_h=3.0
     )
