@@ -10,8 +10,9 @@ ranks: the order in which a run builds its orders. A run lists them
 once, in one table: the market maker's blocks in step order (wholesale,
 then ``scarcity0``, ``scarcity1``, ...), each battery's ``chg`` and
 ``dis`` legs in device-id order, each feeder's ``base`` and ``resp`` in
-config order, then every house in fleet order. So the area curve merges
-feeder curves with one stable sort on (price, rank). Curves built from
+config order, then every house in fleet order. The table formats a
+house's name only when asked for it. So the area curve merges feeder
+curves with one stable sort on (price, rank). Curves built from
 hand-written ids, which have no build order, rank them in ascending id.
 Steps without ids, such as forecast steps, rank by their step number.
 
@@ -84,19 +85,46 @@ def market_maker_ids(n_steps: int) -> list[str]:
 
 class OrderRanks:
     """Tie-break ranks of a fixed list of distinct order ids, given in
-    rank order: an id's rank is its position, and ``ids[rank]`` names
-    the order."""
+    rank order, then of blocks of house orders.
 
-    def __init__(self, ids: Iterable[str]) -> None:
+    A fixed id's rank is its position, ``ids`` holds the fixed ids and
+    ``of`` looks them up. Each ``(feeder id, count)`` of ``blocks``
+    ranks that many houses next, in fleet order; ``blocks`` keeps them
+    as ``(feeder id, first rank, count)``. House j of feeder f is named
+    ``f"{f}_h{j:04d}"``, but only when ``name`` or ``names`` asks, so a
+    table of any fleet holds no per-house string.
+    """
+
+    def __init__(self, ids: Iterable[str], blocks: Iterable[tuple[str, int]] = ()) -> None:
         ids = list(ids)
         self.ids = np.array(ids, dtype=object)
         self._rank = dict(zip(ids, range(len(ids))))
         if len(self._rank) != len(ids):
             raise ValueError("order ids must be distinct")
+        first = len(ids)
+        self.blocks: list[tuple[str, int, int]] = []
+        for fid, count in blocks:
+            self.blocks.append((fid, first, count))
+            first += count
 
     def of(self, ids: Iterable[str]) -> np.ndarray:
+        """Ranks of fixed ids."""
         rank = self._rank
         return np.array([rank[oid] for oid in ids], dtype=np.intp)
+
+    def name(self, rank: int) -> str:
+        """The order id of ``rank``."""
+        rank = int(rank)
+        if rank < len(self.ids):
+            return self.ids[rank]
+        for fid, first, count in self.blocks:
+            if rank < first + count:
+                return f"{fid}_h{rank - first:04d}"
+        raise IndexError(f"rank {rank} is outside the table")
+
+    def names(self, ranks) -> np.ndarray:
+        """The order ids of ``ranks``, as an object array."""
+        return np.array([self.name(rank) for rank in np.asarray(ranks).tolist()], dtype=object)
 
 
 def _ranks_by_id(ids: Iterable[str]) -> OrderRanks:
@@ -162,7 +190,7 @@ class StepCurve:
 
     @property
     def ids(self) -> np.ndarray | None:
-        return None if self.ranks is None else self.ranks.ids[self.rank]
+        return None if self.ranks is None else self.ranks.names(self.rank)
 
     @property
     def segments(self) -> list[Segment]:
@@ -410,7 +438,7 @@ def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[np.ndar
             fills[c + 1 : n_better] = 0.0
             n = n_better
         elif left > 0.0:
-            n, marginal = c + 1, curve.ranks.ids[curve.rank[c]]
+            n, marginal = c + 1, curve.ranks.name(curve.rank[c])
         else:
             n = c
     return fills[:n], marginal

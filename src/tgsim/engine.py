@@ -374,6 +374,7 @@ class _FeederState:
     reg_share: float = 0.0  # of the regulation sent to aggregators, by rated kW
     first_rank: int = 0  # the rank of house 0 in SimulationRun.ranks; house i ranks first_rank + i
     forecast_rank: np.ndarray | None = None  # of the bootstrap steps {fid}_base, {fid}_resp
+    house_names: list[str] = field(default_factory=list)  # for houses.csv, made by run() with the trace only
     storage: list[StoragePlacement] = field(default_factory=list)  # placed here, in id order
 
 
@@ -513,15 +514,16 @@ class SimulationRun:
         can hold, day 0's forecasts included, in the order the run builds
         them: the market maker's blocks in step order, each battery's legs
         in device-id order, each feeder's base and response in config
-        order, then every house in fleet order."""
+        order, then every house in fleet order. Only the fixed ids are
+        strings; each feeder's houses are one block of ranks, named by the
+        table when something asks."""
         ids = auction.market_maker_ids(max(len(f.scarcity_steps) for f in self.cfg.feeders))
         self.market_maker = range(len(ids))
         ids += [f"{sid}_{leg}" for sid in self.soc_kwh for leg in ("chg", "dis")]
         ids += [f"{fid}_{step}" for fid in self.feeders for step in ("base", "resp")]
-        for fid, fs in self.feeders.items():
-            fs.first_rank = len(ids)
-            ids += [f"{fid}_h{j:04d}" for j in range(len(fs.pop))]
-        self.ranks = OrderRanks(ids)
+        self.ranks = OrderRanks(ids, [(fid, len(fs.pop)) for fid, fs in self.feeders.items()])
+        for (_, first, _), fs in zip(self.ranks.blocks, self.feeders.values()):
+            fs.first_rank = first
         # a storage order's fill is found in a curve by its rank
         self.storage_rank = {sid: self.ranks.of([f"{sid}_chg", f"{sid}_dis"]) for sid in self.soc_kwh}
         for fid, fs in self.feeders.items():
@@ -587,6 +589,9 @@ class SimulationRun:
         ufls_events = 0
         ufls_total_kw = 0.0
 
+        if cfg.house_trace:
+            for fs in self.feeders.values():
+                fs.house_names = self.ranks.names(range(fs.first_rank, fs.first_rank + len(fs.pop))).tolist()
         with _Artifacts(Path(out_dir), cfg.house_trace) as out:
             for k in range(sim.span_s // sim.device_tick_s):
                 t = k * sim.device_tick_s
@@ -833,8 +838,7 @@ class SimulationRun:
             storage_net += fs.storage_net_kw
             if out.house_trace:
                 pop = fs.pop
-                names = self.ranks.ids[fs.first_rank : fs.first_rank + len(pop)].tolist()
-                for house in zip(names, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.setpoint.tolist()):
+                for house in zip(fs.house_names, pop.t_in.tolist(), pop.hvac_on.tolist(), pop.setpoint.tolist()):
                     out.row("houses.csv", t, *house)
         total = resp + base + storage_net
         out.row("load.csv", t, total, resp, base, storage_net, mean_t)

@@ -124,6 +124,38 @@ def test_order_ranks_name_every_order_at_its_given_position():
     assert supply.ranks.ids.tolist() == sorted(market_maker_ids(2) + ["bat_dis"])
 
 
+def test_house_blocks_are_named_on_demand_as_a_table_of_their_strings_names_them():
+    # two feeders' house blocks after the fixed ids; the names the table
+    # formats equal a table that lists every house id as a string
+    fixed = market_maker_ids(0) + ["bat_chg", "bat_dis", "f1_base", "f1_resp", "g_base", "g_resp"]
+    sizes = {"f1": 10_001, "g": 3}
+    ranks = OrderRanks(fixed, sizes.items())
+    spelled = fixed + [f"{fid}_h{j:04d}" for fid, n in sizes.items() for j in range(n)]
+    strings = OrderRanks(spelled)
+    assert ranks.ids.tolist() == fixed
+    assert ranks.blocks == [("f1", 7, 10_001), ("g", 10_008, 3)]
+    every = np.arange(len(spelled))
+    assert ranks.names(every).tolist() == spelled
+    assert ranks.names(every[::-1]).tolist() == spelled[::-1]
+    assert ranks.names(every[7:10_008]).tolist() == [f"f1_h{j:04d}" for j in range(10_001)]
+    assert [ranks.name(r) for r in (0, 7 + 9999, 7 + 10_000, 10_010)] == [
+        "__import_wholesale", "f1_h9999", "f1_h10000", "g_h0002"]
+    assert ranks.names([]).tolist() == []
+    with pytest.raises(IndexError):
+        ranks.names([len(spelled)])
+    # a partial fill at the price names its house: f1_h10000 and g_h0001 bid
+    # 2 kW each at 30, and the supply covers the 5 kW above 30 and 1 kW more
+    houses = Bids(np.array([30.0, 45.0, 30.0]), np.array([2.0, 1.0, 2.0]),
+                  np.array([10_008 + 1, 7 + 9999, 7 + 10_000]))
+    for table in (ranks, strings):
+        demand = build_demand_curve([Order("f1_base", SIDE_BUY, 1000.0, 4.0)], table, houses)
+        supply = StepCurve(SIDE_SELL, [(30.0, 6.0, "__import_wholesale")])
+        result = clear_and_allocate(demand, supply)
+        assert result.price == 30.0 and result.marginal_order == "f1_h10000"
+        assert demand.ids.tolist() == ["f1_base", "f1_h9999", "f1_h10000", "g_h0001"]
+        assert [seg.order_id for seg in demand.segments] == demand.ids.tolist()
+
+
 def test_build_feeder_supply_blocks_and_ids():
     assert MARKET_MAKER_PREFIX == "__import"
     spec = FeederSupplySpec(

@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
 from datetime import datetime
 from pathlib import Path
 
 import pytest
 import yaml
 
+from tgsim import config
 from tgsim.config import (
     SCHEMA_VERSION,
     AreaSpec,
@@ -143,10 +146,18 @@ def test_schema_version_required():
     assert f"schema_version: expected {SCHEMA_VERSION}, got None" in problems_of(text)
 
 
-def test_yaml_syntax_error_is_a_config_error():
-    problems = problems_of("feeders: [unclosed")
-    assert len(problems) == 1
-    assert problems[0].startswith("not parseable as YAML:")
+BAD_YAML = ["feeders: [unclosed", "simulation:\n\tspan_s: 3600\n", MINIMAL + "seed: 1\x07\n"]
+
+
+def test_yaml_syntax_error_is_a_config_error(monkeypatch):
+    # an unclosed flow, a tab used as indentation, a control character:
+    # one problem under libyaml's parser and under PyYAML's own
+    for loader in (config._YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        for text in BAD_YAML:
+            problems = problems_of(text)
+            assert len(problems) == 1, (loader, text)
+            assert problems[0].startswith("not parseable as YAML:"), (loader, text)
 
 
 def test_top_level_must_be_a_mapping():
@@ -597,3 +608,52 @@ def test_shipped_scenarios_all_parse():
         cfg = load_config(p)
         assert cfg.feeders, p.name
         assert cfg.simulation.span_s % cfg.simulation.schedule_interval_s == 0, p.name
+
+
+def perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py as a module, imported without writing bytecode beside it."""
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scenario_texts(monkeypatch):
+    """Every shipped scenario's text, and each benchmark workload's derived text."""
+    texts = {p.name: p.read_text() for p in sorted((REPO_ROOT / "scenarios").glob("*.yaml"))}
+    workloads = perfbench_workloads(monkeypatch)
+    for name, wl in workloads.WORKLOADS.items():
+        shipped = texts[f"{wl.scenario}.yaml"]
+        texts[name] = workloads.derive_yaml(shipped, wl, 1)
+    return texts
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml: one loader only")
+def test_libyaml_and_pure_python_loaders_give_equal_configs(monkeypatch):
+    assert config._YAML_LOADER is yaml.CSafeLoader
+    texts = scenario_texts(monkeypatch)
+    assert len(texts) >= 12
+    with_libyaml = {name: parse_config(text) for name, text in texts.items()}
+    monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+    for name, text in texts.items():
+        assert parse_config(text) == with_libyaml[name], name
+
+
+def test_a_pyyaml_without_libyaml_parses_through_its_own_loader(monkeypatch):
+    # a second copy of tgsim.config, imported where yaml has no CSafeLoader
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    spec = importlib.util.spec_from_file_location("tgsim._config_without_libyaml", config.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback._YAML_LOADER is yaml.SafeLoader
+    text = (REPO_ROOT / "scenarios" / "gen_loss_ufls.yaml").read_text()
+    # the copy's dataclasses are its own, so compare their reprs
+    assert repr(fallback.parse_config(text)) == repr(parse_config(text))
+    for bad in BAD_YAML:
+        with pytest.raises(fallback.ConfigError) as err:
+            fallback.parse_config(bad)
+        assert len(err.value.problems) == 1 and err.value.problems[0].startswith("not parseable as YAML:")

@@ -310,9 +310,9 @@ def test_retained_memory_holds_at_most_one_day_of_curves(tmp_path, monkeypatch):
     made = []
     real_init = OrderRanks.__init__
 
-    def counted(self, ids):
+    def counted(self, *args):
         made.append(None)
-        real_init(self, ids)
+        real_init(self, *args)
 
     monkeypatch.setattr(OrderRanks, "__init__", counted)
     base = load_config(SCENARIO_DIR / "two_day.yaml")
@@ -699,8 +699,8 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
     def recorded(*args):
         shed = ufls_check(*args)
         # the draw is over house ranks; name them through the run's table
-        drawn_over.append({hid.split("_")[0] for hid in sim.ranks.ids[args[3]]})
-        shed_ids.extend(sim.ranks.ids[shed])
+        drawn_over.append({hid.split("_")[0] for hid in sim.ranks.names(args[3])})
+        shed_ids.extend(sim.ranks.names(shed))
         return shed
 
     monkeypatch.setattr(engine, "ufls_check", recorded)
@@ -710,7 +710,7 @@ def test_feeder_runs_of_the_area_fleet_shed_and_release_by_their_own_indices(tmp
         fs = sim.feeders[fid]
         # house i of the area fleet ranks first + i, first the rank of house 0
         assert len(fs.pop) == hi - lo and fs.first_rank == sim.feeders["f2"].first_rank + lo
-        assert sim.ranks.ids[fs.first_rank : fs.first_rank + hi - lo].tolist() == [
+        assert sim.ranks.names(range(fs.first_rank, fs.first_rank + hi - lo)).tolist() == [
             f"{fid}_h{j:04d}" for j in range(hi - lo)]
         assert np.shares_memory(fs.pop.latched, sim.fleet.latched[lo:hi])
     run = sim.run(tmp_path / "run")
@@ -817,11 +817,18 @@ def test_house_ranks_and_armed_relays_follow_fleet_index_past_ten_thousand(monke
     feeder = dataclasses.replace(cfg.feeders[0], houses=10_001)
     sim = SimulationRun(dataclasses.replace(cfg, feeders=(feeder,)), base_dir=SCENARIO_DIR)
     fs = sim.feeders[feeder.feeder_id]
-    # the fixed orders come first, in the order the run builds them
-    assert sim.ranks.ids[: fs.first_rank].tolist() == ["__import_wholesale", "f1_base", "f1_resp"]
-    names = sim.ranks.ids[fs.first_rank :].tolist()
+    # the fixed orders come first, in the order the run builds them, and
+    # they are all the table holds as strings; the houses are one block
+    assert sim.ranks.ids.tolist() == ["__import_wholesale", "f1_base", "f1_resp"]
+    assert list(sim.ranks._rank) == sim.ranks.ids.tolist()
+    assert sim.ranks.blocks == [("f1", fs.first_rank, 10_001)] and fs.first_rank == 3
+    names = sim.ranks.names(range(fs.first_rank, fs.first_rank + 10_001)).tolist()
     assert names == [f"f1_h{j:04d}" for j in range(10_001)]
+    assert names[9999:] == ["f1_h9999", "f1_h10000"]
     assert sorted(names).index("f1_h10000") < sorted(names).index("f1_h9999")
+    assert sim.ranks.name(fs.first_rank + 10_000) == "f1_h10000"
+    with pytest.raises(IndexError):
+        sim.ranks.names([fs.first_rank + 10_001])
     assert fs.n_armed == 10_001  # armed_fraction 1.0
     assert sim.ranks.of(["f1_base"]).shape == (1,)
     # the draw is over the closed relays' ranks in fleet order, and each
@@ -839,7 +846,7 @@ def test_house_ranks_and_armed_relays_follow_fleet_index_past_ten_thousand(monke
     assert drawn == [list(range(fs.first_rank + 5000, fs.first_rank + 10_001))]
     shed = np.flatnonzero(fs.pop.latched[5000:]) + 5000
     assert len(shed) and (fs.armed_closed == 10_001 - 5000 - len(shed))
-    assert sim.ranks.ids[fs.first_rank + shed].tolist() == [f"f1_h{j:04d}" for j in shed.tolist()]
+    assert sim.ranks.names(fs.first_rank + shed).tolist() == [f"f1_h{j:04d}" for j in shed.tolist()]
 
 
 def test_feeders_a_and_a_h5_each_hold_one_block_of_house_ranks():
@@ -849,9 +856,9 @@ def test_feeders_a_and_a_h5_each_hold_one_block_of_house_ranks():
     a, a_h5 = (dataclasses.replace(cfg.feeders[2], feeder_id=fid, houses=n) for fid, n in (("a", 6001), ("a_h5", 3)))
     sim = SimulationRun(dataclasses.replace(cfg, feeders=(a, a_h5)), base_dir=SCENARIO_DIR)
     first = sim.feeders["a"].first_rank
-    assert sim.ranks.ids[:first].tolist() == ["__import_wholesale", "a_base", "a_resp", "a_h5_base", "a_h5_resp"]
+    assert sim.ranks.ids.tolist() == ["__import_wholesale", "a_base", "a_resp", "a_h5_base", "a_h5_resp"]
     assert sim.feeders["a_h5"].first_rank == first + 6001
-    names = sim.ranks.ids[first:].tolist()
+    names = sim.ranks.names(range(first, first + 6004)).tolist()
     assert names == [f"a_h{j:04d}" for j in range(6001)] + ["a_h5_h0000", "a_h5_h0001", "a_h5_h0002"]
     assert sorted(names) != names
 

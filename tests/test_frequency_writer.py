@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -193,6 +194,76 @@ def test_a_table_that_cannot_be_opened_unwinds_what_the_run_opened(tmp_path, wri
     assert not (out / "manifest.json").exists()
     # a file left open would warn as it is collected, and the suite makes that an error
     gc.collect()
+
+
+def recorded_stream(tmp_path, monkeypatch) -> bytes:
+    """The frames a shipped run sends its writer: baseline_200's first two
+    hours (1800 records and 10,000 log ratios), then the special rows."""
+    frames = []
+    queue = engine._WriterProcess._queue
+
+    def recorded(self, kind, count, *parts):
+        frames.append(frequency_writer.HEADER.pack(kind, count) + b"".join(bytes(part) for part in parts))
+        queue(self, kind, count, *parts)
+
+    monkeypatch.setattr(engine._WriterProcess, "_queue", recorded)
+    cfg = load_config(SCENARIO_DIR / "baseline_200.yaml")
+    cfg = dataclasses.replace(cfg, simulation=dataclasses.replace(cfg.simulation, span_s=7200))
+    SimulationRun(cfg, base_dir=SCENARIO_DIR).run(tmp_path / "recorded")
+    frames.append(frame(frequency_writer.RECORDS, records_of(special_rows())))
+    return b"".join(frames)
+
+
+def other_interpreters() -> dict[str, str]:
+    """Executables of the accepted Pythons (3.10 and later, as
+    pyproject.toml says) that this host can start besides the running
+    one, by label: ``python3.1x`` on the PATH, and each pyenv version."""
+    candidates = [([f"python3.{minor}"], None) for minor in range(10, 15)]
+    if shutil.which("pyenv"):
+        listed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True, text=True, timeout=60)
+        pyenv = ["pyenv", "exec", "python3"]
+        candidates += [(pyenv, dict(os.environ, PYENV_VERSION=v)) for v in listed.stdout.split()]
+    probe = "import sys; print(sys.executable); print(*sys.version_info[:3], sep='.')"
+    seen = {os.path.realpath(sys.executable)}
+    found = {}
+    for command, env in candidates:
+        if not shutil.which(command[0]):
+            continue
+        try:
+            done = subprocess.run(command + ["-S", "-I", "-c", probe], capture_output=True, text=True,
+                                  env=env, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode != 0 or len(done.stdout.split()) != 2:
+            continue
+        executable, version = done.stdout.split()
+        if tuple(map(int, version.split("."))) < (3, 10) or os.path.realpath(executable) in seen:
+            continue
+        seen.add(os.path.realpath(executable))
+        found[f"{version} ({executable})"] = executable
+    return found
+
+
+def write_under(executable: str, stream: bytes, path: Path) -> tuple[bytes, bytes]:
+    """frequency.csv's bytes and the reply bytes of the writer run by executable."""
+    path.write_text(frequency_writer.COLUMNS + "\n")
+    done = subprocess.run([executable, "-S", "-I", frequency_writer.__file__, str(path)], input=stream,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return path.read_bytes(), done.stdout
+
+
+def test_the_writer_gives_the_same_bytes_under_every_accepted_interpreter_found(tmp_path, monkeypatch):
+    others = other_interpreters()
+    if not others:
+        pytest.skip(f"found no accepted Python to compare besides the running {sys.version.split()[0]}")
+    stream = recorded_stream(tmp_path, monkeypatch)
+    csv, replies = write_under(sys.executable, stream, tmp_path / "here.csv")
+    records = frequency_writer.format_rows(records_of(special_rows()))
+    assert csv.endswith(records.encode()) and len(replies) == 10_000 * 8
+    print(f"compared with {sys.version.split()[0]} ({sys.executable}):", *others, sep="\n  ")
+    for k, (label, executable) in enumerate(others.items()):
+        assert write_under(executable, stream, tmp_path / f"other{k}.csv") == (csv, replies), label
 
 
 # The lifecycle cases below run in a fresh interpreter with a timeout, so
