@@ -27,7 +27,10 @@ success or error, it closes every file and waits for the writer.
 The loop steps over device ticks. After a tick's market and device
 phases, its balancing ticks run as one block (``_balancing_block``)
 that keeps the control state in locals and sends one record per tick
-to frequency.csv's writer. That writer is a second process
+to frequency.csv's writer. The block steps the control loop as
+straight-line arithmetic on constants the run computes once
+(``_init_balancing``); the scalar forms of ``tgsim.frequency`` state
+the formulas and are its test oracle. That writer is a second process
 (``frequency_writer``), started by the sink and waited for before run()
 returns or raises: the rows' float text costs a long run about a third
 of its time, so it is formatted on a second core. Every house of the
@@ -106,10 +109,8 @@ from .bidding import (
 from .config import ScenarioConfig, StoragePlacement, read_outdoor_series
 from .fold import array_sum, left_sum, libm_exp
 from .frequency import (
-    nerc_ace,
     regulation_command,
     smooth_ace,
-    split_regulation,
     swing_step,
     time_correction_offset,
     time_error_step,
@@ -120,6 +121,7 @@ from .hierarchy import (
     SettlementRecord,
     availability_feedback,
     feeder_reference,
+    market_maker_sold,
     reference_mode,
     scarcity_rent,
     schedule_hourly,
@@ -385,6 +387,7 @@ class SimulationRun:
         """base_dir is the scenario file's directory, against which a
         relative outdoor series path resolves (config.read_outdoor_series)."""
         self.cfg = cfg
+        self._init_balancing()
         ss = np.random.SeedSequence(cfg.seed)
         pop_seq, ufls_seq = ss.spawn(2)
         self.rng_pop = np.random.default_rng(pop_seq)
@@ -431,6 +434,32 @@ class SimulationRun:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+
+    def _init_balancing(self) -> None:
+        """The balancing block's constants, once per run, after the checks
+        the scalar forms of ``tgsim.frequency`` make on every call (in a
+        step's order, so a config parse_config would reject fails here).
+        Each subexpression those forms round on their own is one constant."""
+        sim = self.cfg.simulation
+        area = self.cfg.area
+        h, f_nom, swing, split = sim.agc_tick_s, area.freq_nominal_hz, area.swing, area.split
+        te_threshold, te_offset = area.time_error_threshold_s, area.time_correction_offset_hz
+        cap = area.regulation_capacity_mw
+        swing_step(0.0, 0.0, swing, h)
+        time_error_step(0.0, f_nom, f_nom, h)
+        time_correction_offset(0.0, te_threshold, te_offset)
+        smooth_ace(0.0, 0.0, area.smoothing_tau_s, h)
+        regulation_command(0.0, area.regulation_gain, cap)
+        self._event_windows = [
+            (ev.at_s, math.inf if ev.duration_s is None else ev.at_s + ev.duration_s, ev.delta_p_mw)
+            for ev in area.events
+        ]
+        self._balancing = (
+            h, sim.device_tick_s, f_nom, swing.m_hz_per_s_mw, swing.d_per_s, -area.droop_mw_per_hz,
+            split.alpha, 1.0 - split.alpha, split.beta, te_threshold, -te_threshold, f_nom + -te_offset,
+            f_nom + te_offset, 0.0 - area.scheduled_interchange_mw, 10.0 * area.bias_mw_per_01hz,
+            h / area.smoothing_tau_s, -area.regulation_gain, cap, -cap, area.ufls.threshold_hz, area.ufls.hold_s,
+        )
 
     def t_out(self, t_s: float) -> float:
         if self._t_out_series is None:
@@ -721,14 +750,15 @@ class SimulationRun:
             )
             supply = build_feeder_supply(supply_spec, sells, self.ranks)
             result = clear_and_allocate(demand, supply, mkt.price_floor, mkt.price_cap)
-            rent = scarcity_rent(result, supply)
+            sold = market_maker_sold(result, supply, self.market_maker)
+            rent = scarcity_rent(result, supply, sold)
             demand_curves[fid] = demand
             if self.day_curves:
                 self.day_curves[hour_of_day][fid].append(_price_spans(demand))
 
             n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
-            sold = zip(supply.rank[:n_sells].tolist(), result.sell_fills.tolist())
-            fs.import_kw = left_sum(fill for rank, fill in sold if rank in self.market_maker)
+            # in ascending rank, the blocks' trade order (config keeps step prices rising above the anchor)
+            fs.import_kw = left_sum(fill for _, fill in sold)
             out.event({"t": t, "type": "clearing", "market": fid, "price": result.price,
                        "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
                        "marginal": result.marginal_order})
@@ -849,7 +879,10 @@ class SimulationRun:
 
         Each step advances the swing, the time error, the control error
         and the regulation split once, then the shedding relays; below the
-        threshold a draw runs only while some armed relay is closed. The
+        threshold a draw runs only while some armed relay is closed. A step
+        does the operations of the scalar forms of ``tgsim.frequency``, its
+        test oracle, in their order, on the constants of _init_balancing;
+        it checks only the event windows that overlap the block. The
         area's load and import change only at device ticks, or when a
         shed opens a running unit's relay, so they are summed once and
         again only after such a shed. Each step's frequency.csv row goes
@@ -857,27 +890,10 @@ class SimulationRun:
         queued for its pipe as one frame. Returns the kW shed at each step
         that shed any.
         """
-        cfg = self.cfg
-        area = cfg.area
-        h = cfg.simulation.agc_tick_s
-        f_nom = area.freq_nominal_hz
-        swing = area.swing
-        split = area.split
-        alpha = split.alpha
-        droop = area.droop_mw_per_hz
-        te_threshold = area.time_error_threshold_s
-        te_offset = area.time_correction_offset_hz
-        interchange = area.scheduled_interchange_mw
-        bias = area.bias_mw_per_01hz
-        tau = area.smoothing_tau_s
-        gain = area.regulation_gain
-        reg_cap = area.regulation_capacity_mw
-        threshold = area.ufls.threshold_hz
-        hold_s = area.ufls.hold_s
-        events = [
-            (ev.at_s, math.inf if ev.duration_s is None else ev.at_s + ev.duration_s, ev.delta_p_mw)
-            for ev in area.events
-        ]
+        (h, tick, f_nom, m, d, neg_droop, alpha, one_minus_alpha, beta, te_threshold, neg_te_threshold, f_fast,
+         f_slow, ace_base, ten_bias, h_over_tau, neg_gain, cap, neg_cap, threshold, hold_s) = self._balancing
+        t_end = t0 + tick
+        windows = [w for w in self._event_windows if w[0] < t_end and w[1] > t0]
         feeders = list(self.feeders.values())
 
         delta_f = self.delta_f
@@ -885,10 +901,12 @@ class SimulationRun:
         ace_filtered = self.ace_filtered
         reg_gen_mw = self.reg_gen_mw
         above_since = self.above_threshold_since
+        held = self.relays_held
         load_mw = gen_mw = None
-        records = array("d")
+        event_mw = 0.0
+        records = []
         sheds = []
-        for t in range(t0, t0 + cfg.simulation.device_tick_s, h):
+        for t in range(t0, t_end, h):
             if load_mw is None:
                 load_kw = 0.0
                 import_kw = 0.0
@@ -897,50 +915,58 @@ class SimulationRun:
                     import_kw += fs.import_kw
                 load_mw = load_kw / 1000.0
                 gen_mw = import_kw / 1000.0
+            if windows:
+                event_mw = 0.0
+                for at_s, until_s, delta_p_mw in windows:
+                    if at_s <= t < until_s:
+                        event_mw += delta_p_mw
 
-            droop_mw = -droop * delta_f
-            droop_gen = (1.0 - alpha) * droop_mw
-            droop_load = alpha * droop_mw  # positive reduces load
-            event_mw = 0.0
-            for at_s, until_s, delta_p_mw in events:
-                if at_s <= t < until_s:
-                    event_mw += delta_p_mw
-
-            delta_p = gen_mw + reg_gen_mw + droop_gen + event_mw - (load_mw - droop_load)
-            delta_f = swing_step(delta_f, delta_p, swing, h)
+            # the loads' share of the droop, alpha * droop_mw, reduces load when positive
+            droop_mw = neg_droop * delta_f
+            delta_p = gen_mw + reg_gen_mw + one_minus_alpha * droop_mw + event_mw - (load_mw - alpha * droop_mw)
+            delta_f = delta_f + h * (m * delta_p + d * delta_f)
             freq = f_nom + delta_f
-
-            time_error_s = time_error_step(time_error_s, freq, f_nom, h)
-            f_sched = f_nom + time_correction_offset(time_error_s, te_threshold, te_offset)
-
-            ace_raw = nerc_ace(0.0, interchange, bias, freq, f_sched)
-            ace_filtered = smooth_ace(ace_filtered, ace_raw, tau, h)
-            cmd = regulation_command(ace_filtered, gain, reg_cap)
-            to_agg, reg_gen_mw = split_regulation(cmd, split)
+            time_error_s = time_error_s + h * (freq - f_nom) / f_nom
+            if time_error_s > te_threshold:
+                f_sched = f_fast
+            elif time_error_s < neg_te_threshold:
+                f_sched = f_slow
+            else:
+                f_sched = f_nom
+            ace_raw = ace_base - ten_bias * (freq - f_sched)
+            ace_filtered = ace_filtered + h_over_tau * (ace_raw - ace_filtered)
+            cmd = neg_gain * ace_filtered
+            if neg_cap > cmd:
+                cmd = neg_cap
+            if cap < cmd:
+                cmd = cap
+            to_agg = beta * cmd
+            reg_gen_mw = cmd - to_agg
 
             shed_kw = 0.0
             if freq < threshold:
                 above_since = None
                 if any(fs.armed_closed for fs in feeders):
                     shed_kw = self._shed(t, freq, out)
+                    held = self.relays_held
                     if shed_kw > 0:
                         sheds.append(shed_kw)
                         load_mw = None
             else:
                 if above_since is None:
                     above_since = t
-                if self.relays_held and t - above_since >= hold_s:
+                if held and t - above_since >= hold_s:
                     self.fleet.latched[:] = 0
                     for fs in feeders:
                         fs.armed_closed = fs.n_armed
-                    self.relays_held = False
+                    self.relays_held = held = False
                     out.event({"t": t, "type": "ufls_release"})
 
             # one frequency_writer record; + 0.0 folds -0.0 to 0.0, as _Artifacts.row does
-            records.extend((t, freq + 0.0, delta_f + 0.0, ace_raw + 0.0, ace_filtered + 0.0,
-                            to_agg + 0.0, reg_gen_mw + 0.0, shed_kw + 0.0, time_error_s + 0.0))
+            records += (t, freq + 0.0, delta_f + 0.0, ace_raw + 0.0, ace_filtered + 0.0,
+                        to_agg + 0.0, reg_gen_mw + 0.0, shed_kw + 0.0, time_error_s + 0.0)
 
-        out.writer.send_records(records)
+        out.writer.send_records(array("d", records))
         self.delta_f = delta_f
         self.time_error_s = time_error_s
         self.ace_filtered = ace_filtered

@@ -193,17 +193,30 @@ def settle(
     )
 
 
-def scarcity_rent(result: ClearingResult, supply: StepCurve) -> float:
+def market_maker_sold(result: ClearingResult, supply: StepCurve,
+                      market_maker: range | None = None) -> list[tuple[float, float]]:
+    """(price, fill) of each of the market maker's filled blocks in supply,
+    in ascending rank: by market_maker, the range of their ranks in a run's
+    table, or else (hand-built curves) by the ``__import`` id prefix, which
+    config reserves, so in a run both rules find the same orders."""
+    n = len(result.sell_fills)
+    rank = supply.rank[:n].tolist()
+    if market_maker is None:
+        names = supply.ranks.names(rank).tolist()
+        market_maker = {r for r, oid in zip(rank, names) if oid.startswith(MARKET_MAKER_PREFIX)}
+    filled = sorted(zip(rank, supply.price[:n].tolist(), result.sell_fills.tolist()))
+    return [(price, fill) for r, price, fill in filled if r in market_maker]
+
+
+def scarcity_rent(result: ClearingResult, supply: StepCurve, sold: list[tuple[float, float]] | None = None) -> float:
     """Margin the market maker keeps on its own supply segments.
 
     Local sellers are paid the clearing price in full; the wholesale and
     scarcity blocks belong to the market maker, which buys at the block
     price and sells at the clearing price. The sum of those margins is
     the scarcity rent. Zero whenever the wholesale block is marginal.
-    The margins fold left in ascending rank.
+    The margins fold left in ascending rank, over market_maker_sold's ``sold``.
     """
-    n = len(result.sell_fills)
-    filled = zip(supply.rank[:n].tolist(), supply.ids[:n].tolist(), supply.price[:n].tolist(),
-                 result.sell_fills.tolist())
-    return left_sum((result.price - price) * fill for _, oid, price, fill in sorted(filled)
-                    if oid.startswith(MARKET_MAKER_PREFIX))
+    if sold is None:
+        sold = market_maker_sold(result, supply)
+    return left_sum((result.price - price) * fill for price, fill in sold)

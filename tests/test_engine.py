@@ -8,6 +8,7 @@ import math
 import struct
 import tracemalloc
 import types
+from array import array
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import ConfigError, load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
 from tgsim.fold import left_sum
+from tgsim.frequency import (
+    SwingParams,
+    nerc_ace,
+    regulation_command,
+    smooth_ace,
+    split_regulation,
+    swing_step,
+    time_correction_offset,
+    time_error_step,
+)
 from tgsim.spectral import Series, write_series_csv
 from tgsim.thermal import (
     Population,
@@ -966,6 +977,166 @@ def test_shed_relays_release_once_after_the_hold(tmp_path):
     releases = [e["t"] for e in events if e["type"] == "ufls_release"]
     assert releases == [above_since + area.ufls.hold_s]
     assert not any(fs.pop.latched.any() for fs in sim.feeders.values())
+
+
+def reference_balancing_block(sim, t0, out, reached: set) -> list[float]:
+    """The balancing block as a loop of calls to the seven scalar forms of
+    tgsim.frequency, on sim's state; adds to reached each case it met."""
+    cfg = sim.cfg
+    area = cfg.area
+    h = cfg.simulation.agc_tick_s
+    f_nom = area.freq_nominal_hz
+    windows = [(ev.at_s, math.inf if ev.duration_s is None else ev.at_s + ev.duration_s, ev.delta_p_mw)
+               for ev in area.events]
+    feeders = list(sim.feeders.values())
+    load_mw = gen_mw = None
+    records = array("d")
+    sheds = []
+    active_at = []  # per step, the events in force
+    released = False
+    for t in range(t0, t0 + cfg.simulation.device_tick_s, h):
+        if load_mw is None:
+            load_kw = 0.0
+            import_kw = 0.0
+            for fs in feeders:
+                load_kw += fs.house_power_kw + fs.spec.base_load_kw + fs.storage_net_kw
+                import_kw += fs.import_kw
+            load_mw = load_kw / 1000.0
+            gen_mw = import_kw / 1000.0
+        droop_mw = -area.droop_mw_per_hz * sim.delta_f
+        droop_gen = (1.0 - area.split.alpha) * droop_mw
+        droop_load = area.split.alpha * droop_mw
+        active_at.append({j for j, (at_s, until_s, _) in enumerate(windows) if at_s <= t < until_s})
+        event_mw = 0.0
+        for j in sorted(active_at[-1]):
+            event_mw += windows[j][2]
+        delta_p = gen_mw + sim.reg_gen_mw + droop_gen + event_mw - (load_mw - droop_load)
+        sim.delta_f = swing_step(sim.delta_f, delta_p, area.swing, h)
+        freq = f_nom + sim.delta_f
+        sim.time_error_s = time_error_step(sim.time_error_s, freq, f_nom, h)
+        offset = time_correction_offset(sim.time_error_s, area.time_error_threshold_s, area.time_correction_offset_hz)
+        ace_raw = nerc_ace(0.0, area.scheduled_interchange_mw, area.bias_mw_per_01hz, freq, f_nom + offset)
+        sim.ace_filtered = smooth_ace(sim.ace_filtered, ace_raw, area.smoothing_tau_s, h)
+        cmd = regulation_command(sim.ace_filtered, area.regulation_gain, area.regulation_capacity_mw)
+        to_agg, sim.reg_gen_mw = split_regulation(cmd, area.split)
+        cases = {
+            "time error above the threshold": offset < 0,
+            "time error below minus the threshold": offset > 0,
+            "command clipped at the top rail": cmd == area.regulation_capacity_mw,
+            "command clipped at the bottom rail": cmd == -area.regulation_capacity_mw,
+            "droop shared by generators and loads": droop_gen != 0.0 and droop_load != 0.0,
+        }
+        reached.update(case for case, met in cases.items() if met)
+
+        shed_kw = 0.0
+        if freq < area.ufls.threshold_hz:
+            sim.above_threshold_since = None
+            if any(fs.armed_closed for fs in feeders):
+                shed_kw = sim._shed(t, freq, out)
+                if shed_kw > 0:
+                    reached.add("shed")
+                    sheds.append(shed_kw)
+                    load_mw = None
+        else:
+            if sim.above_threshold_since is None:
+                sim.above_threshold_since = t
+            if sim.relays_held and t - sim.above_threshold_since >= area.ufls.hold_s:
+                sim.fleet.latched[:] = 0
+                for fs in feeders:
+                    fs.armed_closed = fs.n_armed
+                sim.relays_held = False
+                reached.add("release")
+                released = True
+                out.event({"t": t, "type": "ufls_release"})
+        records.extend((t, freq + 0.0, sim.delta_f + 0.0, ace_raw + 0.0, sim.ace_filtered + 0.0,
+                        to_agg + 0.0, sim.reg_gen_mw + 0.0, shed_kw + 0.0, sim.time_error_s + 0.0))
+    if sheds and released:
+        reached.add("a shed and a release in one tick")
+    if active_at[0] - active_at[-1] and active_at[-1] - active_at[0]:
+        reached.add("one event ends and one starts inside a device tick")
+    if any(area.events[j].duration_s is None for j in set().union(*active_at)):
+        reached.add("an open-ended event")
+    out.writer.send_records(records)
+    sim.reg_agg_mw = to_agg
+    sim._apply_aggregator_command(to_agg)
+    return sheds
+
+
+def balancing_oracle_config():
+    """gen_loss_ufls with a loss from 300 s to 1824 s, a 12 MW surplus from
+    1808 s, inside the tick the loss ends in, an open-ended 1 MW loss from
+    5400 s and a 12 s dip at 6004 s that sheds and, after a 20 s hold,
+    releases within one tick; a small time-error threshold, a 0.5 MW
+    regulation capacity, droop shared by generators and loads, and a bias
+    whose tenfold is not exact."""
+    cfg = load_config(SCENARIO_DIR / "gen_loss_ufls.yaml")
+    area = cfg.area
+    loss = area.events[0]
+    return dataclasses.replace(
+        cfg,
+        feeders=(dataclasses.replace(cfg.feeders[0], houses=40),),
+        simulation=dataclasses.replace(cfg.simulation, span_s=7200),
+        area=dataclasses.replace(
+            area, split=dataclasses.replace(area.split, alpha=0.3), droop_mw_per_hz=0.5, bias_mw_per_01hz=-1.3,
+            regulation_capacity_mw=0.5, time_error_threshold_s=0.05,
+            ufls=dataclasses.replace(area.ufls, hold_s=20.0),
+            events=(dataclasses.replace(loss, at_s=300, duration_s=1524),
+                    dataclasses.replace(loss, at_s=1808, duration_s=3000, delta_p_mw=12.0),
+                    dataclasses.replace(loss, at_s=5400, delta_p_mw=-1.0),
+                    dataclasses.replace(loss, at_s=6004, duration_s=12, delta_p_mw=-10.0)),
+        ),
+    )
+
+
+def test_the_balancing_block_steps_as_the_scalar_forms_bitwise(tmp_path):
+    cfg = balancing_oracle_config()
+    assert 0.0 < cfg.area.split.alpha < 1.0 and cfg.area.droop_mw_per_hz > 0.0
+    run = run_scenario(cfg, tmp_path / "block", base_dir=SCENARIO_DIR)
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    reached = set()
+    sim._balancing_block = types.MethodType(lambda s, t0, out: reference_balancing_block(s, t0, out, reached), sim)
+    reference = sim.run(tmp_path / "reference")
+    # every case the block branches on, so a resize cannot quietly skip one
+    assert reached == {
+        "time error above the threshold", "time error below minus the threshold",
+        "command clipped at the top rail", "command clipped at the bottom rail",
+        "droop shared by generators and loads", "shed", "release", "a shed and a release in one tick",
+        "one event ends and one starts inside a device tick", "an open-ended event",
+    }
+
+    def records(out_dir):
+        lines = (out_dir / "frequency.csv").read_text().splitlines()[1:]
+        return [struct.pack("<9d", *map(float, line.split(","))) for line in lines]
+
+    got, want = records(run.out_dir), records(reference.out_dir)
+    assert len(got) == cfg.simulation.span_s // cfg.simulation.agc_tick_s
+    assert got == want
+    assert artifact_files(run) == artifact_files(reference)
+
+
+def negative(field):
+    return lambda cfg: dataclasses.replace(cfg, area=dataclasses.replace(cfg.area, **{field: -0.5}))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: dataclasses.replace(cfg, area=dataclasses.replace(cfg.area, swing=SwingParams(d_per_s=-0.25))),
+     "unstable step"),
+    (lambda cfg: dataclasses.replace(cfg, area=dataclasses.replace(cfg.area, smoothing_tau_s=2.0)),
+     "need 0 < h <= tau"),
+    (negative("regulation_gain"), "gain must be nonnegative"),
+    (negative("regulation_capacity_mw"), "capacity must be nonnegative"),
+    (negative("time_error_threshold_s"), "threshold and offset must be nonnegative"),
+    (negative("time_correction_offset_hz"), "threshold and offset must be nonnegative"),
+    (lambda cfg: dataclasses.replace(cfg, area=dataclasses.replace(cfg.area, freq_nominal_hz=0.0)),
+     "nominal frequency must be positive"),
+], ids=["tick_times_damping", "tau_below_tick", "negative_gain", "negative_capacity",
+        "negative_time_error_threshold", "negative_correction_offset", "zero_nominal_frequency"])
+def test_a_balancing_constant_parse_config_rejects_fails_the_run_at_construction(change, message):
+    # a hand-built config skips parse_config; the scalar forms' checks run
+    # once, when the run is built, instead of at each balancing step
+    cfg = change(load_config(SCENARIO_DIR / "gen_loss_ufls.yaml"))
+    with pytest.raises(ValueError, match=message):
+        SimulationRun(cfg, base_dir=SCENARIO_DIR)
 
 
 # ------------------------------------------------------------ heating

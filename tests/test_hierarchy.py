@@ -27,6 +27,7 @@ from tgsim.hierarchy import (
     MODE_NORMAL,
     availability_feedback,
     feeder_reference,
+    market_maker_sold,
     reference_mode,
     scarcity_rent,
     schedule_hourly,
@@ -448,6 +449,36 @@ def test_rent_folds_a_runs_market_maker_blocks_in_step_order_bitwise():
     by_id_fold = left_sum((result.price - p) * fill for _, p, fill in sorted(by_step))
     assert struct.pack("<d", by_step_fold) != struct.pack("<d", by_id_fold)
     assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_step_fold)
+
+
+def test_rent_and_import_by_rank_match_the_prefix_fold_beside_a_battery_bitwise():
+    # a run's table: the market maker's blocks, then a battery's leg; the
+    # battery sells between the wholesale block and two filled scarcity
+    # steps, so the market maker's orders are not one run of trade order
+    ranks = OrderRanks(market_maker_ids(2) + ["bat_dis", "d"])
+    sup = build_feeder_supply(
+        FeederSupplySpec(30.0, 100.3, ((60.0, 25.7), (119.9, 33.3)), 1000.0),
+        [Order("bat_dis", SIDE_SELL, 45.5, 4.5)], ranks,
+    )
+    dem = build_demand_curve([Order("d", SIDE_BUY, 157.1, 300.0)], ranks)
+    result = clear_and_allocate(dem, sup, 0.0, 1000.0)
+    assert result.price == 157.1
+    n = len(result.sell_fills)
+    filled = list(zip(sup.rank[:n].tolist(), sup.ids[:n].tolist(), sup.price[:n].tolist(),
+                      result.sell_fills.tolist()))
+    assert [oid for _, oid, _, _ in filled] == ["__import_wholesale", "bat_dis"] + market_maker_ids(2)[1:]
+    # the fold by id prefix over (rank, id, price, fill) sorted, as the rent was taken before
+    by_prefix = left_sum((result.price - p) * fill for _, oid, p, fill in sorted(filled)
+                         if oid.startswith("__import"))
+    with_battery = left_sum((result.price - p) * fill for _, _, p, fill in sorted(filled))
+    assert struct.pack("<d", by_prefix) != struct.pack("<d", with_battery)
+    sold = market_maker_sold(result, sup, range(3))
+    assert sold == [(30.0, 100.3), (60.0, 25.7), (119.9, 33.3)]
+    assert market_maker_sold(result, sup) == sold
+    assert struct.pack("<d", scarcity_rent(result, sup, sold)) == struct.pack("<d", by_prefix)
+    # the import, once folded in trade order over the market maker's ranks
+    import_kw = left_sum(fill for rank, _, _, fill in filled if rank in range(3))
+    assert struct.pack("<d", left_sum(fill for _, fill in sold)) == struct.pack("<d", import_kw)
 
 
 def test_rent_zero_on_null_trade():
