@@ -33,7 +33,14 @@ sides balance exactly. Each side's fills are one column over a prefix of
 its curve in trade order. Cumulative and remaining quantities are left
 folds (``np.add.accumulate``, ``np.subtract.accumulate``), so the array
 passes give the bits of an order-by-order walk, which
-``tests/oracle_clearing.py`` keeps as the reference.
+``tests/oracle_clearing.py`` keeps as the reference. Each curve keeps
+its trade key (``key``: the price, negated for demand) in trade order,
+so clearing and allocation search it without negating prices again.
+No clearing changes a curve, so a run builds each feeder's supply
+(``build_feeder_supply``) once an hour and the area's
+(``build_area_supply``) once per bulk price, and clears against them
+in every interval of the hour; only a feeder with a local sell order
+builds its own curve for that interval.
 """
 
 from __future__ import annotations
@@ -147,7 +154,9 @@ class StepCurve:
     ``price``, ``quantity`` (float64) and ``rank`` (integers) hold one
     entry per order. Demand sorts by descending price, supply by
     ascending price, ties by ascending rank; the sort is stable, so
-    equal (price, rank) orders keep their input order.
+    equal (price, rank) orders keep their input order. ``key`` is the
+    ascending column the sort ran on: ``-price`` for demand, ``price``
+    for supply.
     Per-order identity is preserved: equal-price orders sit adjacent as
     the merged price level. ``ranks`` is the table the ranks index, and
     ``ids`` reads the orders' names from it (None without a table).
@@ -180,9 +189,11 @@ class StepCurve:
             raise ValueError(f"bad side {side!r}")
         price = np.asarray(price, dtype=np.float64)
         quantity = np.asarray(quantity, dtype=np.float64)
+        key = -price if side == SIDE_BUY else price
         # stable, and -0.0 ties with 0.0 as it does under Python's sort
-        order = np.lexsort((rank, -price if side == SIDE_BUY else price))
+        order = np.lexsort((rank, key))
         self.side = side
+        self.key = key[order]
         self.price = price[order]
         self.quantity = quantity[order]
         self.rank = rank[order]
@@ -212,11 +223,6 @@ class StepCurve:
         """Quantity willing to trade at the given price (weak inequality)."""
         willing = self.price >= price if self.side == SIDE_BUY else self.price <= price
         return array_sum(self.quantity[willing])
-
-
-def _trade_key(curve: StepCurve) -> np.ndarray:
-    """Ascending key of the trade order: better prices come first."""
-    return -curve.price if curve.side == SIDE_BUY else curve.price
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +367,7 @@ def clear(
     if demand.side != SIDE_BUY or supply.side != SIDE_SELL:
         raise ValueError("clear() wants a demand curve and a supply curve")
     d_cum, d_price = _price_spans(demand)
-    d_key = _trade_key(demand)
+    d_key = demand.key
     s_cum, s_price = (col.tolist() for col in _price_spans(supply))
     nd, ns = len(d_cum), len(s_cum)
 
@@ -374,8 +380,8 @@ def clear(
     di = si = 0
     while di < nd and si < ns:
         s_end, s_p = s_cum[si], s_price[si]
-        below = int(np.searchsorted(d_key, -s_p, "right"))  # first demand price < s_p
-        reach = int(np.searchsorted(d_cum, s_end, "left"))  # first demand end >= s_end
+        below = int(d_key.searchsorted(-s_p, "right"))  # first demand price < s_p
+        reach = int(d_cum.searchsorted(s_end, "left"))  # first demand end >= s_end
         whole = max(di, min(below, reach))
         if whole > di:
             qty, d_at, s_at = float(d_cum[whole - 1]), float(d_price[whole - 1]), s_p
@@ -420,10 +426,10 @@ def _fill_side(curve: StepCurve, price: float, quantity: float) -> tuple[np.ndar
     one takes 0.0; an at-price order there is the marginal partial fill,
     and no at-price order fills once nothing is left.
     """
-    key = _trade_key(curve)
+    key = curve.key
     p_key = -price if curve.side == SIDE_BUY else price
-    n_better = int(np.searchsorted(key, p_key, "left"))
-    end = int(np.searchsorted(key, p_key, "right"))
+    n_better = int(key.searchsorted(p_key, "left"))
+    end = int(key.searchsorted(p_key, "right"))
     q = curve.quantity[:end]
     remaining = np.subtract.accumulate(np.concatenate(([quantity], q)))[:-1]
     short = q > remaining
@@ -469,25 +475,26 @@ def clear_and_allocate(
 _AREA_BLOCKS = OrderRanks(["__area_renewables", "__area_bulk"])
 
 
-def clear_area(
-    agg_demand: StepCurve,
-    renewables_price: float,
-    renewables_capacity: float,
-    bulk_price: float,
-    bulk_capacity: float,
-    price_floor: float = 0.0,
-    price_cap: float = float("inf"),
-) -> ClearingResult:
-    """Clear aggregated demand against the two-step merit order supply."""
+def build_area_supply(renewables_price: float, renewables_capacity: float, bulk_price: float,
+                      bulk_capacity: float) -> StepCurve:
+    """The area's two-step merit order supply: renewables, then bulk."""
     if bulk_price <= renewables_price:
         raise ValueError("bulk price must exceed the renewables price")
     renewables, bulk = renewables_capacity > 0, bulk_capacity > 0
-    supply = StepCurve._from_columns(
+    return StepCurve._from_columns(
         SIDE_SELL,
         [renewables_price] * renewables + [bulk_price] * bulk,
         [renewables_capacity] * renewables + [bulk_capacity] * bulk,
         _AREA_BLOCKS.of(["__area_renewables"] * renewables + ["__area_bulk"] * bulk),
         _AREA_BLOCKS,
     )
-    return clear(agg_demand, supply, price_floor, price_cap)
 
+
+def clear_area(
+    agg_demand: StepCurve,
+    supply: StepCurve,
+    price_floor: float = 0.0,
+    price_cap: float = float("inf"),
+) -> ClearingResult:
+    """Clear aggregated demand against the area's supply (``build_area_supply``)."""
+    return clear(agg_demand, supply, price_floor, price_cap)

@@ -20,7 +20,10 @@ the window has filled the configured prior mean and deviation stand in.
 ``thermostat_bid`` and ``setpoint_from_price`` state the line for one
 house; ``fleet_bids`` and ``fleet_setpoints`` run it over a whole fleet
 as array passes, with the same operations in the same order, and tests
-pin them to the scalar functions bit for bit.
+pin them to the scalar functions bit for bit. Their price statistics
+(and the setpoints' clearing price) are one value for the fleet or one
+per house (``HouseStats``), so a run takes a whole area of feeders in
+one pass, each feeder's statistics repeated over its houses.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +79,18 @@ class PriceStats:
         m = left_sum(self.history) / n
         var = left_sum((p - m) ** 2 for p in self.history) / n
         self.mean, self.sigma = m, math.sqrt(var)
+
+
+class HouseStats(NamedTuple):
+    """Price statistics with one mean and one sigma per house."""
+
+    mean: np.ndarray
+    sigma: np.ndarray
+
+
+def _at(x, idx):
+    """x's entries at idx, or x itself where it is one value for the fleet."""
+    return x[idx] if isinstance(x, np.ndarray) else x
 
 
 def _comfort_span(cfg: ThermostatConfig) -> float:
@@ -160,7 +176,7 @@ def fleet_bids(
     t_measured: np.ndarray,
     cfg: ThermostatConfig,
     comfort_k: np.ndarray,
-    stats: PriceStats,
+    stats: PriceStats | HouseStats,
     p_rated: np.ndarray,
     latched: np.ndarray,
     price_floor: float,
@@ -169,8 +185,8 @@ def fleet_bids(
     """thermostat_bid for every unlatched house of a fleet.
 
     Returns the indices of the houses that bid, ascending, and their
-    prices; house i bids p_rated[i]. Raises where thermostat_bid or the
-    Order it builds would.
+    prices; house i bids p_rated[i] with stats' mean and sigma, or their
+    i-th entries. Raises where thermostat_bid or the Order it builds would.
     """
     free = latched == 0
     if (comfort_k[free] < 0).any():
@@ -189,10 +205,11 @@ def fleet_bids(
     # price insensitive houses bid only when they want service
     idx = np.flatnonzero(free & wanted & (emergency | needs | ~flat))
     t, k = t_measured[idx], comfort_k[idx]
-    slope = direction * k * stats.sigma / _comfort_span(cfg)
-    raw = stats.mean + slope * (t - cfg.t_desired)
-    lo_end = stats.mean + slope * (cfg.t_min - cfg.t_desired)
-    hi_end = stats.mean + slope * (cfg.t_max - cfg.t_desired)
+    mean, sigma = _at(stats.mean, idx), _at(stats.sigma, idx)
+    slope = direction * k * sigma / _comfort_span(cfg)
+    raw = mean + slope * (t - cfg.t_desired)
+    lo_end = mean + slope * (cfg.t_min - cfg.t_desired)
+    hi_end = mean + slope * (cfg.t_max - cfg.t_desired)
     lo, hi = py_min(lo_end, hi_end), py_max(lo_end, hi_end)
     price = py_min(py_max(raw, lo), hi)
     price = py_min(py_max(price, price_floor), price_cap)
@@ -205,15 +222,16 @@ def fleet_bids(
 
 
 def fleet_setpoints(
-    p_clear: float, cfg: ThermostatConfig, comfort_k: np.ndarray, stats: PriceStats
+    p_clear: float | np.ndarray, cfg: ThermostatConfig, comfort_k: np.ndarray, stats: PriceStats | HouseStats
 ) -> np.ndarray:
-    """setpoint_from_price for every house of a fleet."""
+    """setpoint_from_price for every house of a fleet; p_clear and stats
+    as one value or one per house, as fleet_bids takes stats."""
     if (comfort_k < 0).any():
         raise ValueError("comfort_k must be nonnegative")
     denom = comfort_k * stats.sigma
     moves = denom != 0.0
     direction = 1.0 if cfg.mode == MODE_COOLING else -1.0
-    t_set = cfg.t_desired + direction * (p_clear - stats.mean) * _comfort_span(cfg) / denom[moves]
+    t_set = cfg.t_desired + direction * _at(p_clear - stats.mean, moves) * _comfort_span(cfg) / denom[moves]
     out = np.full(len(comfort_k), cfg.t_desired)
     out[moves] = py_min(py_max(t_set, cfg.t_min), cfg.t_max)
     return out

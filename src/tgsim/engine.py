@@ -3,14 +3,19 @@
 One run advances four nested clocks. Every balancing tick (4 s) the
 swing dynamics, control error, regulation split and shedding logic
 update. Every device tick (60 s) the thermostat fleet decides and the
-thermal states advance. Every market interval (300 s) each feeder's
-diversity is sampled, bids are collected, each feeder's double auction
-clears against supply anchored at the scheduled hourly price, setpoints
-respond to the clearing price and deviations settle. Every schedule
+thermal states advance. Every market interval (300 s) the whole area
+bids in one pass (each feeder's price statistics repeated over its
+houses), each feeder's double auction clears its run of those bids
+against supply anchored at the scheduled hourly price, deviations
+settle, one setpoint pass moves every house along its feeder's inverted
+bid line, and each feeder's diversity is sampled. Every schedule
 interval (3600 s) the loop reads the hour's entry, its bulk price and
-the supply anchor once, for every market interval of the hour; at each
-day boundary the day is scheduled hour by hour from availability
-feedback (bootstrap estimates on day one).
+the supply anchor once, and builds each feeder's supply curve, which
+every market interval of the hour clears against unless the feeder has
+a local sell order then (that interval builds its own); the area's
+supply is built again only when the bulk price changes. At each day
+boundary the day is scheduled hour by hour from availability feedback
+(bootstrap estimates on day one).
 
 Every settlement.csv row is one settle() record: each feeder buys its
 position, and its market maker (``{fid}__import``, paid net of the rent
@@ -94,12 +99,14 @@ from .auction import (
     OrderRanks,
     _price_spans,
     aggregate_demand,
+    build_area_supply,
     build_demand_curve,
     build_feeder_supply,
     clear_and_allocate,
     clear_area,
 )
 from .bidding import (
+    HouseStats,
     PriceStats,
     apply_clearing_to_storage,
     fleet_bids,
@@ -367,7 +374,6 @@ class _FeederState:
     spec: object
     pop: Population  # this feeder's run of SimulationRun.fleet, as views
     stats: PriceStats
-    market_setpoint: np.ndarray  # a view into SimulationRun's area array
     n_armed: int  # houses 0 to n_armed - 1 have shedding relays
     armed_closed: int  # armed houses whose relay is not latched open
     house_power_kw: float = 0.0
@@ -488,6 +494,8 @@ class SimulationRun:
         cfgp = self.cfg.population
         ends = np.cumsum([0] + [fspec.houses for fspec in self.cfg.feeders]).tolist()
         bounds = list(zip(ends[:-1], ends[1:]))
+        self.house_ends = ends  # feeder j's houses are ends[j] to ends[j + 1] - 1
+        self.feeder_of_house = np.repeat(np.arange(len(bounds)), np.diff(ends))  # j, in config order
         n = ends[-1]
         z, u = np.empty((n, 3)), [0.0] * n
         normal, uniform = self.rng_pop.standard_normal, self.rng_pop.random
@@ -521,7 +529,6 @@ class SimulationRun:
                     prior_mean=self.cfg.market.prior_mean,
                     prior_sigma=self.cfg.market.prior_sigma,
                 ),
-                market_setpoint=self.market_setpoint[lo:hi],
                 n_armed=n_armed,
                 armed_closed=n_armed,
             )
@@ -618,6 +625,8 @@ class SimulationRun:
         ufls_events = 0
         ufls_total_kw = 0.0
 
+        area = cfg.area
+        area_bulk = None  # the bulk price of the area supply built last
         if cfg.house_trace:
             for fs in self.feeders.values():
                 fs.house_names = self.ranks.names(range(fs.first_rank, fs.first_rank + len(fs.pop))).tolist()
@@ -636,10 +645,15 @@ class SimulationRun:
                     # never above the bulk price, so scarcity steps (which config keeps
                     # above every day-ahead price) stay above an hour scheduled at the cap
                     anchor = min(entry.price, bulk_price) if entry.area_quantity_kw > 0 else bulk_price
+                    supplies = {fid: self._feeder_supply(fs, anchor) for fid, fs in sorted(self.feeders.items())}
+                    if bulk_price != area_bulk:
+                        area_bulk, area_supply = bulk_price, build_area_supply(
+                            area.renewables_price, area.renewables_capacity_mw * 1000.0, bulk_price,
+                            area.bulk_capacity_mw * 1000.0)
 
                 at_boundary = t % sim.market_interval_s == 0
                 if at_boundary:
-                    self._market_phase(t, interval_index, hour_of_day, entry, bulk_price, anchor, out)
+                    self._market_phase(t, interval_index, hour_of_day, entry, anchor, supplies, area_supply, out)
 
                 total_kw = self._device_phase(t, at_boundary, out)
                 peak_load = max(peak_load, total_kw)
@@ -711,23 +725,40 @@ class SimulationRun:
     # phases
     # ------------------------------------------------------------------
 
-    def _market_phase(self, t, interval_index, hour_of_day, entry: HourEntry, bulk_price, anchor,
+    def _feeder_supply(self, fs: _FeederState, anchor: float, sells=()) -> auction.StepCurve:
+        """A feeder's supply curve: its import blocks anchored at anchor,
+        then its local sell orders."""
+        spec = FeederSupplySpec(wholesale_price=anchor, capacity_normal=fs.spec.capacity_kw,
+                                scarcity_steps=fs.spec.scarcity_steps, price_cap=self.cfg.market.price_cap)
+        return build_feeder_supply(spec, sells, self.ranks)
+
+    def _market_phase(self, t, interval_index, hour_of_day, entry: HourEntry, anchor, supplies, area_supply,
                       out: _Artifacts) -> None:
+        """One market interval. supplies holds each feeder's supply curve
+        of the hour, which it clears against unless it has a sell order."""
         cfg = self.cfg
         mkt = cfg.market
-        area = cfg.area
         interval_h = cfg.simulation.market_interval_s / 3600.0
+        fleet = self.fleet
         demand_curves = {}
         rows = []  # each feeder's markets.csv cells up to the diversity
 
+        # one bid pass over the area, each feeder's statistics (as they stand
+        # before this interval's clearing) repeated over its houses
+        feeders, of_house = self.feeders.values(), self.feeder_of_house
+        house_stats = HouseStats(np.array([fs.stats.mean for fs in feeders])[of_house],
+                                 np.array([fs.stats.sigma for fs in feeders])[of_house])
+        bidders, bid_prices = fleet_bids(fleet.t_in, self.thermostat, fleet.comfort_k, house_stats, fleet.p_rated,
+                                         fleet.latched, mkt.price_floor, mkt.price_cap)
+        cut = bidders.searchsorted(self.house_ends).tolist()
+        bid_runs = dict(zip(self.feeders, zip(cut, cut[1:])))
+        house_rank = len(self.ranks.ids)  # the rank of the area's house 0
+
         for fid, fs in sorted(self.feeders.items()):
             fspec = fs.spec
-            pop = fs.pop
-            idx, prices = fleet_bids(
-                pop.t_in, self.thermostat, pop.comfort_k, fs.stats, pop.p_rated, pop.latched,
-                mkt.price_floor, mkt.price_cap,
-            )
-            quantities = pop.p_rated[idx]
+            lo, hi = bid_runs[fid]
+            idx, prices = bidders[lo:hi], bid_prices[lo:hi]
+            quantities = fleet.p_rated[idx]
             bids: list[Order] = []
             if fspec.base_load_kw > 0:
                 bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
@@ -741,14 +772,8 @@ class SimulationRun:
                 out.event({"t": t, "type": "bid", "market": fid, "order": order.order_id,
                            "side": order.side, "price": order.price, "quantity": order.quantity})
 
-            demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, fs.first_rank + idx))
-            supply_spec = FeederSupplySpec(
-                wholesale_price=anchor,
-                capacity_normal=fspec.capacity_kw,
-                scarcity_steps=fspec.scarcity_steps,
-                price_cap=mkt.price_cap,
-            )
-            supply = build_feeder_supply(supply_spec, sells, self.ranks)
+            demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, house_rank + idx))
+            supply = self._feeder_supply(fs, anchor, sells) if sells else supplies[fid]
             result = clear_and_allocate(demand, supply, mkt.price_floor, mkt.price_cap)
             sold = market_maker_sold(result, supply, self.market_maker)
             rent = scarcity_rent(result, supply, sold)
@@ -763,11 +788,6 @@ class SimulationRun:
                        "quantity": result.quantity, "buys": n_buys, "sells": n_sells, "rent": rent,
                        "marginal": result.marginal_order})
             self.feeder_prices[fid].append(result.price)
-
-            # price response: setpoints move along the inverted bid line
-            fs.market_setpoint[:] = fleet_setpoints(
-                result.price, self.thermostat, pop.comfort_k, fs.stats
-            )
 
             # storage dispatch from fills
             fs.storage_net_kw = 0.0
@@ -802,17 +822,14 @@ class SimulationRun:
             rows.append((t, fid, result.price, result.quantity, n_buys, n_sells, mode, ref, rent))
             fs.stats.observe(result.price)
 
+        # price response: one pass moves every house's setpoint along its
+        # feeder's inverted bid line, at its feeder's clearing price
+        p_clear = np.array([self.feeder_prices[fid][-1] for fid in self.feeders])[of_house]
+        self.market_setpoint[:] = fleet_setpoints(p_clear, self.thermostat, fleet.comfort_k, house_stats)
+
         # area-level aggregation, recorded for reporting
         merged = aggregate_demand(demand_curves.values())
-        area_result = clear_area(
-            merged,
-            area.renewables_price,
-            area.renewables_capacity_mw * 1000.0,
-            bulk_price,
-            area.bulk_capacity_mw * 1000.0,
-            mkt.price_floor,
-            mkt.price_cap,
-        )
+        area_result = clear_area(merged, area_supply, mkt.price_floor, mkt.price_cap)
         out.event({"t": t, "type": "area_clearing", "price": area_result.price,
                    "quantity": area_result.quantity})
         area_row = (t, "__area", area_result.price, area_result.quantity, len(merged), 2, "normal",

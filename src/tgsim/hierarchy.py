@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import MARKET_MAKER_PREFIX, SIDE_BUY, Bids, ClearingResult, StepCurve, clear_area
+from .auction import MARKET_MAKER_PREFIX, SIDE_BUY, Bids, ClearingResult, StepCurve, build_area_supply, clear_area
 from .fold import array_sum, left_sum
 
 MODE_NORMAL = "normal"
@@ -67,8 +67,8 @@ def schedule_hourly(
     Pure function of its inputs.
     """
     merged = StepCurve._from_columns(SIDE_BUY, *map(np.concatenate, zip(*forecasts.values())))
-    result = clear_area(merged, renewables_price, renewables_capacity_kw, bulk_price, bulk_capacity_kw,
-                        price_floor, price_cap)
+    supply = build_area_supply(renewables_price, renewables_capacity_kw, bulk_price, bulk_capacity_kw)
+    result = clear_area(merged, supply, price_floor, price_cap)
     positions = {fid: array_sum(f.quantity[f.price >= result.price]) if result.quantity > 0 else 0.0
                  for fid, f in forecasts.items()}
     return HourEntry(price=result.price, area_quantity_kw=result.quantity, feeder_kw=positions)

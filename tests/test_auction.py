@@ -26,6 +26,7 @@ from tgsim.auction import (
     SIDE_SELL,
     StepCurve,
     aggregate_demand,
+    build_area_supply,
     build_demand_curve,
     build_feeder_supply,
     clear,
@@ -279,8 +280,8 @@ def test_aggregate_demand_merges_feeders():
 
 def test_clear_area_marginal_renewables_set_the_price():
     demand = buys(("f0", 40.0, 5.0))
-    r = clear_area(demand, renewables_price=15.0, renewables_capacity=10.0,
-                   bulk_price=30.0, bulk_capacity=100.0)
+    r = clear_area(demand, build_area_supply(renewables_price=15.0, renewables_capacity=10.0,
+                                             bulk_price=30.0, bulk_capacity=100.0))
     assert (r.price, r.quantity) == (15.0, 5.0)
 
 
@@ -288,19 +289,19 @@ def test_clear_area_demand_exhausted_at_renewables_boundary():
     # demand ends exactly where renewables run out: the bulk block caps
     # the interval at the demand price and the midpoint of [15, 20] clears
     demand = buys(("f0", 20.0, 10.0))
-    r = clear_area(demand, 15.0, 10.0, 30.0, 100.0)
+    r = clear_area(demand, build_area_supply(15.0, 10.0, 30.0, 100.0))
     assert (r.price, r.quantity) == (17.5, 10.0)
 
 
 def test_clear_area_bulk_price_and_validation():
     demand = buys(("f0", 50.0, 30.0))
-    r = clear_area(demand, 15.0, 10.0, 30.0, 100.0)
+    r = clear_area(demand, build_area_supply(15.0, 10.0, 30.0, 100.0))
     # 10 renewable + 20 bulk, marginal bulk partially used
     assert (r.price, r.quantity) == (30.0, 30.0)
     with pytest.raises(ValueError):
-        clear_area(demand, 30.0, 10.0, 30.0, 100.0)
+        build_area_supply(30.0, 10.0, 30.0, 100.0)
     # without renewables the bulk block carries everything
-    r = clear_area(demand, 15.0, 0.0, 30.0, 100.0)
+    r = clear_area(demand, build_area_supply(15.0, 0.0, 30.0, 100.0))
     assert (r.price, r.quantity) == (30.0, 30.0)
 
 
@@ -431,6 +432,35 @@ def test_array_clearing_matches_the_walk_bitwise_on_random_books():
         _check_against_walk(StepCurve(SIDE_BUY, d_rows), StepCurve(SIDE_SELL, s_rows), d_rows, s_rows, floor, cap)
 
 
+def test_curves_keep_their_trade_key():
+    rng = np.random.default_rng(17)
+    for side, sign in ((SIDE_BUY, -1.0), (SIDE_SELL, 1.0)):
+        curve = StepCurve(side, _random_rows(rng, 40, "o", False))
+        assert curve.key.tobytes() == (sign * curve.price).tobytes()
+        assert (np.diff(curve.key) >= 0).all()
+
+
+def test_clear_area_against_a_supply_built_once_equals_a_build_per_call():
+    # one area supply cleared against many demand curves gives what a
+    # supply built afresh for each clearing gives, and no clearing
+    # changes a column of it
+    rng = np.random.default_rng(31)
+    for renewables, bulk in ((10.5, 100.25), (0.0, 100.25), (10.5, 0.0), (0.0, 0.0)):
+        supply = build_area_supply(15.0, renewables, 30.0, bulk)
+        columns = [col.copy() for col in (supply.key, supply.price, supply.quantity, supply.rank)]
+        rows = [(15.0, renewables, "__area_renewables"), (30.0, bulk, "__area_bulk")]
+        for k in range(150):
+            d_rows = _random_rows(rng, int(rng.integers(0, 40)), "b", k % 3 == 0)
+            demand = StepCurve(SIDE_BUY, d_rows)
+            floor, cap = (0.0, 1000.0) if k % 2 else (-1.0, 40.0)
+            fresh = StepCurve(SIDE_SELL, [r for r in rows if r[1] > 0])
+            got, want = clear_area(demand, supply, floor, cap), clear(demand, fresh, floor, cap)
+            assert (_bits(got.price), _bits(got.quantity)) == (_bits(want.price), _bits(want.quantity))
+            assert (len(got.buy_fills), len(got.sell_fills), got.marginal_order) == (0, 0, None)
+        kept = (supply.key, supply.price, supply.quantity, supply.rank)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, columns))
+
+
 def _feeder_demand(rng, fid, n_houses, ranks, named, at_30=()):
     """A feeder curve built as the engine builds it, and its rows; the
     houses at_30 bid 30.0."""
@@ -505,7 +535,7 @@ def test_column_built_supplies_equal_the_row_built_curves_bitwise(monkeypatch):
             order = [s.order_id for s in built.segments[:4]]
             assert order == ["pv_dis", "A_dis", f"{MARKET_MAKER_PREFIX}_wholesale", "bat_dis"]
 
-    # clear_area's two blocks, as it hands them to the clearing
+    # build_area_supply's two blocks, as clear_area hands them to the clearing
     seen = []
     real_clear = auction.clear
 
@@ -516,7 +546,7 @@ def test_column_built_supplies_equal_the_row_built_curves_bitwise(monkeypatch):
     monkeypatch.setattr(auction, "clear", recorded)
     demand = buys(("f0", 50.0, 30.0))
     for renewables, bulk in ((10.5, 100.25), (0.0, 100.25), (10.5, 0.0)):
-        clear_area(demand, 15.0, renewables, 30.0, bulk)
+        clear_area(demand, build_area_supply(15.0, renewables, 30.0, bulk))
         rows = [(15.0, renewables, "__area_renewables"), (30.0, bulk, "__area_bulk")]
         want = StepCurve(SIDE_SELL, [r for r in rows if r[1] > 0])
         assert _rows_bits(seen.pop().segments) == _rows_bits(want.segments)

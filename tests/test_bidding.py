@@ -8,6 +8,7 @@ import pytest
 from oracle_clearing import fills_by_id
 from tgsim.auction import clear_and_allocate, StepCurve, SIDE_BUY, SIDE_SELL, Segment
 from tgsim.bidding import (
+    HouseStats,
     PriceStats,
     StorageSpec,
     apply_clearing_to_storage,
@@ -269,6 +270,44 @@ def test_fleet_setpoints_match_setpoint_from_price_bitwise():
                 assert bits(got) == bits(want), (cfg.mode, name, p_clear)
             if name == "flat":
                 assert (got == cfg.t_desired).all()
+
+
+@pytest.mark.byte_pin
+@pytest.mark.parametrize("cfg", [COOL_CFG, HEAT_CFG], ids=["cooling", "heating"])
+def test_one_area_pass_equals_the_per_feeder_calls_bitwise(cfg):
+    # three feeders in one fleet, the middle one without houses, each with
+    # its own statistics: a -0.0 mean, a full window, and sigma = 0. Each
+    # feeder's run of one area pass, with its statistics repeated over its
+    # houses, has the bits of a call over its houses alone.
+    t_in, k, p_rated, latched = random_fleet(cfg, seed=8)
+    bounds = [(0, 170), (170, 170), (170, len(t_in))]
+    signed_zero = PriceStats(window=2, prior_mean=-0.0, prior_sigma=10.0)
+    cases = stats_cases()
+    assert math.copysign(1.0, signed_zero.mean) == -1.0 and cases["flat"].sigma == 0.0
+    of_house = np.repeat(np.arange(3), [hi - lo for lo, hi in bounds])
+    seen = []
+    for order in ((signed_zero, cases["window"], cases["flat"]), (cases["flat"], signed_zero, cases["window"])):
+        house_stats = HouseStats(np.array([s.mean for s in order])[of_house],
+                                 np.array([s.sigma for s in order])[of_house])
+        for floor, cap in ((0.0, 1000.0), (25.0, 40.0)):
+            idx, prices = fleet_bids(t_in, cfg, k, house_stats, p_rated, latched, floor, cap)
+            cut = idx.searchsorted([lo for lo, _ in bounds] + [len(t_in)])
+            for (lo, hi), stats, a, b in zip(bounds, order, cut, cut[1:]):
+                want_idx, want = fleet_bids(t_in[lo:hi], cfg, k[lo:hi], stats, p_rated[lo:hi], latched[lo:hi],
+                                            floor, cap)
+                assert (idx[a:b] - lo).tolist() == want_idx.tolist()
+                assert bits(prices[a:b]) == bits(want)
+            seen += prices.tolist()
+            # clearing prices at the limits, at a mean and in between
+            for p_feeders in ((floor, cap, floor), (cap, 33.3, order[0].mean), (order[2].mean, floor, 41.7)):
+                got = fleet_setpoints(np.array(p_feeders)[of_house], cfg, k, house_stats)
+                want = [fleet_setpoints(p, cfg, k[lo:hi], stats) for (lo, hi), p, stats in
+                        zip(bounds, p_feeders, order)]
+                assert bits(got) == bits(np.concatenate(want)), (cfg.mode, p_feeders)
+    # the pass saw bids at the floor and at the cap, houses that abstain,
+    # latched houses and houses with k = 0
+    assert 0.0 in seen and 25.0 in seen and 1000.0 in seen and 40.0 in seen
+    assert latched.any() and (k == 0.0).any() and len(seen) < 4 * (latched == 0).sum()
 
 
 def test_fleet_bids_reject_negative_k_on_unlatched_houses():

@@ -48,6 +48,20 @@ def rows_of(raw: bytes) -> list[dict]:
     return [dict(zip(header, line.split(","), strict=True)) for line in lines[1:]]
 
 
+def feeder_runs(cfg) -> list[tuple[int, int]]:
+    """Each feeder's houses lo to hi - 1 of the area fleet, feeders in id
+    order, the order their markets clear in."""
+    ends = np.cumsum([0] + [f.houses for f in cfg.feeders]).tolist()
+    runs = {f.feeder_id: (lo, hi) for f, lo, hi in zip(cfg.feeders, ends, ends[1:])}
+    return [runs[fid] for fid in sorted(runs)]
+
+
+def bids_by_feeder(cfg, idx, prices) -> list[tuple[np.ndarray, np.ndarray]]:
+    """An area fleet_bids call's (indices, prices) split into each
+    feeder's, feeders in id order."""
+    return [(idx[(idx >= lo) & (idx < hi)], prices[(idx >= lo) & (idx < hi)]) for lo, hi in feeder_runs(cfg)]
+
+
 # ------------------------------------------------------------ null system
 
 
@@ -218,7 +232,7 @@ def test_the_diurnal_scenario_schedules_day_one_from_feedback_and_its_houses_bid
     # measured at seed 7 (a median of 226.5 steps; 83% of the feeder
     # intervals with more than half of their bids distinct), so a resize
     # that collapses the regime fails here.
-    forecasts, scheduled, bids = [], [], []
+    forecasts, scheduled, bids, area_calls = [], [], [], []
     real_feedback, real_schedule, real_bids = engine.availability_feedback, engine.schedule_hourly, engine.fleet_bids
 
     def recorded_feedback(spans):
@@ -231,7 +245,8 @@ def test_the_diurnal_scenario_schedules_day_one_from_feedback_and_its_houses_bid
 
     def recorded_bids(*args):
         idx, prices = real_bids(*args)
-        bids.append((len(prices), len(np.unique(prices))))
+        area_calls.append(None)
+        bids.extend((len(p), len(np.unique(p))) for _, p in bids_by_feeder(cfg, idx, prices))
         return idx, prices
 
     monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
@@ -248,8 +263,10 @@ def test_the_diurnal_scenario_schedules_day_one_from_feedback_and_its_houses_bid
     assert len(forecasts) == len(day1) == hours * n_feeders
     assert all(a is b for a, b in zip(day1, forecasts))
     assert np.median([len(f.price) for f in forecasts]) >= 150
-    # each feeder interval bids once; count those where most bids differ
-    assert len(bids) == n_feeders * cfg.simulation.span_s // cfg.simulation.market_interval_s
+    # the area bids in one pass an interval, and each feeder interval has
+    # its run of it; count those where most bids differ
+    assert len(area_calls) == cfg.simulation.span_s // cfg.simulation.market_interval_s
+    assert len(bids) == n_feeders * len(area_calls)
     apart = sum(2 * distinct > n for n, distinct in bids)
     assert apart >= 0.7 * len(bids), (apart, len(bids))
 
@@ -297,7 +314,7 @@ def test_the_diurnal_loop_at_scale_matches_its_pinned_digests(tmp_path, monkeypa
 
     def recorded_bids(*args):
         idx, prices = real_bids(*args)
-        bids.append((len(prices), len(np.unique(prices))))
+        bids.extend((len(p), len(np.unique(p))) for _, p in bids_by_feeder(cfg, idx, prices))
         return idx, prices
 
     monkeypatch.setattr(engine, "availability_feedback", recorded_feedback)
@@ -309,6 +326,36 @@ def test_the_diurnal_loop_at_scale_matches_its_pinned_digests(tmp_path, monkeypa
     assert np.median([len(f.price) for f in forecasts]) >= 5000
     assert bids and all(2 * distinct > n for n, distinct in bids)
     for name, digest in DIURNAL_AT_SCALE_SHA256.items():
+        assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
+# two_day over 3 h with its feeders listed f2 first and f2 congested, so
+# config order is not id order and the feeders clear at different
+# prices. The digests were taken when each feeder bid and responded in
+# calls of its own.
+OUT_OF_ORDER_SHA256 = {
+    "events.jsonl": "87d86fee13a8a7c92c99ac7afebff4b0acd7d7e71cfe30107579d80c6c7f6c7d",
+    "frequency.csv": "714bf686a681a1dadcfb4ee1dcca57e78bb9dd9d98d13c341899274304e566d6",
+    "load.csv": "fdd3173f9799ee78b710af74e818eeb55812c1ace99e74f3a292c7c80fff59ac",
+    "markets.csv": "5969c06940878159c3531de5960a316964645b77eb91261a05825da111c2bd26",
+    "settlement.csv": "9f5055cc8056cc0eefe738db13aa5e1b83334b10bedc21f34bbbebc7ea3ec914",
+    "summary.json": "0d34e5c0100aacdc0477656c8e79f13c83a2db45f13a2af86b4b72ae4916f39d",
+}
+
+
+@pytest.mark.byte_pin
+def test_feeders_listed_out_of_id_order_bid_and_respond_at_their_own_prices(tmp_path):
+    # the area's bid and setpoint passes give each house its own feeder's
+    # statistics and clearing price, though feeders clear in id order
+    base = load_config(SCENARIO_DIR / "two_day.yaml")
+    f1, f2 = base.feeders
+    cfg = dataclasses.replace(base, feeders=(dataclasses.replace(f2, capacity_kw=20.0), f1),
+                              simulation=dataclasses.replace(base.simulation, span_s=3 * 3600))
+    run = run_scenario(cfg, tmp_path / "run", base_dir=SCENARIO_DIR)
+    rows = rows_of((run.out_dir / "markets.csv").read_bytes())
+    prices = [[row["price"] for row in rows if row["market_id"] == fid] for fid in ("f1", "f2")]
+    assert all(a != b for a, b in zip(*prices, strict=True))
+    for name, digest in OUT_OF_ORDER_SHA256.items():
         assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
@@ -520,6 +567,33 @@ def test_an_hour_scheduled_at_the_cap_anchors_the_feeder_at_the_bulk_price(tmp_p
     SimulationRun(cfg, base_dir=SCENARIO_DIR).run(tmp_path / "run")
     assert schedules[0].price == cfg.market.price_cap
     assert supplies[0].best_price() == 30.0
+
+
+def test_a_bad_hour_fails_at_its_first_interval(tmp_path):
+    # hand-built configs that parse_config would reject: the hour's
+    # supply checks still run, and raise the ValueError of the bad curve
+    # at that hour's first interval
+    base = load_config(SCENARIO_DIR / "two_day.yaml")
+
+    def clearings_until_error(cfg, match):
+        with pytest.raises(ValueError, match=match):
+            run_scenario(cfg, tmp_path / "run", base_dir=SCENARIO_DIR)
+        events = map(json.loads, (tmp_path / "run" / "events.jsonl").read_text().splitlines())
+        return [e["t"] for e in events if e["type"] == "clearing"]
+
+    # without area supply nothing is scheduled, so hour 2 anchors at its
+    # bulk price, above the feeders' first scarcity step (80.0)
+    area = dataclasses.replace(base.area, renewables_capacity_mw=0.0, bulk_capacity_mw=0.0)
+    simulation = dataclasses.replace(base.simulation, span_s=3 * 3600)
+    cfg = dataclasses.replace(base, simulation=simulation, area=area, da_price=(30.0, 30.0, 90.0))
+    assert cfg.feeders[0].scarcity_steps[0][0] == 80.0
+    assert max(clearings_until_error(cfg, "scarcity step prices must increase")) == 7200 - 300
+
+    # the 25th hourly price, first read by day 1's hour 0, is not above
+    # the renewables price
+    assert base.area.renewables_price == 15.0
+    cfg = dataclasses.replace(base, da_price=(30.0,) * 24 + (15.0,))
+    assert max(clearings_until_error(cfg, "bulk price must exceed the renewables price")) == 86400 - 300
 
 
 def test_seed_only_enters_through_the_random_streams(tmp_path, scenario_runs):
@@ -790,7 +864,7 @@ def test_diversity_is_sampled_once_per_market_interval_onto_markets_csv(tmp_path
         return cycle_ratios(pop, t_out)
 
     def recorded_bids(t_in, *args):
-        bid_t_in.append(t_in.copy())
+        bid_t_in.extend(t_in[lo:hi].copy() for lo, hi in feeder_runs(cfg))
         return fleet_bids(t_in, *args)
 
     monkeypatch.setattr(engine, "cycle_ratios", recorded)
@@ -1174,13 +1248,13 @@ def test_heating_aggregator_command_moves_setpoints_against_the_load():
     sim = SimulationRun(parse_config(HEATING.format(kind="hysteresis")))
     cfg = sim.thermostat
     cap = sim.cfg.area.regulation_capacity_mw
-    for fs in sim.feeders.values():
-        fs.market_setpoint[:] = np.linspace(cfg.t_min, cfg.t_max, len(fs.pop))
+    for lo, hi in sim.house_bounds:
+        sim.market_setpoint[lo:hi] = np.linspace(cfg.t_min, cfg.t_max, hi - lo)
     for to_agg in (0.5, 3.0, -0.7, -5.0):
         sim._apply_aggregator_command(to_agg)
         frac = min(max(to_agg / cap, -1.0), 1.0)
-        for fs, (lo, hi) in zip(sim.feeders.values(), sim.house_bounds):
-            sp = fs.market_setpoint
+        for lo, hi in sim.house_bounds:
+            sp = sim.market_setpoint[lo:hi]
             if frac > 0:
                 want = [-frac * (s - cfg.t_min) for s in sp.tolist()]
             else:
@@ -1232,14 +1306,14 @@ def test_bid_lines_are_the_json_of_their_record(tmp_path):
     ("scarcity_sync", lambda r: r["must_run_kw"] > 0),
 ], ids=["gen_loss_ufls", "scarcity_sync"])
 def test_house_bids_line_is_the_left_fold_of_the_fleet_bids(tmp_path, monkeypatch, stem, edge):
-    # each feeder's house_bids line of an interval folds the bids
-    # fleet_bids made for it, in bid order
+    # each feeder's house_bids line of an interval folds its run of the
+    # bids the area's fleet_bids call made, in bid order
     made = []
     fleet_bids = engine.fleet_bids
 
-    def recorded(t_in, cfg, k, stats, p_rated, *args):
-        idx, prices = fleet_bids(t_in, cfg, k, stats, p_rated, *args)
-        made.append((prices.tolist(), p_rated[idx].tolist()))
+    def recorded(t_in, thermostat, k, stats, p_rated, *args):
+        idx, prices = fleet_bids(t_in, thermostat, k, stats, p_rated, *args)
+        made.extend((p.tolist(), p_rated[i].tolist()) for i, p in bids_by_feeder(cfg, idx, prices))
         return idx, prices
 
     monkeypatch.setattr(engine, "fleet_bids", recorded)
