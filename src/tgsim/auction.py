@@ -35,18 +35,24 @@ folds (``np.add.accumulate``, ``np.subtract.accumulate``), so the array
 passes give the bits of an order-by-order walk, which
 ``tests/oracle_clearing.py`` keeps as the reference. Each curve keeps
 its trade key (``key``: the price, negated for demand) in trade order,
-so clearing and allocation search it without negating prices again.
-No clearing changes a curve, so a run builds each feeder's supply
-(``build_feeder_supply``) once an hour and the area's
-(``build_area_supply``) once per bulk price, and clears against them
-in every interval of the hour; only a feeder with a local sell order
-builds its own curve for that interval.
+so clearing and allocation search it without negating prices again,
+and its cumulative quantities (``cum``). Once cleared against, a curve
+also keeps its staircase, the cumulative quantity and price columns as
+lists, which clearing walks. No clearing changes a curve, so a run
+builds each feeder's supply (``build_feeder_supply``) at most once per
+hour and pattern of local sell orders, and the area's
+(``build_area_supply``) once per bulk price, and clears every interval
+of the hour against them. A run's fixed orders (base load, battery
+legs) come to the builders as columns (``Bids``, from
+``order_columns``) built once; ``Order`` lists remain the way in for
+library callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -156,7 +162,9 @@ class StepCurve:
     ascending price, ties by ascending rank; the sort is stable, so
     equal (price, rank) orders keep their input order. ``key`` is the
     ascending column the sort ran on: ``-price`` for demand, ``price``
-    for supply.
+    for supply. ``cum`` is the cumulative quantity, a left fold
+    (``np.add.accumulate``), so each entry has the bits of a running
+    ``cum += quantity``.
     Per-order identity is preserved: equal-price orders sit adjacent as
     the merged price level. ``ranks`` is the table the ranks index, and
     ``ids`` reads the orders' names from it (None without a table).
@@ -198,6 +206,12 @@ class StepCurve:
         self.quantity = quantity[order]
         self.rank = rank[order]
         self.ranks = ranks
+        self.cum = np.add.accumulate(self.quantity)
+
+    @cached_property
+    def staircase(self) -> tuple[list[float], list[float]]:
+        """``cum`` and ``price`` as lists, made on the first read and kept."""
+        return self.cum.tolist(), self.price.tolist()
 
     @property
     def ids(self) -> np.ndarray | None:
@@ -238,7 +252,8 @@ class ClearingResult:
     marginal_order: str | None = None
 
 
-def _order_columns(orders: Sequence[Order], ranks: OrderRanks) -> Bids:
+def order_columns(orders: Sequence[Order], ranks: OrderRanks) -> Bids:
+    """Orders of one side as columns, in the given order, ranked by ``ranks``."""
     return Bids(
         np.array([o.price for o in orders], dtype=np.float64),
         np.array([o.quantity for o in orders], dtype=np.float64),
@@ -246,27 +261,46 @@ def _order_columns(orders: Sequence[Order], ranks: OrderRanks) -> Bids:
     )
 
 
+def _side_columns(bids: Iterable[Order] | Bids, side: str, ranks: OrderRanks | None,
+                  fixed_ids: Sequence[str] = ()) -> tuple[Bids, OrderRanks]:
+    """One side's orders as columns, and the table that ranks them.
+
+    ``bids`` is orders, each checked to be of ``side``, or their
+    ``order_columns``, which need ``ranks``. Without ``ranks``, the
+    orders' ids and ``fixed_ids`` rank in ascending id.
+    """
+    if isinstance(bids, Bids):
+        if ranks is None:
+            raise ValueError("order columns need the rank table their ranks index")
+        return bids, ranks
+    orders = list(bids)
+    for o in orders:
+        if o.side != side:
+            curve, other = ("demand", SIDE_SELL) if side == SIDE_BUY else ("supply", SIDE_BUY)
+            raise ValueError(f"{curve} curve given a {other} order {o.order_id}")
+    if ranks is None:
+        ranks = _ranks_by_id([*fixed_ids, *(o.order_id for o in orders)])
+    return order_columns(orders, ranks), ranks
+
+
 def build_demand_curve(
-    bids: Iterable[Order], ranks: OrderRanks | None = None, houses: Bids | None = None
+    bids: Iterable[Order] | Bids, ranks: OrderRanks | None = None, houses: Bids | None = None
 ) -> StepCurve:
     """Demand curve from buy orders; must-run orders already bid the cap.
 
-    ``houses`` adds a fleet's bids as columns, checked as ``Order``
-    checks them but never built as orders (``bidding.fleet_bids``); they
-    go ahead of ``bids`` into the one sort. Ranks come from ``ranks``,
-    which must then know every id, else from the orders' own ids in
-    ascending id.
+    ``bids`` is the buy orders, or their ``order_columns`` (then
+    already checked, and ranked by ``ranks``), as a run passes its
+    fixed orders. ``houses`` adds a fleet's bids as columns, checked as
+    ``Order`` checks them but never built as orders
+    (``bidding.fleet_bids``); they go ahead of ``bids`` into the one
+    sort. Ranks come from ``ranks``, which must then know every id,
+    else from the orders' own ids in ascending id.
     """
-    orders = list(bids)
-    for o in orders:
-        if o.side != SIDE_BUY:
-            raise ValueError(f"demand curve given a sell order {o.order_id}")
-    if ranks is None:
-        if houses is not None:
-            raise ValueError("house bids need the rank table their ranks index")
-        ranks = _ranks_by_id(o.order_id for o in orders)
-    cols = _order_columns(orders, ranks)
+    ranked = ranks is not None
+    cols, ranks = _side_columns(bids, SIDE_BUY, ranks)
     if houses is not None:
+        if not ranked:
+            raise ValueError("house bids need the rank table their ranks index")
         if not (houses.quantity > 0).all():
             raise ValueError("order quantity must be positive")
         cols = Bids(*(np.concatenate(pair) for pair in zip(houses, cols)))
@@ -302,21 +336,17 @@ class FeederSupplySpec:
             raise ValueError("scarcity step above price cap")
 
 
-def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] = (),
+def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] | Bids = (),
                         ranks: OrderRanks | None = None) -> StepCurve:
-    """Supply curve: wholesale block, scarcity blocks, local sell orders (``ranks`` as for demand)."""
-    sells = list(sell_bids)
-    for o in sells:
-        if o.side != SIDE_SELL:
-            raise ValueError(f"supply curve given a buy order {o.order_id}")
+    """Supply curve: wholesale block, scarcity blocks, local sell orders
+    (``sell_bids`` and ``ranks`` as ``bids`` and ``ranks`` for demand)."""
     steps = spec.scarcity_steps
     whole = spec.capacity_normal > 0  # steps and orders are positive already
-    ids = market_maker_ids(len(steps))[0 if whole else 1:] + [o.order_id for o in sells]
-    price = [spec.wholesale_price] * whole + [p for p, _ in steps] + [o.price for o in sells]
-    quantity = [spec.capacity_normal] * whole + [q for _, q in steps] + [o.quantity for o in sells]
-    if ranks is None:
-        ranks = _ranks_by_id(ids)
-    return StepCurve._from_columns(SIDE_SELL, price, quantity, ranks.of(ids), ranks)
+    ids = market_maker_ids(len(steps))[0 if whole else 1:]
+    sells, ranks = _side_columns(sell_bids, SIDE_SELL, ranks, ids)
+    price = np.concatenate(([spec.wholesale_price] * whole + [p for p, _ in steps], sells.price))
+    quantity = np.concatenate(([spec.capacity_normal] * whole + [q for _, q in steps], sells.quantity))
+    return StepCurve._from_columns(SIDE_SELL, price, quantity, np.concatenate((ranks.of(ids), sells.rank)), ranks)
 
 
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
@@ -346,12 +376,9 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
 
 
 def _price_spans(curve: StepCurve) -> tuple[np.ndarray, np.ndarray]:
-    """(cumulative quantity, price) columns in trade order.
-
-    ``np.add.accumulate`` folds left one element at a time, so each
-    cumulative quantity has the bits of a running ``cum += quantity``.
-    """
-    return np.add.accumulate(curve.quantity), curve.price
+    """(cumulative quantity, price) columns in trade order: the curve's
+    own ``cum`` and ``price``."""
+    return curve.cum, curve.price
 
 
 def clear(
@@ -366,9 +393,8 @@ def clear(
     """
     if demand.side != SIDE_BUY or supply.side != SIDE_SELL:
         raise ValueError("clear() wants a demand curve and a supply curve")
-    d_cum, d_price = _price_spans(demand)
-    d_key = demand.key
-    s_cum, s_price = (col.tolist() for col in _price_spans(supply))
+    d_cum, d_price, d_key = demand.cum, demand.price, demand.key
+    s_cum, s_price = supply.staircase
     nd, ns = len(d_cum), len(s_cum)
 
     # Walk the supply steps while demand stays at or above supply. On one

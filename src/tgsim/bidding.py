@@ -203,7 +203,7 @@ def fleet_bids(
         direction = -1.0
     flat = comfort_k == 0.0
     # price insensitive houses bid only when they want service
-    idx = np.flatnonzero(free & wanted & (emergency | needs | ~flat))
+    idx = (free & wanted & (emergency | needs | ~flat)).nonzero()[0]
     t, k = t_measured[idx], comfort_k[idx]
     mean, sigma = _at(stats.mean, idx), _at(stats.sigma, idx)
     slope = direction * k * sigma / _comfort_span(cfg)
@@ -264,19 +264,30 @@ class StorageSpec:
             raise ValueError("efficiency must be in (0, 1]")
 
 
+def storage_legs(spec: StorageSpec, soc_kwh: float) -> tuple[bool, bool]:
+    """Which legs bid at this state of charge: (charge, discharge).
+
+    A full battery does not charge and an empty one does not discharge;
+    otherwise both legs bid. The legs' orders depend on nothing else.
+    """
+    if not 0.0 <= soc_kwh <= spec.capacity_kwh:
+        raise ValueError("state of charge out of range")
+    return soc_kwh < spec.capacity_kwh, soc_kwh > 0.0
+
+
 def storage_bids(spec: StorageSpec, soc_kwh: float) -> list[Order]:
-    """Buy and sell orders for one interval, empty legs omitted.
+    """Buy and sell orders for one interval, empty legs omitted
+    (``storage_legs``).
 
     Because buy_below < sell_above the two legs can never both clear in
     the same interval: there is no price at which the device would trade
     with itself.
     """
-    if not 0.0 <= soc_kwh <= spec.capacity_kwh:
-        raise ValueError("state of charge out of range")
+    charge, discharge = storage_legs(spec, soc_kwh)
     orders = []
-    if soc_kwh < spec.capacity_kwh:
+    if charge:
         orders.append(Order(f"{spec.device_id}_chg", SIDE_BUY, spec.buy_below, spec.p_charge))
-    if soc_kwh > 0.0:
+    if discharge:
         orders.append(Order(f"{spec.device_id}_dis", SIDE_SELL, spec.sell_above, spec.p_discharge))
     return orders
 

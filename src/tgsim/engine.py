@@ -10,12 +10,17 @@ against supply anchored at the scheduled hourly price, deviations
 settle, one setpoint pass moves every house along its feeder's inverted
 bid line, and each feeder's diversity is sampled. Every schedule
 interval (3600 s) the loop reads the hour's entry, its bulk price and
-the supply anchor once, and builds each feeder's supply curve, which
-every market interval of the hour clears against unless the feeder has
-a local sell order then (that interval builds its own); the area's
-supply is built again only when the bulk price changes. At each day
-boundary the day is scheduled hour by hour from availability feedback
-(bootstrap estimates on day one).
+the supply anchor once, and checks each feeder's supply spec. A feeder's
+supply curve is built at most once per hour and pattern of its local
+sell orders (its batteries' discharge legs), by the first interval of
+the hour that has that pattern, and every later interval of the hour
+with it clears against that curve; the area's supply is built again
+only when the bulk price changes. A feeder's fixed orders (its base
+load and its batteries' legs) depend only on config and on which legs
+bid, so each pattern of legs is made once per run, as columns, with
+its bid event lines encoded once; an interval puts only its time into
+them. At each day boundary the day is scheduled hour by hour from
+availability feedback (bootstrap estimates on day one).
 
 Every settlement.csv row is one settle() record: each feeder buys its
 position, and its market maker (``{fid}__import``, paid net of the rent
@@ -86,7 +91,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,6 +109,7 @@ from .auction import (
     build_feeder_supply,
     clear_and_allocate,
     clear_area,
+    order_columns,
 )
 from .bidding import (
     HouseStats,
@@ -112,6 +118,7 @@ from .bidding import (
     fleet_bids,
     fleet_setpoints,
     storage_bids,
+    storage_legs,
 )
 from .config import ScenarioConfig, StoragePlacement, read_outdoor_series
 from .fold import array_sum, left_sum, libm_exp
@@ -146,6 +153,14 @@ from .thermal import (
     steady_duty,
 )
 
+
+# The ufunc that np.clip and ndarray.clip end in. Both reach it through
+# Python-level wrappers (fromnumeric, numpy's _methods), which a device
+# tick skips by calling it; numpy 1.x keeps it in numpy.core.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    from numpy.core.umath import clip as _clip
 
 # Each pipe to the writer process is asked to hold 1 MB (Linux; elsewhere
 # pipes keep their size). A 10,000-house log request or reply, about
@@ -277,6 +292,25 @@ class _WriterProcess:
 
 
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_T_HEAD = '{"t":'
+
+
+def _t_lines(records: list[dict]) -> list[str]:
+    """The events.jsonl lines of records that lack only "t", encoded
+    once: the parts between which ``_lines_at`` puts t's text. Each line
+    is _EVENT_ENCODER's text of the record with "t" first."""
+    parts = [""]
+    for record in records:
+        text = _EVENT_ENCODER.encode({"t": 0, **record})
+        parts[-1] += _T_HEAD
+        parts.append(text[len(_T_HEAD) + 1:] + "\n")
+    return parts
+
+
+def _lines_at(parts: list[str], t: int) -> str:
+    """The lines of ``_t_lines`` at time t; the JSON text of an int is its str."""
+    return str(t).join(parts)
+
 
 # each table's header, in the order the tables are opened
 _TABLES = {
@@ -324,6 +358,10 @@ class _Artifacts:
     def event(self, record: dict) -> None:
         self._events.write(_EVENT_ENCODER.encode(record) + "\n")
 
+    def event_lines(self, text: str) -> None:
+        """Writes whole events.jsonl lines encoded beforehand."""
+        self._events.write(text)
+
     def row(self, table: str, *cells) -> None:
         """Writes one line of a table, by the one cell rule: a float
         (numpy's float64 too) is its repr, with -0.0 folded to 0.0 so
@@ -343,7 +381,7 @@ class _Artifacts:
 
 def _fill_of(fills: np.ndarray, column: np.ndarray, key) -> float:
     """Fill of the order whose entry in a curve's column is key, else 0.0."""
-    hit = np.flatnonzero(column[: len(fills)] == key)
+    hit = (column[: len(fills)] == key).nonzero()[0]
     return float(fills[hit[0]]) if len(hit) else 0.0
 
 
@@ -360,6 +398,15 @@ def _house_bids_digest(t: int, market: str, prices: np.ndarray, quantities: np.n
     return {"t": t, "type": "house_bids", "market": market, "orders": len(quantities),
             "quantity_kw": quantity, "price": price,
             "must_run_kw": array_sum(quantities[prices == price_cap])}
+
+
+class _FixedOrders(NamedTuple):
+    """A feeder's orders for one pattern of battery legs."""
+
+    buys: Bids  # base load, then each battery's charge leg, in device-id order
+    sells: Bids  # each battery's discharge leg, in device-id order
+    sell_ids: tuple[str, ...]  # which supply curve of the hour the sells go into
+    bid_lines: list[str]  # the bid event lines of buys, then sells (_t_lines)
 
 
 @dataclass
@@ -384,6 +431,8 @@ class _FeederState:
     forecast_rank: np.ndarray | None = None  # of the bootstrap steps {fid}_base, {fid}_resp
     house_names: list[str] = field(default_factory=list)  # for houses.csv, made by run() with the trace only
     storage: list[StoragePlacement] = field(default_factory=list)  # placed here, in id order
+    # per pattern of storage_legs over storage, made by run() when first seen
+    fixed: dict[tuple[tuple[bool, bool], ...], _FixedOrders] = field(default_factory=dict)
 
 
 class SimulationRun:
@@ -645,7 +694,8 @@ class SimulationRun:
                     # never above the bulk price, so scarcity steps (which config keeps
                     # above every day-ahead price) stay above an hour scheduled at the cap
                     anchor = min(entry.price, bulk_price) if entry.area_quantity_kw > 0 else bulk_price
-                    supplies = {fid: self._feeder_supply(fs, anchor) for fid, fs in sorted(self.feeders.items())}
+                    specs = {fid: self._supply_spec(fs, anchor) for fid, fs in sorted(self.feeders.items())}
+                    supplies: dict[tuple[str, tuple[str, ...]], auction.StepCurve] = {}  # this hour's
                     if bulk_price != area_bulk:
                         area_bulk, area_supply = bulk_price, build_area_supply(
                             area.renewables_price, area.renewables_capacity_mw * 1000.0, bulk_price,
@@ -653,7 +703,7 @@ class SimulationRun:
 
                 at_boundary = t % sim.market_interval_s == 0
                 if at_boundary:
-                    self._market_phase(t, interval_index, hour_of_day, entry, anchor, supplies, area_supply, out)
+                    self._market_phase(t, interval_index, hour_of_day, entry, specs, supplies, area_supply, out)
 
                 total_kw = self._device_phase(t, at_boundary, out)
                 peak_load = max(peak_load, total_kw)
@@ -725,17 +775,31 @@ class SimulationRun:
     # phases
     # ------------------------------------------------------------------
 
-    def _feeder_supply(self, fs: _FeederState, anchor: float, sells=()) -> auction.StepCurve:
-        """A feeder's supply curve: its import blocks anchored at anchor,
-        then its local sell orders."""
-        spec = FeederSupplySpec(wholesale_price=anchor, capacity_normal=fs.spec.capacity_kw,
+    def _supply_spec(self, fs: _FeederState, anchor: float) -> FeederSupplySpec:
+        """A feeder's import blocks, anchored at anchor."""
+        return FeederSupplySpec(wholesale_price=anchor, capacity_normal=fs.spec.capacity_kw,
                                 scarcity_steps=fs.spec.scarcity_steps, price_cap=self.cfg.market.price_cap)
-        return build_feeder_supply(spec, sells, self.ranks)
 
-    def _market_phase(self, t, interval_index, hour_of_day, entry: HourEntry, anchor, supplies, area_supply,
+    def _fixed_orders(self, fid: str, fs: _FeederState) -> _FixedOrders:
+        """The feeder's base load order and its batteries' ``storage_bids``
+        at their charge now, as columns, with their bid lines."""
+        buys: list[Order] = []
+        if fs.spec.base_load_kw > 0:
+            buys.append(Order(f"{fid}_base", SIDE_BUY, self.cfg.market.price_cap, fs.spec.base_load_kw))
+        sells: list[Order] = []
+        for placement in fs.storage:
+            for order in storage_bids(placement.spec, self.soc_kwh[placement.spec.device_id]):
+                (buys if order.side == SIDE_BUY else sells).append(order)
+        lines = _t_lines([{"type": "bid", "market": fid, "order": o.order_id, "side": o.side, "price": o.price,
+                           "quantity": o.quantity} for o in buys + sells])
+        return _FixedOrders(order_columns(buys, self.ranks), order_columns(sells, self.ranks),
+                            tuple(o.order_id for o in sells), lines)
+
+    def _market_phase(self, t, interval_index, hour_of_day, entry: HourEntry, specs, supplies, area_supply,
                       out: _Artifacts) -> None:
-        """One market interval. supplies holds each feeder's supply curve
-        of the hour, which it clears against unless it has a sell order."""
+        """One market interval. specs holds each feeder's supply spec of
+        the hour; supplies, the hour's supply curves built so far, by
+        feeder and sell orders."""
         cfg = self.cfg
         mkt = cfg.market
         interval_h = cfg.simulation.market_interval_s / 3600.0
@@ -759,21 +823,18 @@ class SimulationRun:
             lo, hi = bid_runs[fid]
             idx, prices = bidders[lo:hi], bid_prices[lo:hi]
             quantities = fleet.p_rated[idx]
-            bids: list[Order] = []
-            if fspec.base_load_kw > 0:
-                bids.append(Order(f"{fid}_base", SIDE_BUY, mkt.price_cap, fspec.base_load_kw))
-            sells: list[Order] = []
-            for placement in fs.storage:
-                for order in storage_bids(placement.spec, self.soc_kwh[placement.spec.device_id]):
-                    (bids if order.side == SIDE_BUY else sells).append(order)
+            legs = tuple(storage_legs(p.spec, self.soc_kwh[p.spec.device_id]) for p in fs.storage)
+            fixed = fs.fixed.get(legs)
+            if fixed is None:
+                fixed = fs.fixed[legs] = self._fixed_orders(fid, fs)
 
             out.event(_house_bids_digest(t, fid, prices, quantities, mkt.price_cap))
-            for order in bids + sells:
-                out.event({"t": t, "type": "bid", "market": fid, "order": order.order_id,
-                           "side": order.side, "price": order.price, "quantity": order.quantity})
+            out.event_lines(_lines_at(fixed.bid_lines, t))
 
-            demand = build_demand_curve(bids, self.ranks, Bids(prices, quantities, house_rank + idx))
-            supply = self._feeder_supply(fs, anchor, sells) if sells else supplies[fid]
+            demand = build_demand_curve(fixed.buys, self.ranks, Bids(prices, quantities, house_rank + idx))
+            supply = supplies.get((fid, fixed.sell_ids))
+            if supply is None:
+                supply = supplies[fid, fixed.sell_ids] = build_feeder_supply(specs[fid], fixed.sells, self.ranks)
             result = clear_and_allocate(demand, supply, mkt.price_floor, mkt.price_cap)
             sold = market_maker_sold(result, supply, self.market_maker)
             rent = scarcity_rent(result, supply, sold)
@@ -867,17 +928,15 @@ class SimulationRun:
         fleet = self.fleet
         mean_t = 0.0
         if len(fleet):
-            np.clip(
-                self.market_setpoint + self.reg_offset,
-                self.thermostat.t_min,
-                self.thermostat.t_max,
-                out=fleet.setpoint,
-            )
+            # np.clip(..., out=) and t_in.mean() without numpy's Python-level
+            # wrappers: the C calls they end in, the same bits
+            _clip(self.market_setpoint + self.reg_offset, self.thermostat.t_min, self.thermostat.t_max,
+                  out=fleet.setpoint)
             fleet.tick(self.t_out(t), sim.device_tick_s / 3600.0, at_boundary)
             for fs in self.feeders.values():
                 # each feeder's draw is a left fold over its own houses
                 fs.house_power_kw = fs.pop.aggregate_power()
-            mean_t = float(fleet.t_in.mean())
+            mean_t = float(np.add.reduce(fleet.t_in) / len(fleet.t_in))
         resp = base = storage_net = 0.0
         for fid, fs in sorted(self.feeders.items()):
             resp += fs.house_power_kw
@@ -1027,7 +1086,8 @@ class SimulationRun:
     def _apply_aggregator_command(self, to_agg_mw: float) -> None:
         cap = self.cfg.area.regulation_capacity_mw
         if cap <= 0 or to_agg_mw == 0.0:
-            if self.reg_offset.any():
+            # reg_offset.any() without its Python-level wrapper
+            if np.logical_or.reduce(self.reg_offset):
                 self.reg_offset[:] = 0.0
             return
         frac = min(max(to_agg_mw / cap, -1.0), 1.0)

@@ -293,7 +293,9 @@ class Population:
             rate = -h / (self.r_thermal * self.c_thermal)
             self._decay = libm_exp(rate)
             self._decay_h = h
-        t_eq = t_out + np.where(on, self.q_hvac, 0.0) * self.r_thermal
+        # np.where(on, q_hvac, 0.0) as one C call: np.where goes through a
+        # Python-level dispatcher
+        t_eq = t_out + np.positive(self.q_hvac, out=np.zeros(len(t)), where=on) * self.r_thermal
         t[:] = t_eq + (t - t_eq) * self._decay
         self.hvac_on[:] = on
 
@@ -474,7 +476,8 @@ def diversity_from_phases(phases: Iterable[float]) -> float:
     if not len(phases):
         raise ValueError("no phases given")
     zs = np.exp(2j * np.pi * phases)
-    return float(1.0 - abs(zs.mean()))
+    # zs.mean() without its Python-level wrapper, the same bits
+    return float(1.0 - abs(np.add.reduce(zs) / len(zs)))
 
 
 @dataclass(frozen=True)
@@ -515,7 +518,7 @@ def cycle_ratios(pop: Population, t_out: float) -> tuple[PartialPhases, np.ndarr
     else:
         cycles = (t_eq_on > hi) & (t_out < lo)
         on_from, off_from = lo, hi
-    idx = np.flatnonzero(cycles)
+    idx = cycles.nonzero()[0]
     t_eq_on, on_from, off_from = t_eq_on[idx], on_from[idx], off_from[idx]
     lo, hi = lo[idx], hi[idx]
     on = pop.hvac_on[idx] != 0

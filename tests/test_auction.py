@@ -461,6 +461,66 @@ def test_clear_area_against_a_supply_built_once_equals_a_build_per_call():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, columns))
 
 
+def _clearing_bits(result, demand, supply):
+    return (_bits(result.price), _bits(result.quantity), _fills_bits(fills_by_id(demand, result.buy_fills)),
+            _fills_bits(fills_by_id(supply, result.sell_fills)), result.marginal_order)
+
+
+def test_a_supply_cleared_many_times_keeps_a_staircase_that_never_goes_stale():
+    # the oracle test's random books: each supply clears many demand
+    # curves, and every result equals a clearing of fresh copies of both
+    # curves and the unit-expansion reference; no clearing changes the
+    # spans of either curve
+    rng = np.random.default_rng(2030)
+    for k in range(300):
+        _, raw_sells = random_book(rng, k)
+        s_rows = [(p, q, i) for i, p, q in raw_sells]
+        supply = StepCurve(SIDE_SELL, s_rows)
+        s_spans = [col.tobytes() for col in _price_spans(supply)]
+        for j in range(12):
+            raw_buys, _ = random_book(rng, k + j)
+            d_rows = [(p, q, i) for i, p, q in raw_buys]
+            demand = StepCurve(SIDE_BUY, d_rows)
+            d_spans = [col.tobytes() for col in _price_spans(demand)]
+            fresh_d, fresh_s = StepCurve(SIDE_BUY, d_rows), StepCurve(SIDE_SELL, s_rows)
+            want = _clearing_bits(clear_and_allocate(fresh_d, fresh_s), fresh_d, fresh_s)
+            for _ in range(2):
+                assert _clearing_bits(clear_and_allocate(demand, supply), demand, supply) == want
+            price, qty, buy_fills, sell_fills = oracle_clear(raw_buys, raw_sells)
+            got = clear(demand, supply)
+            assert (got.price, got.quantity) == (price, qty)
+            assert want[2:4] == (_fills_bits(buy_fills), _fills_bits(sell_fills))
+            assert [col.tobytes() for col in _price_spans(demand)] == d_spans
+            assert [col.tobytes() for col in _price_spans(supply)] == s_spans
+            assert supply.staircase == tuple(col.tolist() for col in _price_spans(fresh_s))
+
+
+def test_order_columns_build_the_curves_their_orders_build():
+    # a run passes its fixed orders as columns made once; they build the
+    # curves the orders build, and need the table their ranks index
+    ranks = OrderRanks(market_maker_ids(1) + ["bat_chg", "bat_dis", "f1_base", "pv_dis"], [("f1", 3)])
+    named = [Order("f1_base", SIDE_BUY, 1000.0, 40.0), Order("bat_chg", SIDE_BUY, 30.0, 5.0)]
+    houses = Bids(np.array([30.0, -0.0, 55.5]), np.array([4.0, 4.0, 2.5]), np.arange(3) + len(ranks.ids))
+    local = [Order("pv_dis", SIDE_SELL, 30.0, 1.5), Order("bat_dis", SIDE_SELL, 45.0, 5.0)]
+    spec = FeederSupplySpec(30.0, 100.0, ((80.0, 5.0),), 1000.0)
+    pairs = [
+        (build_demand_curve(named, ranks, houses),
+         build_demand_curve(auction.order_columns(named, ranks), ranks, houses)),
+        (build_feeder_supply(spec, local, ranks),
+         build_feeder_supply(spec, auction.order_columns(local, ranks), ranks)),
+        (build_feeder_supply(spec, [], ranks), build_feeder_supply(spec, auction.order_columns([], ranks), ranks)),
+    ]
+    for want, got in pairs:
+        for name in ("key", "price", "quantity", "rank", "cum"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert got.ranks is ranks
+    with pytest.raises(ValueError, match="rank table"):
+        build_demand_curve(auction.order_columns(named, ranks))
+    with pytest.raises(ValueError, match="rank table"):
+        build_feeder_supply(spec, auction.order_columns(local, ranks))
+
+
 def _feeder_demand(rng, fid, n_houses, ranks, named, at_30=()):
     """A feeder curve built as the engine builds it, and its rows; the
     houses at_30 bid 30.0."""

@@ -1,14 +1,17 @@
 """End-to-end scenario runs: artifacts, determinism, integration replay."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
 import json
 import math
 import struct
+import sys
 import tracemalloc
 import types
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1277,6 +1280,69 @@ def test_heating_runs_are_byte_identical(tmp_path, kind):
     assert any(float(row["reg_to_aggregators_mw"]) != 0.0 for row in freq)
 
 
+# ------------------------------------------------------------ device tick
+
+
+@pytest.mark.byte_pin
+def test_the_c_calls_a_tick_makes_equal_numpy_wrappers_bitwise():
+    # the calls that stand in for x.mean(), np.clip and np.flatnonzero on
+    # the per-tick and per-interval paths, over signed zeros, subnormals
+    # and ties at the bounds
+    rng = np.random.default_rng(30)
+    pool = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 9, 5000)
+    odd = rng.random(5000) < 0.2
+    pool[odd] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.1e-308], int(odd.sum()))
+    zpool = pool + 1j * rng.permutation(pool)
+    for n in range(1, 5001):
+        for x in (pool[:n], zpool[:n], pool[5000 - n:], zpool[5000 - n:]):
+            assert (np.add.reduce(x) / len(x)).tobytes() == x.mean().tobytes(), n
+    edges = np.array([20.0, 24.0, 19.999, 24.001, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf])
+    x = np.concatenate((edges, pool))
+    for lo, hi in ((20.0, 24.0), (0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (-0.0, 5e-324)):
+        want = np.clip(x, lo, hi, out=np.empty_like(x))
+        for got in (engine._clip(x, lo, hi, out=np.empty_like(x)), x.clip(lo, hi, out=np.empty_like(x))):
+            assert got.tobytes() == want.tobytes(), (lo, hi)
+    for n in (0, 1, 7, 5000):
+        for m in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.3, pool[:n] > 0):
+            got, want = m.nonzero()[0], np.flatnonzero(m)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_device_tick_calls_no_numpy_python_function(tmp_path):
+    # numpy's Python-level wrappers (np.clip, ndarray.mean, np.where, ...)
+    # cost more than the C calls they end in; a device tick makes none
+    cfg = load_config(SCENARIO_DIR / "baseline_200.yaml")
+    cfg = dataclasses.replace(cfg, simulation=dataclasses.replace(cfg.simulation, span_s=3600))
+    numpy_dir = str(Path(np.__file__).parent)
+    tgsim_dir = str(Path(engine.__file__).parent)
+    tick_codes = {SimulationRun._device_phase.__code__, Population.tick.__code__,
+                  Population.aggregate_power.__code__}
+    seen, ticks = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in tick_codes:
+            ticks.append(code)
+        if not code.co_filename.startswith(numpy_dir):
+            return
+        caller = frame.f_back
+        while caller is not None and not caller.f_code.co_filename.startswith(tgsim_dir):
+            caller = caller.f_back
+        if caller is not None and caller.f_code in tick_codes:
+            seen.append((caller.f_code.co_name, code.co_filename, code.co_name))
+
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    sys.setprofile(profile)
+    try:
+        sim.run(tmp_path / "run")
+    finally:
+        sys.setprofile(None)
+    assert len(ticks) == 60 * (2 + len(sim.feeders))
+    assert seen == []
+
+
 # ------------------------------------------------------------ event log
 
 
@@ -1343,6 +1409,95 @@ def test_house_bids_line_is_the_left_fold_of_the_fleet_bids(tmp_path, monkeypatc
 
 
 # ------------------------------------------------------------ storage
+
+
+# storage_arb with six houses, a round trip of 0.81 and a battery that
+# starts empty, fills over three cheap hours, empties in the middle of
+# the third of three dear ones and charges again. The digests were taken
+# when every interval built its storage orders, their bid lines and its
+# supply afresh.
+STORAGE_CYCLE_SHA256 = {
+    "events.jsonl": "71b1ea02a2c2b97b35e4dc9f712f7527afd7a9f7e972b7aeebce81d0d72a85d8",
+    "frequency.csv": "42bdc37bd67558e2c19a5f353284b15cb487d89320b1fd8701ab896550114777",
+    "load.csv": "004d68e75a378857c5bb55d24e575121435c0fd0be00677071771c9d2c32f141",
+    "markets.csv": "cb10bb1d8aa6e0eab6715f3617ed65ab712273389d5ee748a75f60f06790dd2b",
+    "settlement.csv": "343aae47a10ca209e7188ec0e617ca2ecdeebcb21aa2784e35c989ff4b08931f",
+    "summary.json": "fc3abc12e3a619214b51c9f513984046420e1eb11aff77f9340a2229b0b3ef64",
+}
+
+
+def storage_cycle_config():
+    text = (SCENARIO_DIR / "storage_arb.yaml").read_text()
+    for old, new in (("span_s: 7200", "span_s: 25200"), ("houses: 0", "houses: 6"),
+                     ("efficiency: 1.0", "efficiency: 0.81"), ("soc0_kwh: 16.0", "soc0_kwh: 0.0"),
+                     ("p_discharge: 32.0", "p_discharge: 24.0"),
+                     ("da_price: [24.0, 40.0]", "da_price: [24.0, 24.0, 24.0, 40.0, 40.0, 40.0, 24.0]")):
+        assert old in text
+        text = text.replace(old, new)
+    return parse_config(text)
+
+
+@pytest.mark.byte_pin
+def test_a_battery_through_empty_partly_charged_and_full_matches_its_pinned_digests(tmp_path):
+    # each pattern of battery legs is made once and reused; the bytes are
+    # those of orders and lines made in every interval
+    run = run_scenario(storage_cycle_config(), tmp_path / "run")
+    bids = [e for e in map(json.loads, event_lines(run)) if e["type"] == "bid"]
+    legs: dict[int, list[str]] = {}
+    for e in bids:
+        legs.setdefault(e["t"], []).append(e["order"])
+    # empty: base and charge; partly charged: both legs; full: discharge only
+    patterns = {tuple(orders) for orders in legs.values()}
+    assert patterns == {("f1_base", "bat1_chg"), ("f1_base", "bat1_chg", "bat1_dis"), ("f1_base", "bat1_dis")}
+    for name, digest in STORAGE_CYCLE_SHA256.items():
+        assert hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest() == digest, name
+
+    # lines encoded once take only t's text, which is the encoder's
+    records = [{k: v for k, v in e.items() if k != "t"} for e in bids if e["t"] == 0]
+    records.append(dict(records[0], market='f"1\\é'))
+    for recs in (records, records[:1], []):
+        parts = engine._t_lines(recs)
+        for t in (0, 300, 10**9):
+            want = "".join(engine._EVENT_ENCODER.encode({"t": t, **r}) + "\n" for r in recs)
+            assert engine._lines_at(parts, t) == want
+
+
+@pytest.mark.parametrize("case", ["two_day", "storage_cycle"])
+def test_a_run_builds_each_feeder_supply_once_per_hour_and_pattern_of_sell_orders(tmp_path, monkeypatch, case):
+    # two_day's battery sells in every interval, so a build per interval
+    # that has a sell order would show; the storage cycle's battery stops
+    # selling in the middle of an hour, so a supply kept for the hour
+    # whatever its sell orders would show
+    built, now = [], [0]
+    real_supply = engine.build_feeder_supply
+
+    def supplied(*args):
+        built.append(now[-1] // 3600)
+        return real_supply(*args)
+
+    monkeypatch.setattr(engine, "build_feeder_supply", supplied)
+    cfg = load_config(SCENARIO_DIR / "two_day.yaml") if case == "two_day" else storage_cycle_config()
+    sim = SimulationRun(cfg, base_dir=SCENARIO_DIR)
+    market_phase = sim._market_phase
+
+    def timed(t, *args):
+        now.append(t)
+        return market_phase(t, *args)
+
+    sim._market_phase = timed
+    run = sim.run(tmp_path / "run")
+    sells = {(t, fid): () for t in now[1:] for fid in sim.feeders}
+    for e in map(json.loads, event_lines(run)):
+        if e["type"] == "bid" and e["side"] == "sell":
+            sells[e["t"], e["market"]] += (e["order"],)
+    patterns: dict[int, set] = {}
+    for (t, fid), orders in sells.items():
+        patterns.setdefault(t // 3600, set()).add((fid, orders))
+    if case == "two_day":
+        assert len(now) - 1 == 576 and all(sells[t, "f1"] == ("bat1_dis",) for t in now[1:])
+    else:
+        assert max(len(seen) for seen in patterns.values()) == 2
+    assert dict(collections.Counter(built)) == {hour: len(seen) for hour, seen in patterns.items()}
 
 
 def test_storage_arbitrage_follows_the_price_spread(scenario_runs):
