@@ -12,9 +12,13 @@ then ``scarcity0``, ``scarcity1``, ...), each battery's ``chg`` and
 ``dis`` legs in device-id order, each feeder's ``base`` and ``resp`` in
 config order, then every house in fleet order. The table formats a
 house's name only when asked for it. So the area curve merges feeder
-curves with one stable sort on (price, rank). Curves built from
-hand-written ids, which have no build order, rank them in ascending id.
-Steps without ids, such as forecast steps, rank by their step number.
+curves on (price, rank) alone. Each feeder curve is already in trade
+order, so the merge (``merge_order``) is one stable sort on the price,
+which merges the curves' runs, and a re-sort by rank of only the groups
+of equal prices that the merge left out of rank order. Curves built
+from hand-written ids, which have no build order, rank them in
+ascending id. Steps without ids, such as forecast steps, rank by their
+step number.
 
 Clearing finds the largest quantity at which the demand staircase still
 sits at or above the supply staircase, then prices the trade:
@@ -154,6 +158,35 @@ class Bids(NamedTuple):
     rank: np.ndarray
 
 
+def merge_order(key: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The order ``np.lexsort((rank, key))`` gives, in near-linear time
+    where ``key`` is a few ascending runs, as curves one after another are.
+
+    A stable argsort of ``key`` (numpy's timsort) merges the runs. It
+    leaves each group of equal keys in input order, so only the groups
+    where that breaks ascending rank sort again, by (rank, input
+    position), in one sort for all of them. The order is exact for any
+    columns; NaN keys tie with each other and sort last, as in lexsort.
+    """
+    order = key.argsort(kind="stable")
+    k, r = key[order], rank[order]
+    tie = k[1:] == k[:-1]
+    if len(k) and k[-1] != k[-1]:  # NaNs, which sort last
+        tie |= np.isnan(k[1:]) & np.isnan(k[:-1])
+    inverted = tie & (r[1:] < r[:-1])
+    if not np.count_nonzero(inverted):
+        return order
+    # the groups of equal keys that hold an inversion sort again; besides
+    # ``group`` the scratch is one byte a row, since a run merges forecasts
+    # while it holds a day of curves
+    group = np.cumsum(np.concatenate(([False], ~tie)))
+    redo = np.zeros(group[-1] + 1, dtype=bool)
+    redo[group[1:][inverted]] = True
+    at = np.flatnonzero(redo[group])
+    order[at] = order[at[np.lexsort((r[at], group[at]))]]
+    return order
+
+
 class StepCurve:
     """Aggregated step curve as columns in trade order.
 
@@ -185,21 +218,23 @@ class StepCurve:
         self._sort(side, [p for p, _, _ in rows], [q for _, q, _ in rows], ranks.of(ids), ranks)
 
     @classmethod
-    def _from_columns(cls, side: str, price, quantity, rank, ranks: OrderRanks | None = None) -> StepCurve:
+    def _from_columns(cls, side: str, price, quantity, rank, ranks: OrderRanks | None = None, merge=False) -> StepCurve:
         """Sort columns into a curve; ``rank`` is the tie key, indexing
-        ``ranks`` if given."""
+        ``ranks`` if given. ``merge`` says the columns are curves of this
+        side one after another, each in trade order, so ``merge_order``
+        merges them; the order is the same."""
         curve = cls.__new__(cls)
-        curve._sort(side, price, quantity, rank, ranks)
+        curve._sort(side, price, quantity, rank, ranks, merge)
         return curve
 
-    def _sort(self, side, price, quantity, rank, ranks) -> None:
+    def _sort(self, side, price, quantity, rank, ranks, merge=False) -> None:
         if side not in (SIDE_BUY, SIDE_SELL):
             raise ValueError(f"bad side {side!r}")
         price = np.asarray(price, dtype=np.float64)
         quantity = np.asarray(quantity, dtype=np.float64)
         key = -price if side == SIDE_BUY else price
         # stable, and -0.0 ties with 0.0 as it does under Python's sort
-        order = np.lexsort((rank, key))
+        order = merge_order(key, rank) if merge else np.lexsort((rank, key))
         self.side = side
         self.key = key[order]
         self.price = price[order]
@@ -352,10 +387,11 @@ def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] | Bid
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
     """Horizontal (quantity) sum of several demand curves.
 
-    The curves' columns are concatenated in the given order and sorted
-    once; the stable sort keeps that order among equal (price, rank)
-    orders. Curves that share a rank table merge on their ranks; others
-    are re-ranked together, in ascending id.
+    The curves' columns are concatenated in the given order and merged
+    (``merge_order``), which keeps that order among equal (price, rank)
+    orders. One curve is its own sum and is returned as it is. Curves
+    that share a rank table merge on their ranks; others are re-ranked
+    together, in ascending id, which keeps each curve in trade order.
     """
     curves = list(curves)
     for c in curves:
@@ -363,6 +399,8 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
             raise ValueError("can only aggregate demand curves")
     if not curves:
         return StepCurve(SIDE_BUY)
+    if len(curves) == 1:
+        return curves[0]
     ranks = curves[0].ranks
     if ranks is not None and all(c.ranks is ranks for c in curves):
         rank = np.concatenate([c.rank for c in curves])
@@ -372,7 +410,7 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
         rank = ranks.of(ids)
     price = np.concatenate([c.price for c in curves])
     quantity = np.concatenate([c.quantity for c in curves])
-    return StepCurve._from_columns(SIDE_BUY, price, quantity, rank, ranks)
+    return StepCurve._from_columns(SIDE_BUY, price, quantity, rank, ranks, merge=True)
 
 
 def _price_spans(curve: StepCurve) -> tuple[np.ndarray, np.ndarray]:

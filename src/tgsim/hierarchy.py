@@ -61,12 +61,12 @@ def schedule_hourly(
 
     forecasts maps each feeder to its forecast demand for the hour, as
     columns in trade order: falling prices, equal prices (in any feeder)
-    by ascending rank. The steps merge by one stable sort on (price,
-    rank), so full ties keep feeder order. Each feeder's position is the
-    left fold of its own steps priced at or above the cleared price.
-    Pure function of its inputs.
+    by ascending rank. The feeders' steps merge on (price, rank)
+    (``merge_order``), so full ties keep feeder order. Each feeder's
+    position is the left fold of its own steps priced at or above the
+    cleared price. Pure function of its inputs.
     """
-    merged = StepCurve._from_columns(SIDE_BUY, *map(np.concatenate, zip(*forecasts.values())))
+    merged = StepCurve._from_columns(SIDE_BUY, *map(np.concatenate, zip(*forecasts.values())), merge=True)
     supply = build_area_supply(renewables_price, renewables_capacity_kw, bulk_price, bulk_capacity_kw)
     result = clear_area(merged, supply, price_floor, price_cap)
     positions = {fid: array_sum(f.quantity[f.price >= result.price]) if result.quantity > 0 else 0.0
@@ -83,21 +83,26 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bid
     Each interval comes as the ``_price_spans`` pair of its demand curve,
     (cumulative kW, price) in trade order. A demand curve's
     ``quantity_at(p)`` is the cumulative quantity of its price-descending
-    prefix priced at or above p, so one search per interval reads it off
-    the pair with the same bits.
+    prefix priced at or above p: the entry of ``cum`` at the number of
+    its steps priced at or above p. One sort of the window's prices gives
+    every step the index of its distinct price, so per interval a count
+    of its steps at each index, folded, gives that number at every
+    distinct price, in time linear in the window.
     The step at the k-th of the distinct prices, highest first, ranks k.
     """
     spans = list(spans)
     if not spans:
         raise ValueError("no curves to aggregate")
-    # distinct prices, highest first; of prices that compare equal (0.0
-    # and -0.0) the first seen stands for them, as in a Python set
+    # distinct prices, highest first, and each step's index among them,
+    # from one stable sort; of prices that compare equal (0.0 and -0.0)
+    # the first seen (``return_index``) stands for them, as in a Python set
     seen = np.concatenate([price for _, price in spans])
-    seen = seen[np.argsort(-seen, kind="stable")]
-    prices = seen[np.concatenate(([True], seen[1:] != seen[:-1]))] if len(seen) else seen
+    _, first_seen, index = np.unique(-seen, return_index=True, return_inverse=True)
+    prices = seen[first_seen]
     total = np.zeros(len(prices))
     for cum, price in spans:
-        n_willing = np.searchsorted(-price, -prices, "right")
+        steps, index = index[:len(price)], index[len(price):]
+        n_willing = np.add.accumulate(np.bincount(steps, minlength=len(prices)))
         total += np.concatenate(([0.0], cum))[n_willing]
     q_here = total / len(spans)
     # a step wherever the mean rises past everything before it, so every

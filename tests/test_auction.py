@@ -575,6 +575,41 @@ def test_aggregate_demand_matches_the_walk_bitwise():
     assert len(aggregate_demand([])) == 0
 
 
+@pytest.mark.byte_pin
+def test_merge_order_is_the_lexsort_order():
+    # curves in trade order one after another, as the area and forecast
+    # merges see them: keys tie within and across curves (-0.0 with 0.0),
+    # ranks interleave across curves, and equal (key, rank) pairs stand
+    # for hand-built duplicate ids; then the same columns in no order
+    rng = np.random.default_rng(31)
+    grid = np.array([-0.0, 0.0, -12.5, -30.0, -47.25, -1000.0])
+    fixed = 0
+
+    def check(key, rank):
+        want = np.lexsort((rank, key))
+        got = auction.merge_order(key, rank)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        return key.argsort(kind="stable").tolist() != want.tolist()
+
+    check(np.zeros(0), np.zeros(0, dtype=np.intp))
+    for _ in range(400):
+        curves = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(0, 40))
+            key = np.where(rng.random(n) < 0.6, rng.choice(grid, n), rng.uniform(-100.0, 0.0, n))
+            rank = rng.integers(0, int(rng.integers(1, 60)), n)
+            in_trade_order = np.lexsort((rank, key))
+            curves.append((key[in_trade_order], rank[in_trade_order]))
+        key, rank = (np.concatenate(col) for col in zip(*curves))
+        fixed += check(key, rank)
+        shuffled = rng.permutation(len(key))
+        check(key[shuffled], rank[shuffled])
+    # both paths ran: merges the key sort alone gets right, and fix-ups
+    assert 50 < fixed < 350
+    # NaN keys tie with each other and sort last, ranked
+    check(np.array([np.nan, 1.0, np.nan, -0.0, np.nan, 0.0]), np.array([5, 1, 2, 3, 2, 1]))
+
+
 def test_column_built_supplies_equal_the_row_built_curves_bitwise(monkeypatch):
     # storage sells priced at the wholesale price on either side of
     # "__import_wholesale" in id order, so only the id tie-break places them

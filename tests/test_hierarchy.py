@@ -252,6 +252,47 @@ def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
         assert _bits(got) == _row_bits(feedback_rows(window))
 
 
+def _feedback_by_search(spans):
+    """availability_feedback as one search of each interval's curve per
+    distinct price of the window: the oracle of its counts."""
+    seen = np.concatenate([price for _, price in spans])
+    seen = seen[np.argsort(-seen, kind="stable")]
+    prices = seen[np.concatenate(([True], seen[1:] != seen[:-1]))] if len(seen) else seen
+    total = np.zeros(len(prices))
+    for cum, price in spans:
+        n_willing = np.searchsorted(-price, -prices, "right")
+        total += np.concatenate(([0.0], cum))[n_willing]
+    q_here = total / len(spans)
+    prev_q = np.maximum.accumulate(np.concatenate(([0.0], q_here)))[:-1]
+    step = np.flatnonzero(q_here > prev_q)
+    return Bids(prices[step], q_here[step] - prev_q[step], step)
+
+
+@pytest.mark.byte_pin
+def test_feedback_counts_as_the_search_does_bitwise():
+    # every third window is one interval, every third has all its prices
+    # tied (0.0 with -0.0); curves may be empty
+    rng = np.random.default_rng(31)
+    grid = np.array([-0.0, 0.0, 12.5, 30.0, 47.25, 1000.0])
+    windows = [[[]], [[], []], [[(0.0, 1.0, "a")], [], [(-0.0, 2.0, "b"), (-0.0, 1.5, "c")]]]
+    for trial in range(300):
+        window = []
+        for c in range(1 if trial % 3 == 0 else int(rng.integers(1, 9))):
+            n = int(rng.integers(0, 25))
+            if trial % 3 == 1:
+                prices = rng.choice([-0.0, 0.0], n)
+            else:
+                prices = np.where(rng.random(n) < 0.5, rng.choice(grid, n), rng.uniform(0.0, 100.0, n))
+            qs = rng.choice([1.0, 2.5, 0.3], n)
+            window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
+        windows.append(window)
+    for window in windows:
+        spans = [_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window]
+        got, want = availability_feedback(spans), _feedback_by_search(spans)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_feedback_rejects_empty_window():
     with pytest.raises(ValueError):
         availability_feedback([])
