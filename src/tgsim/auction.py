@@ -15,10 +15,8 @@ house's name only when asked for it. So the area curve merges feeder
 curves on (price, rank) alone. Each feeder curve is already in trade
 order, so the merge (``merge_order``) is one stable sort on the price,
 which merges the curves' runs, and a re-sort by rank of only the groups
-of equal prices that the merge left out of rank order. Curves built
-from hand-written ids, which have no build order, rank them in
-ascending id. Steps without ids, such as forecast steps, rank by their
-step number.
+of equal prices that the merge left out of rank order. Steps without
+ids, such as forecast steps, rank by their step number.
 
 Clearing finds the largest quantity at which the demand staircase still
 sits at or above the supply staircase, then prices the trade:
@@ -46,10 +44,10 @@ lists, which clearing walks. No clearing changes a curve, so a run
 builds each feeder's supply (``build_feeder_supply``) at most once per
 hour and pattern of local sell orders, and the area's
 (``build_area_supply``) once per bulk price, and clears every interval
-of the hour against them. A run's fixed orders (base load, battery
-legs) come to the builders as columns (``Bids``, from
-``order_columns``) built once; ``Order`` lists remain the way in for
-library callers.
+of the hour against them. Orders come to the builders as columns
+(``Bids``) with the run's table: a fleet's bids straight from its
+array pass, the fixed orders (base load, battery legs) through
+``order_columns``, which a run calls once per pattern of legs.
 """
 
 from __future__ import annotations
@@ -60,8 +58,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-from .fold import array_sum
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
@@ -83,12 +79,6 @@ class Order:
             raise ValueError("order quantity must be positive")
         if not math.isfinite(self.price):
             raise ValueError("order price must be finite")
-
-
-class Segment(NamedTuple):
-    price: float
-    quantity: float
-    order_id: str
 
 
 MARKET_MAKER_PREFIX = "__import"
@@ -144,11 +134,6 @@ class OrderRanks:
         return np.array([self.name(rank) for rank in np.asarray(ranks).tolist()], dtype=object)
 
 
-def _ranks_by_id(ids: Iterable[str]) -> OrderRanks:
-    """Ranks of hand-written ids, which come in no build order: ascending id."""
-    return OrderRanks(sorted(set(ids)))
-
-
 class Bids(NamedTuple):
     """Orders of one side as columns. ``rank`` orders equal prices and,
     where the orders have ids, indexes the table that names them."""
@@ -197,25 +182,13 @@ class StepCurve:
     ascending column the sort ran on: ``-price`` for demand, ``price``
     for supply. ``cum`` is the cumulative quantity, a left fold
     (``np.add.accumulate``), so each entry has the bits of a running
-    ``cum += quantity``.
-    Per-order identity is preserved: equal-price orders sit adjacent as
-    the merged price level. ``ranks`` is the table the ranks index, and
-    ``ids`` reads the orders' names from it (None without a table).
+    ``cum += quantity``. Equal-price orders sit adjacent as the merged
+    price level, each keeping its rank; ``ranks`` is the table the
+    ranks index (None for steps without ids), which names an order.
 
     ``_from_columns`` is the one way in: the library's builders pass it
-    columns whose quantities they have checked. ``StepCurve(side,
-    segments)`` turns (price, quantity, order_id) rows into columns and
-    a table of their ids in ascending id, for tests and hand-built
-    curves. ``segments`` rebuilds the rows on each read.
+    columns whose quantities they have checked.
     """
-
-    def __init__(self, side: str, segments: Iterable[tuple[float, float, str]] = ()) -> None:
-        rows = [(float(p), float(q), str(i)) for p, q, i in segments]
-        if not all(q > 0 for _, q, _ in rows):
-            raise ValueError("segment quantity must be positive")
-        ids = [i for _, _, i in rows]
-        ranks = _ranks_by_id(ids)
-        self._sort(side, [p for p, _, _ in rows], [q for _, q, _ in rows], ranks.of(ids), ranks)
 
     @classmethod
     def _from_columns(cls, side: str, price, quantity, rank, ranks: OrderRanks | None = None, merge=False) -> StepCurve:
@@ -223,11 +196,6 @@ class StepCurve:
         ``ranks`` if given. ``merge`` says the columns are curves of this
         side one after another, each in trade order, so ``merge_order``
         merges them; the order is the same."""
-        curve = cls.__new__(cls)
-        curve._sort(side, price, quantity, rank, ranks, merge)
-        return curve
-
-    def _sort(self, side, price, quantity, rank, ranks, merge=False) -> None:
         if side not in (SIDE_BUY, SIDE_SELL):
             raise ValueError(f"bad side {side!r}")
         price = np.asarray(price, dtype=np.float64)
@@ -235,43 +203,26 @@ class StepCurve:
         key = -price if side == SIDE_BUY else price
         # stable, and -0.0 ties with 0.0 as it does under Python's sort
         order = merge_order(key, rank) if merge else np.lexsort((rank, key))
-        self.side = side
-        self.key = key[order]
-        self.price = price[order]
-        self.quantity = quantity[order]
-        self.rank = rank[order]
-        self.ranks = ranks
-        self.cum = np.add.accumulate(self.quantity)
+        curve = cls()
+        curve.side = side
+        curve.key = key[order]
+        curve.price = price[order]
+        curve.quantity = quantity[order]
+        curve.rank = rank[order]
+        curve.ranks = ranks
+        curve.cum = np.add.accumulate(curve.quantity)
+        return curve
 
     @cached_property
     def staircase(self) -> tuple[list[float], list[float]]:
         """``cum`` and ``price`` as lists, made on the first read and kept."""
         return self.cum.tolist(), self.price.tolist()
 
-    @property
-    def ids(self) -> np.ndarray | None:
-        return None if self.ranks is None else self.ranks.names(self.rank)
-
-    @property
-    def segments(self) -> list[Segment]:
-        return [
-            Segment(p, q, i)
-            for p, q, i in zip(self.price.tolist(), self.quantity.tolist(), self.ids.tolist())
-        ]
-
     def __len__(self) -> int:
         return len(self.price)
 
-    def total_quantity(self) -> float:
-        return array_sum(self.quantity)
-
     def best_price(self) -> float | None:
         return float(self.price[0]) if len(self.price) else None
-
-    def quantity_at(self, price: float) -> float:
-        """Quantity willing to trade at the given price (weak inequality)."""
-        willing = self.price >= price if self.side == SIDE_BUY else self.price <= price
-        return array_sum(self.quantity[willing])
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,50 +247,20 @@ def order_columns(orders: Sequence[Order], ranks: OrderRanks) -> Bids:
     )
 
 
-def _side_columns(bids: Iterable[Order] | Bids, side: str, ranks: OrderRanks | None,
-                  fixed_ids: Sequence[str] = ()) -> tuple[Bids, OrderRanks]:
-    """One side's orders as columns, and the table that ranks them.
-
-    ``bids`` is orders, each checked to be of ``side``, or their
-    ``order_columns``, which need ``ranks``. Without ``ranks``, the
-    orders' ids and ``fixed_ids`` rank in ascending id.
-    """
-    if isinstance(bids, Bids):
-        if ranks is None:
-            raise ValueError("order columns need the rank table their ranks index")
-        return bids, ranks
-    orders = list(bids)
-    for o in orders:
-        if o.side != side:
-            curve, other = ("demand", SIDE_SELL) if side == SIDE_BUY else ("supply", SIDE_BUY)
-            raise ValueError(f"{curve} curve given a {other} order {o.order_id}")
-    if ranks is None:
-        ranks = _ranks_by_id([*fixed_ids, *(o.order_id for o in orders)])
-    return order_columns(orders, ranks), ranks
-
-
-def build_demand_curve(
-    bids: Iterable[Order] | Bids, ranks: OrderRanks | None = None, houses: Bids | None = None
-) -> StepCurve:
+def build_demand_curve(bids: Bids, ranks: OrderRanks, houses: Bids | None = None) -> StepCurve:
     """Demand curve from buy orders; must-run orders already bid the cap.
 
-    ``bids`` is the buy orders, or their ``order_columns`` (then
-    already checked, and ranked by ``ranks``), as a run passes its
-    fixed orders. ``houses`` adds a fleet's bids as columns, checked as
-    ``Order`` checks them but never built as orders
-    (``bidding.fleet_bids``); they go ahead of ``bids`` into the one
-    sort. Ranks come from ``ranks``, which must then know every id,
-    else from the orders' own ids in ascending id.
+    ``bids`` is the buy orders as columns (``order_columns``), as a run
+    passes its fixed orders, ranked by ``ranks``. ``houses`` adds a
+    fleet's bids as columns, checked as ``Order`` checks them but never
+    built as orders (``bidding.fleet_bids``); they go ahead of ``bids``
+    into the one sort.
     """
-    ranked = ranks is not None
-    cols, ranks = _side_columns(bids, SIDE_BUY, ranks)
     if houses is not None:
-        if not ranked:
-            raise ValueError("house bids need the rank table their ranks index")
         if not (houses.quantity > 0).all():
             raise ValueError("order quantity must be positive")
-        cols = Bids(*(np.concatenate(pair) for pair in zip(houses, cols)))
-    return StepCurve._from_columns(SIDE_BUY, *cols, ranks)
+        bids = Bids(*(np.concatenate(pair) for pair in zip(houses, bids)))
+    return StepCurve._from_columns(SIDE_BUY, *bids, ranks)
 
 
 @dataclass(frozen=True)
@@ -371,45 +292,40 @@ class FeederSupplySpec:
             raise ValueError("scarcity step above price cap")
 
 
-def build_feeder_supply(spec: FeederSupplySpec, sell_bids: Iterable[Order] | Bids = (),
-                        ranks: OrderRanks | None = None) -> StepCurve:
-    """Supply curve: wholesale block, scarcity blocks, local sell orders
-    (``sell_bids`` and ``ranks`` as ``bids`` and ``ranks`` for demand)."""
+def build_feeder_supply(spec: FeederSupplySpec, sells: Bids, ranks: OrderRanks) -> StepCurve:
+    """Supply curve: wholesale block, scarcity blocks, then the local sell
+    orders ``sells`` as columns (``order_columns``), ranked by ``ranks``,
+    which names the market maker's blocks too (``market_maker_ids``)."""
     steps = spec.scarcity_steps
     whole = spec.capacity_normal > 0  # steps and orders are positive already
     ids = market_maker_ids(len(steps))[0 if whole else 1:]
-    sells, ranks = _side_columns(sell_bids, SIDE_SELL, ranks, ids)
     price = np.concatenate(([spec.wholesale_price] * whole + [p for p, _ in steps], sells.price))
     quantity = np.concatenate(([spec.capacity_normal] * whole + [q for _, q in steps], sells.quantity))
     return StepCurve._from_columns(SIDE_SELL, price, quantity, np.concatenate((ranks.of(ids), sells.rank)), ranks)
 
 
 def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
-    """Horizontal (quantity) sum of several demand curves.
+    """Horizontal (quantity) sum of several demand curves of one rank table.
 
     The curves' columns are concatenated in the given order and merged
     (``merge_order``), which keeps that order among equal (price, rank)
-    orders. One curve is its own sum and is returned as it is. Curves
-    that share a rank table merge on their ranks; others are re-ranked
-    together, in ascending id, which keeps each curve in trade order.
+    orders. One curve is its own sum and is returned as it is; no curves
+    sum to an empty curve.
     """
     curves = list(curves)
+    if not curves:
+        return StepCurve._from_columns(SIDE_BUY, [], [], np.zeros(0, dtype=np.intp))
+    ranks = curves[0].ranks
     for c in curves:
         if c.side != SIDE_BUY:
             raise ValueError("can only aggregate demand curves")
-    if not curves:
-        return StepCurve(SIDE_BUY)
+        if c.ranks is not ranks:
+            raise ValueError("can only aggregate curves of one rank table")
     if len(curves) == 1:
         return curves[0]
-    ranks = curves[0].ranks
-    if ranks is not None and all(c.ranks is ranks for c in curves):
-        rank = np.concatenate([c.rank for c in curves])
-    else:
-        ids = np.concatenate([c.ids for c in curves]).tolist()
-        ranks = _ranks_by_id(ids)
-        rank = ranks.of(ids)
     price = np.concatenate([c.price for c in curves])
     quantity = np.concatenate([c.quantity for c in curves])
+    rank = np.concatenate([c.rank for c in curves])
     return StepCurve._from_columns(SIDE_BUY, price, quantity, rank, ranks, merge=True)
 
 

@@ -504,6 +504,10 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         if values["buy_below"] >= values["sell_above"]:
             w.complain(f"{path}.buy_below", "must sit strictly below sell_above")
+        # a leg outside the market's band would clear outside it
+        for leg in ("buy_below", "sell_above"):
+            if not market.price_floor <= values[leg] <= market.price_cap:
+                w.complain(f"{path}.{leg}", "must lie within [market.price_floor, market.price_cap]")
         if placement["soc0_kwh"] > values["capacity_kwh"]:
             w.complain(f"{path}.soc0_kwh", "initial charge exceeds capacity")
         if len(w.problems) == before:

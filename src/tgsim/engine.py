@@ -837,7 +837,7 @@ class SimulationRun:
                 supply = supplies[fid, fixed.sell_ids] = build_feeder_supply(specs[fid], fixed.sells, self.ranks)
             result = clear_and_allocate(demand, supply, mkt.price_floor, mkt.price_cap)
             sold = market_maker_sold(result, supply, self.market_maker)
-            rent = scarcity_rent(result, supply, sold)
+            rent = scarcity_rent(result, sold)
             demand_curves[fid] = demand
             if self.day_curves:
                 self.day_curves[hour_of_day][fid].append(_price_spans(demand))

@@ -16,7 +16,7 @@ the orders are built. A feedback forecast's step at the k-th of its
 distinct prices, highest first, ranks k, so equal prices of two feeders
 merge by step number, then in feeder order. Day 0's bootstrap steps rank
 as the run's ``{fid}_base`` and ``{fid}_resp`` orders. The market
-maker's margins fold in ascending rank, which in a run is step order:
+maker's margins fold in ascending rank, which is step order:
 wholesale, then ``scarcity0``, ``scarcity1``, ...
 
 Feeder operating targets blend the retail clearing with the balancing
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .auction import MARKET_MAKER_PREFIX, SIDE_BUY, Bids, ClearingResult, StepCurve, build_area_supply, clear_area
+from .auction import SIDE_BUY, Bids, ClearingResult, StepCurve, build_area_supply, clear_area
 from .fold import array_sum, left_sum
 
 MODE_NORMAL = "normal"
@@ -81,13 +81,13 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bid
     interval contributes its willingness at every price, divided by the
     window length. Feeds the next day's forecast.
     Each interval comes as the ``_price_spans`` pair of its demand curve,
-    (cumulative kW, price) in trade order. A demand curve's
-    ``quantity_at(p)`` is the cumulative quantity of its price-descending
-    prefix priced at or above p: the entry of ``cum`` at the number of
-    its steps priced at or above p. One sort of the window's prices gives
-    every step the index of its distinct price, so per interval a count
-    of its steps at each index, folded, gives that number at every
-    distinct price, in time linear in the window.
+    (``cum``, price) in trade order. Its willingness at a price p is the
+    quantity of its steps priced at or above p. Those steps are a prefix
+    of the trade order, so with n of them it is ``cum[n - 1]``, or 0 if
+    n is 0. One sort of the window's prices gives every step the index
+    of its distinct price, so per interval a count of its steps at each
+    index, folded, gives n at every distinct price, in time linear in
+    the window.
     The step at the k-th of the distinct prices, highest first, ranks k.
     """
     spans = list(spans)
@@ -198,22 +198,17 @@ def settle(
     )
 
 
-def market_maker_sold(result: ClearingResult, supply: StepCurve,
-                      market_maker: range | None = None) -> list[tuple[float, float]]:
+def market_maker_sold(result: ClearingResult, supply: StepCurve, market_maker: range) -> list[tuple[float, float]]:
     """(price, fill) of each of the market maker's filled blocks in supply,
-    in ascending rank: by market_maker, the range of their ranks in a run's
-    table, or else (hand-built curves) by the ``__import`` id prefix, which
-    config reserves, so in a run both rules find the same orders."""
+    in ascending rank; market_maker is the range of their ranks in the
+    run's table."""
     n = len(result.sell_fills)
     rank = supply.rank[:n].tolist()
-    if market_maker is None:
-        names = supply.ranks.names(rank).tolist()
-        market_maker = {r for r, oid in zip(rank, names) if oid.startswith(MARKET_MAKER_PREFIX)}
     filled = sorted(zip(rank, supply.price[:n].tolist(), result.sell_fills.tolist()))
     return [(price, fill) for r, price, fill in filled if r in market_maker]
 
 
-def scarcity_rent(result: ClearingResult, supply: StepCurve, sold: list[tuple[float, float]] | None = None) -> float:
+def scarcity_rent(result: ClearingResult, sold: list[tuple[float, float]]) -> float:
     """Margin the market maker keeps on its own supply segments.
 
     Local sellers are paid the clearing price in full; the wholesale and
@@ -222,6 +217,4 @@ def scarcity_rent(result: ClearingResult, supply: StepCurve, sold: list[tuple[fl
     the scarcity rent. Zero whenever the wholesale block is marginal.
     The margins fold left in ascending rank, over market_maker_sold's ``sold``.
     """
-    if sold is None:
-        sold = market_maker_sold(result, supply)
     return left_sum((result.price - price) * fill for price, fill in sold)

@@ -202,7 +202,7 @@ def fills_by_id(curve, fills):
     order. The walks and the oracle report fills this way."""
     assert len(fills) <= len(curve)
     out = {}
-    for oid, fill in zip(curve.ids.tolist(), fills.tolist()):
+    for oid, fill in zip(curve.ranks.names(curve.rank).tolist(), fills.tolist()):
         out[oid] = out[oid] + fill if oid in out else fill
     return out
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, artifact_files
+from hand_curves import hand_curve
 from oracle_clearing import fills_by_id, oracle_clear, random_book
-from tgsim.auction import SIDE_BUY, SIDE_SELL, Segment, StepCurve, clear_and_allocate
+from tgsim.auction import SIDE_BUY, SIDE_SELL, clear_and_allocate
 from tgsim.bidding import PriceStats, setpoint_from_price, thermostat_bid
 from tgsim.config import load_config
 from tgsim.frequency import (
@@ -87,8 +88,8 @@ def test_c03_clearing_matches_the_reference_on_random_books():
     ok = True
     for k in range(10_000):
         raw_buys, raw_sells = random_book(rng, k)
-        demand = StepCurve(SIDE_BUY, [Segment(p, q, i) for i, p, q in raw_buys])
-        supply = StepCurve(SIDE_SELL, [Segment(p, q, i) for i, p, q in raw_sells])
+        demand = hand_curve(SIDE_BUY, [(p, q, i) for i, p, q in raw_buys])
+        supply = hand_curve(SIDE_SELL, [(p, q, i) for i, p, q in raw_sells])
         got = clear_and_allocate(demand, supply)
         price, qty, buy_fills, sell_fills = oracle_clear(raw_buys, raw_sells)
         ok = ok and (

@@ -5,6 +5,16 @@ import struct
 import numpy as np
 import pytest
 
+from hand_curves import (
+    demand_of,
+    hand_curve,
+    id_ranks,
+    order_ids,
+    quantity_at,
+    segments,
+    supply_of,
+    total_quantity,
+)
 from oracle_clearing import (
     fills_by_id,
     oracle_clear,
@@ -21,10 +31,8 @@ from tgsim.auction import (
     FeederSupplySpec,
     Order,
     OrderRanks,
-    Segment,
     SIDE_BUY,
     SIDE_SELL,
-    StepCurve,
     aggregate_demand,
     build_area_supply,
     build_demand_curve,
@@ -40,11 +48,11 @@ from tgsim.thermal import ThermostatConfig
 
 
 def buys(*specs):
-    return StepCurve(SIDE_BUY, [Segment(p, q, i) for i, p, q in specs])
+    return hand_curve(SIDE_BUY, [(p, q, i) for i, p, q in specs])
 
 
 def sells(*specs):
-    return StepCurve(SIDE_SELL, [Segment(p, q, i) for i, p, q in specs])
+    return hand_curve(SIDE_SELL, [(p, q, i) for i, p, q in specs])
 
 
 # ----------------------------------------------------------------------
@@ -63,27 +71,27 @@ def test_order_validation():
 
 def test_step_curve_sort_orders():
     d = buys(("b", 30.0, 1.0), ("a", 50.0, 2.0), ("c", 30.0, 1.0))
-    assert [(s.order_id, s.price) for s in d.segments] == [("a", 50.0), ("b", 30.0), ("c", 30.0)]
+    assert [(s.order_id, s.price) for s in segments(d)] == [("a", 50.0), ("b", 30.0), ("c", 30.0)]
     s = sells(("b", 30.0, 1.0), ("a", 50.0, 2.0), ("c", 30.0, 1.0))
-    assert [(x.order_id, x.price) for x in s.segments] == [("b", 30.0), ("c", 30.0), ("a", 50.0)]
+    assert [(x.order_id, x.price) for x in segments(s)] == [("b", 30.0), ("c", 30.0), ("a", 50.0)]
     with pytest.raises(ValueError):
-        StepCurve("neither", [])
+        hand_curve("neither", [])
     with pytest.raises(ValueError):
         buys(("a", 10.0, 0.0))
 
 
 def test_quantity_at_uses_weak_inequality():
     d = buys(("a", 40.0, 3.0), ("b", 20.0, 2.0))
-    assert d.quantity_at(40.0) == 3.0  # a buyer at 40 does accept price 40
-    assert d.quantity_at(40.0001) == 0.0
-    assert d.quantity_at(10.0) == 5.0
+    assert quantity_at(d, 40.0) == 3.0  # a buyer at 40 does accept price 40
+    assert quantity_at(d, 40.0001) == 0.0
+    assert quantity_at(d, 10.0) == 5.0
     s = sells(("a", 40.0, 3.0), ("b", 20.0, 2.0))
-    assert s.quantity_at(20.0) == 2.0
-    assert s.quantity_at(40.0) == 5.0
-    assert s.quantity_at(19.9) == 0.0
-    assert d.total_quantity() == 5.0
+    assert quantity_at(s, 20.0) == 2.0
+    assert quantity_at(s, 40.0) == 5.0
+    assert quantity_at(s, 19.9) == 0.0
+    assert total_quantity(d) == 5.0
     assert d.best_price() == 40.0 and s.best_price() == 20.0
-    assert StepCurve(SIDE_BUY, []).best_price() is None
+    assert hand_curve(SIDE_BUY, []).best_price() is None
 
 
 def test_build_demand_curve_places_must_run_at_cap():
@@ -92,11 +100,11 @@ def test_build_demand_curve_places_must_run_at_cap():
     stats = PriceStats(window=12, prior_mean=30.0, prior_sigma=10.0)
     must_run = thermostat_bid("h2", 24.5, cfg, 1.0, stats, 4.0, 0.0, 1000.0)
     orders = [Order("h1", SIDE_BUY, 35.0, 4.0), must_run]
-    curve = build_demand_curve(orders)
-    assert curve.segments[0].order_id == "h2"  # must-run sorts to the top
-    assert curve.segments[0].price == 1000.0
+    curve = demand_of(orders)
+    assert segments(curve)[0].order_id == "h2"  # must-run sorts to the top
+    assert segments(curve)[0].price == 1000.0
     with pytest.raises(ValueError):
-        build_demand_curve([Order("s", SIDE_SELL, 10.0, 1.0)])
+        demand_of([Order("s", SIDE_SELL, 10.0, 1.0)])
 
 
 def test_order_ranks_name_every_order_at_its_given_position():
@@ -114,14 +122,14 @@ def test_order_ranks_name_every_order_at_its_given_position():
         OrderRanks(["f1_base", "bat_dis", "f1_base"])
     with pytest.raises(KeyError):
         ranks.of(["f1_resp"])
-    # the builders given hand-written ids rank them in ascending id; a
-    # repeated id names one rank
-    curve = StepCurve(SIDE_BUY, [(30.0, 1.0, oid) for oid in ids + ["f1_base"]])
+    # curves built by hand from hand-written ids rank them in ascending
+    # id; a repeated id names one rank
+    curve = hand_curve(SIDE_BUY, [(30.0, 1.0, oid) for oid in ids + ["f1_base"]])
     assert curve.ranks.ids.tolist() == sorted(ids)
-    assert curve.ids.tolist() == sorted(ids + ["f1_base"])
-    assert build_demand_curve([Order(oid, SIDE_BUY, 30.0, 1.0) for oid in ids]).ranks.ids.tolist() == sorted(ids)
-    supply = build_feeder_supply(FeederSupplySpec(30.0, 10.0, ((60.0, 5.0), (90.0, 5.0))),
-                                 [Order("bat_dis", SIDE_SELL, 45.0, 1.0)])
+    assert order_ids(curve).tolist() == sorted(ids + ["f1_base"])
+    assert demand_of([Order(oid, SIDE_BUY, 30.0, 1.0) for oid in ids]).ranks.ids.tolist() == sorted(ids)
+    supply = supply_of(FeederSupplySpec(30.0, 10.0, ((60.0, 5.0), (90.0, 5.0))),
+                       [Order("bat_dis", SIDE_SELL, 45.0, 1.0)])
     assert supply.ranks.ids.tolist() == sorted(market_maker_ids(2) + ["bat_dis"])
 
 
@@ -149,12 +157,12 @@ def test_house_blocks_are_named_on_demand_as_a_table_of_their_strings_names_them
     houses = Bids(np.array([30.0, 45.0, 30.0]), np.array([2.0, 1.0, 2.0]),
                   np.array([10_008 + 1, 7 + 9999, 7 + 10_000]))
     for table in (ranks, strings):
-        demand = build_demand_curve([Order("f1_base", SIDE_BUY, 1000.0, 4.0)], table, houses)
-        supply = StepCurve(SIDE_SELL, [(30.0, 6.0, "__import_wholesale")])
+        demand = demand_of([Order("f1_base", SIDE_BUY, 1000.0, 4.0)], table, houses)
+        supply = hand_curve(SIDE_SELL, [(30.0, 6.0, "__import_wholesale")])
         result = clear_and_allocate(demand, supply)
         assert result.price == 30.0 and result.marginal_order == "f1_h10000"
-        assert demand.ids.tolist() == ["f1_base", "f1_h9999", "f1_h10000", "g_h0001"]
-        assert [seg.order_id for seg in demand.segments] == demand.ids.tolist()
+        assert order_ids(demand).tolist() == ["f1_base", "f1_h9999", "f1_h10000", "g_h0001"]
+        assert [seg.order_id for seg in segments(demand)] == order_ids(demand).tolist()
 
 
 def test_build_feeder_supply_blocks_and_ids():
@@ -165,19 +173,19 @@ def test_build_feeder_supply_blocks_and_ids():
         scarcity_steps=((60.0, 25.0), (90.0, 25.0)),
     )
     local = [Order("pv1", SIDE_SELL, 45.0, 5.0)]
-    curve = build_feeder_supply(spec, local)
-    assert [s.order_id for s in curve.segments] == [
+    curve = supply_of(spec, local)
+    assert [s.order_id for s in segments(curve)] == [
         "__import_wholesale",
         "pv1",
         "__import_scarcity0",
         "__import_scarcity1",
     ]
-    assert curve.total_quantity() == 155.0
+    assert total_quantity(curve) == 155.0
     # zero normal capacity drops the wholesale block entirely
-    islanded = build_feeder_supply(FeederSupplySpec(30.0, 0.0, ((60.0, 25.0),)))
-    assert [s.order_id for s in islanded.segments] == ["__import_scarcity0"]
+    islanded = supply_of(FeederSupplySpec(30.0, 0.0, ((60.0, 25.0),)))
+    assert [s.order_id for s in segments(islanded)] == ["__import_scarcity0"]
     with pytest.raises(ValueError):
-        build_feeder_supply(spec, [Order("b", SIDE_BUY, 10.0, 1.0)])
+        supply_of(spec, [Order("b", SIDE_BUY, 10.0, 1.0)])
 
 
 def test_feeder_supply_spec_validation():
@@ -228,11 +236,11 @@ def test_clear_crossing_between_blocks():
 
 
 def test_clear_empty_books_fall_back_to_floor():
-    r = clear(StepCurve(SIDE_BUY, []), sells(("s", 30.0, 10.0)), price_floor=5.0)
+    r = clear(hand_curve(SIDE_BUY, []), sells(("s", 30.0, 10.0)), price_floor=5.0)
     assert (r.price, r.quantity) == (5.0, 0.0)
-    r = clear(buys(("b", 30.0, 10.0)), StepCurve(SIDE_SELL, []), price_floor=5.0)
+    r = clear(buys(("b", 30.0, 10.0)), hand_curve(SIDE_SELL, []), price_floor=5.0)
     assert (r.price, r.quantity) == (5.0, 0.0)
-    r = clear(StepCurve(SIDE_BUY, []), StepCurve(SIDE_SELL, []), price_floor=5.0)
+    r = clear(hand_curve(SIDE_BUY, []), hand_curve(SIDE_SELL, []), price_floor=5.0)
     assert (r.price, r.quantity) == (5.0, 0.0)
 
 
@@ -270,12 +278,16 @@ def test_allocate_rations_at_price_by_ascending_order_id():
 
 
 def test_aggregate_demand_merges_feeders():
-    f1 = buys(("f1_h1", 40.0, 3.0))
-    f2 = buys(("f2_h1", 50.0, 2.0), ("f2_h2", 30.0, 1.0))
+    table = id_ranks(["f1_h1", "f2_h1", "f2_h2"])
+    f1 = hand_curve(SIDE_BUY, [(40.0, 3.0, "f1_h1")], table)
+    f2 = hand_curve(SIDE_BUY, [(50.0, 2.0, "f2_h1"), (30.0, 1.0, "f2_h2")], table)
     agg = aggregate_demand([f1, f2])
-    assert [s.order_id for s in agg.segments] == ["f2_h1", "f1_h1", "f2_h2"]
+    assert [s.order_id for s in segments(agg)] == ["f2_h1", "f1_h1", "f2_h2"]
     with pytest.raises(ValueError):
         aggregate_demand([sells(("s", 10.0, 1.0))])
+    # ranks of different tables do not compare, so their curves do not merge
+    with pytest.raises(ValueError, match="one rank table"):
+        aggregate_demand([f1, buys(("f2_h1", 50.0, 2.0))])
 
 
 def test_clear_area_marginal_renewables_set_the_price():
@@ -312,8 +324,8 @@ def test_clear_area_bulk_price_and_validation():
 
 def to_curves(book):
     raw_buys, raw_sells = book
-    d = StepCurve(SIDE_BUY, [Segment(p, q, i) for i, p, q in raw_buys])
-    s = StepCurve(SIDE_SELL, [Segment(p, q, i) for i, p, q in raw_sells])
+    d = hand_curve(SIDE_BUY, [(p, q, i) for i, p, q in raw_buys])
+    s = hand_curve(SIDE_SELL, [(p, q, i) for i, p, q in raw_sells])
     return d, s
 
 
@@ -340,7 +352,7 @@ def test_random_books_satisfy_market_invariants():
         bought, sold = fills_by_id(d, r.buy_fills), fills_by_id(s, r.sell_fills)
         assert sum(bought.values()) == r.quantity
         assert sum(sold.values()) == r.quantity
-        assert r.quantity <= min(d.total_quantity(), s.total_quantity())
+        assert r.quantity <= min(total_quantity(d), total_quantity(s))
         assert 0.0 <= r.price <= 1000.0
         by_id_buy = {i: q for i, _, q in raw_buys}
         by_id_sell = {i: q for i, _, q in raw_sells}
@@ -407,8 +419,8 @@ def _random_rows(rng, n, prefix, repeat_ids):
 
 def _check_against_walk(demand, supply, d_rows, s_rows, floor, cap):
     d_walk, s_walk = walk_sort(d_rows, buy=True), walk_sort(s_rows, buy=False)
-    assert _rows_bits(demand.segments) == _rows_bits(d_walk)
-    assert _rows_bits(supply.segments) == _rows_bits(s_walk)
+    assert _rows_bits(segments(demand)) == _rows_bits(d_walk)
+    assert _rows_bits(segments(supply)) == _rows_bits(s_walk)
     for curve, walk in ((demand, d_walk), (supply, s_walk)):
         spans = zip(*(col.tolist() for col in _price_spans(curve)))
         assert [(_bits(c), _bits(p)) for c, p in spans] == [(_bits(c), _bits(p)) for c, p in walk_spans(walk)]
@@ -429,13 +441,13 @@ def test_array_clearing_matches_the_walk_bitwise_on_random_books():
         d_rows = _random_rows(rng, int(rng.integers(0, 40)), "b", repeat)
         s_rows = _random_rows(rng, int(rng.integers(0, 6)), "s", repeat)
         floor, cap = (0.0, 1000.0) if k % 2 else (-1.0, float(rng.choice([40.0, float("inf")])))
-        _check_against_walk(StepCurve(SIDE_BUY, d_rows), StepCurve(SIDE_SELL, s_rows), d_rows, s_rows, floor, cap)
+        _check_against_walk(hand_curve(SIDE_BUY, d_rows), hand_curve(SIDE_SELL, s_rows), d_rows, s_rows, floor, cap)
 
 
 def test_curves_keep_their_trade_key():
     rng = np.random.default_rng(17)
     for side, sign in ((SIDE_BUY, -1.0), (SIDE_SELL, 1.0)):
-        curve = StepCurve(side, _random_rows(rng, 40, "o", False))
+        curve = hand_curve(side, _random_rows(rng, 40, "o", False))
         assert curve.key.tobytes() == (sign * curve.price).tobytes()
         assert (np.diff(curve.key) >= 0).all()
 
@@ -451,9 +463,9 @@ def test_clear_area_against_a_supply_built_once_equals_a_build_per_call():
         rows = [(15.0, renewables, "__area_renewables"), (30.0, bulk, "__area_bulk")]
         for k in range(150):
             d_rows = _random_rows(rng, int(rng.integers(0, 40)), "b", k % 3 == 0)
-            demand = StepCurve(SIDE_BUY, d_rows)
+            demand = hand_curve(SIDE_BUY, d_rows)
             floor, cap = (0.0, 1000.0) if k % 2 else (-1.0, 40.0)
-            fresh = StepCurve(SIDE_SELL, [r for r in rows if r[1] > 0])
+            fresh = hand_curve(SIDE_SELL, [r for r in rows if r[1] > 0])
             got, want = clear_area(demand, supply, floor, cap), clear(demand, fresh, floor, cap)
             assert (_bits(got.price), _bits(got.quantity)) == (_bits(want.price), _bits(want.quantity))
             assert (len(got.buy_fills), len(got.sell_fills), got.marginal_order) == (0, 0, None)
@@ -475,14 +487,14 @@ def test_a_supply_cleared_many_times_keeps_a_staircase_that_never_goes_stale():
     for k in range(300):
         _, raw_sells = random_book(rng, k)
         s_rows = [(p, q, i) for i, p, q in raw_sells]
-        supply = StepCurve(SIDE_SELL, s_rows)
+        supply = hand_curve(SIDE_SELL, s_rows)
         s_spans = [col.tobytes() for col in _price_spans(supply)]
         for j in range(12):
             raw_buys, _ = random_book(rng, k + j)
             d_rows = [(p, q, i) for i, p, q in raw_buys]
-            demand = StepCurve(SIDE_BUY, d_rows)
+            demand = hand_curve(SIDE_BUY, d_rows)
             d_spans = [col.tobytes() for col in _price_spans(demand)]
-            fresh_d, fresh_s = StepCurve(SIDE_BUY, d_rows), StepCurve(SIDE_SELL, s_rows)
+            fresh_d, fresh_s = hand_curve(SIDE_BUY, d_rows), hand_curve(SIDE_SELL, s_rows)
             want = _clearing_bits(clear_and_allocate(fresh_d, fresh_s), fresh_d, fresh_s)
             for _ in range(2):
                 assert _clearing_bits(clear_and_allocate(demand, supply), demand, supply) == want
@@ -504,20 +516,20 @@ def test_order_columns_build_the_curves_their_orders_build():
     local = [Order("pv_dis", SIDE_SELL, 30.0, 1.5), Order("bat_dis", SIDE_SELL, 45.0, 5.0)]
     spec = FeederSupplySpec(30.0, 100.0, ((80.0, 5.0),), 1000.0)
     pairs = [
-        (build_demand_curve(named, ranks, houses),
+        (demand_of(named, ranks, houses),
          build_demand_curve(auction.order_columns(named, ranks), ranks, houses)),
-        (build_feeder_supply(spec, local, ranks),
+        (supply_of(spec, local, ranks),
          build_feeder_supply(spec, auction.order_columns(local, ranks), ranks)),
-        (build_feeder_supply(spec, [], ranks), build_feeder_supply(spec, auction.order_columns([], ranks), ranks)),
+        (supply_of(spec, [], ranks), build_feeder_supply(spec, auction.order_columns([], ranks), ranks)),
     ]
     for want, got in pairs:
         for name in ("key", "price", "quantity", "rank", "cum"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert got.ranks is ranks
-    with pytest.raises(ValueError, match="rank table"):
+    with pytest.raises(TypeError, match="ranks"):
         build_demand_curve(auction.order_columns(named, ranks))
-    with pytest.raises(ValueError, match="rank table"):
+    with pytest.raises(TypeError, match="ranks"):
         build_feeder_supply(spec, auction.order_columns(local, ranks))
 
 
@@ -533,7 +545,7 @@ def _feeder_demand(rng, fid, n_houses, ranks, named, at_30=()):
     prices[np.isin(idx, list(at_30))] = 30.0
     qs = rng.choice([1.0, 2.5, 4.0], n_houses)
     houses = Bids(prices, qs[idx], ranks.of(ids)[idx])
-    curve = build_demand_curve(named, ranks, houses)
+    curve = demand_of(named, ranks, houses)
     rows = [(p, q, ids[i]) for i, p, q in zip(idx.tolist(), prices.tolist(), qs[idx].tolist())]
     return curve, rows + [(o.price, o.quantity, o.order_id) for o in named]
 
@@ -545,13 +557,13 @@ def test_feeder_curves_rank_ids_in_string_order_past_ten_thousand_houses():
     ranks = OrderRanks(sorted(ids))  # hand-written ids, ranked as the builders rank them
     named = [Order("f1_base", SIDE_BUY, 1000.0, 40.0), Order("bat_chg", SIDE_BUY, 30.0, 5.0)]
     demand, d_rows = _feeder_demand(rng, "f1", n, ranks, named, at_30=(9999, 10000))
-    order = [s.order_id for s in demand.segments]
+    order = [s.order_id for s in segments(demand)]
     tied = [oid for oid, p in zip(order, demand.price.tolist()) if p == 30.0]
     assert tied == sorted(tied) and tied.index("f1_h10000") < tied.index("f1_h9999")
-    total = demand.total_quantity()
+    total = total_quantity(demand)
     for capacity in (0.3 * total, 0.6 * total, total + 1.0):
         s_rows = [(30.0, capacity, "__import_wholesale"), (47.25, 100.0, "__import_scarcity0")]
-        _check_against_walk(demand, StepCurve(SIDE_SELL, s_rows), d_rows, s_rows, 0.0, 1000.0)
+        _check_against_walk(demand, hand_curve(SIDE_SELL, s_rows), d_rows, s_rows, 0.0, 1000.0)
 
 
 def test_aggregate_demand_matches_the_walk_bitwise():
@@ -568,10 +580,11 @@ def test_aggregate_demand_matches_the_walk_bitwise():
             for i, fid in enumerate(fids)
         ]
         merged = aggregate_demand(c for c, _ in built)
-        assert _rows_bits(merged.segments) == _rows_bits(walk_aggregate([rows for _, rows in built]))
-        # curves ranked by different tables are re-ranked together
-        own = [StepCurve(SIDE_BUY, rows) for _, rows in built]
-        assert _rows_bits(aggregate_demand(own).segments) == _rows_bits(merged.segments)
+        assert _rows_bits(segments(merged)) == _rows_bits(walk_aggregate([rows for _, rows in built]))
+        # curves built by hand over one table of their ids merge alike
+        table = id_ranks(oid for _, rows in built for _, _, oid in rows)
+        own = [hand_curve(SIDE_BUY, rows, table) for _, rows in built]
+        assert _rows_bits(segments(aggregate_demand(own))) == _rows_bits(segments(merged))
     assert len(aggregate_demand([])) == 0
 
 
@@ -624,10 +637,10 @@ def test_column_built_supplies_equal_the_row_built_curves_bitwise(monkeypatch):
         rows = [(30.0, capacity, f"{MARKET_MAKER_PREFIX}_wholesale")] if capacity else []
         rows += [(p, q, f"{MARKET_MAKER_PREFIX}_scarcity{k}") for k, (p, q) in enumerate(steps)]
         rows += [(o.price, o.quantity, o.order_id) for o in sells_at]
-        built = build_feeder_supply(spec, sells_at)
-        assert _rows_bits(built.segments) == _rows_bits(StepCurve(SIDE_SELL, rows).segments)
+        built = supply_of(spec, sells_at)
+        assert _rows_bits(segments(built)) == _rows_bits(segments(hand_curve(SIDE_SELL, rows)))
         if capacity:
-            order = [s.order_id for s in built.segments[:4]]
+            order = [s.order_id for s in segments(built)[:4]]
             assert order == ["pv_dis", "A_dis", f"{MARKET_MAKER_PREFIX}_wholesale", "bat_dis"]
 
     # build_area_supply's two blocks, as clear_area hands them to the clearing
@@ -643,5 +656,5 @@ def test_column_built_supplies_equal_the_row_built_curves_bitwise(monkeypatch):
     for renewables, bulk in ((10.5, 100.25), (0.0, 100.25), (10.5, 0.0)):
         clear_area(demand, build_area_supply(15.0, renewables, 30.0, bulk))
         rows = [(15.0, renewables, "__area_renewables"), (30.0, bulk, "__area_bulk")]
-        want = StepCurve(SIDE_SELL, [r for r in rows if r[1] > 0])
-        assert _rows_bits(seen.pop().segments) == _rows_bits(want.segments)
+        want = hand_curve(SIDE_SELL, [r for r in rows if r[1] > 0])
+        assert _rows_bits(segments(seen.pop())) == _rows_bits(segments(want))

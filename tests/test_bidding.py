@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hand_curves import hand_curve
 from oracle_clearing import fills_by_id
-from tgsim.auction import clear_and_allocate, StepCurve, SIDE_BUY, SIDE_SELL, Segment
+from tgsim.auction import clear_and_allocate, SIDE_BUY, SIDE_SELL
 from tgsim.bidding import (
     HouseStats,
     PriceStats,
@@ -377,8 +378,8 @@ def test_storage_never_trades_with_itself():
     """The band gap means both legs can never clear simultaneously."""
     spec = StorageSpec("b1", 10.0, 5.0, 4.0, 25.0, 45.0)
     orders = storage_bids(spec, 5.0)
-    demand = StepCurve(SIDE_BUY, [Segment(o.price, o.quantity, o.order_id) for o in orders if o.side == SIDE_BUY])
-    supply = StepCurve(SIDE_SELL, [Segment(o.price, o.quantity, o.order_id) for o in orders if o.side == SIDE_SELL])
+    demand = hand_curve(SIDE_BUY, [(o.price, o.quantity, o.order_id) for o in orders if o.side == SIDE_BUY])
+    supply = hand_curve(SIDE_SELL, [(o.price, o.quantity, o.order_id) for o in orders if o.side == SIDE_SELL])
     result = clear_and_allocate(demand, supply)
     assert result.quantity == 0.0
     assert result.price == 35.0  # midpoint of the untraded band

@@ -454,6 +454,25 @@ storage:
     assert problems_of(text) == ["storage[0].sell_above: expected a number, got 'x'"]
 
 
+def test_battery_legs_must_lie_within_the_market_band():
+    # a leg above the cap cleared at the no-trade midpoint of a bid at the
+    # cap and the ask (1512.0 against a cap of 1024.0); a leg at either
+    # edge of the band is fine
+    text = (REPO_ROOT / "scenarios" / "storage_arb.yaml").read_text()
+    text = text.replace("capacity_kw: 512.0", "capacity_kw: 0.0").replace("base_load_kw: 128.0", "base_load_kw: 8.0")
+    assert "price_cap: 1024.0" in text and "price_floor: 0.0" in text
+
+    def legs(buy, sell):
+        return text.replace("buy_below: 28.0", f"buy_below: {buy}").replace("sell_above: 36.0", f"sell_above: {sell}")
+
+    band = "must lie within [market.price_floor, market.price_cap]"
+    assert problems_of(legs(28.0, 2000.0)) == [f"storage[0].sell_above: {band}"]
+    assert problems_of(legs(-1.0, 36.0)) == [f"storage[0].buy_below: {band}"]
+    assert problems_of(legs(-1.0, 1024.5)) == [f"storage[0].buy_below: {band}", f"storage[0].sell_above: {band}"]
+    spec = parse_config(legs(0.0, 1024.0)).storage[0].spec
+    assert (spec.buy_below, spec.sell_above) == (0.0, 1024.0)
+
+
 def test_inputs_parsing():
     text = MINIMAL + "inputs:\n  outdoor_temp_c: 28\n  da_price: [25.0, 40.0]\n"
     cfg = parse_config(text)

@@ -18,8 +18,9 @@ import pytest
 import yaml
 
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
+from hand_curves import hand_curve, order_ids
 from tgsim import engine
-from tgsim.auction import SIDE_BUY, OrderRanks, StepCurve, _price_spans
+from tgsim.auction import SIDE_BUY, OrderRanks, _price_spans
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import ConfigError, load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
@@ -535,9 +536,9 @@ def test_bootstrap_forecast_columns_equal_the_row_built_curves_bitwise():
         fid = fspec.feeder_id
         rows = [(mkt.price_cap, fspec.base_load_kw, f"{fid}_base")] if fspec.base_load_kw else []
         rows.append((mkt.prior_mean, fspec.houses * pop.p_rated * duty, f"{fid}_resp"))
-        want = StepCurve(SIDE_BUY, rows)
+        want = hand_curve(SIDE_BUY, rows)
         assert bits(got[fid].price, got[fid].quantity) == bits(want.price, want.quantity)
-        ids += want.ids.tolist()
+        ids += order_ids(want).tolist()
         ranks += got[fid].rank.tolist()
     # the ranks order the steps as the run builds them: feeders in config
     # order, base before response
@@ -1498,6 +1499,41 @@ def test_a_run_builds_each_feeder_supply_once_per_hour_and_pattern_of_sell_order
     else:
         assert max(len(seen) for seen in patterns.values()) == 2
     assert dict(collections.Counter(built)) == {hour: len(seen) for hour, seen in patterns.items()}
+
+
+@pytest.mark.parametrize("name", ["two_day", "storage_arb"])
+def test_a_run_merges_curves_of_its_own_table_and_names_the_market_maker_by_rank(tmp_path, monkeypatch, name):
+    # every curve a run merges indexes the run's one rank table, and the
+    # market maker's fills are found by its range of ranks in that table
+    # and folded into the rent from those fills
+    merged, sold, rents = [], [], []
+    real_aggregate, real_sold, real_rent = engine.aggregate_demand, engine.market_maker_sold, engine.scarcity_rent
+
+    def aggregate(curves):
+        curves = list(curves)
+        merged.append(curves + [real_aggregate(curves)])
+        return merged[-1][-1]
+
+    def market_maker_sold(result, supply, market_maker):
+        sold.append((market_maker, real_sold(result, supply, market_maker)))
+        return sold[-1][1]
+
+    def scarcity_rent(result, filled):
+        rents.append(filled)
+        return real_rent(result, filled)
+
+    monkeypatch.setattr(engine, "aggregate_demand", aggregate)
+    monkeypatch.setattr(engine, "market_maker_sold", market_maker_sold)
+    monkeypatch.setattr(engine, "scarcity_rent", scarcity_rent)
+    sim = SimulationRun(load_config(SCENARIO_DIR / f"{name}.yaml"), base_dir=SCENARIO_DIR)
+    sim.run(tmp_path / "run")
+    intervals = sim.cfg.simulation.span_s // sim.cfg.simulation.market_interval_s
+    assert len(merged) == intervals
+    assert all(curve.ranks is sim.ranks for curves in merged for curve in curves)
+    assert isinstance(sim.market_maker, range)
+    assert len(sold) == len(rents) == intervals * len(sim.feeders)
+    assert all(market_maker is sim.market_maker for market_maker, _ in sold)
+    assert all(filled is passed for (_, filled), passed in zip(sold, rents))
 
 
 def test_storage_arbitrage_follows_the_price_spread(scenario_runs):

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from hand_curves import demand_of, hand_curve, market_maker_ranks, order_ids, supply_of, total_quantity
+from hand_curves import quantity_at as curve_quantity_at
 from oracle_clearing import feedback_rows, fills_by_id, id_path_schedule
 from tgsim.auction import (
     SIDE_BUY,
@@ -13,11 +15,7 @@ from tgsim.auction import (
     FeederSupplySpec,
     Order,
     OrderRanks,
-    Segment,
-    StepCurve,
     _price_spans,
-    build_demand_curve,
-    build_feeder_supply,
     clear_and_allocate,
     market_maker_ids,
 )
@@ -36,11 +34,11 @@ from tgsim.hierarchy import (
 
 
 def demand(*segs):
-    return StepCurve(SIDE_BUY, [Segment(p, q, i) for p, q, i in segs])
+    return hand_curve(SIDE_BUY, segs)
 
 
 def supply(*segs):
-    return StepCurve(SIDE_SELL, [Segment(p, q, i) for p, q, i in segs])
+    return hand_curve(SIDE_SELL, segs)
 
 
 # ---------------------------------------------------------------- schedule
@@ -127,7 +125,7 @@ def test_schedule_matches_the_forecast_id_path_bitwise():
                 window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
             windows[f"f{f}"] = window
         forecasts = {
-            fid: availability_feedback([_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window])
+            fid: availability_feedback([_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
             for fid, window in windows.items()
         }
         rows = {fid: feedback_rows(window) for fid, window in windows.items()}
@@ -160,7 +158,7 @@ def test_feedback_single_curve_is_identity_pointwise():
     c = demand((50.0, 2.0, "a"), (40.0, 3.0, "b"))
     mean = availability_feedback([_price_spans(c)])
     for probe in (55.0, 50.0, 45.0, 40.0, 10.0):
-        assert quantity_at(mean, probe) == c.quantity_at(probe)
+        assert quantity_at(mean, probe) == curve_quantity_at(c, probe)
 
 
 def test_feedback_averages_over_the_union_of_prices():
@@ -232,7 +230,7 @@ def test_feedback_matches_the_per_price_formula_bitwise():
             window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
         windows.append(window)
     for window in windows:
-        got = availability_feedback([_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window])
+        got = availability_feedback([_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
         want = feedback_rows(window)
         assert got.price.tolist() == [p for p, _, _ in want]
         assert _bits(got) == _row_bits(want)
@@ -248,7 +246,7 @@ def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
             prices = rng.choice([-0.0, 0.0, 0.0, 5.0, 30.0], n)
             qs = rng.choice([1.0, 0.5, 2.0], n)
             window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
-        got = availability_feedback([_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window])
+        got = availability_feedback([_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
         assert _bits(got) == _row_bits(feedback_rows(window))
 
 
@@ -287,7 +285,7 @@ def test_feedback_counts_as_the_search_does_bitwise():
             window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
         windows.append(window)
     for window in windows:
-        spans = [_price_spans(StepCurve(SIDE_BUY, rows)) for rows in window]
+        spans = [_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window]
         got, want = availability_feedback(spans), _feedback_by_search(spans)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -388,12 +386,18 @@ def test_settle_payment_identity():
 # -------------------------------------------------------- scarcity rent
 
 
+def rent(result, sup):
+    """The scarcity rent of a clearing against sup, whose market maker's
+    blocks are its ``__import`` ids."""
+    return scarcity_rent(result, market_maker_sold(result, sup, market_maker_ranks(sup.ranks)))
+
+
 def test_rent_zero_when_wholesale_is_marginal():
     sup = supply((30.0, 100.0, "__import_wholesale"))
     dem = demand((50.0, 50.0, "d"))
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 30.0
-    assert scarcity_rent(result, sup) == 0.0
+    assert rent(result, sup) == 0.0
 
 
 def test_rent_on_scarcity_pricing():
@@ -404,7 +408,7 @@ def test_rent_on_scarcity_pricing():
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 60.0
     assert fills_by_id(sup, result.sell_fills) == {"__import_wholesale": 100.0, "__import_scarcity0": 10.0}
-    assert scarcity_rent(result, sup) == 3000.0
+    assert rent(result, sup) == 3000.0
 
 
 def test_rent_excludes_local_sellers():
@@ -419,7 +423,7 @@ def test_rent_excludes_local_sellers():
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 45.0
     assert fills_by_id(sup, result.sell_fills) == {"pv1": 10.0, "__import_wholesale": 100.0}
-    assert scarcity_rent(result, sup) == 1500.0
+    assert rent(result, sup) == 1500.0
 
 
 def test_rent_folds_the_margins_in_id_order_bitwise():
@@ -440,7 +444,7 @@ def test_rent_folds_the_margins_in_id_order_bitwise():
     by_id = left_sum([scarcity0, scarcity1, wholesale])
     by_trade = left_sum([wholesale, scarcity0, scarcity1])
     assert struct.pack("<d", by_id) != struct.pack("<d", by_trade)
-    assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_id)
+    assert struct.pack("<d", rent(result, sup)) == struct.pack("<d", by_id)
 
 
 def test_rent_folds_twelve_steps_in_id_order_bitwise():
@@ -450,14 +454,14 @@ def test_rent_folds_twelve_steps_in_id_order_bitwise():
     prices = (34.36, 42.77, 45.96, 47.44, 50.93, 57.67, 64.92, 70.23, 73.72, 82.05, 90.48, 94.97)
     kws = (12.88, 18.78, 21.69, 18.98, 13.56, 13.82, 19.73, 27.62, 2.39, 3.6, 23.08, 14.33)
     ranks = OrderRanks(sorted(market_maker_ids(12) + ["bat_dis", "d"]))  # a table by id
-    sup = build_feeder_supply(
+    sup = supply_of(
         FeederSupplySpec(30.0, 100.3, tuple(zip(prices, kws)), 1000.0),
         [Order("bat_dis", SIDE_SELL, 30.0, 4.5)], ranks,
     )
-    dem = build_demand_curve([Order("d", SIDE_BUY, 157.1, sup.total_quantity() - 0.7)], ranks)
+    dem = demand_of([Order("d", SIDE_BUY, 157.1, total_quantity(sup) - 0.7)], ranks)
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 94.97
-    filled = list(zip(sup.ids.tolist(), sup.price.tolist(), result.sell_fills.tolist()))
+    filled = list(zip(order_ids(sup).tolist(), sup.price.tolist(), result.sell_fills.tolist()))
     assert len(filled) == 14 and filled[1][0] == "bat_dis"
 
     def fold(rows):
@@ -468,7 +472,7 @@ def test_rent_folds_twelve_steps_in_id_order_bitwise():
     assert [oid for oid, _, _ in sorted(filled)][1:5] == [f"__import_scarcity{k}" for k in (1, 10, 11, 2)]
     assert struct.pack("<d", by_id) != struct.pack("<d", fold(filled))
     assert struct.pack("<d", by_id) != struct.pack("<d", by_step)
-    assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_id)
+    assert struct.pack("<d", rent(result, sup)) == struct.pack("<d", by_id)
 
 
 def test_rent_folds_a_runs_market_maker_blocks_in_step_order_bitwise():
@@ -477,19 +481,19 @@ def test_rent_folds_a_runs_market_maker_blocks_in_step_order_bitwise():
     prices = (34.36, 42.77, 45.96, 47.44, 50.93, 57.67, 64.92, 70.23, 73.72, 82.05, 90.48, 94.97)
     kws = (12.88, 18.78, 21.69, 18.98, 13.56, 13.82, 19.73, 27.62, 2.39, 3.6, 23.08, 14.33)
     ranks = OrderRanks(market_maker_ids(12) + ["bat_dis", "d"])
-    sup = build_feeder_supply(
+    sup = supply_of(
         FeederSupplySpec(30.0, 100.3, tuple(zip(prices, kws)), 1000.0),
         [Order("bat_dis", SIDE_SELL, 30.0, 4.5)], ranks,
     )
-    dem = build_demand_curve([Order("d", SIDE_BUY, 157.1, sup.total_quantity() - 0.7)], ranks)
+    dem = demand_of([Order("d", SIDE_BUY, 157.1, total_quantity(sup) - 0.7)], ranks)
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
-    filled = list(zip(sup.ids.tolist(), sup.price.tolist(), result.sell_fills.tolist()))
+    filled = list(zip(order_ids(sup).tolist(), sup.price.tolist(), result.sell_fills.tolist()))
     by_step = [row for row in filled if row[0].startswith("__import")]
     assert [oid for oid, _, _ in by_step] == market_maker_ids(12)
     by_step_fold = left_sum((result.price - p) * fill for _, p, fill in by_step)
     by_id_fold = left_sum((result.price - p) * fill for _, p, fill in sorted(by_step))
     assert struct.pack("<d", by_step_fold) != struct.pack("<d", by_id_fold)
-    assert struct.pack("<d", scarcity_rent(result, sup)) == struct.pack("<d", by_step_fold)
+    assert struct.pack("<d", rent(result, sup)) == struct.pack("<d", by_step_fold)
 
 
 def test_rent_and_import_by_rank_match_the_prefix_fold_beside_a_battery_bitwise():
@@ -497,15 +501,15 @@ def test_rent_and_import_by_rank_match_the_prefix_fold_beside_a_battery_bitwise(
     # battery sells between the wholesale block and two filled scarcity
     # steps, so the market maker's orders are not one run of trade order
     ranks = OrderRanks(market_maker_ids(2) + ["bat_dis", "d"])
-    sup = build_feeder_supply(
+    sup = supply_of(
         FeederSupplySpec(30.0, 100.3, ((60.0, 25.7), (119.9, 33.3)), 1000.0),
         [Order("bat_dis", SIDE_SELL, 45.5, 4.5)], ranks,
     )
-    dem = build_demand_curve([Order("d", SIDE_BUY, 157.1, 300.0)], ranks)
+    dem = demand_of([Order("d", SIDE_BUY, 157.1, 300.0)], ranks)
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.price == 157.1
     n = len(result.sell_fills)
-    filled = list(zip(sup.rank[:n].tolist(), sup.ids[:n].tolist(), sup.price[:n].tolist(),
+    filled = list(zip(sup.rank[:n].tolist(), order_ids(sup)[:n].tolist(), sup.price[:n].tolist(),
                       result.sell_fills.tolist()))
     assert [oid for _, oid, _, _ in filled] == ["__import_wholesale", "bat_dis"] + market_maker_ids(2)[1:]
     # the fold by id prefix over (rank, id, price, fill) sorted, as the rent was taken before
@@ -515,8 +519,8 @@ def test_rent_and_import_by_rank_match_the_prefix_fold_beside_a_battery_bitwise(
     assert struct.pack("<d", by_prefix) != struct.pack("<d", with_battery)
     sold = market_maker_sold(result, sup, range(3))
     assert sold == [(30.0, 100.3), (60.0, 25.7), (119.9, 33.3)]
-    assert market_maker_sold(result, sup) == sold
-    assert struct.pack("<d", scarcity_rent(result, sup, sold)) == struct.pack("<d", by_prefix)
+    assert market_maker_sold(result, sup, market_maker_ranks(sup.ranks)) == sold
+    assert struct.pack("<d", scarcity_rent(result, sold)) == struct.pack("<d", by_prefix)
     # the import, once folded in trade order over the market maker's ranks
     import_kw = left_sum(fill for rank, _, _, fill in filled if rank in range(3))
     assert struct.pack("<d", left_sum(fill for _, fill in sold)) == struct.pack("<d", import_kw)
@@ -527,4 +531,4 @@ def test_rent_zero_on_null_trade():
     dem = demand((10.0, 50.0, "d"))
     result = clear_and_allocate(dem, sup, 0.0, 1000.0)
     assert result.quantity == 0.0
-    assert scarcity_rent(result, sup) == 0.0
+    assert rent(result, sup) == 0.0
