@@ -329,12 +329,6 @@ def aggregate_demand(curves: Iterable[StepCurve]) -> StepCurve:
     return StepCurve._from_columns(SIDE_BUY, price, quantity, rank, ranks, merge=True)
 
 
-def _price_spans(curve: StepCurve) -> tuple[np.ndarray, np.ndarray]:
-    """(cumulative quantity, price) columns in trade order: the curve's
-    own ``cum`` and ``price``."""
-    return curve.cum, curve.price
-
-
 def clear(
     demand: StepCurve,
     supply: StepCurve,

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .auction import Order, SIDE_BUY, SIDE_SELL
-from .fold import left_sum, py_max, py_min
+from .fold import mean_sigma, py_max, py_min
 from .thermal import MODE_COOLING, ThermostatConfig
 
 
@@ -72,13 +72,8 @@ class PriceStats:
         self._update()
 
     def _update(self) -> None:
-        n = len(self.history)
-        if n < self.window:
-            self.mean, self.sigma = self.prior_mean, self.prior_sigma
-            return
-        m = left_sum(self.history) / n
-        var = left_sum((p - m) ** 2 for p in self.history) / n
-        self.mean, self.sigma = m, math.sqrt(var)
+        prior = len(self.history) < self.window
+        self.mean, self.sigma = (self.prior_mean, self.prior_sigma) if prior else mean_sigma(self.history)
 
 
 class HouseStats(NamedTuple):

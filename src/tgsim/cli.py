@@ -45,6 +45,14 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _write_pairs(path: Path, header: str, xs, ys) -> None:
+    """A two-column CSV: the header line, then each pair's floats by repr."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for x, y in zip(xs, ys):
+            fh.write(f"{float(x)!r},{float(y)!r}\n")
+
+
 def _build_run(config: Path, seed: int | None = None) -> SimulationRun:
     """The scenario file's run, built but not run: construction checks
     the config and reads its outdoor series, relative to the file."""
@@ -115,10 +123,7 @@ def cmd_report(args) -> int:
         markets = load_table(run_dir / "markets.csv")
         prices = [p for p, m in zip(markets["price"], markets["market_id"]) if m != "__area"]
         frac, arr = price_duration_curve(prices)
-        with open(out / "price_duration.csv", "w") as fh:
-            fh.write("fraction_at_or_above,price\n")
-            for f_val, p_val in zip(frac, arr):
-                fh.write(f"{repr(float(f_val))},{repr(float(p_val))}\n")
+        _write_pairs(out / "price_duration.csv", "fraction_at_or_above,price", frac, arr)
         lines.append(f"wrote {out / 'price_duration.csv'}")
     _emit(payload, args.json, lines)
     return 0
@@ -130,10 +135,7 @@ def cmd_spectra(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     freqs, amps = power_spectrum(load)
     psd_path = out / "psd.csv"
-    with open(psd_path, "w") as fh:
-        fh.write("frequency_hz,amplitude\n")
-        for f_val, a_val in zip(freqs, amps):
-            fh.write(f"{repr(float(f_val))},{repr(float(a_val))}\n")
+    _write_pairs(psd_path, "frequency_hz,amplitude", freqs, amps)
     payload: dict = {"psd": str(psd_path), "samples": len(load)}
     lines = [f"wrote {psd_path} ({len(freqs)} bins)"]
     if args.impact:

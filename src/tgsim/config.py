@@ -365,6 +365,9 @@ def parse_config(text: str) -> ScenarioConfig:
     market = MarketSpec(**w.fields(MarketSpec, mkt_d, "market", stats_window={"lo": 2}, prior_sigma=_NON_NEGATIVE))
     if market.price_floor >= market.price_cap:
         w.complain("market.price_floor", "must sit below market.price_cap")
+    # a prior outside the band sets every house's bid at a rail until the window fills
+    elif not market.price_floor <= market.prior_mean <= market.price_cap:
+        w.complain("market.prior_mean", "must lie within [market.price_floor, market.price_cap]")
 
     pop_d = w.section(doc, "population", _keys(PopulationSpec))
     population = PopulationSpec(

@@ -102,7 +102,6 @@ from .auction import (
     FeederSupplySpec,
     Order,
     OrderRanks,
-    _price_spans,
     aggregate_demand,
     build_area_supply,
     build_demand_curve,
@@ -121,7 +120,7 @@ from .bidding import (
     storage_legs,
 )
 from .config import ScenarioConfig, StoragePlacement, read_outdoor_series
-from .fold import array_sum, left_sum, libm_exp
+from .fold import array_sum, left_sum, libm_exp, mean_sigma
 from .frequency import (
     regulation_command,
     smooth_ace,
@@ -620,7 +619,9 @@ class SimulationRun:
 
     def _bootstrap_forecast(self, period: int) -> dict[str, Bids]:
         """Day 0's forecast for one scheduling period: base load at the cap,
-        and the median house's steady duty at the period's start at the prior mean."""
+        and the median house's steady duty at the period's start at the prior
+        mean. It keeps the steps of positive quantity, base first, unsorted:
+        ``schedule_hourly`` merges steps given in any order."""
         cfgp = self.cfg.population
         mkt = self.cfg.market
         median = ThermalParams(cfgp.r_median, cfgp.c_median, cfgp.q_hvac, cfgp.p_rated)
@@ -630,8 +631,7 @@ class SimulationRun:
         forecasts = {}
         for fid, fs in self.feeders.items():
             quantity = np.array([fs.spec.base_load_kw, fs.spec.houses * cfgp.p_rated * duty], dtype=np.float64)
-            step = np.lexsort((fs.forecast_rank, -price))  # trade order
-            step = step[quantity[step] > 0]
+            step = quantity > 0
             forecasts[fid] = Bids(price[step], quantity[step], fs.forecast_rank[step])
         return forecasts
 
@@ -720,11 +720,7 @@ class SimulationRun:
 
         # every clearing price in clearing order: interval by interval, feeders sorted
         prices_seen = [p for ps in zip(*(self.feeder_prices[fid] for fid in sorted(self.feeders))) for p in ps]
-        price_mean = (left_sum(prices_seen) / len(prices_seen)) if prices_seen else None
-        price_sigma = None
-        if prices_seen:
-            var = left_sum((p - price_mean) ** 2 for p in prices_seen) / len(prices_seen)
-            price_sigma = math.sqrt(var)
+        price_mean, price_sigma = mean_sigma(prices_seen) if prices_seen else (None, None)
         summary = {
             "span_s": sim.span_s,
             "peak_load_kw": peak_load,
@@ -840,7 +836,7 @@ class SimulationRun:
             rent = scarcity_rent(result, sold)
             demand_curves[fid] = demand
             if self.day_curves:
-                self.day_curves[hour_of_day][fid].append(_price_spans(demand))
+                self.day_curves[hour_of_day][fid].append((demand.cum, demand.price))
 
             n_buys, n_sells = len(result.buy_fills), len(result.sell_fills)
             # in ascending rank, the blocks' trade order (config keeps step prices rising above the anchor)

@@ -4,7 +4,8 @@ The builtin ``sum`` of floats is a plain left fold up to Python 3.11,
 while 3.12 compensates for rounding, so the same inputs can give
 different last bits on different interpreters. Artifacts must not
 depend on the interpreter, so every float sum goes through ``left_sum``,
-or ``array_sum`` for a float64 array (``np.sum`` adds pairwise).
+or ``array_sum`` for a float64 array (``np.sum`` adds pairwise), and
+``mean_sigma`` states a population's mean and sigma in those folds.
 
 ``py_max`` and ``py_min`` are the builtin ``max``/``min`` of two
 operands, elementwise, so an array pass over a fleet breaks ties (such
@@ -17,7 +18,7 @@ can differ from libm in the last bit.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +36,14 @@ def array_sum(x: np.ndarray) -> float:
     from x[0], so an all -0.0 input ends at -0.0; + 0.0 gives +0.0 there,
     as ``left_sum`` does, and changes no other result."""
     return float(np.add.accumulate(x)[-1]) + 0.0 if len(x) else 0.0
+
+
+def mean_sigma(values: Sequence[float]) -> tuple[float, float]:
+    """Population mean and standard deviation of a nonempty sequence: a
+    left fold for the mean, then one over the squared deviations from it."""
+    n = len(values)
+    m = left_sum(values) / n
+    return m, math.sqrt(left_sum((x - m) ** 2 for x in values) / n)
 
 
 def py_max(a, b) -> np.ndarray:

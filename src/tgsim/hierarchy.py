@@ -60,11 +60,13 @@ def schedule_hourly(
     """Clear one hour's forecasts against the day-ahead merit order.
 
     forecasts maps each feeder to its forecast demand for the hour, as
-    columns in trade order: falling prices, equal prices (in any feeder)
-    by ascending rank. The feeders' steps merge on (price, rank)
-    (``merge_order``), so full ties keep feeder order. Each feeder's
-    position is the left fold of its own steps priced at or above the
-    cleared price. Pure function of its inputs.
+    columns in any order. The feeders' steps merge into trade order
+    (falling prices, equal prices in any feeder by ascending rank) with
+    ``merge_order``, which gives the same order for any input; columns
+    already in trade order only save it merge work. Full ties keep
+    feeder order. Each feeder's position is the left fold of its own
+    steps priced at or above the cleared price, in the order given.
+    Pure function of its inputs.
     """
     merged = StepCurve._from_columns(SIDE_BUY, *map(np.concatenate, zip(*forecasts.values())), merge=True)
     supply = build_area_supply(renewables_price, renewables_capacity_kw, bulk_price, bulk_capacity_kw)
@@ -80,8 +82,8 @@ def availability_feedback(spans: Sequence[tuple[np.ndarray, np.ndarray]]) -> Bid
     Pointwise (quantity) average over the union of step prices: each
     interval contributes its willingness at every price, divided by the
     window length. Feeds the next day's forecast.
-    Each interval comes as the ``_price_spans`` pair of its demand curve,
-    (``cum``, price) in trade order. Its willingness at a price p is the
+    Each interval comes as its demand curve's (``cum``, ``price``)
+    columns, in trade order. Its willingness at a price p is the
     quantity of its steps priced at or above p. Those steps are a prefix
     of the trade order, so with n of them it is ``cum[n - 1]``, or 0 if
     n is 0. One sort of the window's prices gives every step the index

@@ -5,8 +5,9 @@ per unit time) applied to a load trace L is the discrete convolution
 
     U[t] = sum_k v[k] * L[t - k] * dt
 
-computed both by direct summation and by FFT with zero padding; the two
-must agree to rounding error and tests hold them to that. The related
+computed by direct summation or by FFT with zero padding; the two
+agree to rounding error and tests hold them to that. ``shift_impact``
+reads its samples from the direct route. The related
 bookkeeping identity chains energy, load and ramp: load is the
 derivative of cumulative energy and the integral of ramp, discretised
 so the round trips are algebraically exact.
@@ -99,9 +100,8 @@ def shift_impact(v: Series, load: Series, shift_hours: float) -> dict[str, float
     """Total valuation change from delaying the load by shift_hours.
 
     The impact at a shift s is sum_t v[t] * L[t - s] * dt, one sample of
-    the convolution of v with the reversed load. Both the direct and the
-    FFT route are evaluated and must agree; the shift must fall on the
-    sample grid.
+    the convolution of v with the reversed load, read from the direct
+    route; the shift must fall on the sample grid.
     """
     _check_pair(v, load)
     steps = shift_hours * 3600.0 / v.period_s
@@ -113,12 +113,9 @@ def shift_impact(v: Series, load: Series, shift_hours: float) -> dict[str, float
     rev = Series(load.start, load.period_s, load.values[::-1].copy(), load.units)
     idx = len(load) - 1 + steps
     direct = convolve_direct(v, rev).values
-    viafft = convolve_fft(v, rev).values
     # a shift past the end of a short valuation kernel leaves no overlap
     # at all, which the full convolution does not even store
     shifted = float(direct[idx]) if idx < len(direct) else 0.0
-    if idx < len(direct) and abs(direct[idx] - viafft[idx]) > 1e-9 * max(1.0, abs(direct[idx])):
-        raise AssertionError("direct and FFT evaluations disagree")
     base = float(direct[len(load) - 1])
     return {
         "impact_at_zero_shift": base,

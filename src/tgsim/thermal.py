@@ -33,7 +33,9 @@ geometry from it. Two functions restate it as array passes over a fleet,
 with libm's logs and exps, and tests pin each to its scalar form bit for
 bit: ``cycle_phases`` (a ratio pass and a finishing pass around the
 logs) restates ``cycle_phase``, and ``states_from_phases``, which sets
-a fleet's initial state, restates ``state_from_phase``.
+a fleet's initial state, restates ``state_from_phase``. Both take the
+test of which houses can cycle, and the band edges of their runs, from
+``_cycling``, the one array form of ``_cycle``'s test.
 """
 
 from __future__ import annotations
@@ -357,6 +359,19 @@ def _cycle(
     return t_eq_on, on_from, off_from, log_on, log_off
 
 
+def _cycling(t_eq_on: np.ndarray, cooling: bool, lo, hi, t_out: float) -> tuple:
+    """``_cycle``'s test over a fleet: the indices of the houses that can
+    cycle, and the band edges their on and off runs start from. The band
+    edges lo and hi are scalars or one per house; per-house edges come
+    back at those houses only."""
+    cycles = (t_eq_on < lo) & (t_out > hi) if cooling else (t_eq_on > hi) & (t_out < lo)
+    idx = cycles.nonzero()[0]
+    on_from, off_from = (hi, lo) if cooling else (lo, hi)
+    if isinstance(on_from, np.ndarray):
+        on_from, off_from = on_from[idx], off_from[idx]
+    return idx, on_from, off_from
+
+
 def cycle_phase(
     state: HouseState, params: ThermalParams, cfg: ThermostatConfig, t_out: float
 ) -> float:
@@ -426,15 +441,9 @@ def states_from_phases(
     phases = np.where((0.0 <= phases) & (phases < 1.0), phases, phases % 1.0)
     cooling, lo, hi = _cycle_band(cfg)
     t_eq_on = t_out + q_hvac * r_thermal
-    if cooling:
-        cycles = (t_eq_on < lo) & (t_out > hi)
-        on_from, off_from = hi, lo
-    else:
-        cycles = (t_eq_on > hi) & (t_out < lo)
-        on_from, off_from = lo, hi
+    idx, on_from, off_from = _cycling(t_eq_on, cooling, lo, hi, t_out)
     t_in = np.full(len(phases), (lo + hi) / 2.0)
     hvac_on = np.zeros(len(phases), dtype=bool)
-    idx = np.flatnonzero(cycles)
     if not len(idx):
         return t_in, hvac_on
     t_eq_on, phase = t_eq_on[idx], phases[idx]
@@ -512,15 +521,8 @@ def cycle_ratios(pop: Population, t_out: float) -> tuple[PartialPhases, np.ndarr
     else:
         lo, hi = np.full(n, lo), np.full(n, hi)
     t_eq_on = t_out + pop.q_hvac * pop.r_thermal
-    if cooling:
-        cycles = (t_eq_on < lo) & (t_out > hi)
-        on_from, off_from = hi, lo
-    else:
-        cycles = (t_eq_on > hi) & (t_out < lo)
-        on_from, off_from = lo, hi
-    idx = cycles.nonzero()[0]
-    t_eq_on, on_from, off_from = t_eq_on[idx], on_from[idx], off_from[idx]
-    lo, hi = lo[idx], hi[idx]
+    idx, on_from, off_from = _cycling(t_eq_on, cooling, lo, hi, t_out)
+    t_eq_on, lo, hi = t_eq_on[idx], lo[idx], hi[idx]
     on = pop.hvac_on[idx] != 0
     t = py_min(py_max(pop.t_in[idx], lo), hi)
     partial = PartialPhases(

@@ -86,6 +86,12 @@ def segments(curve: StepCurve) -> list[Row]:
     return [Row(*row) for row in zip(curve.price.tolist(), curve.quantity.tolist(), order_ids(curve).tolist())]
 
 
+def price_spans(curve: StepCurve) -> tuple:
+    """A demand curve's (``cum``, ``price``) columns: one interval of
+    ``availability_feedback``'s window, as a run keeps it."""
+    return curve.cum, curve.price
+
+
 def total_quantity(curve: StepCurve) -> float:
     return array_sum(curve.quantity)
 

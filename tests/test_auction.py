@@ -41,7 +41,6 @@ from tgsim.auction import (
     clear_and_allocate,
     clear_area,
     market_maker_ids,
-    _price_spans,
 )
 from tgsim.bidding import PriceStats, thermostat_bid
 from tgsim.thermal import ThermostatConfig
@@ -422,7 +421,7 @@ def _check_against_walk(demand, supply, d_rows, s_rows, floor, cap):
     assert _rows_bits(segments(demand)) == _rows_bits(d_walk)
     assert _rows_bits(segments(supply)) == _rows_bits(s_walk)
     for curve, walk in ((demand, d_walk), (supply, s_walk)):
-        spans = zip(*(col.tolist() for col in _price_spans(curve)))
+        spans = zip(curve.cum.tolist(), curve.price.tolist())
         assert [(_bits(c), _bits(p)) for c, p in spans] == [(_bits(c), _bits(p)) for c, p in walk_spans(walk)]
     price, qty, buys, sells, marginal = walk_clear_and_allocate(d_walk, s_walk, floor, cap)
     got = clear(demand, supply, floor, cap)
@@ -488,12 +487,12 @@ def test_a_supply_cleared_many_times_keeps_a_staircase_that_never_goes_stale():
         _, raw_sells = random_book(rng, k)
         s_rows = [(p, q, i) for i, p, q in raw_sells]
         supply = hand_curve(SIDE_SELL, s_rows)
-        s_spans = [col.tobytes() for col in _price_spans(supply)]
+        s_spans = [supply.cum.tobytes(), supply.price.tobytes()]
         for j in range(12):
             raw_buys, _ = random_book(rng, k + j)
             d_rows = [(p, q, i) for i, p, q in raw_buys]
             demand = hand_curve(SIDE_BUY, d_rows)
-            d_spans = [col.tobytes() for col in _price_spans(demand)]
+            d_spans = [demand.cum.tobytes(), demand.price.tobytes()]
             fresh_d, fresh_s = hand_curve(SIDE_BUY, d_rows), hand_curve(SIDE_SELL, s_rows)
             want = _clearing_bits(clear_and_allocate(fresh_d, fresh_s), fresh_d, fresh_s)
             for _ in range(2):
@@ -502,9 +501,9 @@ def test_a_supply_cleared_many_times_keeps_a_staircase_that_never_goes_stale():
             got = clear(demand, supply)
             assert (got.price, got.quantity) == (price, qty)
             assert want[2:4] == (_fills_bits(buy_fills), _fills_bits(sell_fills))
-            assert [col.tobytes() for col in _price_spans(demand)] == d_spans
-            assert [col.tobytes() for col in _price_spans(supply)] == s_spans
-            assert supply.staircase == tuple(col.tolist() for col in _price_spans(fresh_s))
+            assert [demand.cum.tobytes(), demand.price.tobytes()] == d_spans
+            assert [supply.cum.tobytes(), supply.price.tobytes()] == s_spans
+            assert supply.staircase == (fresh_s.cum.tolist(), fresh_s.price.tolist())
 
 
 def test_order_columns_build_the_curves_their_orders_build():

@@ -473,6 +473,27 @@ def test_battery_legs_must_lie_within_the_market_band():
     assert (spec.buy_below, spec.sell_above) == (0.0, 1024.0)
 
 
+def test_prior_mean_must_lie_within_the_market_band():
+    # a prior above the cap had every house bid the cap until the price
+    # window filled, and day 0's forecast a step above it; a prior at
+    # either edge of the band is fine
+    text = (REPO_ROOT / "scenarios" / "two_day.yaml").read_text()
+    assert "price_floor: 0.0" in text and "price_cap: 1000.0" in text
+
+    def prior(mean):
+        return text.replace("prior_mean: 30.0", f"prior_mean: {mean}")
+
+    band = "market.prior_mean: must lie within [market.price_floor, market.price_cap]"
+    assert problems_of(prior(5000.0)) == [band]
+    assert problems_of(prior(-50.0)) == [band]
+    assert problems_of(prior(1000.5)) == [band]
+    assert [parse_config(prior(mean)).market.prior_mean for mean in (0.0, 1000.0)] == [0.0, 1000.0]
+    # an empty band is reported once, not echoed against the prior
+    problems = problems_of(prior(-50.0).replace("price_floor: 0.0", "price_floor: 1000.0"))
+    assert "market.price_floor: must sit below market.price_cap" in problems
+    assert not [p for p in problems if p.startswith("market.prior_mean")]
+
+
 def test_inputs_parsing():
     text = MINIMAL + "inputs:\n  outdoor_temp_c: 28\n  da_price: [25.0, 40.0]\n"
     cfg = parse_config(text)

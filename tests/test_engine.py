@@ -20,7 +20,7 @@ import yaml
 from conftest import SCENARIO_DIR, artifact_files, scenario_paths
 from hand_curves import hand_curve, order_ids
 from tgsim import engine
-from tgsim.auction import SIDE_BUY, OrderRanks, _price_spans
+from tgsim.auction import SIDE_BUY, OrderRanks
 from tgsim.bidding import PriceStats, setpoint_from_price
 from tgsim.config import ConfigError, load_config, parse_config
 from tgsim.engine import SimulationRun, run_scenario
@@ -213,7 +213,8 @@ def test_multiday_run_keeps_one_day_of_curves_and_is_deterministic(tmp_path, mon
                 spans = fed[h * n_feeders + j]
                 assert len(spans) == per_hour
                 for k, pair in enumerate(spans):
-                    want = _price_spans(day1[(h * per_hour + k) * n_feeders + j])
+                    curve = day1[(h * per_hour + k) * n_feeders + j]
+                    want = (curve.cum, curve.price)
                     assert isinstance(pair, tuple) and len(pair) == 2
                     assert all(a.dtype == np.float64 and a.tobytes() == w.tobytes() for a, w in zip(pair, want))
         files.append(artifact_files(run))

@@ -1,14 +1,16 @@
 """Float sums have one order on every interpreter, and float
 transcendentals come from libm, whatever numpy's SIMD level."""
 
+import math
 import re
 import struct
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 import tgsim
-from tgsim.fold import array_sum, left_sum
+from tgsim.fold import array_sum, left_sum, mean_sigma
 
 # the builtin, not a method or a longer name such as np.sum or left_sum
 BARE_SUM = re.compile(r"(?<![\w.])sum\(")
@@ -42,6 +44,19 @@ def test_array_sum_is_the_left_sum_of_the_array_bitwise():
         zeros = np.full(n, -0.0)
         assert struct.pack("<d", np.add.accumulate(zeros)[-1]) == struct.pack("<d", -0.0)
         assert struct.pack("<d", array_sum(zeros)) == struct.pack("<d", 0.0)
+
+
+def test_mean_sigma_is_two_left_folds():
+    # the population mean, then the root of the mean squared deviation
+    # from it, each a left fold; a deque, as a price window is, gives the same
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 24, 288):
+        x = (30.0 + 10.0 * rng.standard_normal(n)).tolist()
+        m = left_sum(x) / n
+        want = (m, math.sqrt(left_sum([(p - m) ** 2 for p in x]) / n))
+        for values in (x, deque(x)):
+            assert [struct.pack("<d", v) for v in mean_sigma(values)] == [struct.pack("<d", v) for v in want]
+    assert mean_sigma([0.1] * 10) == (0.09999999999999999, 1.3877787807814457e-17)
 
 
 def test_no_bare_sum_in_the_package():

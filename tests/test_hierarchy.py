@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from hand_curves import demand_of, hand_curve, market_maker_ranks, order_ids, supply_of, total_quantity
+from hand_curves import demand_of, hand_curve, market_maker_ranks, order_ids, price_spans, supply_of, total_quantity
 from hand_curves import quantity_at as curve_quantity_at
 from oracle_clearing import feedback_rows, fills_by_id, id_path_schedule
 from tgsim.auction import (
@@ -15,7 +15,6 @@ from tgsim.auction import (
     FeederSupplySpec,
     Order,
     OrderRanks,
-    _price_spans,
     clear_and_allocate,
     market_maker_ids,
 )
@@ -125,7 +124,7 @@ def test_schedule_matches_the_forecast_id_path_bitwise():
                 window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
             windows[f"f{f}"] = window
         forecasts = {
-            fid: availability_feedback([_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
+            fid: availability_feedback([price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
             for fid, window in windows.items()
         }
         rows = {fid: feedback_rows(window) for fid, window in windows.items()}
@@ -156,7 +155,7 @@ def spans_of(forecast):
 
 def test_feedback_single_curve_is_identity_pointwise():
     c = demand((50.0, 2.0, "a"), (40.0, 3.0, "b"))
-    mean = availability_feedback([_price_spans(c)])
+    mean = availability_feedback([price_spans(c)])
     for probe in (55.0, 50.0, 45.0, 40.0, 10.0):
         assert quantity_at(mean, probe) == curve_quantity_at(c, probe)
 
@@ -166,7 +165,7 @@ def test_feedback_averages_over_the_union_of_prices():
     # interval contributes its willingness at every price, halved
     a = demand((50.0, 2.0, "a"))
     b = demand((40.0, 3.0, "b"))
-    mean = availability_feedback([_price_spans(a), _price_spans(b)])
+    mean = availability_feedback([price_spans(a), price_spans(b)])
     assert quantity_at(mean, 50.0) == 1.0
     assert quantity_at(mean, 40.0) == 2.5
     assert quantity_at(mean, 39.0) == 2.5
@@ -181,8 +180,8 @@ def test_feedback_ranks_steps_as_their_forecast_ids_sort():
     # rank is its number, so across both forecasts the ranks sort as the
     # oracle's zero-padded ids __forecast{k:06d} do: 1, 2, ..., 9, 10, ...
     rows = [(100.0 - p, 1.0, f"h{p}") for p in range(25)]
-    first = availability_feedback([_price_spans(demand(*rows))])
-    second = availability_feedback([_price_spans(demand(*rows[::3]))])
+    first = availability_feedback([price_spans(demand(*rows))])
+    second = availability_feedback([price_spans(demand(*rows[::3]))])
     ids = [oid for window in ([rows], [rows[::3]]) for _, _, oid in feedback_rows(window)]
     rank = np.concatenate([first.rank, second.rank])
     assert len(ids) == len(rank) == 25 + 9
@@ -198,7 +197,7 @@ def test_feedback_ranks_steps_as_their_forecast_ids_sort():
 def test_feedback_is_idempotent():
     a = demand((50.0, 2.0, "a"))
     b = demand((40.0, 3.0, "b"))
-    once = availability_feedback([_price_spans(a), _price_spans(b)])
+    once = availability_feedback([price_spans(a), price_spans(b)])
     twice = availability_feedback([spans_of(once)])
     for probe in (60.0, 50.0, 40.0, 0.0):
         assert quantity_at(twice, probe) == quantity_at(once, probe)
@@ -230,7 +229,7 @@ def test_feedback_matches_the_per_price_formula_bitwise():
             window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
         windows.append(window)
     for window in windows:
-        got = availability_feedback([_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
+        got = availability_feedback([price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
         want = feedback_rows(window)
         assert got.price.tolist() == [p for p, _, _ in want]
         assert _bits(got) == _row_bits(want)
@@ -246,7 +245,7 @@ def test_feedback_matches_the_per_price_formula_on_signed_zeros_bitwise():
             prices = rng.choice([-0.0, 0.0, 0.0, 5.0, 30.0], n)
             qs = rng.choice([1.0, 0.5, 2.0], n)
             window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
-        got = availability_feedback([_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
+        got = availability_feedback([price_spans(hand_curve(SIDE_BUY, rows)) for rows in window])
         assert _bits(got) == _row_bits(feedback_rows(window))
 
 
@@ -285,7 +284,7 @@ def test_feedback_counts_as_the_search_does_bitwise():
             window.append([(p, q, f"c{c}_{i}") for i, (p, q) in enumerate(zip(prices.tolist(), qs.tolist()))])
         windows.append(window)
     for window in windows:
-        spans = [_price_spans(hand_curve(SIDE_BUY, rows)) for rows in window]
+        spans = [price_spans(hand_curve(SIDE_BUY, rows)) for rows in window]
         got, want = availability_feedback(spans), _feedback_by_search(spans)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

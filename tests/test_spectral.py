@@ -152,6 +152,28 @@ def test_shift_impact_matches_elementwise_sum():
         assert out["impact_change"] == pytest.approx(brute(steps) - brute(0), rel=1e-9, abs=1e-12)
 
 
+def test_shift_impact_reads_the_direct_convolution_bit_for_bit():
+    # the impacts are samples of convolve_direct of the reversed load: at
+    # len(load) - 1 for no shift, and that index plus the shift; a shift
+    # past the end of the short kernel overlaps nothing and is exactly 0.0
+    rng = np.random.default_rng(33)
+    v = series(rng.normal(0.0, 10.0, size=5), period_s=900.0)
+    load = series(rng.normal(0.0, 50.0, size=12), period_s=900.0)
+    direct = convolve_direct(v, series(load.values[::-1].copy(), period_s=900.0)).values.tolist()
+    base = direct[len(load) - 1]
+    seen_past_kernel = False
+    for steps in range(len(load)):
+        out = shift_impact(v, load, steps / 4.0)
+        idx = len(load) - 1 + steps
+        shifted = direct[idx] if idx < len(direct) else 0.0
+        seen_past_kernel |= idx >= len(direct)
+        got = (out["impact_at_zero_shift"], out["impact_at_shift"], out["impact_change"])
+        assert [x.hex() for x in got] == [base.hex(), shifted.hex(), (shifted - base).hex()]
+        if steps == 0:
+            assert out["impact_at_shift"].hex() == base.hex() and out["impact_change"] == 0.0
+    assert seen_past_kernel and out["impact_at_shift"] == 0.0
+
+
 def test_shift_impact_rejects_off_grid_and_out_of_span():
     v = series([1.0, 2.0])
     load = series([1.0, 2.0, 3.0])
