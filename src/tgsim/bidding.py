@@ -50,9 +50,9 @@ class PriceStats:
     when a price arrives, so they are computed then, not on every read.
     """
 
-    window: int = 24
-    prior_mean: float = 30.0
-    prior_sigma: float = 10.0
+    window: int
+    prior_mean: float
+    prior_sigma: float
     history: deque = field(default_factory=deque)
     mean: float = field(init=False)
     sigma: float = field(init=False)

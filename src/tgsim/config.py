@@ -11,6 +11,11 @@ stopping at the first, so a config review needs one round trip. A key
 outside its section's field names is one of those problems, so a typo
 such as output.house_trac cannot silently fall back to a default.
 
+Each kind of value is read one way: _Walker.number reads every int and
+float key, its test of a finite number (_number_problem) also decides
+the inputs' temperature and prices, and _Walker.entries walks the three
+list sections, feeders, area.events and storage.
+
 Defaults are deliberate: the cadence defaults (hourly schedule, five
 minute markets, four second balancing ticks, one minute device ticks)
 nest exactly, and the validator re-checks divisibility whenever any of
@@ -190,8 +195,18 @@ _STORAGE_KEYS = (
     _keys(StorageSpec) - {"device_id"} | _keys(StoragePlacement) - {"spec", "feeder_id"} | {"id", "feeder"}
 )
 
-def _finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+def _number_problem(x, integer: bool = False) -> str:
+    """Why x is not a finite number ("" when it is one). A bool is not a
+    number; with integer set, an int is one and nothing else is;
+    otherwise an int or float is one if a float holds it finitely, so an
+    int past the float range is as infinite as .inf."""
+    if isinstance(x, bool) or not isinstance(x, int if integer else (int, float)):
+        return f"expected {'an integer' if integer else 'a number'}, got {x!r}"
+    try:
+        return "" if integer or math.isfinite(x) else "must be finite"
+    except OverflowError:
+        return "must be finite"
 
 
 # per-key bounds for _Walker.fields
@@ -232,60 +247,59 @@ class _Walker:
 
     # A bad value, missing, of the wrong type or out of bounds, reads as
     # the default (0 if required), so no cross check reports it again.
-    def number(self, d: dict, key: str, path: str, default=None, lo=None, hi=None, lo_open=None):
+    def number(self, d: dict, key: str, path: str, default=None, lo=None, hi=None, lo_open=None, integer=False):
+        """d[key] as a float, or as an int where integer is set."""
         where = self._at(path, key)
-        fallback = 0.0 if default is None else default
+        fallback = (0 if integer else 0.0) if default is None else default
         if key not in d:
             if default is None:
                 self.complain(where, "required value missing")
             return fallback
         val = d[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.complain(where, f"expected a number, got {val!r}")
-            return fallback
-        v = float(val)
-        if not math.isfinite(v):
-            self.complain(where, "must be finite")
-        elif lo is not None and v < lo:
-            self.complain(where, f"must be >= {lo}, got {v}")
-        elif lo_open is not None and v <= lo_open:
-            self.complain(where, f"must be > {lo_open}, got {v}")
-        elif hi is not None and v > hi:
-            self.complain(where, f"must be <= {hi}, got {v}")
-        else:
-            return v
+        problem = _number_problem(val, integer)
+        if not problem:
+            v = val if integer else float(val)
+            if lo is not None and v < lo:
+                problem = f"must be >= {lo}, got {v}"
+            elif lo_open is not None and v <= lo_open:
+                problem = f"must be > {lo_open}, got {v}"
+            elif hi is not None and v > hi:
+                problem = f"must be <= {hi}, got {v}"
+            else:
+                return v
+        self.complain(where, problem)
         return fallback
-
-    def integer(self, d: dict, key: str, path: str, default=None, lo=None):
-        where = self._at(path, key)
-        fallback = 0 if default is None else default
-        if key not in d:
-            if default is None:
-                self.complain(where, "required value missing")
-            return fallback
-        val = d[key]
-        if isinstance(val, bool) or not isinstance(val, int):
-            self.complain(where, f"expected an integer, got {val!r}")
-            return fallback
-        if lo is not None and val < lo:
-            self.complain(where, f"must be >= {lo}, got {val}")
-            return fallback
-        return val
 
     def fields(self, cls, d: dict, path: str, **bounds: dict) -> dict:
         """Every int and float field of spec class cls, read from section d.
 
-        The field's name is the key, its annotation picks integer or
-        number, and its default is the default (none: required). bounds
+        The field's name is the key, its annotation picks an int or a
+        float, and its default is the default (none: required). bounds
         maps a field name to the lo/hi/lo_open limits of its key.
         """
         values = {}
         for name, is_integer, default in _numeric_fields(cls):
-            read = self.integer if is_integer else self.number
-            values[name] = read(d, name, path, default, **bounds.pop(name, {}))
+            values[name] = self.number(d, name, path, default, integer=is_integer, **bounds.pop(name, {}))
         if bounds:
             raise TypeError(f"{cls.__name__} has no numeric fields {sorted(bounds)}")
         return values
+
+    def entries(self, doc: dict, key: str, known: frozenset[str], path: str = "", empty: str = ""):
+        """(index, path, entry) of each mapping in list section doc[key],
+        its keys checked against known. A non-list is a problem, and so
+        is an empty list where empty is the problem to report instead."""
+        where = self._at(path, key)
+        raw = doc.get(key, [])
+        if not isinstance(raw, list) or (empty and not raw):
+            self.complain(where, empty or "expected a list")
+            return
+        for idx, entry in enumerate(raw):
+            at = f"{where}[{idx}]"
+            if not isinstance(entry, dict):
+                self.complain(at, "expected a mapping")
+                continue
+            self.known_keys(entry, at, known)
+            yield idx, at, entry
 
     def string(self, d: dict, key: str, path: str, default: str) -> str | None:
         """d[key] (default when absent) if it is a string, else None and a problem."""
@@ -331,7 +345,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if version != SCHEMA_VERSION:
         w.complain("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
-    seed = w.integer(doc, "seed", "", ScenarioConfig.seed, lo=0)
+    seed = w.number(doc, "seed", "", ScenarioConfig.seed, lo=0, integer=True)
 
     sim_d = w.section(doc, "simulation", _keys(SimulationSpec))
     start_raw = sim_d.get("start", SimulationSpec.start)
@@ -390,18 +404,9 @@ def parse_config(text: str) -> ScenarioConfig:
         w.complain("population.q_hvac", "heating equipment must add heat (q_hvac > 0)")
 
     feeders: list[FeederSpec] = []
-    feeder_raw = doc.get("feeders", [])
-    if not isinstance(feeder_raw, list) or not feeder_raw:
-        w.complain("feeders", "at least one feeder is required")
-        feeder_raw = []
     seen_ids: set[str] = set()
     first_steps: list[tuple[str, float]] = []  # (feeder path, first scarcity step price)
-    for idx, fd in enumerate(feeder_raw):
-        path = f"feeders[{idx}]"
-        if not isinstance(fd, dict):
-            w.complain(path, "expected a mapping")
-            continue
-        w.known_keys(fd, path, _FEEDER_KEYS)
+    for idx, path, fd in w.entries(doc, "feeders", _FEEDER_KEYS, empty="at least one feeder is required"):
         fid = w.config_id(fd, path, f"feeder{idx}", seen_ids, "feeder")
         steps_raw = fd.get("scarcity_steps", [])
         steps: list[tuple[float, float]] = []
@@ -448,19 +453,10 @@ def parse_config(text: str) -> ScenarioConfig:
     split_d = w.section(area_d, "split", _keys(RegulationSplit), "area")
     ufls_d = w.section(area_d, "ufls", _keys(UflsSpec), "area")
     events: list[EventSpec] = []
-    events_raw = area_d.get("events", [])
-    if not isinstance(events_raw, list):
-        w.complain("area.events", "expected a list")
-        events_raw = []
-    for j, ev in enumerate(events_raw):
-        path = f"area.events[{j}]"
-        if not isinstance(ev, dict):
-            w.complain(path, "expected a mapping")
-            continue
-        w.known_keys(ev, path, _keys(EventSpec))
+    for _, path, ev in w.entries(area_d, "events", _keys(EventSpec), "area"):
         duration = ev.get("duration_s")
         if duration is not None:
-            duration = w.integer(ev, "duration_s", path, lo=1)
+            duration = w.number(ev, "duration_s", path, lo=1, integer=True)
         events.append(EventSpec(**w.fields(EventSpec, ev, path, at_s={"lo": 0}), duration_s=duration))
 
     area_values = w.fields(
@@ -484,16 +480,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     storage: list[StoragePlacement] = []
     storage_ids: set[str] = set()
-    storage_raw = doc.get("storage", [])
-    if not isinstance(storage_raw, list):
-        w.complain("storage", "expected a list")
-        storage_raw = []
-    for j, sd in enumerate(storage_raw):
-        path = f"storage[{j}]"
-        if not isinstance(sd, dict):
-            w.complain(path, "expected a mapping")
-            continue
-        w.known_keys(sd, path, _STORAGE_KEYS)
+    for j, path, sd in w.entries(doc, "storage", _STORAGE_KEYS):
         sid = w.config_id(sd, path, f"storage{j}", storage_ids, "storage")
         fid = w.string(sd, "feeder", path, "")
         if fid is not None and fid not in seen_ids:
@@ -518,7 +505,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     inputs_d = w.section(doc, "inputs", frozenset({"outdoor_temp_c", "da_price"}))
     t_out_raw = inputs_d.get("outdoor_temp_c", ScenarioConfig.outdoor_temp_c)
-    if _finite_number(t_out_raw):
+    if not _number_problem(t_out_raw):
         outdoor: float | str = float(t_out_raw)
     elif isinstance(t_out_raw, str):
         outdoor = t_out_raw
@@ -527,7 +514,7 @@ def parse_config(text: str) -> ScenarioConfig:
         outdoor = ScenarioConfig.outdoor_temp_c
     da_raw = inputs_d.get("da_price", ScenarioConfig.da_price)
     da_list = da_raw if isinstance(da_raw, (list, tuple)) else [da_raw]
-    if da_list and all(_finite_number(x) for x in da_list):
+    if da_list and not any(_number_problem(x) for x in da_list):
         da = tuple(float(x) for x in da_list)
     else:
         w.complain("inputs.da_price", f"expected a price or list of hourly prices, got {da_raw!r}")

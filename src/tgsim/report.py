@@ -37,13 +37,12 @@ def load_summary(run_dir) -> dict:
     return json.loads((Path(run_dir) / "summary.json").read_text())
 
 
-def price_alternations(
-    prices: list[float],
-    price_floor: float = 0.0,
-    price_cap: float = 1000.0,
-    high_frac: float = 0.75,
-    low_frac: float = 0.25,
-) -> int:
+# price_alternations' high and low cuts, as fractions of the floor-to-cap range
+HIGH_FRAC = 0.75
+LOW_FRAC = 0.25
+
+
+def price_alternations(prices: list[float], price_floor: float, price_cap: float) -> int:
     """Longest run of consecutive rail-to-rail price flips.
 
     A price counts as high in the top quarter of the floor-to-cap range
@@ -54,8 +53,8 @@ def price_alternations(
     """
     if len(prices) < 2 or not price_cap > price_floor:
         return 0
-    hi_cut = price_floor + high_frac * (price_cap - price_floor)
-    lo_cut = price_floor + low_frac * (price_cap - price_floor)
+    hi_cut = price_floor + HIGH_FRAC * (price_cap - price_floor)
+    lo_cut = price_floor + LOW_FRAC * (price_cap - price_floor)
 
     def classify(p: float) -> int:
         if p >= hi_cut:

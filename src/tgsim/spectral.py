@@ -235,12 +235,15 @@ def read_series_points(path) -> list[tuple[datetime, float]]:
     return points
 
 
-def ingest_series(path, units: str = "", max_gap_samples: int = 4) -> Series:
+MAX_GAP_SAMPLES = 4  # the longest run of missing samples ingest_series fills
+
+
+def ingest_series(path, units: str = "") -> Series:
     """Read a series CSV into a uniform Series, filling modest gaps.
 
     The sample period is the smallest time difference present; every
     other difference must be a whole multiple of it. Missing interior
-    samples up to max_gap_samples long are filled by linear
+    samples up to MAX_GAP_SAMPLES long are filled by linear
     interpolation, anything longer or any non-monotonic timestamp is an
     error.
     """
@@ -261,8 +264,8 @@ def ingest_series(path, units: str = "", max_gap_samples: int = 4) -> Series:
         if abs(n - round(n)) > 1e-6:
             raise ValueError(f"{path}: interval {d}s is not a multiple of the period {period}s")
         n = int(round(n))
-        if n - 1 > max_gap_samples:
-            raise ValueError(f"{path}: gap of {n - 1} samples before {t1.isoformat()} exceeds {max_gap_samples}")
+        if n - 1 > MAX_GAP_SAMPLES:
+            raise ValueError(f"{path}: gap of {n - 1} samples before {t1.isoformat()} exceeds {MAX_GAP_SAMPLES}")
         for k in range(1, n):
             values.append(x0 + (x1 - x0) * (k / n))
         # append the endpoint itself, not its k == n interpolation image,

@@ -76,9 +76,9 @@ def test_price_stats_population_sigma_and_rolling_window():
 
 def test_price_stats_validation():
     with pytest.raises(ValueError):
-        PriceStats(window=1)
+        PriceStats(window=1, prior_mean=30.0, prior_sigma=10.0)
     with pytest.raises(ValueError):
-        PriceStats(window=4, prior_sigma=-1.0)
+        PriceStats(window=4, prior_mean=30.0, prior_sigma=-1.0)
     stats = fresh_stats()
     with pytest.raises(ValueError):
         stats.observe(float("inf"))

@@ -645,3 +645,9 @@ def test_module_entry_point_exit_statuses(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith("error: feeders[0].scarcity_steps[0]")
     assert "Traceback" not in done.stderr
+    # so is an integer too large for a float
+    huge = null_variant(tmp_path / "huge.yaml", "capacity_kw: 100.0", "capacity_kw: 1" + "0" * 400)
+    done = cli_process("validate", "--config", huge, cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "error: feeders[0].capacity_kw: must be finite\n"
+    assert "Traceback" not in done.stderr

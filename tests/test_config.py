@@ -12,14 +12,17 @@ import pytest
 import yaml
 
 from tgsim import config
+from tgsim.bidding import StorageSpec
 from tgsim.config import (
     SCHEMA_VERSION,
     AreaSpec,
     ConfigError,
+    EventSpec,
     FeederSpec,
     MarketSpec,
     PopulationSpec,
     SimulationSpec,
+    StoragePlacement,
     UflsSpec,
     load_config,
     parse_config,
@@ -350,6 +353,21 @@ def test_event_parsing():
     assert "area.events[0].duration_s: must be >= 1, got 0" in probs
 
 
+def test_list_sections_report_a_non_list_and_each_non_mapping_entry():
+    assert problems_of(MINIMAL + "area:\n  events: 5\n") == ["area.events: expected a list"]
+    assert problems_of(MINIMAL + "storage: {}\n") == ["storage: expected a list"]
+    assert problems_of(MINIMAL + "area:\n  events: [3, {at_s: 0, delta_p_mw: 1.0, typo: 1}]\n") == [
+        "area.events[0]: expected a mapping",
+        "area.events[1].typo: unknown key",
+    ]
+    assert problems_of(MINIMAL + "storage: [x]\n") == ["storage[0]: expected a mapping"]
+    # feeders says what it needs in place of "expected a list", also when empty
+    for raw in ("5", "[]", "null"):
+        text = f"schema_version: 1\nsimulation:\n  span_s: 3600\nfeeders: {raw}\n"
+        assert problems_of(text) == ["feeders: at least one feeder is required"]
+    assert problems_of(MINIMAL.replace("  - id: f0", "  - 3\n  - id: f0")) == ["feeders[0]: expected a mapping"]
+
+
 def test_storage_parsing():
     text = MINIMAL + """\
 storage:
@@ -584,14 +602,49 @@ output: {house_trace: false}
 def test_unknown_keys_are_reported_with_their_path(path, typo):
     doc = yaml.safe_load(EVERY_SECTION)
     parse_config(yaml.safe_dump(doc))  # valid before the typo goes in
+    node_at(doc, path)[typo] = True
+    assert problems_of(yaml.safe_dump(doc)) == [f"{path}.{typo}: unknown key"]
+
+
+def node_at(doc, path):
+    """The mapping at a problem's key path, such as area.events[0], in doc."""
     node = doc
     for part in path.split("."):
         name, _, index = part.partition("[")
         node = node[name]
         if index:
             node = node[int(index[:-1])]
-    node[typo] = True
-    assert problems_of(yaml.safe_dump(doc)) == [f"{path}.{typo}: unknown key"]
+    return node
+
+
+HUGE = 10**400  # an integer past the float range
+# each spec's section in EVERY_SECTION; a battery's two specs share storage[0]
+SPEC_PATHS = [
+    (MarketSpec, "market"), (PopulationSpec, "population"), (FeederSpec, "feeders[0]"), (AreaSpec, "area"),
+    (SwingParams, "area.swing"), (RegulationSplit, "area.split"), (UflsSpec, "area.ufls"),
+    (EventSpec, "area.events[0]"), (StorageSpec, "storage[0]"), (StoragePlacement, "storage[0]"),
+]
+
+
+@pytest.mark.parametrize("path, key, value, problem", [
+    *(
+        pytest.param(path, name, HUGE, f"{path}.{name}: must be finite", id=f"{path}.{name}")
+        for cls, path in SPEC_PATHS
+        for name, is_integer, _ in config._numeric_fields(cls)
+        if not is_integer
+    ),
+    pytest.param("feeders[0]", "scarcity_steps", [[HUGE, 5.0]], "feeders[0].scarcity_steps[0].price: must be finite",
+                 id="scarcity_steps.price"),
+    pytest.param("inputs", "outdoor_temp_c", HUGE, f"inputs.outdoor_temp_c: expected a number or CSV path, got {HUGE!r}",
+                 id="inputs.outdoor_temp_c"),
+    pytest.param("inputs", "da_price", [30.0, HUGE],
+                 f"inputs.da_price: expected a price or list of hourly prices, got {[30.0, HUGE]!r}",
+                 id="inputs.da_price"),
+])
+def test_an_integer_past_the_float_range_is_a_problem_not_a_traceback(path, key, value, problem):
+    doc = yaml.safe_load(EVERY_SECTION)
+    node_at(doc, path)[key] = value
+    assert problems_of(yaml.safe_dump(doc)) == [problem]
 
 
 def test_every_spec_field_reads_back_under_its_own_key():

@@ -7,6 +7,7 @@ import pytest
 
 from tgsim.spectral import (
     EMISSIONS_SPECIES,
+    MAX_GAP_SAMPLES,
     Series,
     convolve_direct,
     convolve_fft,
@@ -309,17 +310,16 @@ def test_ingest_fills_modest_gaps_by_interpolation(tmp_path):
 
 
 def test_ingest_rejects_long_gaps_unless_allowed(tmp_path):
+    # a gap of MAX_GAP_SAMPLES (4) missing samples is filled, one more is an error
     p = tmp_path / "gappy.csv"
-    p.write_text(
-        "time,value\n"
-        "2026-07-01T00:00:00,1\n"
-        "2026-07-01T00:01:00,2\n"
-        "2026-07-01T00:05:00,3\n"
-    )
-    with pytest.raises(ValueError):
-        ingest_series(p, max_gap_samples=2)
-    s = ingest_series(p, max_gap_samples=4)
-    assert len(s) == 6
+    rows = "time,value\n2026-07-01T00:00:00,1\n2026-07-01T00:01:00,2\n2026-07-01T00:{}:00,3\n"
+    p.write_text(rows.format("06"))
+    s = ingest_series(p)
+    assert len(s) == 7
+    assert MAX_GAP_SAMPLES == 4
+    p.write_text(rows.format("07"))
+    with pytest.raises(ValueError, match="gap of 5 samples .* exceeds 4"):
+        ingest_series(p)
 
 
 def test_ingest_rejects_irregular_and_backward_times(tmp_path):
